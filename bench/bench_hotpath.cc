@@ -23,13 +23,17 @@
 //                at depth 8, with a per-stage split: time inside
 //                GenerateVotes (votegen) vs everything else the engine
 //                and executor stack add (dispatch).
+//   engine=serial the same stream through the serial memoized RoundEngine
+//                (one batch cache insert and one GenerateVotes per round,
+//                no executor stack), with the same votegen/dispatch split.
 //   par=T        ParallelBatchExecutor at T threads (forked models, batch
 //                path inside each chunk).
 //
 // Self-checking in every mode: the batch, bulk-scalar and bulk rows must
 // each produce bit-identical votes to an identically seeded per-call run —
 // the determinism contract the unit suites pin, re-verified on the bench
-// workload for both draw kernels. The full run writes BENCH_hotpath.json;
+// workload for both draw kernels — and engine=serial must reproduce one
+// bulk GenerateVotes over its stream. The full run writes BENCH_hotpath.json;
 // the headline is batch vs legacy on the threshold model plus the bulk vs
 // batch ratio (target: >= 2x).
 //
@@ -160,12 +164,13 @@ class PairStreamSource : public RoundSource {
 };
 
 // Forwarding decorator that accumulates the wall time spent inside the
-// wrapped model's vote generation. Splits the engine=d8 row into model
-// time (votegen) and everything the dispatch stack adds around it — round
-// assembly, in-flight cache reservation, pipeline bookkeeping — the
-// baseline for the engine-overhead item on the roadmap. Counter and
-// checkpoint state stay on the inner comparator; the executor keeps its
-// own task counts, so the engine's paid() accounting is unaffected.
+// wrapped model's vote generation. Splits the engine rows into model time
+// (votegen) and everything the dispatch stack adds around it — round
+// assembly, cache resolve, pipeline bookkeeping — the baseline for the
+// engine-overhead item on the roadmap. Checkpoint state stays on the inner
+// comparator. The votes it forwards are charged to its own counter too, so
+// the serial engine, which reads this comparator's count, sees what it
+// paid; the pipelined row's executor keeps its own task counts.
 class TimingComparator : public Comparator, public VoteBatchComparator {
  public:
   explicit TimingComparator(Comparator* inner)
@@ -175,6 +180,7 @@ class TimingComparator : public Comparator, public VoteBatchComparator {
     const auto begin = std::chrono::steady_clock::now();
     const ElementId winner = inner_->Compare(a, b);
     votegen_seconds_ += Seconds(begin, std::chrono::steady_clock::now());
+    CountComparison();
     return winner;
   }
 
@@ -187,6 +193,7 @@ class TimingComparator : public Comparator, public VoteBatchComparator {
     const auto begin = std::chrono::steady_clock::now();
     const int64_t produced = inner_batch_->GenerateVotes(pairs, out);
     votegen_seconds_ += Seconds(begin, std::chrono::steady_clock::now());
+    AddComparisons(produced);
     return produced;
   }
 
@@ -297,17 +304,15 @@ ModelReport BenchModel(const std::string& model_name,
                     out);
   }));
 
-  // engine=d8: the batch path driven through the pipelined RoundEngine at
-  // depth 8 (round submission, in-flight cache reservation, engine-owned
-  // scratch reuse all on the measured path). The engine's pipelining
-  // contract requires in-flight rounds to be pair-disjoint, so the stream
-  // is deduplicated first and throughput is per executed pair. Self-check:
-  // every vote names one of its pair's endpoints and the engine paid for
-  // exactly the deduplicated stream. The TimingComparator splits the row
-  // into votegen (model) and dispatch (engine + executor) time.
+  // The engine rows run the batch path through a RoundEngine. The
+  // pipelined engine requires in-flight rounds to be pair-disjoint, so the
+  // stream is deduplicated first and throughput is per executed pair; the
+  // serial row runs the same stream so the two compare directly. The
+  // TimingComparator splits each row into votegen (model) and dispatch
+  // (engine, plus the executor stack on d8) time.
+  std::vector<ComparisonPair> unique_pairs;
+  unique_pairs.reserve(pairs.size());
   {
-    std::vector<ComparisonPair> unique_pairs;
-    unique_pairs.reserve(pairs.size());
     std::unordered_set<uint64_t> seen;
     seen.reserve(pairs.size() * 2);
     for (const ComparisonPair& pair : pairs) {
@@ -315,31 +320,69 @@ ModelReport BenchModel(const std::string& model_name,
         unique_pairs.push_back(pair);
       }
     }
+  }
+  const auto measure_engine = [&](const std::string& name,
+                                  const std::function<void(
+                                      std::vector<ElementId>*, double*)>& run) {
     double votegen_seconds = 0.0;
-    Row row = Measure(
-        "engine=d8", unique_pairs, [&](std::vector<ElementId>* out) {
-          std::unique_ptr<Comparator> model = make(seed);
-          TimingComparator timed(model.get());
-          ComparatorBatchExecutor executor(&timed);
-          AsyncBatchAdapter async(&executor);
-          Result<std::unique_ptr<RoundEngine>> engine =
-              RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8);
-          CROWDMAX_CHECK(engine.ok());
-          PairStreamSource source(&unique_pairs, kChunk, out);
-          Result<DriveResult> drive = (*engine)->Drive(&source);
-          CROWDMAX_CHECK(drive.ok());
-          CROWDMAX_CHECK((*engine)->paid() ==
-                         static_cast<int64_t>(unique_pairs.size()));
-          for (size_t i = 0; i < unique_pairs.size(); ++i) {
-            CROWDMAX_CHECK((*out)[i] == unique_pairs[i].first ||
-                           (*out)[i] == unique_pairs[i].second);
-          }
-          votegen_seconds = timed.votegen_seconds();
-        });
+    Row row = Measure(name, unique_pairs, [&](std::vector<ElementId>* out) {
+      run(out, &votegen_seconds);
+    });
     row.votegen_seconds = votegen_seconds;
     row.dispatch_seconds = row.seconds - votegen_seconds;
     report.rows.push_back(row);
+  };
+
+  // engine=d8: the pipelined engine at depth 8 (round submission,
+  // in-flight cache reservation, engine-owned scratch reuse all on the
+  // measured path). Self-check: every vote names one of its pair's
+  // endpoints and the engine paid for exactly the deduplicated stream.
+  measure_engine("engine=d8", [&](std::vector<ElementId>* out,
+                                  double* votegen_seconds) {
+    std::unique_ptr<Comparator> model = make(seed);
+    TimingComparator timed(model.get());
+    ComparatorBatchExecutor executor(&timed);
+    AsyncBatchAdapter async(&executor);
+    Result<std::unique_ptr<RoundEngine>> engine =
+        RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8);
+    CROWDMAX_CHECK(engine.ok());
+    PairStreamSource source(&unique_pairs, kChunk, out);
+    Result<DriveResult> drive = (*engine)->Drive(&source);
+    CROWDMAX_CHECK(drive.ok());
+    CROWDMAX_CHECK((*engine)->paid() ==
+                   static_cast<int64_t>(unique_pairs.size()));
+    for (size_t i = 0; i < unique_pairs.size(); ++i) {
+      CROWDMAX_CHECK((*out)[i] == unique_pairs[i].first ||
+                     (*out)[i] == unique_pairs[i].second);
+    }
+    *votegen_seconds = timed.votegen_seconds();
+  });
+
+  // engine=serial: the serial memoized engine — every pair a miss through
+  // the batch cache insert, then one GenerateVotes per round. Self-check:
+  // the votes equal one bulk GenerateVotes over the whole stream on an
+  // identically seeded model (chunking never changes the draw sequence).
+  std::vector<ElementId> unique_reference(unique_pairs.size(), -1);
+  {
+    std::unique_ptr<Comparator> model = make(seed);
+    CROWDMAX_CHECK(model->AsVoteBatch()->GenerateVotes(
+                       unique_pairs, unique_reference) ==
+                   static_cast<int64_t>(unique_pairs.size()));
   }
+  measure_engine("engine=serial", [&](std::vector<ElementId>* out,
+                                      double* votegen_seconds) {
+    std::unique_ptr<Comparator> model = make(seed);
+    TimingComparator timed(model.get());
+    const std::unique_ptr<RoundEngine> engine =
+        RoundEngine::CreateSerial(&timed, /*memoize=*/true);
+    PairStreamSource source(&unique_pairs, kChunk, out);
+    Result<DriveResult> drive = engine->Drive(&source);
+    CROWDMAX_CHECK(drive.ok());
+    CROWDMAX_CHECK(engine->paid() ==
+                   static_cast<int64_t>(unique_pairs.size()));
+    CROWDMAX_CHECK(*out == unique_reference);
+    *votegen_seconds = timed.votegen_seconds();
+  });
 
   // par=T: the parallel executor's forked batch path. Forks draw from
   // their own streams, so no vote equality with the serial rows — the
@@ -413,11 +456,12 @@ bool ParseBaseline(
   return !rows_out->empty();
 }
 
-// Serial deterministic rows only: engine and par= rows depend on thread
-// scheduling and pipeline timing, too noisy for a hard gate.
+// Serial deterministic rows only: the pipelined engine and par= rows
+// depend on thread scheduling and pipeline timing, too noisy for a hard
+// gate.
 bool IsCheckedRow(const std::string& name) {
   return name == "legacy" || name == "percall" || name == "batch" ||
-         name == "bulk-scalar" || name == "bulk";
+         name == "bulk-scalar" || name == "bulk" || name == "engine=serial";
 }
 
 int RunCheck(const std::vector<ModelReport>& reports,
@@ -538,16 +582,15 @@ int Main(int argc, char** argv) {
   bench::EmitTable(table, flags, "Vote-generation throughput (" +
                                      std::to_string(n_pairs) + " pairs/row)");
 
-  // engine=d8 per-stage split: where the 20x gap between the bare batch
-  // path and the engine-driven path actually goes.
+  // Engine per-stage split: where the gap between the bare batch path and
+  // the engine-driven paths actually goes.
   for (const ModelReport& report : reports) {
-    if (const Row* engine = FindRow(report, "engine=d8");
-        engine != nullptr && engine->seconds > 0.0) {
-      std::cout << "engine=d8 " << report.model << ": votegen "
-                << FormatDouble(engine->votegen_seconds, 3) << "s, dispatch "
-                << FormatDouble(engine->dispatch_seconds, 3) << "s ("
-                << FormatDouble(
-                       100.0 * engine->dispatch_seconds / engine->seconds, 1)
+    for (const Row& row : report.rows) {
+      if (row.votegen_seconds < 0.0 || row.seconds <= 0.0) continue;
+      std::cout << row.name << " " << report.model << ": votegen "
+                << FormatDouble(row.votegen_seconds, 3) << "s, dispatch "
+                << FormatDouble(row.dispatch_seconds, 3) << "s ("
+                << FormatDouble(100.0 * row.dispatch_seconds / row.seconds, 1)
                 << "% overhead)\n";
     }
   }
@@ -578,12 +621,13 @@ int Main(int argc, char** argv) {
   if (smoke) {
     // CI smoke contract: every serial chunked row re-verified
     // bit-identical to its per-call twin on both draw kernels (checked
-    // inside RunChunkedBatch), the batch path not slower than legacy, and
-    // the bulk layer genuinely ahead of the scalar loop it replaces.
+    // inside RunChunkedBatch) and the serial engine row to one bulk call,
+    // the batch path not slower than legacy, and the bulk layer genuinely
+    // ahead of the scalar loop it replaces.
     CROWDMAX_CHECK(headline > 1.0);
     CROWDMAX_CHECK(bulk_vs_batch > 1.0);
     std::cout << "smoke: OK (batch/bulk-scalar/bulk bit-identical to "
-                 "per-call for "
+                 "per-call, engine=serial to one bulk call, for "
               << reports.size() << " models, headline " << headline
               << "x, bulk vs batch " << bulk_vs_batch << "x)\n";
     return 0;

@@ -17,7 +17,21 @@ void PairTable::Rehash(size_t capacity) {
   epoch_ = 1;
   size_ = 0;
   for (const Slot& slot : old) {
-    if (slot.epoch == old_epoch) Insert(slot.key, slot.value);
+    if (slot.epoch == old_epoch) Claim(slot.key, slot.value);
+  }
+}
+
+void PairTable::InsertBatch(std::span<const uint64_t> keys, ElementId value,
+                            std::span<PairSlotRef> out) {
+  CROWDMAX_CHECK(out.size() >= keys.size());
+  Reserve(static_cast<int64_t>(keys.size()));
+  const size_t n = keys.size();
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kPrefetchDistance < n) {
+      __builtin_prefetch(&slots_[HomeIndex(keys[i + kPrefetchDistance])],
+                         /*rw=*/1);
+    }
+    out[i] = Claim(keys[i], value);
   }
 }
 

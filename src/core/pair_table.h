@@ -23,7 +23,9 @@
 #ifndef CROWDMAX_CORE_PAIR_TABLE_H_
 #define CROWDMAX_CORE_PAIR_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -34,6 +36,16 @@ namespace crowdmax {
 
 class CheckpointReader;
 class CheckpointWriter;
+
+/// One key's result from PairTable::InsertBatch.
+struct PairSlotRef {
+  /// The value stored under the key; valid until the table's next
+  /// mutating call (Insert, InsertBatch, Set, Reserve, Clear, a load).
+  ElementId* value = nullptr;
+  /// True when this call inserted the key: its first occurrence in the
+  /// batch, absent before the call.
+  bool inserted = false;
+};
 
 class PairTable {
  public:
@@ -56,17 +68,21 @@ class PairTable {
   /// needs.
   ElementId* Insert(uint64_t key, ElementId value, bool* inserted = nullptr) {
     MaybeGrow();
-    Slot* slot = Probe(key);
-    const bool fresh = slot->epoch != epoch_;
-    if (fresh) {
-      slot->key = key;
-      slot->value = value;
-      slot->epoch = epoch_;
-      ++size_;
-    }
-    if (inserted != nullptr) *inserted = fresh;
-    return &slot->value;
+    const PairSlotRef ref = Claim(key, value);
+    if (inserted != nullptr) *inserted = ref.inserted;
+    return ref.value;
   }
+
+  /// Batch Insert: inserts `value` under every absent key of `keys` and
+  /// finds every present one, writing keys[i]'s slot to out[i]. A key
+  /// repeated within the batch is inserted at its first occurrence only.
+  /// The arena grows at most once, before the walk (room for every key
+  /// being new), so all of out's pointers stay pinned together until the
+  /// next mutation; the walk prefetches the home slot kPrefetchDistance
+  /// keys ahead. Entries and flags match calling Insert on each key in
+  /// order; only the capacity may end up larger.
+  void InsertBatch(std::span<const uint64_t> keys, ElementId value,
+                   std::span<PairSlotRef> out);
 
   /// Insert-or-assign.
   void Set(uint64_t key, ElementId value) {
@@ -103,6 +119,8 @@ class PairTable {
 
   int64_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Slots in the arena: a power of two, never shrunk.
+  size_t capacity() const { return slots_.size(); }
 
   /// Entries sorted by key — the canonical order for serialization and
   /// deterministic iteration.
@@ -125,18 +143,39 @@ class PairTable {
 
   static constexpr size_t kInitialCapacity = 64;  // Power of two.
   static constexpr uint32_t kDeadEpoch = 0;
+  // Keys InsertBatch looks ahead when prefetching home slots: enough
+  // outstanding loads to cover a DRAM miss per probe on tables that
+  // outgrow the cache.
+  static constexpr size_t kPrefetchDistance = 16;
+
+  // Where `key`'s probe chain starts. Fibonacci-hashes the key so packed
+  // pairs (dense ids in both words) spread over the power-of-two table.
+  size_t HomeIndex(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
 
   // First slot whose key matches, else the first free slot of the probe
-  // chain. Fibonacci-hashes the key so packed pairs (dense ids in both
-  // words) spread over the power-of-two table.
+  // chain.
   Slot* Probe(uint64_t key) {
-    const uint64_t hash = key * 0x9e3779b97f4a7c15ULL;
-    size_t index = static_cast<size_t>(hash >> shift_);
+    size_t index = HomeIndex(key);
     while (true) {
       Slot& slot = slots_[index];
       if (slot.epoch != epoch_ || slot.key == key) return &slot;
       index = (index + 1) & mask_;
     }
+  }
+
+  // Insert without the growth check: the caller has made room.
+  PairSlotRef Claim(uint64_t key, ElementId value) {
+    Slot* slot = Probe(key);
+    const bool fresh = slot->epoch != epoch_;
+    if (fresh) {
+      slot->key = key;
+      slot->value = value;
+      slot->epoch = epoch_;
+      ++size_;
+    }
+    return {&slot->value, fresh};
   }
 
   void MaybeGrow() {

@@ -287,6 +287,8 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
   std::vector<size_t>& miss_at = serial_miss_at_;  // pair index per miss
   std::vector<ElementId>& answers = serial_answers_;  // GenerateVotes output
   std::vector<size_t>& deferred = serial_deferred_;  // in-unit duplicates
+  // One grow per round: every unit's batch insert below then finds room.
+  if (batch != nullptr && memoize_) cache_->Reserve(round.TotalPairs());
 
   for (size_t u = 0; u < round.units.size(); ++u) {
     const RoundUnit& unit = round.units[u];
@@ -307,30 +309,31 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
       // GenerateVotes call, then written back. A duplicate of a pair whose
       // first occurrence is still unanswered counts as a cache hit — the
       // per-call path would find the first occurrence's fresh entry — and
-      // is filled from the cache afterwards.
+      // is filled from the cache afterwards. One batch insert probes each
+      // pair once and pins its slot (new keys reserved with -1); answers
+      // and duplicates go through the pins.
       winners.resize(unit.pairs.size());
       if (memoize_) {
+        const std::span<const PairSlotRef> slots =
+            PinSlots(unit, /*absent_value=*/-1);
         misses.clear();
         miss_at.clear();
         deferred.clear();
         for (size_t p = 0; p < unit.pairs.size(); ++p) {
-          const ComparisonPair& pair = unit.pairs[p];
-          const uint64_t key = PackPairKey(pair.first, pair.second);
-          bool reserved = false;
-          ElementId* slot = cache_->Insert(key, -1, &reserved);
-          if (!reserved && *slot == -1) {
+          const PairSlotRef& slot = slots[p];
+          if (!slot.inserted && *slot.value == -1) {
             // Same pair again within this unit, first occurrence still in
             // the miss list.
             ++cache_hits_;
             deferred.push_back(p);
-          } else if (!reserved && *slot != kUnresolvedWinner) {
-            winners[p] = *slot;
+          } else if (!slot.inserted && *slot.value != kUnresolvedWinner) {
+            winners[p] = *slot.value;
             ++cache_hits_;
           } else {
             // Fresh reservation, or an unresolved parking from an earlier
             // executor-backed phase: buy the pair this round.
-            *slot = -1;
-            misses.push_back(pair);
+            *slot.value = -1;
+            misses.push_back(unit.pairs[p]);
             miss_at.push_back(p);
           }
         }
@@ -341,13 +344,10 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
           const ElementId winner = answers[m];
           CROWDMAX_DCHECK(winner == misses[m].first ||
                           winner == misses[m].second);
-          cache_->Set(PackPairKey(misses[m].first, misses[m].second), winner);
+          *slots[miss_at[m]].value = winner;
           winners[miss_at[m]] = winner;
         }
-        for (size_t p : deferred) {
-          const ComparisonPair& pair = unit.pairs[p];
-          winners[p] = *cache_->Find(PackPairKey(pair.first, pair.second));
-        }
+        for (size_t p : deferred) winners[p] = *slots[p].value;
       } else {
         answers.resize(unit.pairs.size());
         const int64_t produced = batch->GenerateVotes(unit.pairs, answers);
@@ -427,27 +427,13 @@ Result<RoundOutcome> RoundEngine::ExecuteParallel(const EngineRound& round) {
       // path treats the cache as a read-only snapshot and does NOT dedupe
       // within a unit (each repeat is a fresh paid draw — Venetis votes),
       // so the miss list is simply every pair absent from the snapshot,
-      // duplicates included, in pair order.
+      // duplicates included, in pair order. Hits are copied out on the one
+      // snapshot read; misses hold -1 until the answers fill them.
       winners.resize(unit.pairs.size());
       UnitScratch& scratch = unit_scratch_[static_cast<size_t>(u)];
       std::vector<ComparisonPair>& misses = scratch.misses;
       misses.clear();
       misses.reserve(unit.pairs.size());
-      for (const ComparisonPair& pair : unit.pairs) {
-        const ElementId* slot =
-            memoize_
-                ? std::as_const(*cache_).Find(
-                      PackPairKey(pair.first, pair.second))
-                : nullptr;
-        if (slot == nullptr || *slot == kUnresolvedWinner) {
-          misses.push_back(pair);
-        }
-      }
-      std::vector<ElementId>& answers = scratch.answers;
-      answers.assign(misses.size(), -1);
-      const int64_t produced = batch->GenerateVotes(misses, answers);
-      CROWDMAX_CHECK(produced == static_cast<int64_t>(misses.size()));
-      size_t cursor = 0;
       for (size_t p = 0; p < unit.pairs.size(); ++p) {
         const ComparisonPair& pair = unit.pairs[p];
         const ElementId* slot =
@@ -458,9 +444,19 @@ Result<RoundOutcome> RoundEngine::ExecuteParallel(const EngineRound& round) {
         if (slot != nullptr && *slot != kUnresolvedWinner) {
           winners[p] = *slot;
         } else {
-          winners[p] = answers[cursor++];
+          winners[p] = -1;
+          misses.push_back(pair);
         }
-        CROWDMAX_DCHECK(winners[p] == pair.first || winners[p] == pair.second);
+      }
+      std::vector<ElementId>& answers = scratch.answers;
+      answers.assign(misses.size(), -1);
+      const int64_t produced = batch->GenerateVotes(misses, answers);
+      CROWDMAX_CHECK(produced == static_cast<int64_t>(misses.size()));
+      size_t cursor = 0;
+      for (size_t p = 0; p < unit.pairs.size(); ++p) {
+        if (winners[p] == -1) winners[p] = answers[cursor++];
+        CROWDMAX_DCHECK(winners[p] == unit.pairs[p].first ||
+                        winners[p] == unit.pairs[p].second);
       }
       CROWDMAX_CHECK(cursor == misses.size());
     } else {
@@ -491,19 +487,21 @@ Result<RoundOutcome> RoundEngine::ExecuteParallel(const EngineRound& round) {
   for (int64_t paid : unit_paid) total_paid += paid;
   comparator_->AddComparisons(total_paid);
 
+  // One grow per round, then one batch insert per unit. Absent keys go in
+  // as kUnresolvedWinner, so one test finds both them and the sentinels an
+  // earlier faulty phase parked in a shared cache: either was bought this
+  // round and takes its evidence. A pair already answered (earlier in
+  // this merge included) keeps its answer.
+  if (memoize_) cache_->Reserve(round.TotalPairs());
   for (size_t u = 0; u < round.units.size(); ++u) {
     const RoundUnit& unit = round.units[u];
     out.issued += static_cast<int64_t>(unit.pairs.size());
     if (memoize_) {
+      const std::span<const PairSlotRef> slots =
+          PinSlots(unit, /*absent_value=*/kUnresolvedWinner);
       for (size_t p = 0; p < unit.pairs.size(); ++p) {
-        bool inserted = false;
-        ElementId* slot = cache_->Insert(
-            PackPairKey(unit.pairs[p].first, unit.pairs[p].second),
-            out.winners[u][p], &inserted);
-        // A pre-existing unresolved sentinel (shared cache, earlier faulty
-        // phase) was bought this round; overwrite it with the evidence.
-        if (!inserted && *slot == kUnresolvedWinner) {
-          *slot = out.winners[u][p];
+        if (*slots[p].value == kUnresolvedWinner) {
+          *slots[p].value = out.winners[u][p];
         }
       }
     }
@@ -520,14 +518,6 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
 
   RoundOutcome out;
   out.winners.resize(round.units.size());
-  std::vector<ComparisonPair>& queries = round_queries_;
-  queries.clear();
-  queries.reserve(static_cast<size_t>(round.TotalPairs()));
-  for (const RoundUnit& unit : round.units) {
-    queries.insert(queries.end(), unit.pairs.begin(), unit.pairs.end());
-  }
-  out.issued = static_cast<int64_t>(queries.size());
-  issued_ += out.issued;
   const int64_t paid_before = executor_->comparisons();
 
   AlgoTrace* trace = CurrentTrace();
@@ -537,23 +527,36 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
   }
 
   // Resolve through the cache, batching only the misses (including pairs
-  // left unresolved by an earlier faulty attempt). A duplicate query
-  // within one round is sent once: the first occurrence reserves its slot
-  // with -1, overwritten with the real winner (or parked kUnresolvedWinner)
-  // below.
+  // left unresolved by an earlier faulty attempt). One grow per round, then
+  // one batch insert per unit: every pair's slot stays pinned until the
+  // answers are mapped back. A new key is reserved with -1, so a duplicate
+  // query within the round finds the reservation and is sent once. A
+  // bought pair's first occurrence is marked -1 in its winners slot.
+  out.issued = round.TotalPairs();
+  issued_ += out.issued;
+  cache_->Reserve(out.issued);
   std::vector<ComparisonPair>& misses = round_misses_;
+  std::vector<ElementId*>& pinned = round_pinned_;  // each pair's slot
   misses.clear();
-  misses.reserve(queries.size());
-  for (const ComparisonPair& q : queries) {
-    const uint64_t key = PackPairKey(q.first, q.second);
-    ElementId* slot = cache_->Find(key);
-    if (slot == nullptr || *slot == kUnresolvedWinner) {
-      misses.push_back(q);
-      cache_->Set(key, -1);
+  pinned.clear();
+  pinned.reserve(static_cast<size_t>(out.issued));
+  for (size_t u = 0; u < round.units.size(); ++u) {
+    const RoundUnit& unit = round.units[u];
+    std::vector<ElementId>& winners = out.winners[u];
+    winners.assign(unit.pairs.size(), 0);
+    const std::span<const PairSlotRef> slots =
+        PinSlots(unit, /*absent_value=*/-1);
+    for (size_t p = 0; p < unit.pairs.size(); ++p) {
+      const PairSlotRef& slot = slots[p];
+      pinned.push_back(slot.value);
+      if (slot.inserted || *slot.value == kUnresolvedWinner) {
+        *slot.value = -1;
+        misses.push_back(unit.pairs[p]);
+        winners[p] = -1;
+      }
     }
   }
-  if (const int64_t hits =
-          static_cast<int64_t>(queries.size() - misses.size());
+  if (const int64_t hits = out.issued - static_cast<int64_t>(misses.size());
       hits > 0) {
     cache_hits_ += hits;
     if (trace != nullptr) trace->RecordCacheHits(hits);
@@ -563,49 +566,54 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
   // The non-pipelined drive pays the simulated crowd round trip here,
   // answered or not — a rejected submission still cost the latency.
   SleepOutLatency(executor_);
-  if (!results.ok()) {
-    for (const ComparisonPair& m : misses) {
-      cache_->Set(PackPairKey(m.first, m.second), kUnresolvedWinner);
+  if (results.ok()) CROWDMAX_CHECK(results->size() == misses.size());
+  if (span_id >= 0) trace->EndSpan(span_id);
+
+  // One walk in round order writes each bought pair's answer (or its
+  // kUnresolvedWinner parking, when the batch failed) through the pinned
+  // slot and reads every pair's outcome back; a duplicate always follows
+  // its first occurrence, so its slot is final by then.
+  size_t next_miss = 0;
+  size_t index = 0;
+  for (std::vector<ElementId>& winners : out.winners) {
+    for (ElementId& winner : winners) {
+      ElementId* slot = pinned[index++];
+      if (winner == -1) {
+        const BatchTaskResult* result =
+            results.ok() ? &(*results)[next_miss] : nullptr;
+        CROWDMAX_DCHECK(result == nullptr || !result->answered ||
+                        result->winner == misses[next_miss].first ||
+                        result->winner == misses[next_miss].second);
+        ++next_miss;
+        *slot = result != nullptr && result->answered ? result->winner
+                                                      : kUnresolvedWinner;
+      }
+      winner = *slot;
+      CROWDMAX_CHECK(winner != -1);
+      if (winner == kUnresolvedWinner) ++out.unresolved;
     }
-    if (span_id >= 0) trace->EndSpan(span_id);
+  }
+  if (!results.ok()) {
+    // Non-transient executor failure: abort the drive.
     if (results.status().code() != StatusCode::kUnavailable) {
-      // Non-transient executor failure: abort the drive.
       return results.status();
     }
     out.fault = results.status();
-  } else {
-    CROWDMAX_CHECK(results->size() == misses.size());
-    for (size_t i = 0; i < misses.size(); ++i) {
-      const BatchTaskResult& result = (*results)[i];
-      const uint64_t key = PackPairKey(misses[i].first, misses[i].second);
-      if (!result.answered) {
-        cache_->Set(key, kUnresolvedWinner);
-        continue;
-      }
-      CROWDMAX_DCHECK(result.winner == misses[i].first ||
-                      result.winner == misses[i].second);
-      cache_->Set(key, result.winner);
-    }
-    if (span_id >= 0) trace->EndSpan(span_id);
-  }
-
-  // Map the per-pair outcomes back onto the round's units. Every query
-  // was either cached, answered, or parked as unresolved above.
-  for (size_t u = 0; u < round.units.size(); ++u) {
-    const RoundUnit& unit = round.units[u];
-    std::vector<ElementId>& winners = out.winners[u];
-    winners.reserve(unit.pairs.size());
-    for (const ComparisonPair& pair : unit.pairs) {
-      const ElementId* slot =
-          cache_->Find(PackPairKey(pair.first, pair.second));
-      CROWDMAX_CHECK(slot != nullptr && *slot != -1);
-      if (*slot == kUnresolvedWinner) ++out.unresolved;
-      winners.push_back(*slot);
-    }
   }
 
   out.paid_delta = executor_->comparisons() - paid_before;
   return out;
+}
+
+std::span<const PairSlotRef> RoundEngine::PinSlots(const RoundUnit& unit,
+                                                   ElementId absent_value) {
+  round_keys_.clear();
+  for (const ComparisonPair& pair : unit.pairs) {
+    round_keys_.push_back(PackPairKey(pair.first, pair.second));
+  }
+  round_slots_.resize(round_keys_.size());
+  cache_->InsertBatch(round_keys_, absent_value, round_slots_);
+  return round_slots_;
 }
 
 Result<DriveResult> RoundEngine::Drive(RoundSource* source,

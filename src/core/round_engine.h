@@ -42,6 +42,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -401,6 +402,14 @@ class RoundEngine {
   Result<RoundOutcome> ExecuteParallel(const EngineRound& round);
   Result<RoundOutcome> ExecuteBatched(const EngineRound& round);
 
+  /// Resolves every pair of `unit` against the cache with one
+  /// PairTable::InsertBatch (absent keys inserted as `absent_value`) and
+  /// returns each pair's pinned slot, in pair order. The refs live in
+  /// engine scratch until the next call; the slots they point at stay
+  /// valid until the cache grows or clears.
+  std::span<const PairSlotRef> PinSlots(const RoundUnit& unit,
+                                        ElementId absent_value);
+
   Result<DriveResult> DrivePipelined(RoundSource* source,
                                      const DriveOptions& options);
   /// Submission half of a pipelined round (pending->round already set):
@@ -436,7 +445,10 @@ class RoundEngine {
   // Serial: MemoizingComparator semantics. Parallel: read-only snapshot
   // during a round, merged at the barrier. Executor: in-round dedup
   // always, cross-round per clear_round_cache, with kUnresolvedWinner
-  // parking for faulted pairs. Points at owned_cache_ unless a
+  // parking for faulted pairs. Outside the per-call reference path and
+  // the pipelined drive, every write goes through PinSlots: one grow per
+  // round, one batch insert per unit, answers written through the pinned
+  // slots. Points at owned_cache_ unless a
   // SharedPairCache class table was supplied at creation.
   PairTable* cache_;
   PairTable owned_cache_;
@@ -476,6 +488,11 @@ class RoundEngine {
   std::vector<UnitScratch> unit_scratch_;
   std::vector<ComparisonPair> round_queries_;
   std::vector<ComparisonPair> round_misses_;
+  // PinSlots' packed keys and pinned slots (one unit's worth), and every
+  // pair's slot on the executor path, held until the answers map back.
+  std::vector<uint64_t> round_keys_;
+  std::vector<PairSlotRef> round_slots_;
+  std::vector<ElementId*> round_pinned_;
 
   // Round-boundary snapshot/crash/restore coordinator; null = disabled.
   CheckpointController* checkpoint_ = nullptr;

@@ -386,17 +386,14 @@ TEST(SharedCacheTest, SerialFilterEvidenceVisibleToExecutorEngine) {
             instance.MaxElement());
 }
 
-// kUnresolvedWinner entries persist in a shared cache as "asked, no
-// evidence" — the next engine re-issues exactly those pairs (and pays for
-// them), never treating the sentinel as an answer.
-TEST(SharedCacheTest, UnresolvedPairsReissuedByLaterPipelinedEngine) {
-  Instance instance = MakeInstance(16, 71);
-  const std::vector<ElementId> items = instance.AllElements();
-  const int64_t total = static_cast<int64_t>(items.size() * (items.size() - 1) / 2);
-  SharedPairCache cache;
-
-  // Phase 1 over a dropping crowd: some pairs come back with no evidence
-  // and are parked as sentinels in class 0.
+// Phase 1 of the re-issue test: a full tournament over a dropping crowd
+// parks some pairs as kUnresolvedWinner in `cache`'s class 0. Returns how
+// many.
+int64_t ParkUnresolvedPairs(const Instance& instance,
+                            const std::vector<ElementId>& items,
+                            SharedPairCache* cache) {
+  const int64_t total =
+      static_cast<int64_t>(items.size() * (items.size() - 1) / 2);
   OracleComparator faulty_oracle(&instance);
   ComparatorBatchExecutor faulty_inner(&faulty_oracle);
   InjectedFaultOptions faults;
@@ -404,30 +401,80 @@ TEST(SharedCacheTest, UnresolvedPairsReissuedByLaterPipelinedEngine) {
   faults.seed = 9;
   Result<std::unique_ptr<FaultInjectingBatchExecutor>> dropping =
       FaultInjectingBatchExecutor::Create(&faulty_inner, faults);
-  ASSERT_TRUE(dropping.ok());
+  CROWDMAX_CHECK(dropping.ok());
   Result<std::unique_ptr<RoundEngine>> first =
-      RoundEngine::CreateBatched(dropping->get(), &cache, /*cache_class=*/0);
-  ASSERT_TRUE(first.ok());
-  Result<TournamentEngineRun> run1 = RunTournamentOnEngine(items, first->get());
-  ASSERT_TRUE(run1.ok());
-  ASSERT_GT(run1->unresolved, 0) << "seed does not exercise drops";
-  EXPECT_EQ(cache.ResolvedPairs(0), total - run1->unresolved);
+      RoundEngine::CreateBatched(dropping->get(), cache, /*cache_class=*/0);
+  CROWDMAX_CHECK(first.ok());
+  Result<TournamentEngineRun> run = RunTournamentOnEngine(items, first->get());
+  CROWDMAX_CHECK(run.ok());
+  EXPECT_EQ(cache->ResolvedPairs(0), total - run->unresolved);
+  return run->unresolved;
+}
 
-  // Phase 2 on a healthy pipelined engine, same cache and class: only the
-  // parked pairs are re-bought; everything else is a hit.
-  OracleComparator healthy_oracle(&instance);
-  ComparatorBatchExecutor healthy_executor(&healthy_oracle);
-  AsyncBatchAdapter async(&healthy_executor);
-  Result<std::unique_ptr<RoundEngine>> second = RoundEngine::CreatePipelined(
-      &async, /*max_in_flight=*/4, &cache, /*cache_class=*/0);
-  ASSERT_TRUE(second.ok());
-  Result<TournamentEngineRun> run2 = RunTournamentOnEngine(items, second->get());
-  ASSERT_TRUE(run2.ok());
-  EXPECT_EQ(run2->unresolved, 0);
-  EXPECT_EQ((*second)->issued(), total);
-  EXPECT_EQ((*second)->paid(), run1->unresolved);
-  EXPECT_EQ((*second)->cache_hits(), total - run1->unresolved);
-  EXPECT_EQ(cache.ResolvedPairs(0), total);
+// kUnresolvedWinner entries persist in a shared cache as "asked, no
+// evidence" — the next engine re-issues exactly those pairs (and pays for
+// them), never treating the sentinel as an answer. Every backend's cache
+// resolve must re-buy them: the serial engine with batch generation on
+// and off, the parallel engine (per-unit snapshot read, barrier merge) at
+// threads 1 and 8, the batched engine and the pipelined drive. The second
+// phase runs in chunked rounds so the re-buys spread over several rounds
+// and the pipelined drive overlaps them.
+TEST(SharedCacheTest, UnresolvedPairsReissuedByLaterEngineOnEveryBackend) {
+  Instance instance = MakeInstance(16, 71);
+  const std::vector<ElementId> items = instance.AllElements();
+  const int64_t total = static_cast<int64_t>(items.size() * (items.size() - 1) / 2);
+  TournamentEngineOptions chunked;
+  chunked.chunk_pairs = 16;
+
+  std::vector<int64_t> reference_wins;
+  for (const std::string backend :
+       {"serial", "serial/per-call", "parallel/1", "parallel/8", "batched",
+        "pipelined"}) {
+    SCOPED_TRACE(backend);
+    SharedPairCache cache;
+    const int64_t parked = ParkUnresolvedPairs(instance, items, &cache);
+    ASSERT_GT(parked, 0) << "seed does not exercise drops";
+
+    // Phase 2 on a healthy crowd, same cache and class: only the parked
+    // pairs are re-bought; everything else is a hit. The worker answers
+    // correctly (T(0, 0)) and exposes batch vote generation.
+    ThresholdComparator worker(&instance, ThresholdModel{0.0, 0.0},
+                               /*seed=*/3);
+    ComparatorBatchExecutor executor(&worker);
+    AsyncBatchAdapter async(&executor);
+    std::unique_ptr<RoundEngine> engine;
+    if (backend.starts_with("serial")) {
+      engine = RoundEngine::CreateSerial(&worker, /*memoize=*/true, &cache,
+                                         /*cache_class=*/0);
+      engine->set_batch_generation(backend == "serial");
+    } else if (backend.starts_with("parallel")) {
+      Result<std::unique_ptr<RoundEngine>> parallel =
+          RoundEngine::CreateParallel(&worker, backend == "parallel/1" ? 1 : 8,
+                                      /*seed=*/99, /*memoize=*/true, &cache,
+                                      /*cache_class=*/0);
+      ASSERT_TRUE(parallel.ok());
+      engine = std::move(parallel).value();
+    } else {
+      Result<std::unique_ptr<RoundEngine>> batched =
+          backend == "batched"
+              ? RoundEngine::CreateBatched(&executor, &cache,
+                                           /*cache_class=*/0)
+              : RoundEngine::CreatePipelined(&async, /*max_in_flight=*/4,
+                                             &cache, /*cache_class=*/0);
+      ASSERT_TRUE(batched.ok());
+      engine = std::move(batched).value();
+    }
+    Result<TournamentEngineRun> run =
+        RunTournamentOnEngine(items, engine.get(), "all_play_all", chunked);
+    ASSERT_TRUE(run.ok());
+    EXPECT_EQ(run->unresolved, 0);
+    EXPECT_EQ(engine->issued(), total);
+    EXPECT_EQ(engine->paid(), parked);
+    EXPECT_EQ(engine->cache_hits(), total - parked);
+    EXPECT_EQ(cache.ResolvedPairs(0), total);
+    if (reference_wins.empty()) reference_wins = run->tournament.wins;
+    EXPECT_EQ(run->tournament.wins, reference_wins);
+  }
 }
 
 // A source that emits the same pair in two rounds while claiming the
