@@ -79,7 +79,9 @@ Result<CheckpointReader> CheckpointReader::Open(std::string bytes) {
 
 bool CheckpointReader::Take(size_t n, const unsigned char** out) {
   if (!status_.ok()) return false;
-  if (pos_ + n > bytes_.size()) {
+  // Compared as the bytes left, so a damaged length near 2^64 cannot
+  // wrap the sum past the check.
+  if (n > bytes_.size() - pos_) {
     status_ = Status::FailedPrecondition(
         "checkpoint truncated at byte " + std::to_string(pos_));
     return false;
@@ -193,6 +195,10 @@ std::vector<int64_t> CheckpointReader::ReadIdVector() {
   // bounds check below fails fast instead.
   for (uint64_t i = 0; i < n && status_.ok(); ++i) ids.push_back(ReadI64());
   return ids;
+}
+
+void CheckpointReader::Reject(const std::string& message) {
+  if (status_.ok()) status_ = Status::FailedPrecondition(message);
 }
 
 void CheckpointReader::ExpectTag(uint32_t tag) {

@@ -130,7 +130,8 @@ class CheckpointReader {
   void ReadIdVector(std::vector<T>* out) {
     out->clear();
     const uint64_t n = ReadU64();
-    out->reserve(static_cast<size_t>(n));
+    // No reserve: a corrupt length must not drive a huge allocation (see
+    // the untemplated overload); the per-read bounds check fails fast.
     for (uint64_t i = 0; i < n && status_.ok(); ++i) {
       out->push_back(static_cast<T>(ReadI64()));
     }
@@ -138,6 +139,11 @@ class CheckpointReader {
 
   /// Consumes a tag and latches an error if it is not `tag`.
   void ExpectTag(uint32_t tag);
+
+  /// Latches kFailedPrecondition with `message` unless an error is
+  /// already latched: for a caller that finds well-formed bytes carrying
+  /// a value it cannot accept.
+  void Reject(const std::string& message);
 
   template <typename Map>
   void ReadSortedMap(Map* map) {

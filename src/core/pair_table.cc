@@ -1,24 +1,37 @@
 #include "core/pair_table.h"
 
 #include <algorithm>
+#include <string>
 
 #include "core/checkpoint.h"
 
 namespace crowdmax {
 
+bool PairTable::CanHold(uint64_t key, int64_t value) {
+  return (key & pair_word::kKeySignBits) == 0 &&
+         (key >> 32) != (key & 0xffffffffULL) &&
+         value == static_cast<ElementId>(value) &&
+         pair_word::CodeFor(pair_word::KeyBits(key),
+                            static_cast<ElementId>(value)) >= 0;
+}
+
 void PairTable::Rehash(size_t capacity) {
   CROWDMAX_CHECK((capacity & (capacity - 1)) == 0);
-  std::vector<Slot> old = std::move(slots_);
-  const uint32_t old_epoch = epoch_;
-  slots_.assign(capacity, Slot{});
+  std::vector<uint64_t> old = std::move(words_);
+  words_.assign(capacity, 0);
   mask_ = capacity - 1;
   shift_ = 64;
   for (size_t c = capacity; c > 1; c >>= 1) --shift_;
-  epoch_ = 1;
-  size_ = 0;
-  for (const Slot& slot : old) {
-    if (slot.epoch == old_epoch) Claim(slot.key, slot.value);
+  for (const uint64_t word : old) {
+    if (word == 0) continue;
+    const uint64_t key_bits = word & ~pair_word::kCodeMask;
+    *Probe(pair_word::KeyOf(word), key_bits) = word;
   }
+}
+
+void PairTable::Clear() {
+  std::fill(words_.begin(), words_.end(), 0);
+  size_ = 0;
 }
 
 void PairTable::InsertBatch(std::span<const uint64_t> keys, ElementId value,
@@ -28,7 +41,7 @@ void PairTable::InsertBatch(std::span<const uint64_t> keys, ElementId value,
   const size_t n = keys.size();
   for (size_t i = 0; i < n; ++i) {
     if (i + kPrefetchDistance < n) {
-      __builtin_prefetch(&slots_[HomeIndex(keys[i + kPrefetchDistance])],
+      __builtin_prefetch(&words_[HomeIndex(keys[i + kPrefetchDistance])],
                          /*rw=*/1);
     }
     out[i] = Claim(keys[i], value);
@@ -59,8 +72,17 @@ void LoadPairTable(CheckpointReader* reader, PairTable* table) {
   const uint64_t n = reader->ReadU64();
   for (uint64_t i = 0; i < n && reader->status().ok(); ++i) {
     const uint64_t key = static_cast<uint64_t>(reader->ReadI64());
-    const ElementId value = static_cast<ElementId>(reader->ReadI64());
-    table->Set(key, value);
+    const int64_t value = reader->ReadI64();
+    if (!reader->status().ok()) return;
+    if (!PairTable::CanHold(key, value)) {
+      reader->Reject("pair-cache entry " + std::to_string(i) + " (key " +
+                     std::to_string(key) + ", value " +
+                     std::to_string(value) +
+                     ") is not a pair of distinct ids in [0, 2^31) with "
+                     "one of them, -1 or kUnresolvedWinner as its value");
+      return;
+    }
+    table->Set(key, static_cast<ElementId>(value));
   }
 }
 

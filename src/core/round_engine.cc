@@ -311,7 +311,8 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
       // per-call path would find the first occurrence's fresh entry — and
       // is filled from the cache afterwards. One batch insert probes each
       // pair once and pins its slot (new keys reserved with -1); answers
-      // and duplicates go through the pins.
+      // and duplicates go through the pins, so a bought pair's slot is
+      // written once more, with its answer.
       winners.resize(unit.pairs.size());
       if (memoize_) {
         const std::span<const PairSlotRef> slots =
@@ -321,26 +322,36 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
         deferred.clear();
         for (size_t p = 0; p < unit.pairs.size(); ++p) {
           const PairSlotRef& slot = slots[p];
-          if (!slot.inserted && *slot.value == -1) {
-            // Same pair again within this unit, first occurrence still in
-            // the miss list.
-            ++cache_hits_;
-            deferred.push_back(p);
-          } else if (!slot.inserted && *slot.value != kUnresolvedWinner) {
-            winners[p] = *slot.value;
-            ++cache_hits_;
-          } else {
-            // Fresh reservation, or an unresolved parking from an earlier
-            // executor-backed phase: buy the pair this round.
+          if (!slot.inserted) {
+            const ElementId cached = *slot.value;
+            if (cached == -1) {
+              // Same pair again within this unit, first occurrence still
+              // in the miss list.
+              ++cache_hits_;
+              deferred.push_back(p);
+              continue;
+            }
+            if (cached != kUnresolvedWinner) {
+              winners[p] = cached;
+              ++cache_hits_;
+              continue;
+            }
+            // An unresolved parking from an earlier executor-backed
+            // phase: reserve it like a fresh key.
             *slot.value = -1;
-            misses.push_back(unit.pairs[p]);
-            miss_at.push_back(p);
           }
+          // Buy the pair this round.
+          misses.push_back(unit.pairs[p]);
+          miss_at.push_back(p);
         }
         answers.resize(misses.size());
         const int64_t produced = batch->GenerateVotes(misses, answers);
         CROWDMAX_CHECK(produced == static_cast<int64_t>(misses.size()));
-        for (size_t m = 0; m < misses.size(); ++m) {
+        const size_t num_misses = misses.size();
+        for (size_t m = 0; m < num_misses; ++m) {
+          if (m + PairTable::kPrefetchDistance < num_misses) {
+            slots[miss_at[m + PairTable::kPrefetchDistance]].value.Prefetch();
+          }
           const ElementId winner = answers[m];
           CROWDMAX_DCHECK(winner == misses[m].first ||
                           winner == misses[m].second);
@@ -364,7 +375,7 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
           // sharing this cache is a miss: the pair is bought (and the
           // sentinel overwritten) here.
           const uint64_t key = PackPairKey(pair.first, pair.second);
-          ElementId* slot = cache_->Find(key);
+          const PairValuePtr slot = cache_->Find(key);
           if (slot != nullptr && *slot != kUnresolvedWinner) {
             winner = *slot;
             ++cache_hits_;
@@ -436,7 +447,7 @@ Result<RoundOutcome> RoundEngine::ExecuteParallel(const EngineRound& round) {
       misses.reserve(unit.pairs.size());
       for (size_t p = 0; p < unit.pairs.size(); ++p) {
         const ComparisonPair& pair = unit.pairs[p];
-        const ElementId* slot =
+        const ConstPairValuePtr slot =
             memoize_
                 ? std::as_const(*cache_).Find(
                       PackPairKey(pair.first, pair.second))
@@ -464,7 +475,7 @@ Result<RoundOutcome> RoundEngine::ExecuteParallel(const EngineRound& round) {
       for (const ComparisonPair& pair : unit.pairs) {
         ElementId winner;
         if (memoize_) {
-          const ElementId* slot = std::as_const(*cache_).Find(
+          const ConstPairValuePtr slot = std::as_const(*cache_).Find(
               PackPairKey(pair.first, pair.second));
           if (slot != nullptr && *slot != kUnresolvedWinner) {
             winner = *slot;
@@ -529,14 +540,15 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
   // Resolve through the cache, batching only the misses (including pairs
   // left unresolved by an earlier faulty attempt). One grow per round, then
   // one batch insert per unit: every pair's slot stays pinned until the
-  // answers are mapped back. A new key is reserved with -1, so a duplicate
-  // query within the round finds the reservation and is sent once. A
-  // bought pair's first occurrence is marked -1 in its winners slot.
+  // answers are mapped back. A new key is reserved with -1 (an unresolved
+  // parking is rewritten to it), so a duplicate query within the round
+  // finds the reservation and is sent once. A bought pair's first
+  // occurrence is marked -1 in its winners slot.
   out.issued = round.TotalPairs();
   issued_ += out.issued;
   cache_->Reserve(out.issued);
   std::vector<ComparisonPair>& misses = round_misses_;
-  std::vector<ElementId*>& pinned = round_pinned_;  // each pair's slot
+  std::vector<PairValuePtr>& pinned = round_pinned_;  // each pair's slot
   misses.clear();
   pinned.clear();
   pinned.reserve(static_cast<size_t>(out.issued));
@@ -549,11 +561,12 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
     for (size_t p = 0; p < unit.pairs.size(); ++p) {
       const PairSlotRef& slot = slots[p];
       pinned.push_back(slot.value);
-      if (slot.inserted || *slot.value == kUnresolvedWinner) {
+      if (!slot.inserted) {
+        if (*slot.value != kUnresolvedWinner) continue;
         *slot.value = -1;
-        misses.push_back(unit.pairs[p]);
-        winners[p] = -1;
       }
+      misses.push_back(unit.pairs[p]);
+      winners[p] = -1;
     }
   }
   if (const int64_t hits = out.issued - static_cast<int64_t>(misses.size());
@@ -571,13 +584,13 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
 
   // One walk in round order writes each bought pair's answer (or its
   // kUnresolvedWinner parking, when the batch failed) through the pinned
-  // slot and reads every pair's outcome back; a duplicate always follows
-  // its first occurrence, so its slot is final by then.
+  // slot and reads every other pair's outcome from its slot; a duplicate
+  // always follows its first occurrence, so its slot is final by then.
   size_t next_miss = 0;
   size_t index = 0;
   for (std::vector<ElementId>& winners : out.winners) {
     for (ElementId& winner : winners) {
-      ElementId* slot = pinned[index++];
+      const PairValuePtr slot = pinned[index++];
       if (winner == -1) {
         const BatchTaskResult* result =
             results.ok() ? &(*results)[next_miss] : nullptr;
@@ -585,10 +598,12 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
                         result->winner == misses[next_miss].first ||
                         result->winner == misses[next_miss].second);
         ++next_miss;
-        *slot = result != nullptr && result->answered ? result->winner
-                                                      : kUnresolvedWinner;
+        winner = result != nullptr && result->answered ? result->winner
+                                                       : kUnresolvedWinner;
+        *slot = winner;
+      } else {
+        winner = *slot;
       }
-      winner = *slot;
       CROWDMAX_CHECK(winner != -1);
       if (winner == kUnresolvedWinner) ++out.unresolved;
     }
@@ -761,7 +776,7 @@ Status RoundEngine::SubmitPipelined(PendingRound* pending) {
   misses.reserve(queries.size());
   for (const ComparisonPair& q : queries) {
     const uint64_t key = PackPairKey(q.first, q.second);
-    ElementId* slot = cache_->Find(key);
+    const PairValuePtr slot = cache_->Find(key);
     if (slot != nullptr && *slot == -1 && reserved_here.count(key) == 0) {
       if (span_id >= 0) trace->EndSpan(span_id);
       return Status::Internal(
@@ -855,7 +870,7 @@ Status RoundEngine::CompletePipelined(PendingRound* pending) {
     std::vector<ElementId>& winners = out.winners[u];
     winners.reserve(unit.pairs.size());
     for (const ComparisonPair& pair : unit.pairs) {
-      const ElementId* slot =
+      const PairValuePtr slot =
           cache_->Find(PackPairKey(pair.first, pair.second));
       CROWDMAX_CHECK(slot != nullptr && *slot != -1);
       if (*slot == kUnresolvedWinner) ++out.unresolved;
@@ -991,7 +1006,7 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
         for (const RoundUnit& unit : pending->round.units) {
           for (const ComparisonPair& pair : unit.pairs) {
             const uint64_t key = PackPairKey(pair.first, pair.second);
-            const ElementId* slot = cache_->Find(key);
+            const PairValuePtr slot = cache_->Find(key);
             if ((slot == nullptr || *slot == kUnresolvedWinner) &&
                 would_buy.insert(key).second) {
               ++wasted;

@@ -63,11 +63,8 @@ class CheckpointWriter;
 // ComparisonPair (one comparison task, argument order preserved) lives in
 // core/comparator.h, shared with the batch vote interface.
 
-/// Winner sentinel for a pair with no evidence this round: the executor
-/// stack (after its own recovery) could not answer it. Comparator-backed
-/// rounds never produce it. Matches the batched paths' historical
-/// kUnresolved cache sentinel.
-inline constexpr ElementId kUnresolvedWinner = -2;
+// kUnresolvedWinner, the winner sentinel of a pair with no evidence this
+// round, lives in core/pair_table.h beside the cache word that encodes it.
 
 /// One independently-executable set of comparisons within a round. On the
 /// parallel backend a unit is the forking granularity (one comparator fork
@@ -405,7 +402,7 @@ class RoundEngine {
   /// Resolves every pair of `unit` against the cache with one
   /// PairTable::InsertBatch (absent keys inserted as `absent_value`) and
   /// returns each pair's pinned slot, in pair order. The refs live in
-  /// engine scratch until the next call; the slots they point at stay
+  /// engine scratch until the next call; the value handles they hold stay
   /// valid until the cache grows or clears.
   std::span<const PairSlotRef> PinSlots(const RoundUnit& unit,
                                         ElementId absent_value);
@@ -492,7 +489,7 @@ class RoundEngine {
   // pair's slot on the executor path, held until the answers map back.
   std::vector<uint64_t> round_keys_;
   std::vector<PairSlotRef> round_slots_;
-  std::vector<ElementId*> round_pinned_;
+  std::vector<PairValuePtr> round_pinned_;
 
   // Round-boundary snapshot/crash/restore coordinator; null = disabled.
   CheckpointController* checkpoint_ = nullptr;

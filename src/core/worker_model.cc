@@ -286,7 +286,7 @@ ElementId ThresholdComparator::DoCompare(ElementId a, ElementId b) {
                  : Other(correct, a, b);
     case TiePolicy::kPersistentArbitrary: {
       const uint64_t key = PackPairKey(a, b);
-      ElementId* sticky = sticky_answers_.Find(key);
+      PairValuePtr sticky = sticky_answers_.Find(key);
       if (sticky == nullptr) {
         const ElementId pick = rng_.NextBernoulli(0.5) ? a : b;
         sticky = sticky_answers_.Insert(key, pick);
@@ -329,7 +329,7 @@ int64_t ThresholdComparator::GenerateVotes(
   }
   // kPersistentArbitrary. Pass 1 (no RNG): classify each row, touch the
   // sticky table exactly once (Reserve pins the arena, so the Insert's
-  // slot pointer stays valid for the whole batch), and count the exact
+  // value handle stays valid for the whole batch), and count the exact
   // draws the per-call path would make. The sticky pick uses *argument*
   // order (pick = coin ? a : b), so stash a/b, not correct/other.
   scratch_.slots.resize(n);
@@ -339,7 +339,7 @@ int64_t ThresholdComparator::GenerateVotes(
   ElementId* __restrict on_true = scratch_.on_true.data();
   ElementId* __restrict on_false = scratch_.on_false.data();
   uint8_t* __restrict sticky = scratch_.sticky.data();
-  ElementId** __restrict slots = scratch_.slots.data();
+  PairValuePtr* __restrict slots = scratch_.slots.data();
   bool any_sticky = false;
   size_t draws = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -371,7 +371,7 @@ int64_t ThresholdComparator::GenerateVotes(
   } else {
     // Pass 2: bulk-generate the exact draw count, then walk the rows in
     // order consuming draws — the same draw-per-row schedule as per-call.
-    // Sticky rows resolve through the pass-1 slot pointers: no re-probe.
+    // Sticky rows resolve through the pass-1 value handles: no re-probe.
     scratch_.raw.resize(draws);
     rng_.FillRaw({scratch_.raw.data(), draws});
     const uint64_t* __restrict raw = scratch_.raw.data();
@@ -756,7 +756,7 @@ ElementId PersistentBiasComparator::DoCompare(ElementId a, ElementId b) {
   // Hard pair: resolve (or recall) the crowd's persistent preference, then
   // apply individual per-query noise around it.
   const uint64_t key = PackPairKey(a, b);
-  ElementId* slot = preferred_.Find(key);
+  PairValuePtr slot = preferred_.Find(key);
   if (slot == nullptr) {
     const bool preference_correct =
         rng_.NextBernoulli(bucket->preferred_correct_prob);
@@ -783,7 +783,7 @@ int64_t PersistentBiasComparator::GenerateVotes(
   }
   // Pass 1 (no RNG): bucket each row on inline value loads, touch the
   // preferred-winner table exactly once (Reserve pins the arena, so the
-  // Insert's slot pointer stays valid for the whole batch), and count
+  // Insert's value handle stays valid for the whole batch), and count
   // the exact draws the per-call path would make (preference draw on
   // first touch, then a noise draw, each skipped at a closed
   // probability). The fabs/max/divide below are the identical FP
@@ -800,7 +800,7 @@ int64_t PersistentBiasComparator::GenerateVotes(
   ElementId* __restrict on_true = scratch_.on_true.data();
   ElementId* __restrict on_false = scratch_.on_false.data();
   uint8_t* __restrict sticky = scratch_.sticky.data();
-  ElementId** __restrict slots = scratch_.slots.data();
+  PairValuePtr* __restrict slots = scratch_.slots.data();
   bool any_hard = false;
   size_t draws = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -846,7 +846,7 @@ int64_t PersistentBiasComparator::GenerateVotes(
   } else {
     // Pass 2: bulk-generate the exact draw count, then resolve rows in
     // order — preference draw (first touch only), then noise draw. Hard
-    // rows resolve through the pass-1 slot pointers: no re-probe.
+    // rows resolve through the pass-1 value handles: no re-probe.
     scratch_.raw.resize(draws);
     rng_.FillRaw({scratch_.raw.data(), draws});
     const uint64_t* __restrict raw = scratch_.raw.data();

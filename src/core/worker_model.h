@@ -88,11 +88,11 @@ struct VoteBatchScratch {
   /// sticky-table walks; sized per call to the exact draw count so the
   /// RNG stream position matches the per-call path.
   std::vector<uint64_t> raw;
-  /// Sticky-table slot pointers cached by pass 1 of the two-pass walks.
+  /// Sticky-table value handles cached by pass 1 of the two-pass walks.
   /// Valid only within one GenerateVotes call: the table is Reserve()d
-  /// up front so pass-1 inserts cannot rehash, which pins the pointers
+  /// up front so pass-1 inserts cannot rehash, which pins the handles
   /// until pass 2 has written the drawn answers through them.
-  std::vector<ElementId*> slots;
+  std::vector<PairValuePtr> slots;
 
   void Resize(size_t n) {
     prob.resize(n);

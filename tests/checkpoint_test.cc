@@ -24,6 +24,7 @@
 #include "core/checkpoint.h"
 #include "core/comparator.h"
 #include "core/filter_phase.h"
+#include "core/pair_key.h"
 #include "core/round_engine.h"
 #include "datasets/instances.h"
 
@@ -160,6 +161,31 @@ TEST(CheckpointFormatTest, TruncationLatchesStickyError) {
   EXPECT_EQ(reader.ReadU64(), 0u);  // Only 4 bytes remain.
   EXPECT_FALSE(reader.status().ok());
   EXPECT_FALSE(reader.Finish().ok());
+}
+
+TEST(CheckpointFormatTest, DamagedStringLengthLatchesTruncation) {
+  CheckpointWriter writer;
+  writer.WriteU64(~uint64_t{0} - 1);  // A length that wraps pos + n.
+  writer.WriteU32(7);
+  Result<CheckpointReader> opened = CheckpointReader::Open(writer.bytes());
+  ASSERT_TRUE(opened.ok());
+  CheckpointReader reader = std::move(opened).value();
+  EXPECT_EQ(reader.ReadString(), "");
+  EXPECT_EQ(reader.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(reader.status().message().find("truncated"), std::string::npos);
+}
+
+TEST(CheckpointFormatTest, DamagedIdVectorLengthLatchesTruncation) {
+  CheckpointWriter writer;
+  writer.WriteU64(uint64_t{1} << 61);  // Far more ids than bytes.
+  writer.WriteI64(3);
+  Result<CheckpointReader> opened = CheckpointReader::Open(writer.bytes());
+  ASSERT_TRUE(opened.ok());
+  CheckpointReader reader = std::move(opened).value();
+  std::vector<int32_t> ids;
+  reader.ReadIdVector(&ids);
+  EXPECT_EQ(reader.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(reader.status().message().find("truncated"), std::string::npos);
 }
 
 TEST(CheckpointFormatTest, FinishFlagsTrailingBytes) {
@@ -305,6 +331,47 @@ TEST(CheckpointGoldenTest, CapturedBytesMatchCommittedGolden) {
   EXPECT_EQ(hex, golden)
       << "checkpoint byte format drifted; if deliberate, bump "
          "kCheckpointVersion and regenerate with CROWDMAX_WRITE_GOLDEN=1";
+}
+
+// The little-endian bytes CheckpointWriter gives one U64 field.
+std::string FieldBytes(uint64_t v) {
+  CheckpointWriter writer;
+  writer.WriteU64(v);
+  return writer.bytes().substr(8);  // After the magic/version header.
+}
+
+TEST(CheckpointGoldenTest, DamagedMemoValueIsRefusedTyped) {
+  std::ifstream in(GoldenPath());
+  ASSERT_TRUE(in.good()) << GoldenPath() << " missing";
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  Result<std::string> bytes = CheckpointFromHex(buffer.str());
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+
+  // The memo section: the CACH tag, the entry count, then the entries in
+  // key order, the first being {0, 1} answered 0. Store 5 instead: not an
+  // id of the pair, and not a sentinel.
+  const size_t tag_at = bytes->find("CACH");
+  ASSERT_NE(tag_at, std::string::npos);
+  const size_t key_at = tag_at + 4 + 8;
+  ASSERT_EQ(bytes->substr(key_at, 8), FieldBytes(PackPairKey(0, 1)));
+  ASSERT_EQ(bytes->substr(key_at + 8, 8), FieldBytes(0));
+  bytes->replace(key_at + 8, 8, FieldBytes(5));
+
+  const GoldenRun run = MakeGoldenRun();
+  OracleComparator comparator(&run.instance);
+  std::unique_ptr<RoundEngine> engine =
+      RoundEngine::CreateSerial(&comparator, /*memoize=*/true);
+  CheckpointController controller;
+  controller.ResumeFrom(*bytes);
+  engine->set_checkpoint(&controller);
+  Result<FilterEngineRun> resumed =
+      RunFilterOnEngine(run.items, run.options, engine.get());
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(resumed.status().message().find("pair-cache entry"),
+            std::string::npos)
+      << resumed.status().ToString();
 }
 
 TEST(CheckpointGoldenTest, CommittedGoldenStillRestores) {

@@ -4,13 +4,19 @@
 //  * the single-key API — Insert / Find / Set, including the engine's -1
 //    in-flight reservation and kUnresolvedWinner parking values;
 //  * growth and pinning — doubling from the initial 64 slots keeps every
-//    entry, and Reserve(k) pins slot pointers across k inserts;
-//  * the epoch Clear (empty, arena kept) and the checkpoint round trip;
+//    entry, and Reserve(k) pins value handles across k inserts;
+//  * the one-pass Clear (empty, arena kept) and the checkpoint round trip;
 //  * InsertBatch, the engine's cache resolve, against a loop of single
-//    Insert calls: same new-key flags, values and entries, and one grow.
+//    Insert calls: same new-key flags, values and entries, and one grow;
+//  * the 8-byte word's four value codes at the id range's edges, and the
+//    value contract: a value the word cannot hold dies on store and is
+//    refused with a typed error on load.
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,11 +38,11 @@ TEST(PairTableTest, InsertFindSetKeepSentinelValues) {
   EXPECT_EQ(table.Find(reserved), nullptr);
 
   bool inserted = false;
-  ElementId* slot = table.Insert(reserved, -1, &inserted);
+  PairValuePtr slot = table.Insert(reserved, -1, &inserted);
   EXPECT_TRUE(inserted);
   EXPECT_EQ(*slot, -1);
   // A second Insert finds the entry and leaves its value alone.
-  EXPECT_EQ(table.Insert(reserved, 7, &inserted), slot);
+  EXPECT_EQ(table.Insert(reserved, 2, &inserted), slot);
   EXPECT_FALSE(inserted);
   EXPECT_EQ(*table.Find(reserved), -1);
 
@@ -66,7 +72,7 @@ TEST(PairTableTest, GrowthThroughTenDoublingsKeepsEveryEntry) {
   EXPECT_EQ(table.size(), n);
   EXPECT_GE(table.capacity(), size_t{64} << 10);
   for (int64_t i = 0; i < n; ++i) {
-    const ElementId* slot = table.Find(PackPairKey(
+    const PairValuePtr slot = table.Find(PackPairKey(
         static_cast<ElementId>(i), static_cast<ElementId>(i + 1)));
     ASSERT_NE(slot, nullptr) << i;
     EXPECT_EQ(*slot, i % 5 == 0 ? kUnresolvedWinner : i);
@@ -80,11 +86,11 @@ TEST(PairTableTest, ReserveKeepsPointersAcrossThatManyInserts) {
   table.Set(PackPairKey(0, 1), 1);
   table.Reserve(k);
   const size_t capacity = table.capacity();
-  ElementId* pinned = table.Find(PackPairKey(0, 1));
+  PairValuePtr pinned = table.Find(PackPairKey(0, 1));
   for (int64_t i = 0; i < k; ++i) {
     table.Insert(PackPairKey(static_cast<ElementId>(i + 2),
                              static_cast<ElementId>(i + 3)),
-                 static_cast<ElementId>(i));
+                 static_cast<ElementId>(i + 2));
   }
   EXPECT_EQ(table.capacity(), capacity);
   EXPECT_EQ(table.Find(PackPairKey(0, 1)), pinned);
@@ -104,7 +110,7 @@ TEST(PairTableTest, ClearEmptiesWithoutShrinking) {
   EXPECT_TRUE(table.SortedEntries().empty());
   // Cleared slots are reusable and re-report as new.
   bool inserted = false;
-  table.Insert(PackPairKey(0, 1), 9, &inserted);
+  table.Insert(PackPairKey(0, 1), 1, &inserted);
   EXPECT_TRUE(inserted);
   EXPECT_EQ(table.size(), 1);
 }
@@ -190,14 +196,14 @@ TEST(PairTableTest, InsertBatchGrowsOnceAndPinsEverySlot) {
   EXPECT_TRUE(table.Find(PackPairKey(0, 7)) != nullptr);
 
   // A batch that fits pins pointers taken before it too: no rehash.
-  ElementId* before = table.Find(PackPairKey(5, 12));
+  PairValuePtr before = table.Find(PackPairKey(5, 12));
   std::vector<uint64_t> more = {PackPairKey(5, 12), PackPairKey(1, 2)};
   std::vector<PairSlotRef> slots(more.size());
-  table.InsertBatch(more, 3, slots);
+  table.InsertBatch(more, -1, slots);
   EXPECT_EQ(slots[0].value, before);
   EXPECT_FALSE(slots[0].inserted);
   EXPECT_TRUE(slots[1].inserted);
-  EXPECT_EQ(*slots[1].value, 3);
+  EXPECT_EQ(*slots[1].value, -1);
 }
 
 TEST(PairTableTest, InsertBatchOfNothingIsANoOp) {
@@ -207,6 +213,163 @@ TEST(PairTableTest, InsertBatchOfNothingIsANoOp) {
   table.InsertBatch({}, -1, slots);
   EXPECT_EQ(table.size(), 1);
   EXPECT_EQ(table.capacity(), 64u);
+}
+
+// The four value codes of the 8-byte word, on pairs at the edges of the
+// 31-bit id fields: id 0 (an all-zero field) and id 2^31 - 1 (all ones).
+constexpr ElementId kMaxId = 2147483647;
+
+const std::vector<ComparisonPair>& EdgePairs() {
+  static const std::vector<ComparisonPair> pairs = {
+      {0, 1}, {1, 0}, {0, kMaxId}, {kMaxId - 1, kMaxId}, {kMaxId, 5}};
+  return pairs;
+}
+
+// The value stored for `pair` under code `code`: the lower id, the higher
+// id, the in-flight reservation or the unresolved parking.
+ElementId ValueOfCode(const ComparisonPair& pair, int code) {
+  switch (code) {
+    case 0:
+      return std::min(pair.first, pair.second);
+    case 1:
+      return std::max(pair.first, pair.second);
+    case 2:
+      return -1;
+    default:
+      return kUnresolvedWinner;
+  }
+}
+
+TEST(PairTableCodeTest, EveryCodeSurvivesInsertSetFindAndInsertBatch) {
+  for (const ComparisonPair& pair : EdgePairs()) {
+    const uint64_t key = PackPairKey(pair.first, pair.second);
+    for (int code = 0; code < 4; ++code) {
+      const ElementId value = ValueOfCode(pair, code);
+      SCOPED_TRACE(testing::Message() << "pair {" << pair.first << ", "
+                                      << pair.second << "} code " << code);
+      PairTable inserted;
+      EXPECT_EQ(*inserted.Insert(key, value), value);
+      EXPECT_EQ(*inserted.Find(key), value);
+
+      PairTable batched;
+      std::vector<PairSlotRef> slots(1);
+      batched.InsertBatch(std::vector<uint64_t>{key}, value, slots);
+      ASSERT_TRUE(slots[0].inserted);
+      EXPECT_EQ(*slots[0].value, value);
+      EXPECT_EQ(batched.SortedEntries(), inserted.SortedEntries());
+
+      // Every code overwrites every other, by Set and through a handle.
+      for (int next = 0; next < 4; ++next) {
+        const ElementId other = ValueOfCode(pair, next);
+        inserted.Set(key, other);
+        EXPECT_EQ(*inserted.Find(key), other);
+        *inserted.Find(key) = value;
+        EXPECT_EQ(*std::as_const(inserted).Find(key), value);
+      }
+      EXPECT_EQ(inserted.size(), 1);
+      const auto entries = inserted.SortedEntries();
+      ASSERT_EQ(entries.size(), 1u);
+      EXPECT_EQ(entries[0].first, key);
+      EXPECT_EQ(entries[0].second, value);
+    }
+  }
+}
+
+TEST(PairTableCodeTest, EveryCodeSurvivesGrowthAndSaveLoad) {
+  for (int code = 0; code < 4; ++code) {
+    SCOPED_TRACE(testing::Message() << "code " << code);
+    PairTable table;
+    std::unordered_map<uint64_t, ElementId> reference;
+    for (const ComparisonPair& pair : EdgePairs()) {
+      const uint64_t key = PackPairKey(pair.first, pair.second);
+      table.Set(key, ValueOfCode(pair, code));
+      reference[key] = ValueOfCode(pair, code);
+    }
+    // Filler entries with every code force ten doublings.
+    for (ElementId i = 10; i < 60000; ++i) {
+      const ComparisonPair pair = {i, i + 1};
+      const ElementId value = ValueOfCode(pair, i % 4);
+      table.Set(PackPairKey(i, i + 1), value);
+      reference[PackPairKey(i, i + 1)] = value;
+    }
+    EXPECT_GE(table.capacity(), size_t{64} << 10);
+    for (const auto& [key, value] : reference) {
+      const ConstPairValuePtr slot = std::as_const(table).Find(key);
+      ASSERT_NE(slot, nullptr) << key;
+      EXPECT_EQ(*slot, value) << key;
+    }
+
+    CheckpointWriter writer;
+    SavePairTable(&writer, table);
+    CheckpointWriter map_writer;
+    map_writer.WriteSortedMap(reference);
+    EXPECT_EQ(writer.bytes(), map_writer.bytes());
+    Result<CheckpointReader> reader = CheckpointReader::Open(writer.Take());
+    ASSERT_TRUE(reader.ok());
+    PairTable loaded;
+    LoadPairTable(&*reader, &loaded);
+    ASSERT_TRUE(reader->Finish().ok()) << reader->status().ToString();
+    EXPECT_EQ(loaded.SortedEntries(), table.SortedEntries());
+  }
+}
+
+TEST(PairTableDeathTest, StoringAValueThatIsNotAnIdOfThePairDies) {
+  PairTable table;
+  EXPECT_DEATH(table.Set(PackPairKey(1, 2), 3), "not an id of its pair");
+  EXPECT_DEATH(table.Insert(PackPairKey(0, kMaxId), kMaxId - 1),
+               "not an id of its pair");
+  std::vector<PairSlotRef> slots(1);
+  EXPECT_DEATH(
+      table.InsertBatch(std::vector<uint64_t>{PackPairKey(3, 4)}, -3, slots),
+      "not an id of its pair");
+  table.Set(PackPairKey(1, 2), 1);
+  EXPECT_DEATH(*table.Find(PackPairKey(1, 2)) = 0, "not an id of its pair");
+}
+
+// One serialized entry, as SavePairTable writes it.
+std::string OneEntryBytes(uint64_t key, int64_t value) {
+  CheckpointWriter writer;
+  writer.WriteU64(1);
+  writer.WriteI64(static_cast<int64_t>(key));
+  writer.WriteI64(value);
+  return writer.Take();
+}
+
+TEST(PairTableCodeTest, LoadRefusesEntriesTheWordCannotHoldTyped) {
+  const uint64_t low_id_too_big = (uint64_t{5} << 32) | (uint64_t{1} << 31);
+  const uint64_t high_id_too_big = (uint64_t{1} << 63) | 5;
+  const struct {
+    uint64_t key;
+    int64_t value;
+  } refused[] = {
+      {low_id_too_big, 5},
+      {high_id_too_big, 5},
+      {PackPairKey(4, 4), 4},               // Two equal ids.
+      {PackPairKey(1, 2), 3},               // Not an id of the pair.
+      {PackPairKey(1, 2), -3},              // Not a sentinel.
+      {PackPairKey(1, 2), (int64_t{1} << 32) | 1},  // Truncates to 1.
+  };
+  for (const auto& entry : refused) {
+    SCOPED_TRACE(testing::Message()
+                 << "key " << entry.key << " value " << entry.value);
+    Result<CheckpointReader> reader =
+        CheckpointReader::Open(OneEntryBytes(entry.key, entry.value));
+    ASSERT_TRUE(reader.ok());
+    PairTable table;
+    LoadPairTable(&*reader, &table);
+    EXPECT_EQ(reader->status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(reader->status().message().find("pair-cache entry"),
+              std::string::npos);
+    EXPECT_TRUE(table.empty());
+  }
+  // The edges themselves load.
+  Result<CheckpointReader> reader =
+      CheckpointReader::Open(OneEntryBytes(PackPairKey(0, kMaxId), kMaxId));
+  ASSERT_TRUE(reader.ok());
+  PairTable table;
+  LoadPairTable(&*reader, &table);
+  ASSERT_TRUE(reader->Finish().ok());
+  EXPECT_EQ(*table.Find(PackPairKey(0, kMaxId)), kMaxId);
 }
 
 }  // namespace

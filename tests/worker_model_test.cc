@@ -248,6 +248,34 @@ TEST(PersistentBiasComparatorTest, PreferenceIsStableWithinOneInstance) {
   EXPECT_EQ(m1, m2);
 }
 
+// The little-endian bytes CheckpointWriter gives one I64 field.
+std::string FieldBytes(int64_t v) {
+  CheckpointWriter writer;
+  writer.WriteI64(v);
+  return writer.bytes().substr(8);  // After the magic/version header.
+}
+
+TEST(PersistentBiasComparatorTest, LoadStateRefusesADamagedPreferenceTyped) {
+  Instance instance({100.0, 95.0});  // One hard pair.
+  PersistentBiasComparator cmp(&instance, CarsLikeOptions(), /*seed=*/13);
+  cmp.Compare(0, 1);  // Draws the pair's persistent preference.
+  CheckpointWriter writer;
+  ASSERT_TRUE(cmp.SaveState(&writer).ok());
+  std::string bytes = writer.Take();
+  // The preferred-winner table closes the state, so its one entry's value
+  // is the last field. Store 7: not an id of {0, 1}.
+  const std::string last = bytes.substr(bytes.size() - 8);
+  ASSERT_TRUE(last == FieldBytes(0) || last == FieldBytes(1));
+  bytes.replace(bytes.size() - 8, 8, FieldBytes(7));
+
+  PersistentBiasComparator restored(&instance, CarsLikeOptions(), 13);
+  Result<CheckpointReader> reader = CheckpointReader::Open(bytes);
+  ASSERT_TRUE(reader.ok());
+  const Status status = restored.LoadState(&*reader);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("pair-cache entry"), std::string::npos);
+}
+
 // ---------------------------------------------- DistanceDecayComparator.
 
 TEST(DistanceDecayComparatorTest, BelowThresholdIsACoin) {
