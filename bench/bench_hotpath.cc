@@ -43,14 +43,17 @@
 //   --out=PATH         JSON artifact path (default BENCH_hotpath.json)
 //   --check            regression mode: measure, compare against the
 //                      committed baseline JSON, exit nonzero when a serial
-//                      row drops below tolerance * committed. Gated on the
+//                      row drops below tolerance * committed, or when a
+//                      ratio of two rows (bulk/percall, engine=serial/bulk,
+//                      par=8/par=1) drops below tolerance * the same ratio
+//                      in the committed file. Gated on the
 //                      CROWDMAX_BENCH_CHECK environment variable so the CI
 //                      entry is opt-in: without it the check is skipped
 //                      before measuring.
 //   --baseline=PATH    committed JSON to compare against (default
 //                      BENCH_hotpath.json)
-//   --check_tolerance=F fraction of the committed throughput a row must
-//                      keep (default 0.6)
+//   --check_tolerance=F fraction of the committed throughput (or ratio) a
+//                      row must keep (default 0.6)
 
 #include <chrono>
 #include <cstdint>
@@ -464,6 +467,22 @@ bool IsCheckedRow(const std::string& name) {
          name == "bulk-scalar" || name == "bulk" || name == "engine=serial";
 }
 
+// Ratio gates, checked beside the absolute floors and never in place of
+// them. Two rows measured seconds apart in one process share the
+// machine's speed, so their ratio cancels the drift of a shared VM that
+// an absolute floor absorbs; each is gated against the ratio of the same
+// two rows in the committed file.
+struct RatioGate {
+  const char* numerator;
+  const char* denominator;
+};
+
+constexpr RatioGate kRatioGates[] = {
+    {"bulk", "percall"},
+    {"engine=serial", "bulk"},
+    {"par=8", "par=1"},
+};
+
 int RunCheck(const std::vector<ModelReport>& reports,
              const std::string& baseline_path, double tolerance) {
   std::vector<std::pair<std::string, double>> baseline;
@@ -495,12 +514,42 @@ int RunCheck(const std::vector<ModelReport>& reports,
     }
   }
   table.Print(std::cout);
+
+  TablePrinter ratios({"ratio", "committed", "measured", "measured/committed",
+                       "verdict"});
+  for (const ModelReport& report : reports) {
+    for (const RatioGate& gate : kRatioGates) {
+      const Row* numerator = FindRow(report, gate.numerator);
+      const Row* denominator = FindRow(report, gate.denominator);
+      const double want_numerator =
+          committed(report.model + "/" + gate.numerator);
+      const double want_denominator =
+          committed(report.model + "/" + gate.denominator);
+      if (numerator == nullptr || denominator == nullptr ||
+          denominator->comparisons_per_sec <= 0.0 || want_numerator <= 0.0 ||
+          want_denominator <= 0.0) {
+        continue;  // A row absent from the run or the committed file.
+      }
+      const double want = want_numerator / want_denominator;
+      const double got =
+          numerator->comparisons_per_sec / denominator->comparisons_per_sec;
+      const bool ok = got >= tolerance * want;
+      if (!ok) ++regressions;
+      ratios.AddRow({report.model + "/" + gate.numerator + " / " +
+                         gate.denominator,
+                     FormatDouble(want, 3), FormatDouble(got, 3),
+                     FormatDouble(got / want, 2), ok ? "ok" : "REGRESSED"});
+    }
+  }
+  ratios.Print(std::cout);
+
   if (regressions > 0) {
-    std::cerr << "check: " << regressions << " row(s) below " << tolerance
-              << "x the committed throughput in " << baseline_path << "\n";
+    std::cerr << "check: " << regressions << " row(s) or ratio(s) below "
+              << tolerance << "x the committed value in " << baseline_path
+              << "\n";
     return 1;
   }
-  std::cout << "check: OK (all rows within tolerance " << tolerance
+  std::cout << "check: OK (all rows and ratios within tolerance " << tolerance
             << " of " << baseline_path << ")\n";
   return 0;
 }

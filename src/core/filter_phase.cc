@@ -1,6 +1,7 @@
 #include "core/filter_phase.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -104,6 +105,7 @@ class FilterRoundSource : public RoundSource {
 
   Status ConsumeOutcome(const EngineRound& /*round*/,
                         const RoundOutcome& outcome) override {
+    recurring_ = {};
     const bool first = group_rounds_ ? next_consume_ == 0 : true;
     if (first) {
       result_.round_sizes.push_back(static_cast<int64_t>(current_.size()));
@@ -126,13 +128,26 @@ class FilterRoundSource : public RoundSource {
       }
       return FinishLogicalRound();
     }
+    const size_t survivors_from = round_next_.size();
     TallyGroup(groups_[next_consume_], outcome.winners[0]);
     ++next_consume_;
     if (next_consume_ == groups_.size()) return FinishLogicalRound();
+    recurring_ =
+        std::span<const ElementId>(round_next_).subspan(survivors_from);
     return Status::OK();
   }
 
   void OnBudgetStop() override { result_.stopped_by_budget = true; }
+
+  // Algorithm 2 regroups only survivors, and groups are disjoint, so a
+  // pair can come back only if both of its elements survive. After a
+  // group's consume those are the group's survivors (a later loss-counter
+  // eviction may still drop some); after a logical round, the new survivor
+  // set; nothing once the loop is about to exit.
+  bool NamesRecurringElements() const override { return true; }
+  std::span<const ElementId> RecurringElements() const override {
+    return recurring_;
+  }
 
   // Full algorithm state, including the mid-logical-round cursors of
   // group-granular emission — a boundary between two groups of the same
@@ -207,6 +222,7 @@ class FilterRoundSource : public RoundSource {
     partial_ = reader->ReadBool();
     fault_status_ = reader->ReadStatus();
     done_ = reader->ReadBool();
+    recurring_ = {};
     return reader->status();
   }
 
@@ -349,6 +365,9 @@ class FilterRoundSource : public RoundSource {
     }
     current_ = std::move(round_next_);
     round_next_.clear();
+    if (static_cast<int64_t>(current_.size()) >= 2 * u_n) {
+      recurring_ = current_;
+    }
     return Status::OK();
   }
 
@@ -364,6 +383,9 @@ class FilterRoundSource : public RoundSource {
   size_t next_consume_ = 0;
   // Logical-round accumulators, reset at each round's first consume.
   std::vector<ElementId> round_next_;
+  // What the last consume named (RecurringElements): a view of
+  // round_next_ or current_, valid until the next call into the source.
+  std::span<const ElementId> recurring_;
   int64_t round_unresolved_ = 0;
   Status round_fault_ = Status::OK();
   // losses_[e] = distinct opponents e has lost to, across all rounds

@@ -43,7 +43,10 @@ struct FilterOptions {
   int64_t group_size_multiplier = 4;
 
   /// Appendix A optimization 1: cache comparison outcomes per unordered
-  /// pair so re-grouped pairs are answered for free.
+  /// pair so re-grouped pairs are answered for free. Only pairs of two
+  /// survivors can be re-grouped, so the engine's private memo keeps just
+  /// those (RoundSource::NamesRecurringElements); a shared_cache keeps
+  /// every pair.
   bool memoize = false;
 
   /// Appendix A optimization 2: evict elements that have lost to more than

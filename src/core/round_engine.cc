@@ -66,6 +66,21 @@ void ObserveSpeculation(int64_t hits, int64_t mispredicts, int64_t wasted) {
   if (wasted > 0) wasted_counter->Add(wasted);
 }
 
+// Id-indexed bitmaps: the elements a pruning source named (CommitRound)
+// and, in debug builds, the ones it retired. Ids are dense (instance.h),
+// so a map sized to the largest id marked stays small.
+bool TestIdBit(const std::vector<uint64_t>& bits, ElementId id) {
+  const size_t word = static_cast<size_t>(id) >> 6;
+  return word < bits.size() && ((bits[word] >> (id & 63)) & 1) != 0;
+}
+
+void SetIdBit(std::vector<uint64_t>* bits, ElementId id) {
+  CROWDMAX_DCHECK(id >= 0);
+  const size_t word = static_cast<size_t>(id) >> 6;
+  if (word >= bits->size()) bits->resize(word + 1, 0);
+  (*bits)[word] |= uint64_t{1} << (id & 63);
+}
+
 }  // namespace
 
 int64_t SharedPairCache::ResolvedPairs(int64_t class_id) const {
@@ -278,17 +293,22 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
   out.winners.resize(round.units.size());
   const int64_t paid_before = comparator_->num_comparisons();
   AlgoTrace* trace = CurrentTrace();
+  // The memo is written during the round only for a drive that keeps every
+  // pair; a pruning drive resolves read-only and commits after the consume.
+  const bool write_memo = memoize_ && !prune_;
   VoteBatchComparator* batch =
       batch_generation_ ? comparator_->AsVoteBatch() : nullptr;
 
   // Batch-path scratch, engine-owned and reused across units *and* rounds
   // (empty when batch == nullptr): steady-state rounds allocate nothing.
-  std::vector<ComparisonPair>& misses = serial_misses_;
+  if (unit_scratch_.empty()) unit_scratch_.resize(1);
+  UnitScratch& scratch = unit_scratch_[0];
+  std::vector<ComparisonPair>& misses = scratch.misses;
   std::vector<size_t>& miss_at = serial_miss_at_;  // pair index per miss
-  std::vector<ElementId>& answers = serial_answers_;  // GenerateVotes output
+  std::vector<ElementId>& answers = scratch.answers;  // GenerateVotes output
   std::vector<size_t>& deferred = serial_deferred_;  // in-unit duplicates
   // One grow per round: every unit's batch insert below then finds room.
-  if (batch != nullptr && memoize_) cache_->Reserve(round.TotalPairs());
+  if (batch != nullptr && write_memo) cache_->Reserve(round.TotalPairs());
 
   for (size_t u = 0; u < round.units.size(); ++u) {
     const RoundUnit& unit = round.units[u];
@@ -302,7 +322,13 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
       }
     }
     std::vector<ElementId>& winners = out.winners[u];
-    if (batch != nullptr) {
+    if (!write_memo) {
+      // Memo off or read-only: the resolve every comparator backend
+      // shares. A pruning source repeats no pair within a round, so there
+      // are no in-unit duplicates to dedupe.
+      cache_hits_ += static_cast<int64_t>(unit.pairs.size()) -
+                     AnswerUnit(unit, comparator_, &scratch, &winners);
+    } else if (batch != nullptr) {
       // Batch-at-once unit execution, bit-identical to the per-call loop
       // below: misses are collected in first-occurrence order (the order
       // the per-call path would draw them), answered with one
@@ -314,83 +340,71 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
       // and duplicates go through the pins, so a bought pair's slot is
       // written once more, with its answer.
       winners.resize(unit.pairs.size());
-      if (memoize_) {
-        const std::span<const PairSlotRef> slots =
-            PinSlots(unit, /*absent_value=*/-1);
-        misses.clear();
-        miss_at.clear();
-        deferred.clear();
-        for (size_t p = 0; p < unit.pairs.size(); ++p) {
-          const PairSlotRef& slot = slots[p];
-          if (!slot.inserted) {
-            const ElementId cached = *slot.value;
-            if (cached == -1) {
-              // Same pair again within this unit, first occurrence still
-              // in the miss list.
-              ++cache_hits_;
-              deferred.push_back(p);
-              continue;
-            }
-            if (cached != kUnresolvedWinner) {
-              winners[p] = cached;
-              ++cache_hits_;
-              continue;
-            }
-            // An unresolved parking from an earlier executor-backed
-            // phase: reserve it like a fresh key.
-            *slot.value = -1;
+      const std::span<const PairSlotRef> slots =
+          PinSlots(unit, /*absent_value=*/-1);
+      misses.clear();
+      miss_at.clear();
+      deferred.clear();
+      for (size_t p = 0; p < unit.pairs.size(); ++p) {
+        const PairSlotRef& slot = slots[p];
+        if (!slot.inserted) {
+          const ElementId cached = *slot.value;
+          if (cached == -1) {
+            // Same pair again within this unit, first occurrence still
+            // in the miss list.
+            ++cache_hits_;
+            deferred.push_back(p);
+            continue;
           }
-          // Buy the pair this round.
-          misses.push_back(unit.pairs[p]);
-          miss_at.push_back(p);
-        }
-        answers.resize(misses.size());
-        const int64_t produced = batch->GenerateVotes(misses, answers);
-        CROWDMAX_CHECK(produced == static_cast<int64_t>(misses.size()));
-        const size_t num_misses = misses.size();
-        for (size_t m = 0; m < num_misses; ++m) {
-          if (m + PairTable::kPrefetchDistance < num_misses) {
-            slots[miss_at[m + PairTable::kPrefetchDistance]].value.Prefetch();
+          if (cached != kUnresolvedWinner) {
+            winners[p] = cached;
+            ++cache_hits_;
+            continue;
           }
-          const ElementId winner = answers[m];
-          CROWDMAX_DCHECK(winner == misses[m].first ||
-                          winner == misses[m].second);
-          *slots[miss_at[m]].value = winner;
-          winners[miss_at[m]] = winner;
+          // An unresolved parking from an earlier executor-backed
+          // phase: reserve it like a fresh key.
+          *slot.value = -1;
         }
-        for (size_t p : deferred) winners[p] = *slots[p].value;
-      } else {
-        answers.resize(unit.pairs.size());
-        const int64_t produced = batch->GenerateVotes(unit.pairs, answers);
-        CROWDMAX_CHECK(produced == static_cast<int64_t>(unit.pairs.size()));
-        std::copy(answers.begin(), answers.end(), winners.begin());
+        // Buy the pair this round.
+        misses.push_back(unit.pairs[p]);
+        miss_at.push_back(p);
       }
-      out.issued += static_cast<int64_t>(unit.pairs.size());
+      answers.resize(misses.size());
+      const int64_t produced = batch->GenerateVotes(misses, answers);
+      CROWDMAX_CHECK(produced == static_cast<int64_t>(misses.size()));
+      const size_t num_misses = misses.size();
+      for (size_t m = 0; m < num_misses; ++m) {
+        if (m + PairTable::kPrefetchDistance < num_misses) {
+          slots[miss_at[m + PairTable::kPrefetchDistance]].value.Prefetch();
+        }
+        const ElementId winner = answers[m];
+        CROWDMAX_DCHECK(winner == misses[m].first ||
+                        winner == misses[m].second);
+        *slots[miss_at[m]].value = winner;
+        winners[miss_at[m]] = winner;
+      }
+      for (size_t p : deferred) winners[p] = *slots[p].value;
     } else {
       winners.reserve(unit.pairs.size());
       for (const ComparisonPair& pair : unit.pairs) {
+        // An unresolved sentinel left by an earlier executor-backed phase
+        // sharing this cache is a miss: the pair is bought (and the
+        // sentinel overwritten) here.
         ElementId winner;
-        if (memoize_) {
-          // An unresolved sentinel left by an earlier executor-backed phase
-          // sharing this cache is a miss: the pair is bought (and the
-          // sentinel overwritten) here.
-          const uint64_t key = PackPairKey(pair.first, pair.second);
-          const PairValuePtr slot = cache_->Find(key);
-          if (slot != nullptr && *slot != kUnresolvedWinner) {
-            winner = *slot;
-            ++cache_hits_;
-          } else {
-            winner = comparator_->Compare(pair.first, pair.second);
-            cache_->Set(key, winner);
-          }
+        const uint64_t key = PackPairKey(pair.first, pair.second);
+        const PairValuePtr slot = cache_->Find(key);
+        if (slot != nullptr && *slot != kUnresolvedWinner) {
+          winner = *slot;
+          ++cache_hits_;
         } else {
           winner = comparator_->Compare(pair.first, pair.second);
+          cache_->Set(key, winner);
         }
         CROWDMAX_DCHECK(winner == pair.first || winner == pair.second);
         winners.push_back(winner);
-        ++out.issued;
       }
     }
+    out.issued += static_cast<int64_t>(unit.pairs.size());
     if (span_id >= 0) trace->EndSpan(span_id);
   }
 
@@ -421,103 +435,28 @@ Result<RoundOutcome> RoundEngine::ExecuteParallel(const EngineRound& round) {
   }
 
   // During the round the cache is read-only shared state; each task
-  // writes only to its own pre-sized winners slot.
+  // writes only to its own pre-sized winners slot. The per-call path never
+  // deduped within a unit either (each repeat is a fresh paid draw —
+  // Venetis votes), so a unit's misses are every pair absent from the
+  // snapshot, duplicates included, in pair order.
   std::vector<int64_t> unit_paid(round.units.size(), 0);
   pool_->ParallelFor(num_units, [&](int64_t u) {
-    const RoundUnit& unit = round.units[static_cast<size_t>(u)];
-    std::vector<ElementId>& winners = out.winners[static_cast<size_t>(u)];
-
     const std::unique_ptr<Comparator> fork =
         comparator_->Fork(seeds[static_cast<size_t>(u)]);
     CROWDMAX_CHECK(fork != nullptr);
-    VoteBatchComparator* batch =
-        batch_generation_ ? fork->AsVoteBatch() : nullptr;
-
-    if (batch != nullptr) {
-      // Batch-at-once unit execution on the fork. The per-call parallel
-      // path treats the cache as a read-only snapshot and does NOT dedupe
-      // within a unit (each repeat is a fresh paid draw — Venetis votes),
-      // so the miss list is simply every pair absent from the snapshot,
-      // duplicates included, in pair order. Hits are copied out on the one
-      // snapshot read; misses hold -1 until the answers fill them.
-      winners.resize(unit.pairs.size());
-      UnitScratch& scratch = unit_scratch_[static_cast<size_t>(u)];
-      std::vector<ComparisonPair>& misses = scratch.misses;
-      misses.clear();
-      misses.reserve(unit.pairs.size());
-      for (size_t p = 0; p < unit.pairs.size(); ++p) {
-        const ComparisonPair& pair = unit.pairs[p];
-        const ConstPairValuePtr slot =
-            memoize_
-                ? std::as_const(*cache_).Find(
-                      PackPairKey(pair.first, pair.second))
-                : nullptr;
-        if (slot != nullptr && *slot != kUnresolvedWinner) {
-          winners[p] = *slot;
-        } else {
-          winners[p] = -1;
-          misses.push_back(pair);
-        }
-      }
-      std::vector<ElementId>& answers = scratch.answers;
-      answers.assign(misses.size(), -1);
-      const int64_t produced = batch->GenerateVotes(misses, answers);
-      CROWDMAX_CHECK(produced == static_cast<int64_t>(misses.size()));
-      size_t cursor = 0;
-      for (size_t p = 0; p < unit.pairs.size(); ++p) {
-        if (winners[p] == -1) winners[p] = answers[cursor++];
-        CROWDMAX_DCHECK(winners[p] == unit.pairs[p].first ||
-                        winners[p] == unit.pairs[p].second);
-      }
-      CROWDMAX_CHECK(cursor == misses.size());
-    } else {
-      winners.reserve(unit.pairs.size());
-      for (const ComparisonPair& pair : unit.pairs) {
-        ElementId winner;
-        if (memoize_) {
-          const ConstPairValuePtr slot = std::as_const(*cache_).Find(
-              PackPairKey(pair.first, pair.second));
-          if (slot != nullptr && *slot != kUnresolvedWinner) {
-            winner = *slot;
-          } else {
-            winner = fork->Compare(pair.first, pair.second);
-          }
-        } else {
-          winner = fork->Compare(pair.first, pair.second);
-        }
-        CROWDMAX_DCHECK(winner == pair.first || winner == pair.second);
-        winners.push_back(winner);
-      }
-    }
+    AnswerUnit(round.units[static_cast<size_t>(u)], fork.get(),
+               &unit_scratch_[static_cast<size_t>(u)],
+               &out.winners[static_cast<size_t>(u)]);
     unit_paid[static_cast<size_t>(u)] = fork->num_comparisons();
   });
 
-  // Round barrier: merge the counter shards into the parent and the fresh
-  // pair outcomes into the cache, in unit order.
+  // Round barrier: merge the counter shards into the parent. The fresh
+  // pair outcomes reach the cache through CommitRound, after the consume.
   int64_t total_paid = 0;
   for (int64_t paid : unit_paid) total_paid += paid;
   comparator_->AddComparisons(total_paid);
 
-  // One grow per round, then one batch insert per unit. Absent keys go in
-  // as kUnresolvedWinner, so one test finds both them and the sentinels an
-  // earlier faulty phase parked in a shared cache: either was bought this
-  // round and takes its evidence. A pair already answered (earlier in
-  // this merge included) keeps its answer.
-  if (memoize_) cache_->Reserve(round.TotalPairs());
-  for (size_t u = 0; u < round.units.size(); ++u) {
-    const RoundUnit& unit = round.units[u];
-    out.issued += static_cast<int64_t>(unit.pairs.size());
-    if (memoize_) {
-      const std::span<const PairSlotRef> slots =
-          PinSlots(unit, /*absent_value=*/kUnresolvedWinner);
-      for (size_t p = 0; p < unit.pairs.size(); ++p) {
-        if (*slots[p].value == kUnresolvedWinner) {
-          *slots[p].value = out.winners[u][p];
-        }
-      }
-    }
-  }
-
+  out.issued = round.TotalPairs();
   out.paid_delta = total_paid;
   issued_ += out.issued;
   cache_hits_ += out.issued - out.paid_delta;
@@ -538,23 +477,31 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
   }
 
   // Resolve through the cache, batching only the misses (including pairs
-  // left unresolved by an earlier faulty attempt). One grow per round, then
-  // one batch insert per unit: every pair's slot stays pinned until the
-  // answers are mapped back. A new key is reserved with -1 (an unresolved
-  // parking is rewritten to it), so a duplicate query within the round
-  // finds the reservation and is sent once. A bought pair's first
-  // occurrence is marked -1 in its winners slot.
+  // left unresolved by an earlier faulty attempt). A pruning drive probes
+  // read-only, unit by unit (ProbeUnit), and leaves the memo to
+  // CommitRound. Otherwise: one grow per round, then one batch insert per
+  // unit, with every pair's slot pinned until the answers are mapped back.
+  // A new key is reserved with -1 (an unresolved parking is rewritten to
+  // it), so a duplicate query within the round finds the reservation and
+  // is sent once. Either way a bought pair's first occurrence is marked -1
+  // in its winners slot.
   out.issued = round.TotalPairs();
   issued_ += out.issued;
-  cache_->Reserve(out.issued);
   std::vector<ComparisonPair>& misses = round_misses_;
   std::vector<PairValuePtr>& pinned = round_pinned_;  // each pair's slot
   misses.clear();
   pinned.clear();
-  pinned.reserve(static_cast<size_t>(out.issued));
+  if (!prune_) {
+    cache_->Reserve(out.issued);
+    pinned.reserve(static_cast<size_t>(out.issued));
+  }
   for (size_t u = 0; u < round.units.size(); ++u) {
     const RoundUnit& unit = round.units[u];
     std::vector<ElementId>& winners = out.winners[u];
+    if (prune_) {
+      ProbeUnit(unit, &winners, &misses);
+      continue;
+    }
     winners.assign(unit.pairs.size(), 0);
     const std::span<const PairSlotRef> slots =
         PinSlots(unit, /*absent_value=*/-1);
@@ -582,15 +529,16 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
   if (results.ok()) CROWDMAX_CHECK(results->size() == misses.size());
   if (span_id >= 0) trace->EndSpan(span_id);
 
-  // One walk in round order writes each bought pair's answer (or its
-  // kUnresolvedWinner parking, when the batch failed) through the pinned
-  // slot and reads every other pair's outcome from its slot; a duplicate
-  // always follows its first occurrence, so its slot is final by then.
+  // One walk in round order takes each bought pair's answer (or
+  // kUnresolvedWinner, when the batch failed). Without pruning it also
+  // writes that answer (or parking) through the pinned slot and reads
+  // every other pair's outcome from its slot; a duplicate always follows
+  // its first occurrence, so its slot is final by then. A pruning drive's
+  // hits already hold their answers.
   size_t next_miss = 0;
   size_t index = 0;
   for (std::vector<ElementId>& winners : out.winners) {
     for (ElementId& winner : winners) {
-      const PairValuePtr slot = pinned[index++];
       if (winner == -1) {
         const BatchTaskResult* result =
             results.ok() ? &(*results)[next_miss] : nullptr;
@@ -600,10 +548,11 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
         ++next_miss;
         winner = result != nullptr && result->answered ? result->winner
                                                        : kUnresolvedWinner;
-        *slot = winner;
-      } else {
-        winner = *slot;
+        if (!prune_) *pinned[index] = winner;
+      } else if (!prune_) {
+        winner = *pinned[index];
       }
+      ++index;
       CROWDMAX_CHECK(winner != -1);
       if (winner == kUnresolvedWinner) ++out.unresolved;
     }
@@ -631,6 +580,136 @@ std::span<const PairSlotRef> RoundEngine::PinSlots(const RoundUnit& unit,
   return round_slots_;
 }
 
+void RoundEngine::ProbeUnit(const RoundUnit& unit,
+                            std::vector<ElementId>* winners,
+                            std::vector<ComparisonPair>* misses) const {
+  if (!MemoReadable()) {
+    winners->assign(unit.pairs.size(), -1);
+    misses->insert(misses->end(), unit.pairs.begin(), unit.pairs.end());
+    return;
+  }
+  const PairTable& memo = *cache_;
+  winners->resize(unit.pairs.size());
+  for (size_t p = 0; p < unit.pairs.size(); ++p) {
+    const ComparisonPair& pair = unit.pairs[p];
+    const ConstPairValuePtr slot =
+        memo.Find(PackPairKey(pair.first, pair.second));
+    if (slot != nullptr && *slot != kUnresolvedWinner) {
+      (*winners)[p] = *slot;
+    } else {
+      (*winners)[p] = -1;
+      misses->push_back(pair);
+    }
+  }
+}
+
+int64_t RoundEngine::AnswerUnit(const RoundUnit& unit, Comparator* comparator,
+                                UnitScratch* scratch,
+                                std::vector<ElementId>* winners) const {
+  // With nothing to probe (Phase 1's first round, or no memo) the votes
+  // are drawn straight from the unit's pairs into `winners`.
+  std::span<const ComparisonPair> misses = unit.pairs;
+  std::vector<ElementId>* answers = winners;
+  if (MemoReadable()) {
+    scratch->misses.clear();
+    ProbeUnit(unit, winners, &scratch->misses);
+    misses = scratch->misses;
+    answers = &scratch->answers;
+  }
+  answers->resize(misses.size());
+  if (VoteBatchComparator* batch =
+          batch_generation_ ? comparator->AsVoteBatch() : nullptr) {
+    const int64_t produced = batch->GenerateVotes(misses, *answers);
+    CROWDMAX_CHECK(produced == static_cast<int64_t>(misses.size()));
+  } else {
+    for (size_t m = 0; m < misses.size(); ++m) {
+      (*answers)[m] = comparator->Compare(misses[m].first, misses[m].second);
+    }
+  }
+  if (answers != winners) {
+    size_t cursor = 0;
+    for (ElementId& winner : *winners) {
+      if (winner == -1) winner = (*answers)[cursor++];
+    }
+    CROWDMAX_CHECK(cursor == misses.size());
+  }
+  for (size_t p = 0; p < unit.pairs.size(); ++p) {
+    CROWDMAX_DCHECK((*winners)[p] == unit.pairs[p].first ||
+                    (*winners)[p] == unit.pairs[p].second);
+  }
+  return static_cast<int64_t>(misses.size());
+}
+
+void RoundEngine::CommitRound(const EngineRound& round,
+                              const RoundOutcome& outcome,
+                              std::span<const ElementId> named) {
+  for (ElementId e : named) SetIdBit(&named_bits_, e);
+#ifndef NDEBUG
+  // Promise (b): an element of this round the source did not name may
+  // never be issued again.
+  if (prune_) {
+    for (const RoundUnit& unit : round.units) {
+      for (const ComparisonPair& pair : unit.pairs) {
+        for (ElementId e : {pair.first, pair.second}) {
+          if (!TestIdBit(named_bits_, e)) SetIdBit(&retired_bits_, e);
+        }
+      }
+    }
+  }
+#endif
+  // A pruning commit keeps only answered pairs of two named elements; with
+  // nothing named, nothing can be asked again and the walk is skipped.
+  if (prune_ && named.empty()) return;
+  if (!prune_) cache_->Reserve(round.TotalPairs());
+  for (size_t u = 0; u < round.units.size(); ++u) {
+    const std::vector<ComparisonPair>& pairs = round.units[u].pairs;
+    const std::vector<ElementId>& winners = outcome.winners[u];
+    round_keys_.clear();
+    round_key_at_.clear();
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      if (prune_ && (!TestIdBit(named_bits_, pairs[p].first) ||
+                     !TestIdBit(named_bits_, pairs[p].second) ||
+                     winners[p] == kUnresolvedWinner)) {
+        continue;
+      }
+      round_keys_.push_back(PackPairKey(pairs[p].first, pairs[p].second));
+      round_key_at_.push_back(p);
+    }
+    // Absent keys go in as kUnresolvedWinner, so one test finds both them
+    // and the sentinels an earlier faulty phase parked in a shared cache:
+    // either was bought this round and takes its evidence. A pair already
+    // answered (earlier in this commit included) keeps its answer.
+    round_slots_.resize(round_keys_.size());
+    cache_->InsertBatch(round_keys_, kUnresolvedWinner, round_slots_);
+    for (size_t k = 0; k < round_keys_.size(); ++k) {
+      if (*round_slots_[k].value == kUnresolvedWinner) {
+        *round_slots_[k].value = winners[round_key_at_[k]];
+      }
+    }
+  }
+  for (ElementId e : named) {
+    named_bits_[static_cast<size_t>(e) >> 6] = 0;
+  }
+}
+
+void RoundEngine::CheckPrunePromise(const EngineRound& round) const {
+#ifndef NDEBUG
+  PairTable seen;
+  for (const RoundUnit& unit : round.units) {
+    for (const ComparisonPair& pair : unit.pairs) {
+      CROWDMAX_DCHECK(!TestIdBit(retired_bits_, pair.first) &&
+                      !TestIdBit(retired_bits_, pair.second) &&
+                      "pruning source issued an element it retired");
+      bool fresh = false;
+      seen.Insert(PackPairKey(pair.first, pair.second), pair.first, &fresh);
+      CROWDMAX_DCHECK(fresh && "pruning source repeated a pair in a round");
+    }
+  }
+#else
+  (void)round;
+#endif
+}
+
 Result<DriveResult> RoundEngine::Drive(RoundSource* source,
                                        const DriveOptions& options) {
   CROWDMAX_CHECK(source != nullptr);
@@ -655,6 +734,19 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
     if (!restored.ok()) return restored;
     checkpoint_->MarkRestored();
   }
+
+  // Memo pruning (DESIGN.md §14), decided once per drive. A shared cache
+  // keeps every pair: another engine or query may ask any of them.
+  prune_ = memoize_ && cache_ == &owned_cache_ &&
+           source->NamesRecurringElements();
+  retired_bits_.clear();
+  // The rounds whose outcomes reach the memo only through CommitRound:
+  // every round of a pruning drive except a cache-clearing one, and every
+  // memoized parallel round (its barrier merge).
+  const auto commits = [&](const EngineRound& round) {
+    return prune_ ? !round.clear_round_cache
+                  : memoize_ && backend_ == Backend::kParallel;
+  };
 
   while (true) {
     EngineRound round;
@@ -686,6 +778,7 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
       open_round_id = trace->BeginRound(open_round);
     }
 
+    if (prune_) CheckPrunePromise(round);
     Result<RoundOutcome> outcome = ExecuteRound(round);
     if (!outcome.ok()) {
       close_round_span();
@@ -706,6 +799,14 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
 
     Status consumed = source->ConsumeOutcome(round, *outcome);
     if (close_round) close_round_span();
+    // Commit before the checkpoint boundary below, so a snapshot holds
+    // every pair a later round can ask; nothing stays pending between
+    // engine rounds.
+    if (commits(round)) {
+      CommitRound(round, *outcome,
+                  prune_ ? source->RecurringElements()
+                         : std::span<const ElementId>());
+    }
     if (!consumed.ok()) {
       close_round_span();
       return consumed;

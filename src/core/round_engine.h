@@ -13,22 +13,26 @@
 //
 // Backends (see RoundEngine::Backend):
 //  - kSerial: pairs run through the caller's Comparator in emission order;
-//    optional engine-owned pair cache reproduces MemoizingComparator
-//    byte-for-byte (same unordered PairKey, paid = misses only).
+//    the optional engine-owned pair cache buys each pair once, like
+//    MemoizingComparator (same unordered PairKey, paid = misses only). It
+//    keeps every bought pair unless the source names the elements that can
+//    recur (RoundSource::NamesRecurringElements), in which case it keeps
+//    only the pairs a later round can ask again.
 //  - kParallel: one Comparator::Fork per RoundUnit, seeds drawn in unit
 //    order from one persistent Rng *before* dispatch, per-fork counts
 //    merged into the parent at the single-threaded round barrier, and the
 //    memo cache treated as a read-only snapshot during the round with
-//    fresh outcomes merged in unit order at the barrier. This is the PR 1
-//    discipline previously implemented by ParallelGroupRunner and the
-//    per-match forks in the Venetis ladder; seeded runs are bit-identical
-//    for any thread count.
+//    fresh outcomes committed in unit order after the source consumed
+//    them. This is the PR 1 discipline previously implemented by
+//    ParallelGroupRunner and the per-match forks in the Venetis ladder;
+//    seeded runs are bit-identical for any thread count.
 //  - kExecutor: the whole round's cache misses go to a BatchExecutor as
 //    one fallible batch. Faulted pairs are parked as kUnresolvedWinner in
-//    the cache (re-issued on the next resolve) and surface to the source
-//    as no-evidence outcomes, so partial-result semantics (no eviction
-//    without evidence) stay with the algorithm while retry/quorum live in
-//    the executor stack.
+//    the cache (never committed, on a pruning drive; either way re-issued
+//    on the next resolve) and surface to the source as no-evidence
+//    outcomes, so partial-result semantics (no eviction without evidence)
+//    stay with the algorithm while retry/quorum live in the executor
+//    stack.
 //
 // Trace shape stays backend-specific on purpose (the pre-engine paths
 // differed, and seeded traces must stay bit-identical): RoundUnit carries
@@ -111,10 +115,10 @@ struct EngineRound {
   /// exactly-once.
   bool record_round_cell = false;
 
-  /// Executor backend only: drop the pair cache before resolving (the
-  /// non-memoized filter still dedupes within a round but forgets across
-  /// rounds). Unresolved sentinels are dropped with it; the source must
-  /// re-emit the pairs it still needs.
+  /// Executor backend only: drop the pair cache before resolving (a
+  /// non-memoized source forgets across rounds; a pruning drive commits
+  /// nothing from such a round). Unresolved sentinels are dropped with it;
+  /// the source must re-emit the pairs it still needs.
   bool clear_round_cache = false;
 
   int64_t TotalPairs() const;
@@ -193,6 +197,27 @@ class RoundSource {
   /// The engine declined the next round because it would exceed the
   /// comparison budget; the source records the stop and the drive ends.
   virtual void OnBudgetStop() {}
+
+  /// Memo pruning (DESIGN.md §10, §14). A source that returns true
+  /// promises three things:
+  ///  (a) no pair repeats within one engine round;
+  ///  (b) no later round issues a pair with an element of an earlier
+  ///      round that RecurringElements did not name after that round;
+  ///  (c) after every ConsumeOutcome, RecurringElements names the
+  ///      elements of that round that a later round may pair again.
+  /// The engine's private memo then keeps only the bought pairs whose two
+  /// ids are both named; answers and counters are unchanged, because no
+  /// other pair can be asked again (by this drive: a later drive on the
+  /// same engine must not count on a dropped pair). Read once per drive.
+  /// The default makes no promise and the memo keeps every bought pair.
+  /// Debug builds CHECK (a) and (b).
+  virtual bool NamesRecurringElements() const { return false; }
+
+  /// The elements of the round just consumed that a later round may pair
+  /// again (see NamesRecurringElements); empty when none can, e.g. because
+  /// the source is done. Read right after each ConsumeOutcome; the span
+  /// may be invalidated by the next call into the source.
+  virtual std::span<const ElementId> RecurringElements() const { return {}; }
 
   /// Pipelining legality (see DESIGN.md §11): true when the source can
   /// emit its next round *now*, before the outcomes of already-emitted
@@ -389,6 +414,13 @@ class RoundEngine {
  private:
   struct PendingRound;
 
+  // Per-unit miss/answer buffers of the comparator backends, reused
+  // across rounds (see unit_scratch_).
+  struct UnitScratch {
+    std::vector<ComparisonPair> misses;
+    std::vector<ElementId> answers;
+  };
+
   RoundEngine(Backend backend, Comparator* comparator,
               BatchExecutor* executor, bool memoize, int64_t threads,
               uint64_t seed, SharedPairCache* shared_cache,
@@ -406,6 +438,38 @@ class RoundEngine {
   /// valid until the cache grows or clears.
   std::span<const PairSlotRef> PinSlots(const RoundUnit& unit,
                                         ElementId absent_value);
+
+  /// True when a read-only resolve has anything to find in the memo.
+  bool MemoReadable() const { return memoize_ && !cache_->empty(); }
+
+  /// Read-only resolve of one unit, shared by every backend that does not
+  /// write the memo during a round: a cached answer goes to `winners`,
+  /// every other pair is -1 there and appended to `misses`, in pair order.
+  /// Never writes the memo, so pool threads may run it on one snapshot.
+  /// Without a readable memo every pair is a miss and nothing is probed.
+  void ProbeUnit(const RoundUnit& unit, std::vector<ElementId>* winners,
+                 std::vector<ComparisonPair>* misses) const;
+
+  /// Answers one unit on `comparator` (the caller's or a fork) over a
+  /// read-only memo: ProbeUnit, then one GenerateVotes (or per-pair
+  /// Compare calls) over the misses in pair order. Without a readable memo
+  /// the votes are drawn straight from the unit's pairs into `winners`.
+  /// Returns the number of pairs bought.
+  int64_t AnswerUnit(const RoundUnit& unit, Comparator* comparator,
+                     UnitScratch* scratch,
+                     std::vector<ElementId>* winners) const;
+
+  /// The memo's one write path for rounds resolved read-only, run after
+  /// the source consumed the outcome and before the checkpoint boundary.
+  /// When pruning it keeps the answered pairs whose two ids are in
+  /// `named`; otherwise (the parallel barrier merge) every pair, with an
+  /// earlier answer to the same pair winning.
+  void CommitRound(const EngineRound& round, const RoundOutcome& outcome,
+                   std::span<const ElementId> named);
+
+  /// Debug builds: CHECKs a pruning source's promises (a) and (b) on the
+  /// round about to run. A no-op under NDEBUG.
+  void CheckPrunePromise(const EngineRound& round) const;
 
   Result<DriveResult> DrivePipelined(RoundSource* source,
                                      const DriveOptions& options);
@@ -439,16 +503,31 @@ class RoundEngine {
   const bool memoize_;
 
   // Pair-winner cache (open-addressed PairTable, core/pair_table.h).
-  // Serial: MemoizingComparator semantics. Parallel: read-only snapshot
-  // during a round, merged at the barrier. Executor: in-round dedup
-  // always, cross-round per clear_round_cache, with kUnresolvedWinner
-  // parking for faulted pairs. Outside the per-call reference path and
-  // the pipelined drive, every write goes through PinSlots: one grow per
-  // round, one batch insert per unit, answers written through the pinned
-  // slots. Points at owned_cache_ unless a
-  // SharedPairCache class table was supplied at creation.
+  // Points at owned_cache_ unless a SharedPairCache class table was
+  // supplied at creation. When the drive prunes (below), every
+  // non-pipelined backend resolves read-only and CommitRound writes only
+  // the pairs whose two ids the source named: the private memo holds the
+  // pairs a later round can still ask, not every pair bought. Otherwise:
+  // serial buys each pair once (MemoizingComparator semantics); parallel
+  // reads a snapshot during a round and CommitRound merges every pair
+  // after it; executor dedups within a round always, remembers across
+  // rounds per clear_round_cache, and parks faulted pairs as
+  // kUnresolvedWinner. Those write paths go through PinSlots (one grow
+  // per round, one batch insert per unit) outside the per-call reference
+  // path and the pipelined drive, which keep every pair.
   PairTable* cache_;
   PairTable owned_cache_;
+
+  // This drive's pruning decision: the source promises
+  // (RoundSource::NamesRecurringElements), the memo is on and private, and
+  // the drive is not pipelined. Set once at the start of each drive.
+  bool prune_ = false;
+  // CommitRound's id-indexed bitmap of the elements the source named;
+  // cleared again after each commit.
+  std::vector<uint64_t> named_bits_;
+  // Debug builds: the elements a pruning drive has retired (in an earlier
+  // round, not named after it). Not checkpointed; empty under NDEBUG.
+  std::vector<uint64_t> retired_bits_;
 
   bool batch_generation_ = true;
 
@@ -473,22 +552,19 @@ class RoundEngine {
   // miss/answer buffers of the dispatch paths, hoisted out of the round
   // loop so steady-state rounds allocate nothing. The parallel backend
   // gets one slot per unit index — each pool task touches only its own
-  // slot, so the buffers stay fork-local and race-free.
-  struct UnitScratch {
-    std::vector<ComparisonPair> misses;
-    std::vector<ElementId> answers;
-  };
-  std::vector<ComparisonPair> serial_misses_;
+  // slot, so the buffers stay fork-local and race-free; the serial
+  // backend uses slot 0.
   std::vector<size_t> serial_miss_at_;
-  std::vector<ElementId> serial_answers_;
   std::vector<size_t> serial_deferred_;
   std::vector<UnitScratch> unit_scratch_;
   std::vector<ComparisonPair> round_queries_;
   std::vector<ComparisonPair> round_misses_;
-  // PinSlots' packed keys and pinned slots (one unit's worth), and every
-  // pair's slot on the executor path, held until the answers map back.
+  // PinSlots' and CommitRound's packed keys and pinned slots (one unit's
+  // worth), CommitRound's pair index per key, and every pair's slot on the
+  // executor path, held until the answers map back.
   std::vector<uint64_t> round_keys_;
   std::vector<PairSlotRef> round_slots_;
+  std::vector<size_t> round_key_at_;
   std::vector<PairValuePtr> round_pinned_;
 
   // Round-boundary snapshot/crash/restore coordinator; null = disabled.

@@ -6,7 +6,10 @@
 // older build of this code must keep restoring bit-identically (the file
 // tests/golden/checkpoint_v2.hex is regenerated only on deliberate format
 // bumps, together with kCheckpointVersion — v2 added the engine's
-// speculation counters and the executor's cancelled-comparison tally).
+// speculation counters and the executor's cancelled-comparison tally — or
+// on deliberate content changes: since the memo keeps only the pairs that
+// can be asked again, its CACH section is smaller, and the capture of the
+// full-memo build is kept beside it as checkpoint_v2_full_memo.hex).
 
 #include <array>
 #include <cstdint>
@@ -24,7 +27,6 @@
 #include "core/checkpoint.h"
 #include "core/comparator.h"
 #include "core/filter_phase.h"
-#include "core/pair_key.h"
 #include "core/round_engine.h"
 #include "datasets/instances.h"
 
@@ -310,6 +312,12 @@ std::string GoldenPath() {
   return std::string(CROWDMAX_GOLDEN_DIR) + "/checkpoint_v2.hex";
 }
 
+// The same run captured by the build whose memo kept every bought pair: a
+// v2 checkpoint with a full memo section, which must keep restoring.
+std::string FullMemoGoldenPath() {
+  return std::string(CROWDMAX_GOLDEN_DIR) + "/checkpoint_v2_full_memo.hex";
+}
+
 TEST(CheckpointGoldenTest, CapturedBytesMatchCommittedGolden) {
   const std::string hex = CheckpointToHex(CaptureGoldenCheckpoint(MakeGoldenRun()));
   if (std::getenv("CROWDMAX_WRITE_GOLDEN") != nullptr) {
@@ -340,6 +348,61 @@ std::string FieldBytes(uint64_t v) {
   return writer.bytes().substr(8);  // After the magic/version header.
 }
 
+// The U64 field at byte offset `at` (the inverse of FieldBytes).
+uint64_t FieldAt(const std::string& bytes, size_t at) {
+  uint64_t v = 0;
+  for (size_t i = 8; i-- > 0;) {
+    v = (v << 8) | static_cast<unsigned char>(bytes.at(at + i));
+  }
+  return v;
+}
+
+// The memo section of a checkpoint: (packed key, value) in key order.
+std::vector<std::pair<uint64_t, int64_t>> MemoEntries(
+    const std::string& bytes) {
+  const size_t tag_at = bytes.find("CACH");
+  CROWDMAX_CHECK(tag_at != std::string::npos);
+  const uint64_t count = FieldAt(bytes, tag_at + 4);
+  std::vector<std::pair<uint64_t, int64_t>> entries;
+  for (uint64_t i = 0; i < count; ++i) {
+    const size_t at = tag_at + 4 + 8 + 16 * i;
+    entries.emplace_back(FieldAt(bytes, at),
+                         static_cast<int64_t>(FieldAt(bytes, at + 8)));
+  }
+  return entries;
+}
+
+TEST(CheckpointGoldenTest, MemoKeepsOnlyPairsOfSurvivors) {
+  // The first boundary follows round 1, which bought every pair of its
+  // three groups of 8: 84 pairs. Only pairs of two survivors can be asked
+  // again, so only they may be in the memo.
+  const GoldenRun run = MakeGoldenRun();
+  const auto entries = MemoEntries(CaptureGoldenCheckpoint(run));
+
+  // The survivors of round 1: the same run, stopped by a budget that
+  // affords round 1 and no more.
+  OracleComparator comparator(&run.instance);
+  FilterOptions stopped = run.options;
+  stopped.max_comparisons = 84;
+  Result<FilterResult> round1 =
+      FilterCandidates(run.items, stopped, &comparator);
+  ASSERT_TRUE(round1.ok()) << round1.status().ToString();
+  ASSERT_TRUE(round1->stopped_by_budget);
+  ASSERT_EQ(round1->paid_comparisons, 84);
+  const std::unordered_set<int64_t> survivors(round1->candidates.begin(),
+                                              round1->candidates.end());
+
+  EXPECT_FALSE(entries.empty());
+  EXPECT_LT(entries.size(), size_t{84});
+  for (const auto& [key, value] : entries) {
+    const int64_t high = static_cast<int64_t>(key >> 32);
+    const int64_t low = static_cast<int64_t>(key & 0xffffffffULL);
+    EXPECT_TRUE(survivors.count(high) == 1 && survivors.count(low) == 1)
+        << "memo holds {" << low << ", " << high << "}";
+    EXPECT_TRUE(value == high || value == low);
+  }
+}
+
 TEST(CheckpointGoldenTest, DamagedMemoValueIsRefusedTyped) {
   std::ifstream in(GoldenPath());
   ASSERT_TRUE(in.good()) << GoldenPath() << " missing";
@@ -349,14 +412,17 @@ TEST(CheckpointGoldenTest, DamagedMemoValueIsRefusedTyped) {
   ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
 
   // The memo section: the CACH tag, the entry count, then the entries in
-  // key order, the first being {0, 1} answered 0. Store 5 instead: not an
-  // id of the pair, and not a sentinel.
-  const size_t tag_at = bytes->find("CACH");
-  ASSERT_NE(tag_at, std::string::npos);
-  const size_t key_at = tag_at + 4 + 8;
-  ASSERT_EQ(bytes->substr(key_at, 8), FieldBytes(PackPairKey(0, 1)));
-  ASSERT_EQ(bytes->substr(key_at + 8, 8), FieldBytes(0));
-  bytes->replace(key_at + 8, 8, FieldBytes(5));
+  // key order. Damage the first entry's answer: store the higher id plus
+  // one instead, neither id of the pair and not a sentinel.
+  const auto entries = MemoEntries(*bytes);
+  ASSERT_FALSE(entries.empty());
+  const auto [key, value] = entries.front();
+  ASSERT_TRUE(value == static_cast<int64_t>(key >> 32) ||
+              value == static_cast<int64_t>(key & 0xffffffffULL));
+  const size_t key_at = bytes->find("CACH") + 4 + 8;
+  ASSERT_EQ(bytes->substr(key_at + 8, 8),
+            FieldBytes(static_cast<uint64_t>(value)));
+  bytes->replace(key_at + 8, 8, FieldBytes((key >> 32) + 1));
 
   const GoldenRun run = MakeGoldenRun();
   OracleComparator comparator(&run.instance);
@@ -374,16 +440,10 @@ TEST(CheckpointGoldenTest, DamagedMemoValueIsRefusedTyped) {
       << resumed.status().ToString();
 }
 
-TEST(CheckpointGoldenTest, CommittedGoldenStillRestores) {
-  std::ifstream in(GoldenPath());
-  ASSERT_TRUE(in.good())
-      << GoldenPath()
-      << " missing; run with CROWDMAX_WRITE_GOLDEN=1 to regenerate";
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  Result<std::string> bytes = CheckpointFromHex(buffer.str());
-  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
-
+// Resumes the golden run from `bytes` on a fresh stack and checks that it
+// finishes bit-identically to the uninterrupted run — the forward-compat
+// contract in action.
+void ExpectResumeMatchesBaseline(const std::string& bytes) {
   const GoldenRun run = MakeGoldenRun();
 
   // The uninterrupted baseline.
@@ -394,13 +454,12 @@ TEST(CheckpointGoldenTest, CommittedGoldenStillRestores) {
       RunFilterOnEngine(run.items, run.options, baseline_engine.get());
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
-  // A fresh stack resumed from the committed capture must finish the run
-  // bit-identically — the forward-compat contract in action.
+  // A fresh stack resumed from the capture.
   OracleComparator comparator(&run.instance);
   std::unique_ptr<RoundEngine> engine =
       RoundEngine::CreateSerial(&comparator, /*memoize=*/true);
   CheckpointController controller;
-  controller.ResumeFrom(*bytes);
+  controller.ResumeFrom(bytes);
   engine->set_checkpoint(&controller);
   Result<FilterEngineRun> resumed =
       RunFilterOnEngine(run.items, run.options, engine.get());
@@ -414,6 +473,20 @@ TEST(CheckpointGoldenTest, CommittedGoldenStillRestores) {
   EXPECT_EQ(resumed->filter.rounds, baseline->filter.rounds);
   EXPECT_EQ(comparator.num_comparisons(),
             baseline_comparator.num_comparisons());
+}
+
+TEST(CheckpointGoldenTest, CommittedGoldenStillRestores) {
+  for (const std::string& path : {GoldenPath(), FullMemoGoldenPath()}) {
+    SCOPED_TRACE(path);
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good())
+        << path << " missing; run with CROWDMAX_WRITE_GOLDEN=1 to regenerate";
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    Result<std::string> bytes = CheckpointFromHex(buffer.str());
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    ExpectResumeMatchesBaseline(*bytes);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Property tests for the paper's Phase-1 guarantees (Lemmas 1-3), checked
 // over randomized instances — a sweep of n, u_n, and value-gap shapes —
 // against every adversarial tie policy and against threshold workers, on
-// the serial path, the parallel path, and with both Appendix-A
-// optimizations enabled:
+// the serial path, the parallel path, the executor backend
+// (BatchedFilterCandidates) and the pipelined backend
+// (PipelinedFilterCandidates at depth {1, 8}, group-granular rounds), and
+// with both Appendix-A optimizations enabled:
 //
 //  * Lemma 2 (via Lemma 1): the true maximum survives filtering — below
 //    the threshold the answer is completely arbitrary, so this must hold
@@ -17,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/async_executor.h"
+#include "core/batched.h"
 #include "core/comparator.h"
 #include "core/filter_phase.h"
 #include "core/instance.h"
@@ -26,11 +30,15 @@
 namespace crowdmax {
 namespace {
 
+enum class Backend { kComparator, kExecutor, kPipelined };
+
 struct Variant {
   const char* name;
   bool memoize;
   bool global_loss_counter;
   int64_t threads;
+  Backend backend = Backend::kComparator;
+  int64_t depth = 0;  // Pipelined rounds in flight.
 };
 
 constexpr Variant kVariants[] = {
@@ -38,18 +46,46 @@ constexpr Variant kVariants[] = {
     {"serial+opts", true, true, 0},
     {"parallel", false, false, 2},
     {"parallel+opts", true, true, 2},
+    {"executor+opts", true, true, 0, Backend::kExecutor},
+    {"pipelined1+opts", true, true, 0, Backend::kPipelined, 1},
+    {"pipelined8+opts", true, true, 0, Backend::kPipelined, 8},
 };
+
+// Runs Algorithm 2 on the variant's backend: the comparator engines
+// through FilterCandidates, the executor ones over a
+// ComparatorBatchExecutor, which answers every pair (no partial results).
+Result<FilterResult> RunVariant(const Variant& variant,
+                                const std::vector<ElementId>& items,
+                                FilterOptions options, Comparator* naive) {
+  if (variant.backend == Backend::kComparator) {
+    return FilterCandidates(items, options, naive);
+  }
+  ComparatorBatchExecutor executor(naive);
+  Result<BatchedFilterResult> batched = Status::Internal("unreachable");
+  if (variant.backend == Backend::kExecutor) {
+    batched = BatchedFilterCandidates(items, options, &executor);
+  } else {
+    AsyncBatchAdapter async(&executor);
+    BatchedPipelineOptions pipeline;
+    pipeline.max_in_flight = variant.depth;
+    options.pipeline_groups = true;
+    batched = PipelinedFilterCandidates(items, options, &async, pipeline);
+  }
+  if (!batched.ok()) return batched.status();
+  CROWDMAX_CHECK(!batched->partial);
+  return std::move(batched->filter);
+}
 
 bool Contains(const std::vector<ElementId>& set, ElementId e) {
   return std::find(set.begin(), set.end(), e) != set.end();
 }
 
 void CheckLemmaGuarantees(const Instance& instance, Comparator* naive,
-                          const FilterOptions& options,
+                          const Variant& variant, const FilterOptions& options,
                           const std::string& context) {
   const int64_t n = instance.size();
   Result<FilterResult> result =
-      FilterCandidates(instance.AllElements(), options, naive);
+      RunVariant(variant, instance.AllElements(), options, naive);
   ASSERT_TRUE(result.ok()) << context;
 
   // Lemma 2: the maximum always survives (a correct u_n never produces an
@@ -93,7 +129,7 @@ TEST(LemmaPropertiesTest, GuaranteesHoldUnderEveryAdversary) {
             options.global_loss_counter = variant.global_loss_counter;
             options.threads = variant.threads;
             CheckLemmaGuarantees(
-                *instance, &adversary, options,
+                *instance, &adversary, variant, options,
                 std::string(variant.name) + " n=" + std::to_string(n) +
                     " u_n=" + std::to_string(u_n) +
                     " policy=" + std::to_string(static_cast<int>(policy)) +
@@ -124,7 +160,7 @@ TEST(LemmaPropertiesTest, GuaranteesHoldUnderThresholdWorkers) {
           options.global_loss_counter = variant.global_loss_counter;
           options.threads = variant.threads;
           CheckLemmaGuarantees(
-              *instance, &naive, options,
+              *instance, &naive, variant, options,
               std::string(variant.name) + " n=" + std::to_string(n) +
                   " u_n=" + std::to_string(u_n) +
                   " seed=" + std::to_string(seed));
@@ -153,7 +189,7 @@ TEST(LemmaPropertiesTest, GuaranteesHoldOnPackedValueGaps) {
       options.memoize = variant.memoize;
       options.global_loss_counter = variant.global_loss_counter;
       options.threads = variant.threads;
-      CheckLemmaGuarantees(*packed, &adversary, options,
+      CheckLemmaGuarantees(*packed, &adversary, variant, options,
                            std::string("packed ") + variant.name +
                                " n=" + std::to_string(n));
     }
