@@ -28,6 +28,11 @@
 //                no executor stack), with the same votegen/dispatch split.
 //   par=T        ParallelBatchExecutor at T threads (forked models, batch
 //                path inside each chunk).
+//   filter       Phase 1 end to end: FilterCandidates at n = 20000,
+//                u_n = 50, memo on, serial backend, over this model —
+//                all-play-all groups the engine answers as player units.
+//                Throughput is issued pairs per second (memo hits
+//                included), with the engine rows' votegen/dispatch split.
 //
 // Self-checking in every mode: the batch, bulk-scalar and bulk rows must
 // each produce bit-identical votes to an identically seeded per-call run —
@@ -45,8 +50,8 @@
 //                      committed baseline JSON, exit nonzero when a serial
 //                      row drops below tolerance * committed, or when a
 //                      ratio of two rows (bulk/percall, engine=serial/bulk,
-//                      par=8/par=1) drops below tolerance * the same ratio
-//                      in the committed file. Gated on the
+//                      par=8/par=1, filter/bulk) drops below tolerance *
+//                      the same ratio in the committed file. Gated on the
 //                      CROWDMAX_BENCH_CHECK environment variable so the CI
 //                      entry is opt-in: without it the check is skipped
 //                      before measuring.
@@ -75,6 +80,7 @@
 #include "core/async_executor.h"
 #include "core/batched.h"
 #include "core/comparator.h"
+#include "core/filter_phase.h"
 #include "core/pair_key.h"
 #include "core/round_engine.h"
 #include "core/worker_model.h"
@@ -107,7 +113,9 @@ struct ModelReport {
   std::vector<Row> rows;
 };
 
-using ModelFactory = std::function<std::unique_ptr<Comparator>(uint64_t)>;
+// Builds a model over `setup`'s instance and thresholds.
+using ModelFactory = std::function<std::unique_ptr<Comparator>(
+    const bench::TwoClassSetup& setup, uint64_t seed)>;
 
 std::vector<ComparisonPair> RandomPairs(int64_t n_elements, int64_t count,
                                         uint64_t seed) {
@@ -252,11 +260,16 @@ void RunChunkedBatch(Comparator* model, bool bulk_draws,
 }
 
 ModelReport BenchModel(const std::string& model_name,
-                       const ModelFactory& make,
+                       const ModelFactory& make_on,
+                       const bench::TwoClassSetup& setup,
                        const std::vector<ComparisonPair>& pairs,
+                       const bench::TwoClassSetup& filter_setup,
                        uint64_t seed) {
   ModelReport report;
   report.model = model_name;
+  const auto make = [&](uint64_t model_seed) {
+    return make_on(setup, model_seed);
+  };
 
   // legacy: virtual Compare through the unordered_map memo decorator.
   report.rows.push_back(Measure("legacy", pairs, [&](std::vector<ElementId>* out) {
@@ -405,6 +418,41 @@ ModelReport BenchModel(const std::string& model_name,
         }));
   }
 
+  // filter: Phase 1 on its own, larger instance, three passes on fresh,
+  // identically seeded models (each pass issues the same pairs). Self-check:
+  // every pass buys the same pairs, at most Lemma 3's 4 * n * u_n.
+  {
+    constexpr int kPasses = 3;
+    const std::vector<ElementId> items = filter_setup.instance.AllElements();
+    FilterOptions options;
+    options.u_n = filter_setup.u_n;
+    options.memoize = true;
+    int64_t issued = 0;
+    int64_t paid = -1;
+    double votegen_seconds = 0.0;
+    const auto begin = std::chrono::steady_clock::now();
+    for (int pass = 0; pass < kPasses; ++pass) {
+      std::unique_ptr<Comparator> model = make_on(filter_setup, seed);
+      TimingComparator timed(model.get());
+      Result<FilterResult> result = FilterCandidates(items, options, &timed);
+      CROWDMAX_CHECK(result.ok());
+      CROWDMAX_CHECK(paid < 0 || result->paid_comparisons == paid);
+      paid = result->paid_comparisons;
+      CROWDMAX_CHECK(paid <= FilterComparisonUpperBound(
+                                 filter_setup.instance.size(), options.u_n));
+      issued += result->issued_comparisons;
+      votegen_seconds += timed.votegen_seconds();
+    }
+    Row row;
+    row.name = "filter";
+    row.seconds = Seconds(begin, std::chrono::steady_clock::now());
+    row.comparisons_per_sec =
+        row.seconds > 0.0 ? static_cast<double>(issued) / row.seconds : 0.0;
+    row.votegen_seconds = votegen_seconds;
+    row.dispatch_seconds = row.seconds - votegen_seconds;
+    report.rows.push_back(row);
+  }
+
   const double legacy_cps = report.rows[0].comparisons_per_sec;
   for (Row& row : report.rows) {
     row.speedup_vs_legacy =
@@ -425,7 +473,9 @@ const Row* FindRow(const ModelReport& report, const std::string& name) {
 // The committed BENCH_hotpath.json is written by this binary, so a
 // minimal line scan recovers (model, path) -> comparisons_per_sec without
 // a JSON library: model lines carry "model": "<name>", row lines carry
-// "path": "<name>" and "comparisons_per_sec": <value>.
+// "path": "<name>" and "comparisons_per_sec": <value>, and the numerator
+// row of a ratio gate "per_<denominator>": <ratio>, keyed
+// "<model>/<path>/per_<denominator>".
 
 bool ParseBaseline(
     const std::string& path,
@@ -455,6 +505,14 @@ bool ParseBaseline(
     rows_out->emplace_back(model + "/" + value,
                            std::strtod(line.c_str() + at + key.size(),
                                        nullptr));
+    for (size_t per = line.find("\"per_"); per != std::string::npos;
+         per = line.find("\"per_", per + 1)) {
+      const size_t end = line.find("\": ", per + 1);
+      if (end == std::string::npos) break;
+      rows_out->emplace_back(model + "/" + value + "/" +
+                                 line.substr(per + 1, end - per - 1),
+                             std::strtod(line.c_str() + end + 3, nullptr));
+    }
   }
   return !rows_out->empty();
 }
@@ -464,14 +522,18 @@ bool ParseBaseline(
 // gate.
 bool IsCheckedRow(const std::string& name) {
   return name == "legacy" || name == "percall" || name == "batch" ||
-         name == "bulk-scalar" || name == "bulk" || name == "engine=serial";
+         name == "bulk-scalar" || name == "bulk" || name == "engine=serial" ||
+         name == "filter";
 }
 
 // Ratio gates, checked beside the absolute floors and never in place of
 // them. Two rows measured seconds apart in one process share the
 // machine's speed, so their ratio cancels the drift of a shared VM that
-// an absolute floor absorbs; each is gated against the ratio of the same
-// two rows in the committed file.
+// an absolute floor absorbs; each is gated against the ratio the
+// committed file recorded on its numerator row ("per_<denominator>",
+// measured in one run), or else against the ratio of the same two rows
+// there. A row added to the file later than its denominator carries the
+// recorded one: the two rows' own values would mix two machine speeds.
 struct RatioGate {
   const char* numerator;
   const char* denominator;
@@ -481,6 +543,7 @@ constexpr RatioGate kRatioGates[] = {
     {"bulk", "percall"},
     {"engine=serial", "bulk"},
     {"par=8", "par=1"},
+    {"filter", "bulk"},
 };
 
 int RunCheck(const std::vector<ModelReport>& reports,
@@ -525,12 +588,16 @@ int RunCheck(const std::vector<ModelReport>& reports,
           committed(report.model + "/" + gate.numerator);
       const double want_denominator =
           committed(report.model + "/" + gate.denominator);
+      const double recorded = committed(report.model + "/" + gate.numerator +
+                                        "/per_" + gate.denominator);
       if (numerator == nullptr || denominator == nullptr ||
-          denominator->comparisons_per_sec <= 0.0 || want_numerator <= 0.0 ||
-          want_denominator <= 0.0) {
+          denominator->comparisons_per_sec <= 0.0 ||
+          (recorded <= 0.0 &&
+           (want_numerator <= 0.0 || want_denominator <= 0.0))) {
         continue;  // A row absent from the run or the committed file.
       }
-      const double want = want_numerator / want_denominator;
+      const double want =
+          recorded > 0.0 ? recorded : want_numerator / want_denominator;
       const double got =
           numerator->comparisons_per_sec / denominator->comparisons_per_sec;
       const bool ok = got >= tolerance * want;
@@ -586,38 +653,50 @@ int Main(int argc, char** argv) {
   bench::TwoClassSetup setup =
       bench::MakeTwoClassSetup(n_elements, /*u_n_target=*/64,
                                /*u_e_target=*/8, /*seed=*/2024);
-  const Instance* instance = &setup.instance;
   const std::vector<ComparisonPair> pairs =
       RandomPairs(n_elements, n_pairs, /*seed=*/7);
+  // The filter row's Phase-1 instance: the sweep's largest grid cell
+  // (smaller in the smoke run, which only checks the row runs).
+  const bench::TwoClassSetup filter_setup = bench::MakeTwoClassSetup(
+      smoke ? 2000 : 20000, /*u_n_target=*/50, /*u_e_target=*/10,
+      /*seed=*/2025);
 
   std::vector<std::pair<std::string, ModelFactory>> models;
-  models.emplace_back("threshold", [&](uint64_t seed) -> std::unique_ptr<Comparator> {
+  using Setup = bench::TwoClassSetup;
+  models.emplace_back("threshold", [](const Setup& on, uint64_t seed)
+                                       -> std::unique_ptr<Comparator> {
     ThresholdComparator::Options options;
-    options.model = ThresholdModel{setup.delta_n, 0.15};
-    return std::make_unique<ThresholdComparator>(instance, options, seed);
+    options.model = ThresholdModel{on.delta_n, 0.15};
+    return std::make_unique<ThresholdComparator>(&on.instance, options, seed);
   });
-  models.emplace_back("relative_error", [&](uint64_t seed) -> std::unique_ptr<Comparator> {
+  models.emplace_back("relative_error", [](const Setup& on, uint64_t seed)
+                                            -> std::unique_ptr<Comparator> {
     return std::make_unique<RelativeErrorComparator>(
-        instance, RelativeErrorComparator::Options{}, seed);
+        &on.instance, RelativeErrorComparator::Options{}, seed);
   });
-  models.emplace_back("distance_decay", [&](uint64_t seed) -> std::unique_ptr<Comparator> {
+  models.emplace_back("distance_decay", [](const Setup& on, uint64_t seed)
+                                            -> std::unique_ptr<Comparator> {
     DistanceDecayComparator::Options options;
-    options.delta = setup.delta_n;
+    options.delta = on.delta_n;
     options.epsilon_at_threshold = 0.25;
-    options.decay = 3.0 / setup.delta_n;
-    return std::make_unique<DistanceDecayComparator>(instance, options, seed);
+    options.decay = 3.0 / on.delta_n;
+    return std::make_unique<DistanceDecayComparator>(&on.instance, options,
+                                                     seed);
   });
-  models.emplace_back("persistent_bias", [&](uint64_t seed) -> std::unique_ptr<Comparator> {
+  models.emplace_back("persistent_bias", [](const Setup& on, uint64_t seed)
+                                             -> std::unique_ptr<Comparator> {
     PersistentBiasComparator::Options options;
     options.buckets = {{0.10, 0.60}, {0.20, 0.70}};
     options.individual_noise = 0.28;
     options.above_threshold_error = 0.15;
-    return std::make_unique<PersistentBiasComparator>(instance, options, seed);
+    return std::make_unique<PersistentBiasComparator>(&on.instance, options,
+                                                      seed);
   });
 
   std::vector<ModelReport> reports;
   for (const auto& [name, factory] : models) {
-    reports.push_back(BenchModel(name, factory, pairs, /*seed=*/90210));
+    reports.push_back(BenchModel(name, factory, setup, pairs, filter_setup,
+                                 /*seed=*/90210));
   }
 
   TablePrinter table({"model", "path", "Mcmp/s", "speedup_vs_legacy"});
@@ -698,6 +777,15 @@ int Main(int argc, char** argv) {
       if (row.votegen_seconds >= 0.0) {
         out << ", \"votegen_seconds\": " << row.votegen_seconds
             << ", \"dispatch_seconds\": " << row.dispatch_seconds;
+      }
+      for (const RatioGate& gate : kRatioGates) {
+        const Row* denominator = FindRow(reports[m], gate.denominator);
+        if (row.name != gate.numerator || denominator == nullptr ||
+            denominator->comparisons_per_sec <= 0.0) {
+          continue;
+        }
+        out << ", \"per_" << gate.denominator << "\": "
+            << row.comparisons_per_sec / denominator->comparisons_per_sec;
       }
       out << "}" << (r + 1 < reports[m].rows.size() ? "," : "") << "\n";
     }

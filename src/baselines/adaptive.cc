@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -129,14 +128,7 @@ Result<MaxFindResult> AdaptiveEloMax(const std::vector<ElementId>& items,
   if (items.empty()) {
     return Status::InvalidArgument("input set must be non-empty");
   }
-  {
-    std::unordered_set<ElementId> seen;
-    for (ElementId e : items) {
-      if (!seen.insert(e).second) {
-        return Status::InvalidArgument("duplicate element id in input");
-      }
-    }
-  }
+  if (Status ids = CheckDistinctIds(items); !ids.ok()) return ids;
   if (options.budget < static_cast<int64_t>(items.size()) - 1) {
     return Status::InvalidArgument("budget must be >= |items| - 1");
   }

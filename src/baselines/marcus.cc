@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 
 #include "core/round_engine.h"
@@ -108,14 +107,7 @@ Result<MaxFindResult> MarcusTournamentMax(const std::vector<ElementId>& items,
   if (options.threads < 0) {
     return Status::InvalidArgument("threads must be >= 0");
   }
-  {
-    std::unordered_set<ElementId> seen;
-    for (ElementId e : items) {
-      if (!seen.insert(e).second) {
-        return Status::InvalidArgument("duplicate element id in input");
-      }
-    }
-  }
+  if (Status ids = CheckDistinctIds(items); !ids.ok()) return ids;
 
   std::unique_ptr<RoundEngine> engine;
   if (options.threads >= 1) {

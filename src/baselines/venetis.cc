@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 
 #include "core/round_engine.h"
@@ -115,14 +114,7 @@ Result<MaxFindResult> VenetisLadderMax(const std::vector<ElementId>& items,
       }
     }
   }
-  {
-    std::unordered_set<ElementId> seen;
-    for (ElementId e : items) {
-      if (!seen.insert(e).second) {
-        return Status::InvalidArgument("duplicate element id in input");
-      }
-    }
-  }
+  if (Status ids = CheckDistinctIds(items); !ids.ok()) return ids;
   if (options.threads < 0) {
     return Status::InvalidArgument("threads must be >= 0");
   }

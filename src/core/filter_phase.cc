@@ -1,6 +1,7 @@
 #include "core/filter_phase.h"
 
 #include <algorithm>
+#include <bit>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -30,13 +31,7 @@ Status ValidateFilterInput(const std::vector<ElementId>& items,
   if (options.threads < 0) {
     return Status::InvalidArgument("threads must be >= 0");
   }
-  std::unordered_set<ElementId> seen;
-  for (ElementId e : items) {
-    if (!seen.insert(e).second) {
-      return Status::InvalidArgument("duplicate element id in input");
-    }
-  }
-  return Status::OK();
+  return CheckDistinctIds(items);
 }
 
 // Algorithm 2 as a round generator. The source holds only algorithm state
@@ -56,9 +51,9 @@ class FilterRoundSource : public RoundSource {
     if (done_) return false;
     if (!group_rounds_) {
       if (!Partition()) return false;
-      round->units.reserve(groups_.size());
-      for (const std::vector<ElementId>& group : groups_) {
-        round->units.push_back(MakeGroupUnit(group));
+      round->units.resize(groups_.size());
+      for (size_t gi = 0; gi < groups_.size(); ++gi) {
+        round->units[gi].players = groups_[gi];
       }
       round->open_round_comparator = result_.rounds + 1;
       round->open_round_executor = result_.rounds + 1;
@@ -78,7 +73,7 @@ class FilterRoundSource : public RoundSource {
     if (next_emit_ >= groups_.size()) {
       if (!Partition()) return false;
     }
-    round->units.push_back(MakeGroupUnit(groups_[next_emit_]));
+    round->units.emplace_back().players = groups_[next_emit_];
     if (next_emit_ == 0) {
       round->open_round_comparator = result_.rounds + 1;
       round->open_round_executor = result_.rounds + 1;
@@ -124,12 +119,12 @@ class FilterRoundSource : public RoundSource {
     // rule (c) that keeps interleaved consumes trace-silent.
     if (!group_rounds_) {
       for (size_t gi = 0; gi < groups_.size(); ++gi) {
-        TallyGroup(groups_[gi], outcome.winners[gi]);
+        TallyLosses(groups_[gi], outcome.losses[gi]);
       }
       return FinishLogicalRound();
     }
     const size_t survivors_from = round_next_.size();
-    TallyGroup(groups_[next_consume_], outcome.winners[0]);
+    TallyLosses(groups_[next_consume_], outcome.losses[0]);
     ++next_consume_;
     if (next_consume_ == groups_.size()) return FinishLogicalRound();
     recurring_ =
@@ -263,47 +258,29 @@ class FilterRoundSource : public RoundSource {
     return true;
   }
 
-  static RoundUnit MakeGroupUnit(const std::vector<ElementId>& group) {
-    RoundUnit unit;
-    unit.pairs.reserve(group.size() * (group.size() - 1) / 2);
+  /// Tallies one group's loss matrix and appends its survivors to the
+  /// round's pending set: a player stays iff it lost fewer than u_n of its
+  /// group's comparisons, i.e. won at least |G| - u_n. An unresolved pair
+  /// is missing evidence: it sets no loss for either player (both tally
+  /// the win) and the engine re-issues it next round.
+  void TallyLosses(const std::vector<ElementId>& group,
+                  const LossMatrix& losses) {
+    const int64_t k = static_cast<int64_t>(group.size());
+    int64_t resolved = 0;
     for (size_t i = 0; i < group.size(); ++i) {
-      for (size_t j = i + 1; j < group.size(); ++j) {
-        unit.pairs.push_back({group[i], group[j]});
-      }
-    }
-    return unit;
-  }
-
-  /// Tallies one group's winners and appends its survivors to the round's
-  /// pending set. An unresolved pair is missing evidence: it eliminates
-  /// neither element (both tally the win) and the engine re-issues it
-  /// next round.
-  void TallyGroup(const std::vector<ElementId>& group,
-                  const std::vector<ElementId>& winners) {
-    const int64_t u_n = options_.u_n;
-    std::vector<int64_t> wins(group.size(), 0);
-    size_t t = 0;
-    for (size_t i = 0; i < group.size(); ++i) {
-      for (size_t j = i + 1; j < group.size(); ++j, ++t) {
-        const ElementId winner = winners[t];
-        if (winner == kUnresolvedWinner) {
-          ++round_unresolved_;
-          ++wins[i];
-          ++wins[j];
-          continue;
-        }
-        ++wins[winner == group[i] ? i : j];
-        if (options_.global_loss_counter) {
-          losses_[winner == group[i] ? group[j] : group[i]].insert(winner);
+      const int64_t lost = losses.Losses(i);
+      resolved += lost;
+      if (lost < options_.u_n) round_next_.push_back(group[i]);
+      if (!options_.global_loss_counter || lost == 0) continue;
+      std::unordered_set<ElementId>& beaten_by = losses_[group[i]];
+      const std::span<const uint64_t> row = losses.Row(i);
+      for (size_t w = 0; w < row.size(); ++w) {
+        for (uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+          beaten_by.insert(group[w * 64 + std::countr_zero(bits)]);
         }
       }
     }
-    // Keep elements with at least |G| - u_n wins (equivalently, fewer
-    // than u_n losses inside the group).
-    const int64_t keep_threshold = static_cast<int64_t>(group.size()) - u_n;
-    for (size_t i = 0; i < group.size(); ++i) {
-      if (wins[i] >= keep_threshold) round_next_.push_back(group[i]);
-    }
+    round_unresolved_ += k * (k - 1) / 2 - resolved;
   }
 
   /// Survivor selection at the logical-round barrier, identical for both
@@ -398,16 +375,10 @@ class FilterRoundSource : public RoundSource {
   bool done_ = false;
 };
 
-}  // namespace
-
-Result<FilterEngineRun> RunFilterOnEngine(const std::vector<ElementId>& items,
-                                          const FilterOptions& options,
-                                          RoundEngine* engine) {
-  CROWDMAX_CHECK(engine != nullptr);
-  if (Status status = ValidateFilterInput(items, options); !status.ok()) {
-    return status;
-  }
-
+// RunFilterOnEngine after its input check, which every caller makes once.
+Result<FilterEngineRun> DriveFilter(const std::vector<ElementId>& items,
+                                    const FilterOptions& options,
+                                    RoundEngine* engine) {
   // One phase span covers every backend, so serial, parallel and batched
   // runs produce identically-shaped traces.
   TraceSpanScope phase_span("filter", TraceWorkerClass::kNaive);
@@ -419,6 +390,18 @@ Result<FilterEngineRun> RunFilterOnEngine(const std::vector<ElementId>& items,
   Result<DriveResult> drive = engine->Drive(&source, drive_options);
   if (!drive.ok()) return drive.status();
   return source.Finish(engine->paid() - paid_before);
+}
+
+}  // namespace
+
+Result<FilterEngineRun> RunFilterOnEngine(const std::vector<ElementId>& items,
+                                          const FilterOptions& options,
+                                          RoundEngine* engine) {
+  CROWDMAX_CHECK(engine != nullptr);
+  if (Status status = ValidateFilterInput(items, options); !status.ok()) {
+    return status;
+  }
+  return DriveFilter(items, options, engine);
 }
 
 Result<FilterResult> FilterCandidates(const std::vector<ElementId>& items,
@@ -442,7 +425,7 @@ Result<FilterResult> FilterCandidates(const std::vector<ElementId>& items,
                                        options.cache_class);
   }
 
-  Result<FilterEngineRun> run = RunFilterOnEngine(items, options, engine.get());
+  Result<FilterEngineRun> run = DriveFilter(items, options, engine.get());
   if (!run.ok()) return run.status();
   // Comparator backends never leave a round without evidence.
   CROWDMAX_CHECK(!run->partial);

@@ -45,8 +45,10 @@ struct FilterOptions {
   /// Appendix A optimization 1: cache comparison outcomes per unordered
   /// pair so re-grouped pairs are answered for free. Only pairs of two
   /// survivors can be re-grouped, so the engine's private memo keeps just
-  /// those (RoundSource::NamesRecurringElements); a shared_cache keeps
-  /// every pair.
+  /// those (RoundSource::NamesRecurringElements): each group is one player
+  /// unit, committed by survivor, and a later group probes the memo only
+  /// for pairs whose players met in an earlier group (co-play signatures,
+  /// DESIGN.md §14). A shared_cache keeps every pair.
   bool memoize = false;
 
   /// Appendix A optimization 2: evict elements that have lost to more than

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 namespace crowdmax {
@@ -72,6 +73,38 @@ std::vector<ElementId> Instance::AllElements() const {
     out[i] = static_cast<ElementId>(i);
   }
   return out;
+}
+
+Status CheckDistinctIds(std::span<const ElementId> ids) {
+  ElementId max_id = -1;
+  for (const ElementId id : ids) {
+    if (id < 0) {
+      return Status::InvalidArgument("negative element id " +
+                                     std::to_string(id) + " in input");
+    }
+    max_id = std::max(max_id, id);
+  }
+  const auto repeated = [](ElementId id) {
+    return Status::InvalidArgument("duplicate element id " +
+                                   std::to_string(id) + " in input");
+  };
+  // A bitmap of at most 64 bits per listed id (plus a small floor) is no
+  // larger than twice the list itself.
+  const size_t bitmap_ids = static_cast<size_t>(max_id) + 1;
+  if (bitmap_ids <= 64 * ids.size() + 4096) {
+    std::vector<uint64_t> seen((bitmap_ids + 63) / 64, 0);
+    for (const ElementId id : ids) {
+      uint64_t& word = seen[static_cast<size_t>(id) >> 6];
+      const uint64_t bit = uint64_t{1} << (id & 63);
+      if ((word & bit) != 0) return repeated(id);
+      word |= bit;
+    }
+    return Status::OK();
+  }
+  std::vector<ElementId> sorted(ids.begin(), ids.end());
+  std::sort(sorted.begin(), sorted.end());
+  const auto repeat = std::adjacent_find(sorted.begin(), sorted.end());
+  return repeat == sorted.end() ? Status::OK() : repeated(*repeat);
 }
 
 }  // namespace crowdmax

@@ -9,6 +9,7 @@
 #define CROWDMAX_CORE_INSTANCE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -73,6 +74,14 @@ class Instance {
  private:
   std::vector<double> values_;
 };
+
+/// OK when `ids` are distinct element ids; InvalidArgument naming the
+/// first negative id (ElementIds are non-negative, core/pair_key.h) or a
+/// repeated one otherwise. The one input check of every entry point that
+/// takes an id list. Marks ids in an id-indexed bitmap, or sorts a copy
+/// when the largest id would make that bitmap large next to the list (an
+/// id near 2^31 would need 256 MiB).
+Status CheckDistinctIds(std::span<const ElementId> ids);
 
 }  // namespace crowdmax
 

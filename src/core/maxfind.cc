@@ -20,13 +20,7 @@ Status ValidateItems(const std::vector<ElementId>& items) {
   if (items.empty()) {
     return Status::InvalidArgument("candidate set must be non-empty");
   }
-  std::unordered_set<ElementId> seen;
-  for (ElementId e : items) {
-    if (!seen.insert(e).second) {
-      return Status::InvalidArgument("duplicate element id in candidate set");
-    }
-  }
-  return Status::OK();
+  return CheckDistinctIds(items);
 }
 
 int64_t CeilSqrt(int64_t s) {

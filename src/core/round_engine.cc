@@ -1,8 +1,10 @@
 #include "core/round_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <deque>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -81,7 +83,109 @@ void SetIdBit(std::vector<uint64_t>* bits, ElementId id) {
   (*bits)[word] |= uint64_t{1} << (id & 63);
 }
 
+bool HasPlayerUnits(const EngineRound& round) {
+  return std::any_of(round.units.begin(), round.units.end(),
+                     [](const RoundUnit& unit) { return !unit.players.empty(); });
+}
+
+// Appends the pairs `unit` stands for, in order: a pair unit's list, or a
+// player unit's (players[i], players[j]) for i < j, row by row. Every walk
+// over a unit's pairs goes through here (or PairsOf).
+void AppendPairs(const RoundUnit& unit, std::vector<ComparisonPair>* out) {
+  if (unit.players.empty()) {
+    out->insert(out->end(), unit.pairs.begin(), unit.pairs.end());
+    return;
+  }
+  const std::vector<ElementId>& players = unit.players;
+  const size_t at = out->size();
+  out->resize(at + static_cast<size_t>(unit.NumPairs()));
+  ComparisonPair* pair = out->data() + at;
+  for (size_t i = 0; i < players.size(); ++i) {
+    for (size_t j = i + 1; j < players.size(); ++j) {
+      *pair++ = {players[i], players[j]};
+    }
+  }
+}
+
+// A unit's pairs in order: a pair unit's own list, or a player unit's
+// written out into `scratch`.
+std::span<const ComparisonPair> PairsOf(const RoundUnit& unit,
+                                        std::vector<ComparisonPair>* scratch) {
+  if (unit.players.empty()) return unit.pairs;
+  scratch->clear();
+  AppendPairs(unit, scratch);
+  return *scratch;
+}
+
+// A batch GenerateVotes that answered only `produced` of `pairs` refused
+// the next one: by the VoteBatchComparator contract, an id outside the
+// comparator's instance.
+Status ShortAnswer(int64_t produced, std::span<const ComparisonPair> pairs) {
+  if (produced == static_cast<int64_t>(pairs.size())) return Status::OK();
+  const ComparisonPair& pair = pairs[static_cast<size_t>(produced)];
+  return Status::InvalidArgument(
+      "the comparator refused the pair {" + std::to_string(pair.first) +
+      ", " + std::to_string(pair.second) + "}: an id outside its instance");
+}
+
+// Folds a player unit's answers into `losses`. answers[m] is the winner of
+// the m-th pair, in pair order, that `hits` does not mark (bit j of row i,
+// rows losses->stride() words apart; empty = no hits). An answer naming
+// neither player (kUnresolvedWinner) sets no bit. Row i's bits stay in a
+// register while j walks a word and are stored once per word: setting
+// them in memory pair by pair chains each store to the next pair's load.
+// Bit i of row j goes straight to memory, a different word for every j.
+void FoldAnswers(const std::vector<ElementId>& players,
+                 std::span<const uint64_t> hits,
+                 std::span<const ElementId> answers, LossMatrix* losses) {
+  const size_t k = players.size();
+  const size_t stride = losses->stride();
+  uint64_t* const words = losses->words().data();
+  size_t next = 0;
+  for (size_t i = 0; i + 1 < k; ++i) {
+    const ElementId a = players[i];
+    const uint64_t bit_i = uint64_t{1} << (i & 63);
+    uint64_t* const column_i = words + (i >> 6);  // row j's word: j * stride
+    const auto fold = [&](size_t j, uint64_t* lost) {
+      const ElementId winner = answers[next++];
+      CROWDMAX_DCHECK(winner == a || winner == players[j] ||
+                      winner == kUnresolvedWinner);
+      *lost |= uint64_t{winner == players[j]} << (j & 63);
+      column_i[j * stride] |= winner == a ? bit_i : 0;
+    };
+    for (size_t w = (i + 1) >> 6; w < stride; ++w) {
+      const size_t begin = std::max(w * 64, i + 1);
+      const size_t end = std::min(w * 64 + 64, k);
+      const uint64_t hit = hits.empty() ? 0 : hits[i * stride + w];
+      uint64_t lost = 0;
+      if (hit == 0) {
+        for (size_t j = begin; j < end; ++j) fold(j, &lost);
+      } else {
+        // Only the columns in [begin, end) the memo did not answer.
+        uint64_t todo = ~uint64_t{0} << (begin & 63);
+        if (end - w * 64 < 64) todo &= (uint64_t{1} << (end - w * 64)) - 1;
+        for (todo &= ~hit; todo != 0; todo &= todo - 1) {
+          fold(w * 64 + static_cast<size_t>(std::countr_zero(todo)), &lost);
+        }
+      }
+      words[i * stride + w] |= lost;
+    }
+  }
+  CROWDMAX_DCHECK(next == answers.size());
+}
+
 }  // namespace
+
+int64_t LossMatrix::Losses(size_t i) const {
+  int64_t losses = 0;
+  for (const uint64_t word : Row(i)) losses += std::popcount(word);
+  return losses;
+}
+
+int64_t RoundUnit::NumPairs() const {
+  const int64_t k = static_cast<int64_t>(players.size());
+  return players.empty() ? static_cast<int64_t>(pairs.size()) : k * (k - 1) / 2;
+}
 
 int64_t SharedPairCache::ResolvedPairs(int64_t class_id) const {
   auto it = maps_.find(class_id);
@@ -95,9 +199,7 @@ int64_t SharedPairCache::ResolvedPairs(int64_t class_id) const {
 
 int64_t EngineRound::TotalPairs() const {
   int64_t total = 0;
-  for (const RoundUnit& unit : units) {
-    total += static_cast<int64_t>(unit.pairs.size());
-  }
+  for (const RoundUnit& unit : units) total += unit.NumPairs();
   return total;
 }
 
@@ -291,10 +393,12 @@ Result<RoundOutcome> RoundEngine::ExecuteRound(const EngineRound& round) {
 Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
   RoundOutcome out;
   out.winners.resize(round.units.size());
+  out.losses.resize(round.units.size());
   const int64_t paid_before = comparator_->num_comparisons();
   AlgoTrace* trace = CurrentTrace();
   // The memo is written during the round only for a drive that keeps every
-  // pair; a pruning drive resolves read-only and commits after the consume.
+  // pair, and only by pair units; a pruning drive, and every player unit,
+  // resolves read-only and commits after the consume.
   const bool write_memo = memoize_ && !prune_;
   VoteBatchComparator* batch =
       batch_generation_ ? comparator_->AsVoteBatch() : nullptr;
@@ -322,12 +426,21 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
       }
     }
     std::vector<ElementId>& winners = out.winners[u];
-    if (!write_memo) {
+    Status answered = Status::OK();
+    if (!unit.players.empty() || !write_memo) {
       // Memo off or read-only: the resolve every comparator backend
-      // shares. A pruning source repeats no pair within a round, so there
-      // are no in-unit duplicates to dedupe.
-      cache_hits_ += static_cast<int64_t>(unit.pairs.size()) -
-                     AnswerUnit(unit, comparator_, &scratch, &winners);
+      // shares. A pruning source repeats no pair within a round, and a
+      // player unit none at all, so there are no in-unit duplicates to
+      // dedupe.
+      Result<int64_t> bought =
+          unit.players.empty()
+              ? AnswerUnit(unit, comparator_, &scratch, &winners)
+              : AnswerPlayers(unit, comparator_, &scratch, &out.losses[u]);
+      if (bought.ok()) {
+        cache_hits_ += unit.NumPairs() - *bought;
+      } else {
+        answered = bought.status();
+      }
     } else if (batch != nullptr) {
       // Batch-at-once unit execution, bit-identical to the per-call loop
       // below: misses are collected in first-occurrence order (the order
@@ -341,7 +454,7 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
       // written once more, with its answer.
       winners.resize(unit.pairs.size());
       const std::span<const PairSlotRef> slots =
-          PinSlots(unit, /*absent_value=*/-1);
+          PinSlots(unit.pairs, /*absent_value=*/-1);
       misses.clear();
       miss_at.clear();
       deferred.clear();
@@ -371,15 +484,21 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
       }
       answers.resize(misses.size());
       const int64_t produced = batch->GenerateVotes(misses, answers);
-      CROWDMAX_CHECK(produced == static_cast<int64_t>(misses.size()));
+      // A refused pair ends the drive. Its answered prefix stays bought;
+      // every reservation from the refused pair on is parked, so the memo
+      // holds no -1 after the round.
+      answered = ShortAnswer(produced, misses);
       const size_t num_misses = misses.size();
       for (size_t m = 0; m < num_misses; ++m) {
         if (m + PairTable::kPrefetchDistance < num_misses) {
           slots[miss_at[m + PairTable::kPrefetchDistance]].value.Prefetch();
         }
-        const ElementId winner = answers[m];
+        const ElementId winner = static_cast<int64_t>(m) < produced
+                                     ? answers[m]
+                                     : kUnresolvedWinner;
         CROWDMAX_DCHECK(winner == misses[m].first ||
-                        winner == misses[m].second);
+                        winner == misses[m].second ||
+                        winner == kUnresolvedWinner);
         *slots[miss_at[m]].value = winner;
         winners[miss_at[m]] = winner;
       }
@@ -404,8 +523,9 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
         winners.push_back(winner);
       }
     }
-    out.issued += static_cast<int64_t>(unit.pairs.size());
+    out.issued += unit.NumPairs();
     if (span_id >= 0) trace->EndSpan(span_id);
+    if (!answered.ok()) return answered;
   }
 
   out.paid_delta = comparator_->num_comparisons() - paid_before;
@@ -417,6 +537,7 @@ Result<RoundOutcome> RoundEngine::ExecuteParallel(const EngineRound& round) {
   const int64_t num_units = static_cast<int64_t>(round.units.size());
   RoundOutcome out;
   out.winners.resize(round.units.size());
+  out.losses.resize(round.units.size());
   if (num_units == 0) return out;
 
   // Seeds are drawn before dispatch, in unit order — the whole point: the
@@ -435,26 +556,37 @@ Result<RoundOutcome> RoundEngine::ExecuteParallel(const EngineRound& round) {
   }
 
   // During the round the cache is read-only shared state; each task
-  // writes only to its own pre-sized winners slot. The per-call path never
-  // deduped within a unit either (each repeat is a fresh paid draw —
-  // Venetis votes), so a unit's misses are every pair absent from the
-  // snapshot, duplicates included, in pair order.
+  // writes only to its own pre-sized outcome and status slots. The
+  // per-call path never deduped within a unit either (each repeat is a
+  // fresh paid draw — Venetis votes), so a unit's misses are every pair
+  // absent from the snapshot, duplicates included, in pair order.
   std::vector<int64_t> unit_paid(round.units.size(), 0);
+  std::vector<Status> unit_status(round.units.size());
   pool_->ParallelFor(num_units, [&](int64_t u) {
+    const size_t unit_index = static_cast<size_t>(u);
     const std::unique_ptr<Comparator> fork =
-        comparator_->Fork(seeds[static_cast<size_t>(u)]);
+        comparator_->Fork(seeds[unit_index]);
     CROWDMAX_CHECK(fork != nullptr);
-    AnswerUnit(round.units[static_cast<size_t>(u)], fork.get(),
-               &unit_scratch_[static_cast<size_t>(u)],
-               &out.winners[static_cast<size_t>(u)]);
-    unit_paid[static_cast<size_t>(u)] = fork->num_comparisons();
+    const RoundUnit& unit = round.units[unit_index];
+    UnitScratch* scratch = &unit_scratch_[unit_index];
+    const Result<int64_t> bought =
+        unit.players.empty()
+            ? AnswerUnit(unit, fork.get(), scratch, &out.winners[unit_index])
+            : AnswerPlayers(unit, fork.get(), scratch,
+                            &out.losses[unit_index]);
+    unit_status[unit_index] = bought.status();
+    unit_paid[unit_index] = fork->num_comparisons();
   });
 
-  // Round barrier: merge the counter shards into the parent. The fresh
-  // pair outcomes reach the cache through CommitRound, after the consume.
+  // Round barrier: merge the counter shards into the parent, then report
+  // the first refused pair in unit order. The fresh pair outcomes reach
+  // the cache through CommitRound, after the consume.
   int64_t total_paid = 0;
   for (int64_t paid : unit_paid) total_paid += paid;
   comparator_->AddComparisons(total_paid);
+  for (const Status& status : unit_status) {
+    if (!status.ok()) return status;
+  }
 
   out.issued = round.TotalPairs();
   out.paid_delta = total_paid;
@@ -468,6 +600,7 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
 
   RoundOutcome out;
   out.winners.resize(round.units.size());
+  out.losses.resize(round.units.size());
   const int64_t paid_before = executor_->comparisons();
 
   AlgoTrace* trace = CurrentTrace();
@@ -477,7 +610,9 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
   }
 
   // Resolve through the cache, batching only the misses (including pairs
-  // left unresolved by an earlier faulty attempt). A pruning drive probes
+  // left unresolved by an earlier faulty attempt). A player unit resolves
+  // pair by pair here, its pairs written out in order and its winners
+  // folded into its loss matrix at the end. A pruning drive probes
   // read-only, unit by unit (ProbeUnit), and leaves the memo to
   // CommitRound. Otherwise: one grow per round, then one batch insert per
   // unit, with every pair's slot pinned until the answers are mapped back.
@@ -496,23 +631,24 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
     pinned.reserve(static_cast<size_t>(out.issued));
   }
   for (size_t u = 0; u < round.units.size(); ++u) {
-    const RoundUnit& unit = round.units[u];
+    const std::span<const ComparisonPair> pairs =
+        PairsOf(round.units[u], &unit_pairs_);
     std::vector<ElementId>& winners = out.winners[u];
     if (prune_) {
-      ProbeUnit(unit, &winners, &misses);
+      ProbeUnit(pairs, &winners, &misses);
       continue;
     }
-    winners.assign(unit.pairs.size(), 0);
+    winners.assign(pairs.size(), 0);
     const std::span<const PairSlotRef> slots =
-        PinSlots(unit, /*absent_value=*/-1);
-    for (size_t p = 0; p < unit.pairs.size(); ++p) {
+        PinSlots(pairs, /*absent_value=*/-1);
+    for (size_t p = 0; p < pairs.size(); ++p) {
       const PairSlotRef& slot = slots[p];
       pinned.push_back(slot.value);
       if (!slot.inserted) {
         if (*slot.value != kUnresolvedWinner) continue;
         *slot.value = -1;
       }
-      misses.push_back(unit.pairs[p]);
+      misses.push_back(pairs[p]);
       winners[p] = -1;
     }
   }
@@ -557,6 +693,13 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
       if (winner == kUnresolvedWinner) ++out.unresolved;
     }
   }
+  for (size_t u = 0; u < round.units.size(); ++u) {
+    const RoundUnit& unit = round.units[u];
+    if (unit.players.empty()) continue;
+    out.losses[u].Reset(unit.players.size());
+    FoldAnswers(unit.players, {}, out.winners[u], &out.losses[u]);
+    out.winners[u].clear();
+  }
   if (!results.ok()) {
     // Non-transient executor failure: abort the drive.
     if (results.status().code() != StatusCode::kUnavailable) {
@@ -569,10 +712,10 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
   return out;
 }
 
-std::span<const PairSlotRef> RoundEngine::PinSlots(const RoundUnit& unit,
-                                                   ElementId absent_value) {
+std::span<const PairSlotRef> RoundEngine::PinSlots(
+    std::span<const ComparisonPair> pairs, ElementId absent_value) {
   round_keys_.clear();
-  for (const ComparisonPair& pair : unit.pairs) {
+  for (const ComparisonPair& pair : pairs) {
     round_keys_.push_back(PackPairKey(pair.first, pair.second));
   }
   round_slots_.resize(round_keys_.size());
@@ -580,51 +723,101 @@ std::span<const PairSlotRef> RoundEngine::PinSlots(const RoundUnit& unit,
   return round_slots_;
 }
 
-void RoundEngine::ProbeUnit(const RoundUnit& unit,
+void RoundEngine::ProbeUnit(std::span<const ComparisonPair> pairs,
                             std::vector<ElementId>* winners,
                             std::vector<ComparisonPair>* misses) const {
   if (!MemoReadable()) {
-    winners->assign(unit.pairs.size(), -1);
-    misses->insert(misses->end(), unit.pairs.begin(), unit.pairs.end());
+    winners->assign(pairs.size(), -1);
+    misses->insert(misses->end(), pairs.begin(), pairs.end());
     return;
   }
   const PairTable& memo = *cache_;
-  winners->resize(unit.pairs.size());
-  for (size_t p = 0; p < unit.pairs.size(); ++p) {
-    const ComparisonPair& pair = unit.pairs[p];
-    const ConstPairValuePtr slot =
-        memo.Find(PackPairKey(pair.first, pair.second));
-    if (slot != nullptr && *slot != kUnresolvedWinner) {
-      (*winners)[p] = *slot;
-    } else {
-      (*winners)[p] = -1;
-      misses->push_back(pair);
+  winners->resize(pairs.size());
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    const ComparisonPair& pair = pairs[p];
+    if (!signatures_on_ ||
+        (SignatureOf(pair.first) & SignatureOf(pair.second)) != 0) {
+      const ConstPairValuePtr slot =
+          memo.Find(PackPairKey(pair.first, pair.second));
+      if (slot != nullptr && *slot != kUnresolvedWinner) {
+        (*winners)[p] = *slot;
+        continue;
+      }
+    }
+    (*winners)[p] = -1;
+    misses->push_back(pair);
+  }
+}
+
+void RoundEngine::ProbePlayers(const RoundUnit& unit, LossMatrix* losses,
+                               UnitScratch* scratch) const {
+  const std::vector<ElementId>& players = unit.players;
+  const size_t k = players.size();
+  const size_t stride = losses->stride();
+  scratch->hits.assign(k * stride, 0);
+  // Untrusted signatures probe every pair: all-ones ones share every bit.
+  std::vector<uint64_t>& signatures = scratch->signatures;
+  signatures.resize(k);
+  for (size_t i = 0; i < k; ++i) {
+    signatures[i] = signatures_on_ ? SignatureOf(players[i]) : ~uint64_t{0};
+  }
+  const PairTable& memo = *cache_;
+  for (size_t i = 0; i < k; ++i) {
+    const ElementId a = players[i];
+    const uint64_t signature = signatures[i];
+    uint64_t* hit_row = &scratch->hits[i * stride];
+    for (size_t j = i + 1; j < k; ++j) {
+      const ElementId b = players[j];
+      if ((signature & signatures[j]) != 0) {
+        const ConstPairValuePtr slot = memo.Find(PackPairKey(a, b));
+        if (slot != nullptr) {
+          const ElementId winner = *slot;
+          if (winner != kUnresolvedWinner) {
+            hit_row[j >> 6] |= uint64_t{1} << (j & 63);
+            if (winner == b) {
+              losses->SetLost(i, j);
+            } else {
+              losses->SetLost(j, i);
+            }
+            continue;
+          }
+        }
+      }
+      scratch->misses.push_back({a, b});
     }
   }
 }
 
-int64_t RoundEngine::AnswerUnit(const RoundUnit& unit, Comparator* comparator,
-                                UnitScratch* scratch,
-                                std::vector<ElementId>* winners) const {
+Status RoundEngine::Vote(Comparator* comparator,
+                         std::span<const ComparisonPair> misses,
+                         std::span<ElementId> answers) const {
+  if (VoteBatchComparator* batch =
+          batch_generation_ ? comparator->AsVoteBatch() : nullptr) {
+    return ShortAnswer(batch->GenerateVotes(misses, answers), misses);
+  }
+  for (size_t m = 0; m < misses.size(); ++m) {
+    answers[m] = comparator->Compare(misses[m].first, misses[m].second);
+  }
+  return Status::OK();
+}
+
+Result<int64_t> RoundEngine::AnswerUnit(const RoundUnit& unit,
+                                        Comparator* comparator,
+                                        UnitScratch* scratch,
+                                        std::vector<ElementId>* winners) const {
   // With nothing to probe (Phase 1's first round, or no memo) the votes
   // are drawn straight from the unit's pairs into `winners`.
   std::span<const ComparisonPair> misses = unit.pairs;
   std::vector<ElementId>* answers = winners;
   if (MemoReadable()) {
     scratch->misses.clear();
-    ProbeUnit(unit, winners, &scratch->misses);
+    ProbeUnit(unit.pairs, winners, &scratch->misses);
     misses = scratch->misses;
     answers = &scratch->answers;
   }
   answers->resize(misses.size());
-  if (VoteBatchComparator* batch =
-          batch_generation_ ? comparator->AsVoteBatch() : nullptr) {
-    const int64_t produced = batch->GenerateVotes(misses, *answers);
-    CROWDMAX_CHECK(produced == static_cast<int64_t>(misses.size()));
-  } else {
-    for (size_t m = 0; m < misses.size(); ++m) {
-      (*answers)[m] = comparator->Compare(misses[m].first, misses[m].second);
-    }
+  if (Status voted = Vote(comparator, misses, *answers); !voted.ok()) {
+    return voted;
   }
   if (answers != winners) {
     size_t cursor = 0;
@@ -640,6 +833,30 @@ int64_t RoundEngine::AnswerUnit(const RoundUnit& unit, Comparator* comparator,
   return static_cast<int64_t>(misses.size());
 }
 
+Result<int64_t> RoundEngine::AnswerPlayers(const RoundUnit& unit,
+                                           Comparator* comparator,
+                                           UnitScratch* scratch,
+                                           LossMatrix* losses) const {
+  losses->Reset(unit.players.size());
+  scratch->misses.clear();
+  const bool probe = MemoReadable();
+  if (probe) {
+    ProbePlayers(unit, losses, scratch);
+  } else {
+    AppendPairs(unit, &scratch->misses);
+  }
+  scratch->answers.resize(scratch->misses.size());
+  if (Status voted = Vote(comparator, scratch->misses, scratch->answers);
+      !voted.ok()) {
+    return voted;
+  }
+  FoldAnswers(unit.players,
+              probe ? std::span<const uint64_t>(scratch->hits)
+                    : std::span<const uint64_t>(),
+              scratch->answers, losses);
+  return static_cast<int64_t>(scratch->misses.size());
+}
+
 void RoundEngine::CommitRound(const EngineRound& round,
                               const RoundOutcome& outcome,
                               std::span<const ElementId> named) {
@@ -648,11 +865,14 @@ void RoundEngine::CommitRound(const EngineRound& round,
   // Promise (b): an element of this round the source did not name may
   // never be issued again.
   if (prune_) {
+    const auto retire = [this](ElementId e) {
+      if (!TestIdBit(named_bits_, e)) SetIdBit(&retired_bits_, e);
+    };
     for (const RoundUnit& unit : round.units) {
+      for (ElementId e : unit.players) retire(e);
       for (const ComparisonPair& pair : unit.pairs) {
-        for (ElementId e : {pair.first, pair.second}) {
-          if (!TestIdBit(named_bits_, e)) SetIdBit(&retired_bits_, e);
-        }
+        retire(pair.first);
+        retire(pair.second);
       }
     }
   }
@@ -660,20 +880,78 @@ void RoundEngine::CommitRound(const EngineRound& round,
   // A pruning commit keeps only answered pairs of two named elements; with
   // nothing named, nothing can be asked again and the walk is skipped.
   if (prune_ && named.empty()) return;
-  if (!prune_) cache_->Reserve(round.TotalPairs());
+  // One grow per commit: room for every pair the units below can write.
+  int64_t most = 0;
+  for (const RoundUnit& unit : round.units) {
+    if (!prune_ || unit.players.empty()) {
+      most += unit.NumPairs();
+      continue;
+    }
+    const int64_t m = std::count_if(
+        unit.players.begin(), unit.players.end(),
+        [this](ElementId e) { return TestIdBit(named_bits_, e); });
+    most += m * (m - 1) / 2;
+  }
+  cache_->Reserve(most);
   for (size_t u = 0; u < round.units.size(); ++u) {
-    const std::vector<ComparisonPair>& pairs = round.units[u].pairs;
-    const std::vector<ElementId>& winners = outcome.winners[u];
+    const RoundUnit& unit = round.units[u];
     round_keys_.clear();
-    round_key_at_.clear();
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      if (prune_ && (!TestIdBit(named_bits_, pairs[p].first) ||
-                     !TestIdBit(named_bits_, pairs[p].second) ||
-                     winners[p] == kUnresolvedWinner)) {
-        continue;
+    round_key_winners_.clear();
+    if (!unit.players.empty()) {
+      // Commit by survivor: a pruning commit writes the answered pairs
+      // among the unit's named players, read from its loss matrix in pair
+      // order, and never visits the others.
+      const std::vector<ElementId>& players = unit.players;
+      const LossMatrix& losses = outcome.losses[u];
+      commit_players_.clear();
+      for (size_t i = 0; i < players.size(); ++i) {
+        if (!prune_ || TestIdBit(named_bits_, players[i])) {
+          commit_players_.push_back(i);
+        }
       }
-      round_keys_.push_back(PackPairKey(pairs[p].first, pairs[p].second));
-      round_key_at_.push_back(p);
+      for (size_t x = 0; x < commit_players_.size(); ++x) {
+        const size_t i = commit_players_[x];
+        for (size_t y = x + 1; y < commit_players_.size(); ++y) {
+          const size_t j = commit_players_[y];
+          ElementId winner = kUnresolvedWinner;
+          if (losses.Lost(i, j)) {
+            winner = players[j];
+          } else if (losses.Lost(j, i)) {
+            winner = players[i];
+          } else {
+            continue;  // No evidence: bought again when next asked.
+          }
+          round_keys_.push_back(PackPairKey(players[i], players[j]));
+          round_key_winners_.push_back(winner);
+        }
+      }
+      if (prune_ && signatures_on_ && !round_keys_.empty()) {
+        // This unit's bit marks every player it committed a pair of.
+        const uint64_t bit = uint64_t{1} << (committed_player_units_++ & 63);
+        for (size_t i : commit_players_) {
+          const size_t id = static_cast<size_t>(players[i]);
+          if (id >= kMaxSignatureIds) {
+            signatures_on_ = false;
+            break;
+          }
+          if (id >= signatures_.size()) signatures_.resize(id + 1, 0);
+          signatures_[id] |= bit;
+        }
+      }
+    } else {
+      const std::vector<ComparisonPair>& pairs = unit.pairs;
+      const std::vector<ElementId>& winners = outcome.winners[u];
+      for (size_t p = 0; p < pairs.size(); ++p) {
+        if (prune_ && (!TestIdBit(named_bits_, pairs[p].first) ||
+                       !TestIdBit(named_bits_, pairs[p].second) ||
+                       winners[p] == kUnresolvedWinner)) {
+          continue;
+        }
+        round_keys_.push_back(PackPairKey(pairs[p].first, pairs[p].second));
+        round_key_winners_.push_back(winners[p]);
+      }
+      // No signature covers a pair written from a pair unit.
+      if (!round_keys_.empty()) signatures_on_ = false;
     }
     // Absent keys go in as kUnresolvedWinner, so one test finds both them
     // and the sentinels an earlier faulty phase parked in a shared cache:
@@ -683,7 +961,7 @@ void RoundEngine::CommitRound(const EngineRound& round,
     cache_->InsertBatch(round_keys_, kUnresolvedWinner, round_slots_);
     for (size_t k = 0; k < round_keys_.size(); ++k) {
       if (*round_slots_[k].value == kUnresolvedWinner) {
-        *round_slots_[k].value = winners[round_key_at_[k]];
+        *round_slots_[k].value = round_key_winners_[k];
       }
     }
   }
@@ -692,19 +970,40 @@ void RoundEngine::CommitRound(const EngineRound& round,
   }
 }
 
-void RoundEngine::CheckPrunePromise(const EngineRound& round) const {
+void RoundEngine::CheckRound(const EngineRound& round) const {
 #ifndef NDEBUG
-  PairTable seen;
+  bool has_pairs = false;
+  bool has_players = false;
+  std::vector<uint64_t> seen_players;
+  PairTable seen_pairs;
   for (const RoundUnit& unit : round.units) {
+    CROWDMAX_DCHECK((unit.pairs.empty() || unit.players.empty()) &&
+                    "a unit carries pairs or players, never both");
+    has_pairs = has_pairs || !unit.pairs.empty();
+    has_players = has_players || !unit.players.empty();
+    // Player units are checked per element: a repeated player would repeat
+    // its pairs, and promise (b) holds for every pair once it holds for
+    // every player.
+    for (ElementId e : unit.players) {
+      CROWDMAX_DCHECK(!TestIdBit(seen_players, e) &&
+                      "player units of a round share an element");
+      SetIdBit(&seen_players, e);
+      CROWDMAX_DCHECK(!TestIdBit(retired_bits_, e) &&
+                      "pruning source issued an element it retired");
+    }
+    if (!prune_) continue;
     for (const ComparisonPair& pair : unit.pairs) {
       CROWDMAX_DCHECK(!TestIdBit(retired_bits_, pair.first) &&
                       !TestIdBit(retired_bits_, pair.second) &&
                       "pruning source issued an element it retired");
       bool fresh = false;
-      seen.Insert(PackPairKey(pair.first, pair.second), pair.first, &fresh);
+      seen_pairs.Insert(PackPairKey(pair.first, pair.second), pair.first,
+                        &fresh);
       CROWDMAX_DCHECK(fresh && "pruning source repeated a pair in a round");
     }
   }
+  CROWDMAX_DCHECK(!(has_pairs && has_players) &&
+                  "a round mixes player units and pair units");
 #else
   (void)round;
 #endif
@@ -736,16 +1035,24 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
   }
 
   // Memo pruning (DESIGN.md §14), decided once per drive. A shared cache
-  // keeps every pair: another engine or query may ask any of them.
+  // keeps every pair: another engine or query may ask any of them. The
+  // co-play signatures start empty, and are trusted only over a memo this
+  // drive writes from the start: one empty now, after any restore (an
+  // empty restored memo has nothing a signature could miss).
   prune_ = memoize_ && cache_ == &owned_cache_ &&
            source->NamesRecurringElements();
   retired_bits_.clear();
+  signatures_on_ = prune_ && cache_->empty();
+  signatures_.clear();
+  committed_player_units_ = 0;
   // The rounds whose outcomes reach the memo only through CommitRound:
-  // every round of a pruning drive except a cache-clearing one, and every
-  // memoized parallel round (its barrier merge).
+  // every round of a pruning drive except a cache-clearing one, every
+  // memoized parallel round (its barrier merge), and every memoized
+  // serial round of player units.
   const auto commits = [&](const EngineRound& round) {
-    return prune_ ? !round.clear_round_cache
-                  : memoize_ && backend_ == Backend::kParallel;
+    if (prune_) return !round.clear_round_cache;
+    return memoize_ && (backend_ == Backend::kParallel ||
+                        (backend_ == Backend::kSerial && HasPlayerUnits(round)));
   };
 
   while (true) {
@@ -778,7 +1085,7 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
       open_round_id = trace->BeginRound(open_round);
     }
 
-    if (prune_) CheckPrunePromise(round);
+    CheckRound(round);
     Result<RoundOutcome> outcome = ExecuteRound(round);
     if (!outcome.ok()) {
       close_round_span();
@@ -854,9 +1161,7 @@ Status RoundEngine::SubmitPipelined(PendingRound* pending) {
   std::vector<ComparisonPair>& queries = round_queries_;
   queries.clear();
   queries.reserve(static_cast<size_t>(r.TotalPairs()));
-  for (const RoundUnit& unit : r.units) {
-    queries.insert(queries.end(), unit.pairs.begin(), unit.pairs.end());
-  }
+  for (const RoundUnit& unit : r.units) AppendPairs(unit, &queries);
   out.issued = static_cast<int64_t>(queries.size());
   issued_ += out.issued;
   const int64_t paid_before = executor_->comparisons();
@@ -966,16 +1271,23 @@ Status RoundEngine::CompletePipelined(PendingRound* pending) {
     }
   }
 
+  out.losses.resize(pending->round.units.size());
   for (size_t u = 0; u < pending->round.units.size(); ++u) {
     const RoundUnit& unit = pending->round.units[u];
     std::vector<ElementId>& winners = out.winners[u];
-    winners.reserve(unit.pairs.size());
-    for (const ComparisonPair& pair : unit.pairs) {
+    const std::span<const ComparisonPair> pairs = PairsOf(unit, &unit_pairs_);
+    winners.reserve(pairs.size());
+    for (const ComparisonPair& pair : pairs) {
       const PairValuePtr slot =
           cache_->Find(PackPairKey(pair.first, pair.second));
       CROWDMAX_CHECK(slot != nullptr && *slot != -1);
       if (*slot == kUnresolvedWinner) ++out.unresolved;
       winners.push_back(*slot);
+    }
+    if (!unit.players.empty()) {
+      out.losses[u].Reset(unit.players.size());
+      FoldAnswers(unit.players, {}, winners, &out.losses[u]);
+      winners.clear();
     }
   }
   return Status::OK();
@@ -1105,7 +1417,7 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
       for (const auto& pending : in_flight) {
         CROWDMAX_CHECK(pending->speculative);
         for (const RoundUnit& unit : pending->round.units) {
-          for (const ComparisonPair& pair : unit.pairs) {
+          for (const ComparisonPair& pair : PairsOf(unit, &unit_pairs_)) {
             const uint64_t key = PackPairKey(pair.first, pair.second);
             const PairValuePtr slot = cache_->Find(key);
             if ((slot == nullptr || *slot == kUnresolvedWinner) &&
@@ -1158,6 +1470,7 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
         // has not joined yet.
         CROWDMAX_CHECK(round.open_round_executor == 0);
         CROWDMAX_CHECK(!round.clear_round_cache);
+        CheckRound(round);
         auto pending = std::make_unique<PendingRound>();
         pending->speculative = true;
         pending->close_round = round.close_round_executor;
@@ -1202,6 +1515,7 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
       return more.status();
     }
     if (!*more) break;
+    CheckRound(round);
 
     // Budget gate: paid() is already final for every submitted round
     // (compute-at-submit), so the gate evaluates exactly the serial

@@ -11,13 +11,20 @@
 // decoration with kUnresolved/no-evidence semantics, and exactly-once
 // trace-cell attribution under the RecordsTraceCells gate.
 //
+// A round is a list of RoundUnits of one kind: pair units list their
+// comparisons, player units name an all-play-all group and stand for all
+// of its pairs, answered into a LossMatrix (DESIGN.md §10). Every backend
+// answers both kinds with the same draws, counters and cache contents.
+//
 // Backends (see RoundEngine::Backend):
 //  - kSerial: pairs run through the caller's Comparator in emission order;
 //    the optional engine-owned pair cache buys each pair once, like
 //    MemoizingComparator (same unordered PairKey, paid = misses only). It
 //    keeps every bought pair unless the source names the elements that can
 //    recur (RoundSource::NamesRecurringElements), in which case it keeps
-//    only the pairs a later round can ask again.
+//    only the pairs a later round can ask again. A player unit resolves
+//    read-only (memo hits straight into its matrix, the misses answered by
+//    one vote call and folded in) and reaches the memo after the consume.
 //  - kParallel: one Comparator::Fork per RoundUnit, seeds drawn in unit
 //    order from one persistent Rng *before* dispatch, per-fork counts
 //    merged into the parent at the single-threaded round barrier, and the
@@ -25,21 +32,29 @@
 //    fresh outcomes committed in unit order after the source consumed
 //    them. This is the PR 1 discipline previously implemented by
 //    ParallelGroupRunner and the per-match forks in the Venetis ladder;
-//    seeded runs are bit-identical for any thread count.
+//    seeded runs are bit-identical for any thread count. Player units
+//    resolve as on kSerial, one per fork.
 //  - kExecutor: the whole round's cache misses go to a BatchExecutor as
 //    one fallible batch. Faulted pairs are parked as kUnresolvedWinner in
 //    the cache (never committed, on a pruning drive; either way re-issued
 //    on the next resolve) and surface to the source as no-evidence
 //    outcomes, so partial-result semantics (no eviction without evidence)
 //    stay with the algorithm while retry/quorum live in the executor
-//    stack.
+//    stack. This backend and the pipelined drive write a player unit's
+//    pairs out in order, resolve them pair by pair like a pair unit's, and
+//    fold the winners into its matrix; a faulted pair sets neither bit.
+// On a pruning drive every backend but the pipelined one probes the memo
+// only for pairs whose two players' co-play signatures share a bit, and
+// commits a player unit by survivor (DESIGN.md §14).
 //
 // Trace shape stays backend-specific on purpose (the pre-engine paths
 // differed, and seeded traces must stay bit-identical): RoundUnit carries
 // the serial-path batch-span label ("all_play_all" where the old code
 // called AllPlayAll), EngineRound carries the executor-path batch-span
 // label ("sample"/"scan"/"final"), and the round-span open/close points
-// are declared per backend family. Worker threads never touch the trace.
+// are declared per backend family. The unit kind changes none of them: a
+// round of player units records the cells, spans and cache hits of the
+// same pairs issued as pair units. Worker threads never touch the trace.
 
 #ifndef CROWDMAX_CORE_ROUND_ENGINE_H_
 #define CROWDMAX_CORE_ROUND_ENGINE_H_
@@ -73,16 +88,29 @@ class CheckpointWriter;
 /// One independently-executable set of comparisons within a round. On the
 /// parallel backend a unit is the forking granularity (one comparator fork
 /// per unit — a filter group, a Marcus group, a Venetis match); pairs
-/// within a unit run sequentially on the fork, so a unit may repeat a pair
-/// (Venetis votes).
+/// within a unit run sequentially on the fork. A unit is one of two kinds
+/// and carries pairs or players, never both:
+///  - a pair unit lists its comparisons in `pairs`, and may repeat a pair
+///    (Venetis votes);
+///  - a player unit names distinct ids in `players` and stands for every
+///    pair (players[i], players[j]) with i < j, in row-major order: one
+///    all-play-all tournament, answered into a LossMatrix. The player
+///    units of one round share no element, and a round holding player
+///    units holds no pair unit.
+/// Debug builds CHECK the kind and disjointness rules on every round.
 struct RoundUnit {
   std::vector<ComparisonPair> pairs;
+  std::vector<ElementId> players;
   /// Serial backend only: open a kBatch trace span with this label around
   /// the unit (the shape AllPlayAll used to produce). nullptr = no span.
   const char* serial_span = nullptr;
   /// Serial backend only, with serial_span: observe this value in the
   /// crowdmax.tournament.group_size histogram (-1 = no observation).
   int64_t serial_span_size = -1;
+
+  /// The comparisons the unit stands for: pairs.size(), or k(k-1)/2 for
+  /// k players.
+  int64_t NumPairs() const;
 };
 
 /// One engine round: the next set of independent comparisons, plus the
@@ -124,10 +152,52 @@ struct EngineRound {
   int64_t TotalPairs() const;
 };
 
-/// What one round bought. winners[u][p] answers units[u].pairs[p]; a pair
-/// with no evidence (executor faults) carries kUnresolvedWinner.
+/// The outcome of one player unit of k players: a k x k bit matrix in
+/// which bit j of row i is set iff players[i] lost to players[j]. A pair
+/// with no evidence (executor faults) sets neither bit, so a player's
+/// losses are the popcount of its row and the unit's resolved pairs the
+/// popcount of the matrix. Rows are padded to whole 64-bit words.
+class LossMatrix {
+ public:
+  /// Makes this an all-zero k x k matrix.
+  void Reset(size_t k) {
+    k_ = k;
+    stride_ = (k + 63) / 64;
+    words_.assign(k * stride_, 0);
+  }
+
+  size_t size() const { return k_; }
+  /// Words per row.
+  size_t stride() const { return stride_; }
+
+  bool Lost(size_t i, size_t j) const {
+    return ((words_[i * stride_ + (j >> 6)] >> (j & 63)) & 1) != 0;
+  }
+  void SetLost(size_t i, size_t j) {
+    words_[i * stride_ + (j >> 6)] |= uint64_t{1} << (j & 63);
+  }
+  std::span<const uint64_t> Row(size_t i) const {
+    return std::span<const uint64_t>(words_).subspan(i * stride_, stride_);
+  }
+  /// Losses of players[i]: the set bits of row i.
+  int64_t Losses(size_t i) const;
+
+  /// Every row, back to back (the engine's fold writes through this).
+  std::span<uint64_t> words() { return words_; }
+
+ private:
+  size_t k_ = 0;
+  size_t stride_ = 0;
+  std::vector<uint64_t> words_;
+};
+
+/// What one round bought, per unit. winners[u][p] answers pair unit u's
+/// units[u].pairs[p]; a pair with no evidence (executor faults) carries
+/// kUnresolvedWinner. losses[u] is player unit u's loss matrix. Each unit
+/// fills the field of its kind; the other stays empty.
 struct RoundOutcome {
   std::vector<std::vector<ElementId>> winners;
+  std::vector<LossMatrix> losses;
   /// Pairs processed this round (cache hits included).
   int64_t issued = 0;
   /// Comparisons actually paid for this round (cache misses; on the
@@ -414,11 +484,15 @@ class RoundEngine {
  private:
   struct PendingRound;
 
-  // Per-unit miss/answer buffers of the comparator backends, reused
-  // across rounds (see unit_scratch_).
+  // Per-unit buffers of the comparator backends, reused across rounds
+  // (see unit_scratch_): a unit's misses and their answers, and, for a
+  // player unit, its memo hits (bit j of row i for pair i < j, rows of
+  // the unit's LossMatrix stride) and its players' co-play signatures.
   struct UnitScratch {
     std::vector<ComparisonPair> misses;
     std::vector<ElementId> answers;
+    std::vector<uint64_t> hits;
+    std::vector<uint64_t> signatures;
   };
 
   RoundEngine(Backend backend, Comparator* comparator,
@@ -431,45 +505,77 @@ class RoundEngine {
   Result<RoundOutcome> ExecuteParallel(const EngineRound& round);
   Result<RoundOutcome> ExecuteBatched(const EngineRound& round);
 
-  /// Resolves every pair of `unit` against the cache with one
+  /// Resolves every pair of `pairs` against the cache with one
   /// PairTable::InsertBatch (absent keys inserted as `absent_value`) and
   /// returns each pair's pinned slot, in pair order. The refs live in
   /// engine scratch until the next call; the value handles they hold stay
   /// valid until the cache grows or clears.
-  std::span<const PairSlotRef> PinSlots(const RoundUnit& unit,
+  std::span<const PairSlotRef> PinSlots(std::span<const ComparisonPair> pairs,
                                         ElementId absent_value);
 
   /// True when a read-only resolve has anything to find in the memo.
   bool MemoReadable() const { return memoize_ && !cache_->empty(); }
 
-  /// Read-only resolve of one unit, shared by every backend that does not
-  /// write the memo during a round: a cached answer goes to `winners`,
+  /// The co-play signature of `id` (zero when it has none).
+  uint64_t SignatureOf(ElementId id) const {
+    return static_cast<size_t>(id) < signatures_.size()
+               ? signatures_[static_cast<size_t>(id)]
+               : 0;
+  }
+
+  /// Read-only resolve of a pair list, shared by every backend that does
+  /// not write the memo during a round: a cached answer goes to `winners`,
   /// every other pair is -1 there and appended to `misses`, in pair order.
   /// Never writes the memo, so pool threads may run it on one snapshot.
-  /// Without a readable memo every pair is a miss and nothing is probed.
-  void ProbeUnit(const RoundUnit& unit, std::vector<ElementId>* winners,
+  /// Without a readable memo every pair is a miss and nothing is probed;
+  /// while co-play signatures are trusted, neither is a pair whose two
+  /// signatures share no bit.
+  void ProbeUnit(std::span<const ComparisonPair> pairs,
+                 std::vector<ElementId>* winners,
                  std::vector<ComparisonPair>* misses) const;
 
-  /// Answers one unit on `comparator` (the caller's or a fork) over a
-  /// read-only memo: ProbeUnit, then one GenerateVotes (or per-pair
-  /// Compare calls) over the misses in pair order. Without a readable memo
-  /// the votes are drawn straight from the unit's pairs into `winners`.
-  /// Returns the number of pairs bought.
-  int64_t AnswerUnit(const RoundUnit& unit, Comparator* comparator,
-                     UnitScratch* scratch,
-                     std::vector<ElementId>* winners) const;
+  /// The same resolve for a player unit over a readable memo: a memo hit
+  /// sets its loser's bit in `losses` and its bit in scratch->hits, every
+  /// other pair is appended to scratch->misses in pair order.
+  void ProbePlayers(const RoundUnit& unit, LossMatrix* losses,
+                    UnitScratch* scratch) const;
+
+  /// Answers `misses` into `answers` on `comparator`: one GenerateVotes
+  /// call, or per-pair Compare calls without a batch interface (or with
+  /// batch generation off). A pair the batch interface refuses, an id
+  /// outside the comparator's instance, is an InvalidArgument naming it.
+  Status Vote(Comparator* comparator, std::span<const ComparisonPair> misses,
+              std::span<ElementId> answers) const;
+
+  /// Answers one pair unit on `comparator` (the caller's or a fork) over a
+  /// read-only memo: ProbeUnit, then Vote over the misses in pair order.
+  /// Without a readable memo the votes are drawn straight from the unit's
+  /// pairs into `winners`. Returns the number of pairs bought.
+  Result<int64_t> AnswerUnit(const RoundUnit& unit, Comparator* comparator,
+                             UnitScratch* scratch,
+                             std::vector<ElementId>* winners) const;
+
+  /// Answers one player unit into `losses` the same way: ProbePlayers (or,
+  /// without a readable memo, every pair a miss), one Vote over the misses
+  /// in pair order, then the fold. Returns the number of pairs bought.
+  Result<int64_t> AnswerPlayers(const RoundUnit& unit, Comparator* comparator,
+                                UnitScratch* scratch,
+                                LossMatrix* losses) const;
 
   /// The memo's one write path for rounds resolved read-only, run after
   /// the source consumed the outcome and before the checkpoint boundary.
   /// When pruning it keeps the answered pairs whose two ids are in
-  /// `named`; otherwise (the parallel barrier merge) every pair, with an
-  /// earlier answer to the same pair winning.
+  /// `named`, reading a player unit's pairs among its named players
+  /// straight from its loss matrix; otherwise (the parallel barrier merge,
+  /// and player units on a serial memo that keeps every pair) every
+  /// answered pair, with an earlier answer to the same pair winning.
   void CommitRound(const EngineRound& round, const RoundOutcome& outcome,
                    std::span<const ElementId> named);
 
-  /// Debug builds: CHECKs a pruning source's promises (a) and (b) on the
-  /// round about to run. A no-op under NDEBUG.
-  void CheckPrunePromise(const EngineRound& round) const;
+  /// Debug builds: CHECKs the unit-kind rules of RoundUnit on the round
+  /// about to run and, on a pruning drive, the source's promises (a) and
+  /// (b). A no-op under NDEBUG.
+  void CheckRound(const EngineRound& round) const;
 
   Result<DriveResult> DrivePipelined(RoundSource* source,
                                      const DriveOptions& options);
@@ -508,7 +614,8 @@ class RoundEngine {
   // non-pipelined backend resolves read-only and CommitRound writes only
   // the pairs whose two ids the source named: the private memo holds the
   // pairs a later round can still ask, not every pair bought. Otherwise:
-  // serial buys each pair once (MemoizingComparator semantics); parallel
+  // serial buys each pair of a pair unit once (MemoizingComparator
+  // semantics) and commits player units after the consume; parallel
   // reads a snapshot during a round and CommitRound merges every pair
   // after it; executor dedups within a round always, remembers across
   // rounds per clear_round_cache, and parks faulted pairs as
@@ -528,6 +635,18 @@ class RoundEngine {
   // Debug builds: the elements a pruning drive has retired (in an earlier
   // round, not named after it). Not checkpointed; empty under NDEBUG.
   std::vector<uint64_t> retired_bits_;
+
+  // Co-play signatures of a pruning drive (DESIGN.md §14), id-indexed.
+  // CommitRound ORs one bit per committing player unit into each named
+  // player it commits, so a pair can be in the memo only if its two
+  // signatures share a bit. Trusted only while every memo entry was
+  // written that way in this drive: off from the start when the memo is
+  // non-empty (a restored one included), and from the first pair-unit
+  // commit or named id at or above kMaxSignatureIds on. Not checkpointed.
+  static constexpr size_t kMaxSignatureIds = size_t{1} << 20;
+  bool signatures_on_ = false;
+  std::vector<uint64_t> signatures_;
+  uint64_t committed_player_units_ = 0;
 
   bool batch_generation_ = true;
 
@@ -559,12 +678,17 @@ class RoundEngine {
   std::vector<UnitScratch> unit_scratch_;
   std::vector<ComparisonPair> round_queries_;
   std::vector<ComparisonPair> round_misses_;
+  // A player unit's pairs, written out for the drives that resolve pair
+  // by pair (executor and pipelined).
+  std::vector<ComparisonPair> unit_pairs_;
   // PinSlots' and CommitRound's packed keys and pinned slots (one unit's
-  // worth), CommitRound's pair index per key, and every pair's slot on the
-  // executor path, held until the answers map back.
+  // worth), CommitRound's answer per key and a player unit's committing
+  // players, and every pair's slot on the executor path, held until the
+  // answers map back.
   std::vector<uint64_t> round_keys_;
   std::vector<PairSlotRef> round_slots_;
-  std::vector<size_t> round_key_at_;
+  std::vector<ElementId> round_key_winners_;
+  std::vector<size_t> commit_players_;
   std::vector<PairValuePtr> round_pinned_;
 
   // Round-boundary snapshot/crash/restore coordinator; null = disabled.

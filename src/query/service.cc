@@ -114,8 +114,11 @@ Status FairShareScheduler::Acquire(int64_t tenant) {
         .WithRetryAfter(1);
   }
 
-  // Joining the queue: advance the pass to the floor so a long-idle tenant
-  // cannot bank credit and monopolize the slots once it wakes.
+  // Joining the queue: bring the pass to within one stride of the
+  // waiters' floor. Lifting it keeps a long-idle tenant from banking
+  // credit and monopolizing the slots once it wakes; lowering it keeps a
+  // tenant that ran ahead while the others were idle from waiting for
+  // them all to catch up, which would break the starvation bound.
   uint64_t floor = 0;
   bool any = false;
   for (const Tenant& other : tenants_) {
@@ -123,7 +126,7 @@ Status FairShareScheduler::Acquire(int64_t tenant) {
     if (!any || other.pass < floor) floor = other.pass;
     any = true;
   }
-  if (any) t.pass = std::max(t.pass, floor);
+  if (any) t.pass = std::clamp(t.pass, floor, floor + t.stride);
   t.waiting = true;
   t.grants_at_wait_start = total_grants_;
 

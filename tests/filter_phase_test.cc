@@ -4,6 +4,7 @@
 // behaviour, with and without the Appendix-A optimizations.
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -43,6 +44,48 @@ TEST(FilterPhaseTest, RejectsDuplicateIds) {
   FilterOptions options;
   options.u_n = 1;
   EXPECT_FALSE(FilterCandidates({0, 0}, options, &oracle).ok());
+}
+
+TEST(FilterPhaseTest, RejectsNegativeAndRepeatedIdsTyped) {
+  const Instance instance({1.0, 2.0, 3.0});
+  OracleComparator oracle(&instance);
+  FilterOptions options;
+  options.u_n = 1;
+  for (const std::vector<ElementId>& items :
+       std::vector<std::vector<ElementId>>{
+           {0, -3, 1}, {2, 0, 1, 2}, {0, 2147483647, 5, 2147483647}}) {
+    const Result<FilterResult> result =
+        FilterCandidates(items, options, &oracle);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(FilterPhaseTest, IdOutsideTheInstanceIsATypedErrorNotAnAbort) {
+  // The worker model refuses a pair with an id outside its instance; the
+  // comparator backends report that pair instead of aborting.
+  Result<Instance> instance = UniformInstance(100, 5);
+  ASSERT_TRUE(instance.ok());
+  const double delta = instance->DeltaForU(5);
+  for (const int64_t threads : {0, 4}) {
+    for (const bool memoize : {false, true}) {
+      ThresholdComparator naive(&*instance, ThresholdModel{delta, 0.1},
+                                /*seed=*/3);
+      FilterOptions options;
+      options.u_n = 5;
+      options.memoize = memoize;
+      options.threads = threads;
+      std::vector<ElementId> items = instance->AllElements();
+      items[50] = 1000;
+      const Result<FilterResult> result =
+          FilterCandidates(items, options, &naive);
+      const std::string context = "threads=" + std::to_string(threads) +
+                                  " memoize=" + std::to_string(memoize);
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << context;
+      EXPECT_NE(result.status().message().find("1000"), std::string::npos)
+          << context << ": " << result.status().ToString();
+    }
+  }
 }
 
 TEST(FilterPhaseTest, SmallInputPassesThroughUntouched) {

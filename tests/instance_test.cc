@@ -1,6 +1,7 @@
 // Tests for the Instance abstraction (values, distances, ranks, u(delta)).
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -83,6 +84,30 @@ TEST(InstanceTest, DeltaForURoundTripsThroughCountWithin) {
       EXPECT_LT(instance.CountWithin(std::nexttoward(delta, 0.0)), u);
     }
   }
+}
+
+TEST(InstanceTest, CheckDistinctIdsRefusesNegativeAndRepeatedIds) {
+  EXPECT_TRUE(CheckDistinctIds(std::vector<ElementId>{}).ok());
+  EXPECT_TRUE(CheckDistinctIds(std::vector<ElementId>{3, 0, 2, 1}).ok());
+  const Status negative = CheckDistinctIds(std::vector<ElementId>{0, -3, 1});
+  EXPECT_EQ(negative.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(negative.message().find("-3"), std::string::npos);
+  const Status repeated = CheckDistinctIds(std::vector<ElementId>{4, 1, 4});
+  EXPECT_EQ(repeated.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(repeated.message().find("4"), std::string::npos);
+}
+
+TEST(InstanceTest, CheckDistinctIdsHandlesSparseLargeIds) {
+  // Ids near 2^31 take the sorted path: no 256 MiB bitmap for a list of
+  // three.
+  constexpr ElementId kLarge = 2147483647;
+  EXPECT_TRUE(CheckDistinctIds(std::vector<ElementId>{kLarge, 0, kLarge - 1})
+                  .ok());
+  const Status repeated =
+      CheckDistinctIds(std::vector<ElementId>{kLarge, 7, kLarge});
+  EXPECT_EQ(repeated.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(repeated.message().find(std::to_string(kLarge)),
+            std::string::npos);
 }
 
 TEST(InstanceTest, AllElementsEnumeratesIds) {

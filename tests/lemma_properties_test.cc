@@ -4,7 +4,8 @@
 // the serial path, the parallel path, the executor backend
 // (BatchedFilterCandidates) and the pipelined backend
 // (PipelinedFilterCandidates at depth {1, 8}, group-granular rounds), and
-// with both Appendix-A optimizations enabled:
+// with both Appendix-A optimizations enabled, memoization alone, and
+// group-granular rounds on the serial and parallel paths:
 //
 //  * Lemma 2 (via Lemma 1): the true maximum survives filtering — below
 //    the threshold the answer is completely arbitrary, so this must hold
@@ -39,6 +40,7 @@ struct Variant {
   int64_t threads;
   Backend backend = Backend::kComparator;
   int64_t depth = 0;  // Pipelined rounds in flight.
+  bool pipeline_groups = false;  // One engine round per group.
 };
 
 constexpr Variant kVariants[] = {
@@ -46,6 +48,10 @@ constexpr Variant kVariants[] = {
     {"serial+opts", true, true, 0},
     {"parallel", false, false, 2},
     {"parallel+opts", true, true, 2},
+    {"serial+memo", true, false, 0},
+    {"parallel+memo", true, false, 2},
+    {"serial+groups+opts", true, true, 0, Backend::kComparator, 0, true},
+    {"parallel+groups+opts", true, true, 2, Backend::kComparator, 0, true},
     {"executor+opts", true, true, 0, Backend::kExecutor},
     {"pipelined1+opts", true, true, 0, Backend::kPipelined, 1},
     {"pipelined8+opts", true, true, 0, Backend::kPipelined, 8},
@@ -58,6 +64,7 @@ Result<FilterResult> RunVariant(const Variant& variant,
                                 const std::vector<ElementId>& items,
                                 FilterOptions options, Comparator* naive) {
   if (variant.backend == Backend::kComparator) {
+    options.pipeline_groups = variant.pipeline_groups;
     return FilterCandidates(items, options, naive);
   }
   ComparatorBatchExecutor executor(naive);

@@ -5,9 +5,13 @@
 #include "query/service.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/batched.h"
 #include "core/instance.h"
 #include "core/worker_model.h"
@@ -284,6 +288,184 @@ TEST(QueryServiceTest, FairShareStarvationBoundHolds) {
                                       b.scheduler.max_grants_behind;
                              })
                 ->scheduler.max_grants_behind);
+}
+
+// Drives a FairShareScheduler (capacity 1) through a scripted order. Each
+// tenant has a thread that calls Acquire when told to; a step returns only
+// once that call was granted or is parked inside Acquire, and the main
+// thread does every Release, so the waiter set, and with it every pick,
+// is fixed by the script rather than by the thread schedule.
+class ScriptedScheduler {
+ public:
+  explicit ScriptedScheduler(const std::vector<int64_t>& weights)
+      : scheduler_(/*capacity=*/1, /*deadline_boost_margin=*/0),
+        join_(weights.size(), false) {
+    for (const int64_t weight : weights) {
+      scheduler_.Register(weight, /*deadline_steps=*/0);
+    }
+    for (size_t t = 0; t < weights.size(); ++t) {
+      threads_.emplace_back([this, t] { TenantLoop(static_cast<int64_t>(t)); });
+    }
+  }
+  ScriptedScheduler(const ScriptedScheduler&) = delete;
+  ScriptedScheduler& operator=(const ScriptedScheduler&) = delete;
+  ~ScriptedScheduler() {
+    // Parked tenants are still inside Acquire: hand the slot on until each
+    // has been served, then stop every thread.
+    while (parked_ > 0) Release(0);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    for (std::thread& thread : threads_) thread.join();
+  }
+
+  // Tenant `t` enters Acquire; true when it took the free slot at once.
+  bool Join(int64_t t) {
+    const int64_t waits = scheduler_.stats(t).waits;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      join_[static_cast<size_t>(t)] = true;
+    }
+    cv_.notify_all();
+    while (true) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (!granted_.empty() && granted_.back() == t) {
+          granted_.clear();
+          return true;
+        }
+      }
+      if (scheduler_.stats(t).waits > waits) {
+        ++parked_;
+        return false;
+      }
+      std::this_thread::yield();
+    }
+  }
+
+  // The slot holder `t` releases; returns the parked tenant the slot went
+  // to, or -1 when none was parked.
+  int64_t Release(int64_t t) {
+    scheduler_.Release(t);
+    if (parked_ == 0) return -1;
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return !granted_.empty(); });
+    const int64_t next = granted_.back();
+    granted_.clear();
+    --parked_;
+    return next;
+  }
+
+  SchedulerStats stats(int64_t t) const { return scheduler_.stats(t); }
+
+ private:
+  void TenantLoop(int64_t t) {
+    const size_t index = static_cast<size_t>(t);
+    while (true) {
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [&] { return stop_ || join_[index]; });
+        if (stop_) return;
+        join_[index] = false;
+      }
+      CROWDMAX_CHECK(scheduler_.Acquire(t).ok());
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        granted_.push_back(t);
+      }
+      cv_.notify_all();
+    }
+  }
+
+  FairShareScheduler scheduler_;
+  std::mutex mu_;  // Guards join_, granted_ and stop_.
+  std::condition_variable cv_;
+  std::vector<bool> join_;
+  std::vector<int64_t> granted_;
+  bool stop_ = false;
+  int64_t parked_ = 0;  // Main thread only.
+  std::vector<std::thread> threads_;
+};
+
+// The starvation bound of the file comment of query/service.h: a ready
+// tenant waits at most sum_o ceil(w_o / w_t) + T grants to others, with T
+// the tenants that can wait.
+int64_t StarvationBound(const std::vector<int64_t>& weights, size_t t) {
+  int64_t bound = static_cast<int64_t>(weights.size());
+  for (size_t o = 0; o < weights.size(); ++o) {
+    if (o != t) bound += (weights[o] + weights[t] - 1) / weights[t];
+  }
+  return bound;
+}
+
+TEST(FairShareSchedulerTest, TenantThatRanAheadIsServedWithinTheBound) {
+  // Tenant 0 takes 40 grants while the others are idle, then joins behind
+  // eleven waiters (tenants 1..11; tenant 12 holds the slot). Every
+  // released tenant rejoins at once, so the queue never drains.
+  const std::vector<int64_t> weights(13, 1);
+  ScriptedScheduler script(weights);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(script.Join(0));
+    EXPECT_EQ(script.Release(0), -1);
+  }
+  int64_t holder = 12;
+  ASSERT_TRUE(script.Join(holder));
+  for (int64_t t = 1; t <= 11; ++t) ASSERT_FALSE(script.Join(t));
+  ASSERT_FALSE(script.Join(0));
+  int64_t grants = 0;
+  while (holder != 0) {
+    const int64_t next = script.Release(holder);
+    ASSERT_GE(next, 0);
+    ASSERT_FALSE(script.Join(holder));
+    holder = next;
+    ASSERT_LE(++grants, 1000) << "tenant 0 never served";
+  }
+  EXPECT_LE(script.stats(0).max_grants_behind, StarvationBound(weights, 0));
+}
+
+TEST(FairShareSchedulerTest, ScriptedWeightedOrdersKeepTheBound) {
+  // A seeded script over mixed weights: the holder releases and rejoins
+  // or goes idle, idle tenants join at random, and now and then one tenant
+  // runs alone for a while. Every tenant's wait stays within its bound.
+  const std::vector<int64_t> weights = {1, 2, 3, 1, 4, 2};
+  ScriptedScheduler script(weights);
+  Rng rng(2024);
+  std::vector<bool> idle(weights.size(), true);
+  int64_t holder = -1;
+  for (int step = 0; step < 400; ++step) {
+    if (holder < 0) {
+      const int64_t t = static_cast<int64_t>(rng.NextBounded(weights.size()));
+      // Nobody waits while the slot is free: a lone run of grants.
+      const int64_t run = 1 + static_cast<int64_t>(rng.NextBounded(6));
+      for (int64_t i = 0; i < run; ++i) {
+        ASSERT_TRUE(script.Join(t));
+        ASSERT_EQ(script.Release(t), -1);
+      }
+      ASSERT_TRUE(script.Join(t));
+      idle[static_cast<size_t>(t)] = false;
+      holder = t;
+    }
+    for (size_t t = 0; t < weights.size(); ++t) {
+      if (idle[t] && rng.NextBounded(3) == 0) {
+        ASSERT_FALSE(script.Join(static_cast<int64_t>(t)));
+        idle[t] = false;
+      }
+    }
+    const int64_t released = holder;
+    holder = script.Release(released);
+    if (rng.NextBounded(2) == 0 && holder >= 0) {
+      ASSERT_FALSE(script.Join(released));
+    } else {
+      idle[static_cast<size_t>(released)] = true;
+    }
+  }
+  for (size_t t = 0; t < weights.size(); ++t) {
+    EXPECT_LE(script.stats(static_cast<int64_t>(t)).max_grants_behind,
+              StarvationBound(weights, t))
+        << "tenant " << t;
+  }
 }
 
 // Service-level fault/stress property: across many tenants on the faulty
