@@ -81,6 +81,7 @@
 #include "core/batched.h"
 #include "core/comparator.h"
 #include "core/filter_phase.h"
+#include "core/loss_matrix.h"
 #include "core/pair_key.h"
 #include "core/round_engine.h"
 #include "core/worker_model.h"
@@ -203,6 +204,19 @@ class TimingComparator : public Comparator, public VoteBatchComparator {
                         std::span<ElementId> out) override {
     const auto begin = std::chrono::steady_clock::now();
     const int64_t produced = inner_batch_->GenerateVotes(pairs, out);
+    votegen_seconds_ += Seconds(begin, std::chrono::steady_clock::now());
+    AddComparisons(produced);
+    return produced;
+  }
+
+  // A player unit's one call: the model's own tournament kernel, or its
+  // written-out default, timed whole as votegen.
+  int64_t GenerateTournament(std::span<const ElementId> players,
+                             std::span<const uint64_t> skip,
+                             LossMatrix* losses) override {
+    const auto begin = std::chrono::steady_clock::now();
+    const int64_t produced =
+        inner_batch_->GenerateTournament(players, skip, losses);
     votegen_seconds_ += Seconds(begin, std::chrono::steady_clock::now());
     AddComparisons(produced);
     return produced;

@@ -51,6 +51,17 @@ void RecordTraceOutcomes(AlgoTrace* trace,
   trace->RecordOutcomes(answered, no_quorum, dropped);
 }
 
+// Every task answered: the fallible result of an infallible batch.
+std::vector<BatchTaskResult> AllAnswered(
+    const std::vector<ElementId>& winners) {
+  std::vector<BatchTaskResult> results;
+  results.reserve(winners.size());
+  for (ElementId winner : winners) {
+    results.push_back(BatchTaskResult{winner, true, -1});
+  }
+  return results;
+}
+
 }  // namespace
 
 std::string FaultReport::ToString() const {
@@ -135,12 +146,7 @@ Result<std::vector<BatchTaskResult>> BatchExecutor::DoTryExecuteBatch(
   // Default adapter: the infallible path answers everything.
   const std::vector<ElementId> winners = DoExecuteBatch(tasks);
   CROWDMAX_CHECK(winners.size() == tasks.size());
-  std::vector<BatchTaskResult> results;
-  results.reserve(winners.size());
-  for (ElementId winner : winners) {
-    results.push_back(BatchTaskResult{winner, true, -1});
-  }
-  return results;
+  return AllAnswered(winners);
 }
 
 ComparatorBatchExecutor::ComparatorBatchExecutor(Comparator* comparator)
@@ -148,7 +154,7 @@ ComparatorBatchExecutor::ComparatorBatchExecutor(Comparator* comparator)
   CROWDMAX_CHECK(comparator != nullptr);
 }
 
-std::vector<ElementId> ComparatorBatchExecutor::DoExecuteBatch(
+Result<std::vector<ElementId>> ComparatorBatchExecutor::Answer(
     const std::vector<ComparisonPair>& tasks) {
   std::vector<ElementId> winners(tasks.size(), -1);
   if (VoteBatchComparator* batch = comparator_->AsVoteBatch();
@@ -156,13 +162,29 @@ std::vector<ElementId> ComparatorBatchExecutor::DoExecuteBatch(
     // Batch-at-once (DESIGN.md §14): same draws, counters and answers as
     // the per-call loop, one virtual call per batch instead of per task.
     const int64_t produced = batch->GenerateVotes(tasks, winners);
-    CROWDMAX_CHECK(produced == static_cast<int64_t>(tasks.size()));
+    if (produced < static_cast<int64_t>(tasks.size())) {
+      return RefusedPairError(tasks[static_cast<size_t>(produced)]);
+    }
     return winners;
   }
   for (size_t t = 0; t < tasks.size(); ++t) {
     winners[t] = comparator_->Compare(tasks[t].first, tasks[t].second);
   }
   return winners;
+}
+
+std::vector<ElementId> ComparatorBatchExecutor::DoExecuteBatch(
+    const std::vector<ComparisonPair>& tasks) {
+  Result<std::vector<ElementId>> winners = Answer(tasks);
+  CROWDMAX_CHECK(winners.ok());
+  return std::move(winners).value();
+}
+
+Result<std::vector<BatchTaskResult>> ComparatorBatchExecutor::DoTryExecuteBatch(
+    const std::vector<ComparisonPair>& tasks) {
+  Result<std::vector<ElementId>> winners = Answer(tasks);
+  if (!winners.ok()) return winners.status();
+  return AllAnswered(*winners);
 }
 
 Status ComparatorBatchExecutor::DoSaveState(CheckpointWriter* writer) const {
@@ -198,7 +220,7 @@ Result<std::unique_ptr<ParallelBatchExecutor>> ParallelBatchExecutor::Create(
       new ParallelBatchExecutor(comparator, threads, seed, chunk_size));
 }
 
-std::vector<ElementId> ParallelBatchExecutor::DoExecuteBatch(
+Result<std::vector<ElementId>> ParallelBatchExecutor::Answer(
     const std::vector<ComparisonPair>& tasks) {
   const int64_t n = static_cast<int64_t>(tasks.size());
   const int64_t num_chunks = (n + chunk_size_ - 1) / chunk_size_;
@@ -212,6 +234,8 @@ std::vector<ElementId> ParallelBatchExecutor::DoExecuteBatch(
   }
 
   std::vector<int64_t> paid(static_cast<size_t>(num_chunks), 0);
+  // Per chunk, the task its fork refused, or -1.
+  std::vector<int64_t> refused(static_cast<size_t>(num_chunks), -1);
   pool_.ParallelFor(num_chunks, [&](int64_t c) {
     const std::unique_ptr<Comparator> fork =
         comparator_->Fork(seeds[static_cast<size_t>(c)]);
@@ -227,7 +251,9 @@ std::vector<ElementId> ParallelBatchExecutor::DoExecuteBatch(
               static_cast<size_t>(begin), count),
           std::span<ElementId>(winners).subspan(static_cast<size_t>(begin),
                                                 count));
-      CROWDMAX_CHECK(produced == static_cast<int64_t>(count));
+      if (produced < static_cast<int64_t>(count)) {
+        refused[static_cast<size_t>(c)] = begin + produced;
+      }
     } else {
       for (int64_t t = begin; t < end; ++t) {
         const ComparisonPair& task = tasks[static_cast<size_t>(t)];
@@ -241,7 +267,24 @@ std::vector<ElementId> ParallelBatchExecutor::DoExecuteBatch(
   int64_t total_paid = 0;
   for (int64_t p : paid) total_paid += p;
   comparator_->AddComparisons(total_paid);
+  for (int64_t task : refused) {
+    if (task >= 0) return RefusedPairError(tasks[static_cast<size_t>(task)]);
+  }
   return winners;
+}
+
+std::vector<ElementId> ParallelBatchExecutor::DoExecuteBatch(
+    const std::vector<ComparisonPair>& tasks) {
+  Result<std::vector<ElementId>> winners = Answer(tasks);
+  CROWDMAX_CHECK(winners.ok());
+  return std::move(winners).value();
+}
+
+Result<std::vector<BatchTaskResult>> ParallelBatchExecutor::DoTryExecuteBatch(
+    const std::vector<ComparisonPair>& tasks) {
+  Result<std::vector<ElementId>> winners = Answer(tasks);
+  if (!winners.ok()) return winners.status();
+  return AllAnswered(*winners);
 }
 
 Status ParallelBatchExecutor::DoSaveState(CheckpointWriter* writer) const {

@@ -233,7 +233,14 @@ class ComparatorBatchExecutor : public BatchExecutor {
   explicit ComparatorBatchExecutor(Comparator* comparator);
 
  private:
+  // Answers every task, or returns the InvalidArgument naming the first
+  // task the batch vote interface refused (an id outside the instance):
+  // TryExecuteBatch reports it, ExecuteBatch CHECK-fails on it.
+  Result<std::vector<ElementId>> Answer(
+      const std::vector<ComparisonPair>& tasks);
   std::vector<ElementId> DoExecuteBatch(
+      const std::vector<ComparisonPair>& tasks) override;
+  Result<std::vector<BatchTaskResult>> DoTryExecuteBatch(
       const std::vector<ComparisonPair>& tasks) override;
 
   // Checkpoint support: the comparator carries all the replay state.
@@ -264,7 +271,13 @@ class ParallelBatchExecutor : public BatchExecutor {
   ParallelBatchExecutor(Comparator* comparator, int64_t threads,
                         uint64_t seed, int64_t chunk_size);
 
+  // As ComparatorBatchExecutor::Answer; with refusals in several chunks,
+  // the first in chunk order is named, after the chunks' counts merged.
+  Result<std::vector<ElementId>> Answer(
+      const std::vector<ComparisonPair>& tasks);
   std::vector<ElementId> DoExecuteBatch(
+      const std::vector<ComparisonPair>& tasks) override;
+  Result<std::vector<BatchTaskResult>> DoTryExecuteBatch(
       const std::vector<ComparisonPair>& tasks) override;
 
   // Checkpoint support: the chunk-seed chain plus the base comparator's

@@ -1,9 +1,12 @@
 #include "core/comparator.h"
 
 #include <algorithm>
+#include <string>
 
 #include "core/checkpoint.h"
+#include "core/loss_matrix.h"
 #include "core/pair_key.h"
+#include "core/pair_table.h"
 
 namespace crowdmax {
 
@@ -33,6 +36,33 @@ Status Comparator::LoadCounterState(CheckpointReader* reader) {
   reader->ExpectTag(kComparatorTag);
   num_comparisons_ = reader->ReadI64();
   return reader->status();
+}
+
+Status RefusedPairError(const ComparisonPair& pair) {
+  return Status::InvalidArgument(
+      "the comparator refused the pair {" + std::to_string(pair.first) +
+      ", " + std::to_string(pair.second) + "}: an id outside its instance");
+}
+
+int64_t VoteBatchComparator::GenerateTournament(
+    std::span<const ElementId> players, std::span<const uint64_t> skip,
+    LossMatrix* losses) {
+  const size_t k = players.size();
+  tournament_pairs_.resize(k * (k - 1) / 2);
+  ComparisonPair* pair = tournament_pairs_.data();
+  ForEachUnskippedPair(k, losses->stride(), skip, [&](size_t i, size_t j) {
+    *pair++ = {players[i], players[j]};
+  });
+  tournament_pairs_.resize(
+      static_cast<size_t>(pair - tournament_pairs_.data()));
+  tournament_answers_.resize(tournament_pairs_.size());
+  const int64_t answered =
+      GenerateVotes(tournament_pairs_, tournament_answers_);
+  // The refused pair and every pair after it fold as no evidence.
+  std::fill(tournament_answers_.begin() + answered, tournament_answers_.end(),
+            kUnresolvedWinner);
+  FoldAnswers(players, skip, tournament_answers_, losses);
+  return answered;
 }
 
 OracleComparator::OracleComparator(const Instance* instance)

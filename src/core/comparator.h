@@ -23,6 +23,7 @@
 #include <span>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/status.h"
 #include "core/instance.h"
@@ -31,6 +32,7 @@ namespace crowdmax {
 
 class CheckpointReader;
 class CheckpointWriter;
+class LossMatrix;
 class VoteBatchComparator;
 
 /// One comparison task: ask a worker which of the two elements is larger.
@@ -139,6 +141,34 @@ class VoteBatchComparator {
   virtual int64_t GenerateVotes(std::span<const ComparisonPair> pairs,
                                 std::span<ElementId> out) = 0;
 
+  /// Answers one all-play-all tournament (a round engine player unit) in
+  /// one call: every pair (players[i], players[j]) with i < j whose bit in
+  /// the pair mask `skip` is clear, into `losses`, which the caller has
+  /// Reset to players.size() (core/loss_matrix.h: bit j of row i set iff
+  /// players[i] lost to players[j]; `skip` has the matrix's layout, empty
+  /// = no bit set). `players` are distinct. Returns the number of pairs
+  /// answered.
+  ///
+  /// Contract: GenerateVotes' rules, applied to the group.
+  ///  * Votes, the owning Comparator's counter, the RNG stream position
+  ///    and the SaveState bytes equal those of one GenerateVotes call over
+  ///    the unskipped pairs written out in row-major order.
+  ///  * Only the bits of the answered pairs are set. The skipped pairs
+  ///    (memo hits the caller already put in the matrix), the diagonal
+  ///    and the padding bits beyond k are left untouched:
+  ///    LossMatrix::Losses popcounts whole rows.
+  ///  * With a player outside the instance the call answers the prefix
+  ///    that GenerateVotes would and returns its length; the caller names
+  ///    the refused pair.
+  ///
+  /// The default is that GenerateVotes call: the unskipped pairs are
+  /// written out into buffers this object keeps, answered, and folded
+  /// into the matrix (FoldAnswers). ThresholdComparator overrides it with
+  /// a kernel that writes no pair list (DESIGN.md §14).
+  virtual int64_t GenerateTournament(std::span<const ElementId> players,
+                                     std::span<const uint64_t> skip,
+                                     LossMatrix* losses);
+
   /// Switches GenerateVotes' draw resolution between the bulk RNG kernels
   /// (integer-threshold compares over block-generated raw draws,
   /// DESIGN.md §16 — the default) and the scalar per-row float-compare
@@ -155,7 +185,16 @@ class VoteBatchComparator {
 
  private:
   bool bulk_draws_ = true;
+  // The default GenerateTournament's written-out pairs and their answers,
+  // reused across calls.
+  std::vector<ComparisonPair> tournament_pairs_;
+  std::vector<ElementId> tournament_answers_;
 };
+
+/// The InvalidArgument a dispatch layer (the round engine, the comparator
+/// executors) returns for a pair the batch vote interface refused: one
+/// with an id outside the comparator's instance.
+Status RefusedPairError(const ComparisonPair& pair);
 
 /// Exact comparator: always returns the element with the larger true value
 /// (lower id on exact ties). Useful as a ground-truth baseline and in

@@ -1,7 +1,6 @@
 #include "core/round_engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <deque>
 #include <string>
@@ -89,8 +88,8 @@ bool HasPlayerUnits(const EngineRound& round) {
 }
 
 // Appends the pairs `unit` stands for, in order: a pair unit's list, or a
-// player unit's (players[i], players[j]) for i < j, row by row. Every walk
-// over a unit's pairs goes through here (or PairsOf).
+// player unit's (players[i], players[j]) for i < j, row by row. Every
+// write-out of a unit's pairs goes through here (or PairsOf).
 void AppendPairs(const RoundUnit& unit, std::vector<ComparisonPair>* out) {
   if (unit.players.empty()) {
     out->insert(out->end(), unit.pairs.begin(), unit.pairs.end());
@@ -122,65 +121,25 @@ std::span<const ComparisonPair> PairsOf(const RoundUnit& unit,
 // comparator's instance.
 Status ShortAnswer(int64_t produced, std::span<const ComparisonPair> pairs) {
   if (produced == static_cast<int64_t>(pairs.size())) return Status::OK();
-  const ComparisonPair& pair = pairs[static_cast<size_t>(produced)];
-  return Status::InvalidArgument(
-      "the comparator refused the pair {" + std::to_string(pair.first) +
-      ", " + std::to_string(pair.second) + "}: an id outside its instance");
+  return RefusedPairError(pairs[static_cast<size_t>(produced)]);
 }
 
-// Folds a player unit's answers into `losses`. answers[m] is the winner of
-// the m-th pair, in pair order, that `hits` does not mark (bit j of row i,
-// rows losses->stride() words apart; empty = no hits). An answer naming
-// neither player (kUnresolvedWinner) sets no bit. Row i's bits stay in a
-// register while j walks a word and are stored once per word: setting
-// them in memory pair by pair chains each store to the next pair's load.
-// Bit i of row j goes straight to memory, a different word for every j.
-void FoldAnswers(const std::vector<ElementId>& players,
-                 std::span<const uint64_t> hits,
-                 std::span<const ElementId> answers, LossMatrix* losses) {
-  const size_t k = players.size();
-  const size_t stride = losses->stride();
-  uint64_t* const words = losses->words().data();
-  size_t next = 0;
-  for (size_t i = 0; i + 1 < k; ++i) {
-    const ElementId a = players[i];
-    const uint64_t bit_i = uint64_t{1} << (i & 63);
-    uint64_t* const column_i = words + (i >> 6);  // row j's word: j * stride
-    const auto fold = [&](size_t j, uint64_t* lost) {
-      const ElementId winner = answers[next++];
-      CROWDMAX_DCHECK(winner == a || winner == players[j] ||
-                      winner == kUnresolvedWinner);
-      *lost |= uint64_t{winner == players[j]} << (j & 63);
-      column_i[j * stride] |= winner == a ? bit_i : 0;
-    };
-    for (size_t w = (i + 1) >> 6; w < stride; ++w) {
-      const size_t begin = std::max(w * 64, i + 1);
-      const size_t end = std::min(w * 64 + 64, k);
-      const uint64_t hit = hits.empty() ? 0 : hits[i * stride + w];
-      uint64_t lost = 0;
-      if (hit == 0) {
-        for (size_t j = begin; j < end; ++j) fold(j, &lost);
-      } else {
-        // Only the columns in [begin, end) the memo did not answer.
-        uint64_t todo = ~uint64_t{0} << (begin & 63);
-        if (end - w * 64 < 64) todo &= (uint64_t{1} << (end - w * 64)) - 1;
-        for (todo &= ~hit; todo != 0; todo &= todo - 1) {
-          fold(w * 64 + static_cast<size_t>(std::countr_zero(todo)), &lost);
-        }
-      }
-      words[i * stride + w] |= lost;
+// A GenerateTournament call that answered only `answered` of a group's
+// unskipped pairs refused the next one in row-major order: the pair
+// ShortAnswer names when the same pairs are written out.
+Status ShortTournament(int64_t answered, std::span<const ElementId> players,
+                       size_t stride, std::span<const uint64_t> skip) {
+  int64_t seen = 0;
+  Status refused = Status::OK();
+  ForEachUnskippedPair(players.size(), stride, skip, [&](size_t i, size_t j) {
+    if (seen++ == answered) {
+      refused = RefusedPairError({players[i], players[j]});
     }
-  }
-  CROWDMAX_DCHECK(next == answers.size());
+  });
+  return refused;
 }
 
 }  // namespace
-
-int64_t LossMatrix::Losses(size_t i) const {
-  int64_t losses = 0;
-  for (const uint64_t word : Row(i)) losses += std::popcount(word);
-  return losses;
-}
 
 int64_t RoundUnit::NumPairs() const {
   const int64_t k = static_cast<int64_t>(players.size());
@@ -749,8 +708,8 @@ void RoundEngine::ProbeUnit(std::span<const ComparisonPair> pairs,
   }
 }
 
-void RoundEngine::ProbePlayers(const RoundUnit& unit, LossMatrix* losses,
-                               UnitScratch* scratch) const {
+int64_t RoundEngine::ProbePlayers(const RoundUnit& unit, LossMatrix* losses,
+                                  UnitScratch* scratch) const {
   const std::vector<ElementId>& players = unit.players;
   const size_t k = players.size();
   const size_t stride = losses->stride();
@@ -762,30 +721,28 @@ void RoundEngine::ProbePlayers(const RoundUnit& unit, LossMatrix* losses,
     signatures[i] = signatures_on_ ? SignatureOf(players[i]) : ~uint64_t{0};
   }
   const PairTable& memo = *cache_;
+  int64_t hits = 0;
   for (size_t i = 0; i < k; ++i) {
     const ElementId a = players[i];
     const uint64_t signature = signatures[i];
     uint64_t* hit_row = &scratch->hits[i * stride];
     for (size_t j = i + 1; j < k; ++j) {
+      if ((signature & signatures[j]) == 0) continue;
       const ElementId b = players[j];
-      if ((signature & signatures[j]) != 0) {
-        const ConstPairValuePtr slot = memo.Find(PackPairKey(a, b));
-        if (slot != nullptr) {
-          const ElementId winner = *slot;
-          if (winner != kUnresolvedWinner) {
-            hit_row[j >> 6] |= uint64_t{1} << (j & 63);
-            if (winner == b) {
-              losses->SetLost(i, j);
-            } else {
-              losses->SetLost(j, i);
-            }
-            continue;
-          }
-        }
+      const ConstPairValuePtr slot = memo.Find(PackPairKey(a, b));
+      if (slot == nullptr) continue;
+      const ElementId winner = *slot;
+      if (winner == kUnresolvedWinner) continue;
+      hit_row[j >> 6] |= uint64_t{1} << (j & 63);
+      ++hits;
+      if (winner == b) {
+        losses->SetLost(i, j);
+      } else {
+        losses->SetLost(j, i);
       }
-      scratch->misses.push_back({a, b});
     }
   }
+  return hits;
 }
 
 Status RoundEngine::Vote(Comparator* comparator,
@@ -837,24 +794,33 @@ Result<int64_t> RoundEngine::AnswerPlayers(const RoundUnit& unit,
                                            Comparator* comparator,
                                            UnitScratch* scratch,
                                            LossMatrix* losses) const {
-  losses->Reset(unit.players.size());
-  scratch->misses.clear();
-  const bool probe = MemoReadable();
-  if (probe) {
-    ProbePlayers(unit, losses, scratch);
-  } else {
-    AppendPairs(unit, &scratch->misses);
+  const std::vector<ElementId>& players = unit.players;
+  losses->Reset(players.size());
+  std::span<const uint64_t> skip;
+  int64_t bought = unit.NumPairs();
+  if (MemoReadable()) {
+    bought -= ProbePlayers(unit, losses, scratch);
+    skip = scratch->hits;
   }
-  scratch->answers.resize(scratch->misses.size());
-  if (Status voted = Vote(comparator, scratch->misses, scratch->answers);
-      !voted.ok()) {
-    return voted;
+  if (VoteBatchComparator* batch =
+          batch_generation_ ? comparator->AsVoteBatch() : nullptr) {
+    const int64_t answered = batch->GenerateTournament(players, skip, losses);
+    if (answered < bought) {
+      return ShortTournament(answered, players, losses->stride(), skip);
+    }
+    return bought;
   }
-  FoldAnswers(unit.players,
-              probe ? std::span<const uint64_t>(scratch->hits)
-                    : std::span<const uint64_t>(),
-              scratch->answers, losses);
-  return static_cast<int64_t>(scratch->misses.size());
+  ForEachUnskippedPair(
+      players.size(), losses->stride(), skip, [&](size_t i, size_t j) {
+        const ElementId winner = comparator->Compare(players[i], players[j]);
+        CROWDMAX_DCHECK(winner == players[i] || winner == players[j]);
+        if (winner == players[j]) {
+          losses->SetLost(i, j);
+        } else if (winner == players[i]) {
+          losses->SetLost(j, i);
+        }
+      });
+  return bought;
 }
 
 void RoundEngine::CommitRound(const EngineRound& round,

@@ -23,8 +23,9 @@
 //    keeps every bought pair unless the source names the elements that can
 //    recur (RoundSource::NamesRecurringElements), in which case it keeps
 //    only the pairs a later round can ask again. A player unit resolves
-//    read-only (memo hits straight into its matrix, the misses answered by
-//    one vote call and folded in) and reaches the memo after the consume.
+//    read-only (memo hits straight into its matrix, the rest answered by
+//    one VoteBatchComparator::GenerateTournament call) and reaches the
+//    memo after the consume.
 //  - kParallel: one Comparator::Fork per RoundUnit, seeds drawn in unit
 //    order from one persistent Rng *before* dispatch, per-fork counts
 //    merged into the parent at the single-threaded round barrier, and the
@@ -69,6 +70,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/comparator.h"
+#include "core/loss_matrix.h"
 #include "core/pair_table.h"
 
 namespace crowdmax {
@@ -152,44 +154,8 @@ struct EngineRound {
   int64_t TotalPairs() const;
 };
 
-/// The outcome of one player unit of k players: a k x k bit matrix in
-/// which bit j of row i is set iff players[i] lost to players[j]. A pair
-/// with no evidence (executor faults) sets neither bit, so a player's
-/// losses are the popcount of its row and the unit's resolved pairs the
-/// popcount of the matrix. Rows are padded to whole 64-bit words.
-class LossMatrix {
- public:
-  /// Makes this an all-zero k x k matrix.
-  void Reset(size_t k) {
-    k_ = k;
-    stride_ = (k + 63) / 64;
-    words_.assign(k * stride_, 0);
-  }
-
-  size_t size() const { return k_; }
-  /// Words per row.
-  size_t stride() const { return stride_; }
-
-  bool Lost(size_t i, size_t j) const {
-    return ((words_[i * stride_ + (j >> 6)] >> (j & 63)) & 1) != 0;
-  }
-  void SetLost(size_t i, size_t j) {
-    words_[i * stride_ + (j >> 6)] |= uint64_t{1} << (j & 63);
-  }
-  std::span<const uint64_t> Row(size_t i) const {
-    return std::span<const uint64_t>(words_).subspan(i * stride_, stride_);
-  }
-  /// Losses of players[i]: the set bits of row i.
-  int64_t Losses(size_t i) const;
-
-  /// Every row, back to back (the engine's fold writes through this).
-  std::span<uint64_t> words() { return words_; }
-
- private:
-  size_t k_ = 0;
-  size_t stride_ = 0;
-  std::vector<uint64_t> words_;
-};
+// LossMatrix, a player unit's outcome, lives in core/loss_matrix.h,
+// shared with the tournament call of the batch vote interface.
 
 /// What one round bought, per unit. winners[u][p] answers pair unit u's
 /// units[u].pairs[p]; a pair with no evidence (executor faults) carries
@@ -474,8 +440,9 @@ class RoundEngine {
 
   /// Batch-at-once vote generation (DESIGN.md §14): when enabled (the
   /// default) and the comparator (or its forks) exposes AsVoteBatch(), the
-  /// comparator backends collect each unit's cache misses and answer them
-  /// with one GenerateVotes call instead of per-pair virtual dispatch.
+  /// comparator backends answer each pair unit's cache misses with one
+  /// GenerateVotes call, and each player unit with one GenerateTournament
+  /// call, instead of per-pair virtual dispatch.
   /// Results, counters, caches and traces are bit-identical either way;
   /// disable to force the per-call path (equivalence tests, baselines).
   void set_batch_generation(bool enabled) { batch_generation_ = enabled; }
@@ -485,9 +452,10 @@ class RoundEngine {
   struct PendingRound;
 
   // Per-unit buffers of the comparator backends, reused across rounds
-  // (see unit_scratch_): a unit's misses and their answers, and, for a
-  // player unit, its memo hits (bit j of row i for pair i < j, rows of
-  // the unit's LossMatrix stride) and its players' co-play signatures.
+  // (see unit_scratch_): a pair unit's misses and their answers, and a
+  // player unit's memo hits (a pair mask of its LossMatrix's layout) and
+  // its players' co-play signatures. A player unit's pairs are never
+  // written out here: the tournament call answers them in place.
   struct UnitScratch {
     std::vector<ComparisonPair> misses;
     std::vector<ElementId> answers;
@@ -535,10 +503,10 @@ class RoundEngine {
                  std::vector<ComparisonPair>* misses) const;
 
   /// The same resolve for a player unit over a readable memo: a memo hit
-  /// sets its loser's bit in `losses` and its bit in scratch->hits, every
-  /// other pair is appended to scratch->misses in pair order.
-  void ProbePlayers(const RoundUnit& unit, LossMatrix* losses,
-                    UnitScratch* scratch) const;
+  /// sets its loser's bit in `losses` and its bit in scratch->hits; the
+  /// other pairs are left to the tournament call. Returns the hits.
+  int64_t ProbePlayers(const RoundUnit& unit, LossMatrix* losses,
+                       UnitScratch* scratch) const;
 
   /// Answers `misses` into `answers` on `comparator`: one GenerateVotes
   /// call, or per-pair Compare calls without a batch interface (or with
@@ -555,9 +523,12 @@ class RoundEngine {
                              UnitScratch* scratch,
                              std::vector<ElementId>* winners) const;
 
-  /// Answers one player unit into `losses` the same way: ProbePlayers (or,
-  /// without a readable memo, every pair a miss), one Vote over the misses
-  /// in pair order, then the fold. Returns the number of pairs bought.
+  /// Answers one player unit into `losses`: ProbePlayers over a readable
+  /// memo, then one GenerateTournament call for the pairs it did not find
+  /// — or, without a batch interface (or with batch generation off), one
+  /// Compare per such pair in row-major order, its bit set directly. A
+  /// refused pair is an InvalidArgument naming it, as in Vote. Returns the
+  /// number of pairs bought.
   Result<int64_t> AnswerPlayers(const RoundUnit& unit, Comparator* comparator,
                                 UnitScratch* scratch,
                                 LossMatrix* losses) const;
@@ -672,7 +643,10 @@ class RoundEngine {
   // loop so steady-state rounds allocate nothing. The parallel backend
   // gets one slot per unit index — each pool task touches only its own
   // slot, so the buffers stay fork-local and race-free; the serial
-  // backend uses slot 0.
+  // backend uses slot 0. A player unit's slot holds only its hit mask and
+  // signatures: the per-pair buffers of the default tournament call live
+  // in the comparator, which on the parallel backend is the unit's fork,
+  // so they are bounded by the threads running at once.
   std::vector<size_t> serial_miss_at_;
   std::vector<size_t> serial_deferred_;
   std::vector<UnitScratch> unit_scratch_;

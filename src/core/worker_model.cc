@@ -1,9 +1,11 @@
 #include "core/worker_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "core/checkpoint.h"
+#include "core/loss_matrix.h"
 #include "core/pair_key.h"
 
 // Same compile-time guard as common/rng.cc: AVX2 clones of the vote
@@ -204,6 +206,61 @@ PrecomputeSummary ThresholdFreshPrecompute(const ComparisonPair* p, size_t n,
                                         threshold, on_true, on_false);
 }
 
+// ---- Threshold tournament word kernel -----------------------------------
+//
+// The value compares of ThresholdComparator's tournament kernel: for every
+// row i of a group and every column j, the bits of |v_i - v_j| > delta and
+// v_i > v_j, 64 columns to a word. `values` holds the group's k values
+// padded with zeros to stride * 64; the padding columns' bits are
+// meaningless and masked by the caller. The same clone discipline as the
+// precompute kernel above: inside target("avx2") at O3 the 64-column loop
+// compiles to 4-wide vcmppd with each lane's bit masked and OR-ed in, and
+// every operation is IEEE-exact and lane-independent, so the two are bit-
+// identical. One dispatch per group.
+__attribute__((always_inline)) inline void TournamentWordsBody(
+    const double* __restrict values, size_t k, size_t stride, double delta,
+    uint64_t* __restrict above, uint64_t* __restrict greater) {
+  for (size_t i = 0; i < k; ++i) {
+    const double vi = values[i];
+    for (size_t w = 0; w < stride; ++w) {
+      const double* v = values + w * 64;
+      uint64_t a = 0;
+      uint64_t g = 0;
+      for (size_t t = 0; t < 64; ++t) {
+        // The exact expressions of ThresholdFreshPrecomputeBody.
+        a |= uint64_t{std::fabs(vi - v[t]) > delta} << t;
+        g |= uint64_t{vi > v[t]} << t;
+      }
+      above[i * stride + w] = a;
+      greater[i * stride + w] = g;
+    }
+  }
+}
+
+void TournamentWordsScalar(const double* values, size_t k, size_t stride,
+                           double delta, uint64_t* above, uint64_t* greater) {
+  TournamentWordsBody(values, k, stride, delta, above, greater);
+}
+
+#if CROWDMAX_VOTE_AVX2
+__attribute__((target("avx2"), optimize("O3"))) void TournamentWordsAvx2(
+    const double* values, size_t k, size_t stride, double delta,
+    uint64_t* above, uint64_t* greater) {
+  TournamentWordsBody(values, k, stride, delta, above, greater);
+}
+#endif
+
+void TournamentWords(const double* values, size_t k, size_t stride,
+                     double delta, uint64_t* above, uint64_t* greater) {
+#if CROWDMAX_VOTE_AVX2
+  if (RngBulkSimdActive()) {
+    TournamentWordsAvx2(values, k, stride, delta, above, greater);
+    return;
+  }
+#endif
+  TournamentWordsScalar(values, k, stride, delta, above, greater);
+}
+
 // Resolves n independent (sticky-free) rows on the scalar (pre-bulk) draw
 // path: the per-row float-compare loop over scratch.prob, branch-free when
 // every probability is open.
@@ -394,6 +451,132 @@ int64_t ThresholdComparator::GenerateVotes(
   }
   AddComparisons(static_cast<int64_t>(n));
   return static_cast<int64_t>(n);
+}
+
+// For a pair (players[i], players[j]), GenerateVotes' fresh-coin path
+// draws r against the class threshold (eps_thr above delta, coin_thr at or
+// below) and answers on_true = the loser above, the winner below, so
+// players[i] lost iff r ^ above ^ i_wins. A class whose threshold does not
+// draw has a constant r, so those pairs are decided by the row's words
+// alone, and row i's word is written for every column at once, over both
+// triangles: |v_i - v_j| is exactly |v_j - v_i| (a - b == -(b - a) in
+// IEEE round-to-nearest), and with no NaN and distinct ids the winner rule
+// is a total order, so i_wins of the lower triangle is the complement of
+// the answer the row-major pair (players[j], players[i]) computes. The
+// pairs whose class draws are counted, drawn in one FillRaw call, and
+// consumed in row-major order over i < j, one bit each.
+int64_t ThresholdComparator::GenerateTournament(
+    std::span<const ElementId> players, std::span<const uint64_t> skip,
+    LossMatrix* losses) {
+  if (options_.tie_policy != TiePolicy::kFreshCoin || !bulk_draws()) {
+    return VoteBatchComparator::GenerateTournament(players, skip, losses);
+  }
+  const size_t k = players.size();
+  const size_t stride = losses->stride();
+  TournamentScratch& s = tournament_;
+  s.values.assign(stride * 64, 0.0);
+  for (size_t i = 0; i < k; ++i) {
+    // A player outside the instance is refused at its first pair, and a
+    // NaN breaks the total order: the written-out path answers both
+    // exactly as GenerateVotes does.
+    if (!instance_->Contains(players[i]) ||
+        std::isnan(instance_->value(players[i]))) {
+      return VoteBatchComparator::GenerateTournament(players, skip, losses);
+    }
+    s.values[i] = instance_->value(players[i]);
+  }
+  s.above.resize(k * stride);
+  s.greater.resize(k * stride);
+  TournamentWords(s.values.data(), k, stride, options_.model.delta,
+                  s.above.data(), s.greater.data());
+  // The skipped pairs over both triangles: each upper bit, mirrored.
+  s.skipped.assign(k * stride, 0);
+  if (!skip.empty()) {
+    for (size_t i = 0; i + 1 < k; ++i) {
+      for (size_t w = (i + 1) >> 6; w < stride; ++w) {
+        const uint64_t upper = skip[i * stride + w] & WordColumns(w, i + 1, k);
+        s.skipped[i * stride + w] |= upper;
+        for (uint64_t t = upper; t != 0; t &= t - 1) {
+          const size_t j = w * 64 + static_cast<size_t>(std::countr_zero(t));
+          s.skipped[j * stride + (i >> 6)] |= uint64_t{1} << (i & 63);
+        }
+      }
+    }
+  }
+  // Per class: whether it draws, and the constant outcome of one that
+  // does not (a never-true threshold is r = 0, an always-true one r = 1).
+  const uint64_t eps_thr = epsilon_threshold_;
+  const uint64_t coin_thr = coin_threshold_;
+  const uint64_t above_draws = ThresholdDraws(eps_thr) ? ~uint64_t{0} : 0;
+  const uint64_t below_draws = ThresholdDraws(coin_thr) ? ~uint64_t{0} : 0;
+  const uint64_t above_r = eps_thr == kAlwaysThreshold ? ~uint64_t{0} : 0;
+  const uint64_t below_r = coin_thr == kAlwaysThreshold ? ~uint64_t{0} : 0;
+  s.drawn.resize(k * stride);
+  uint64_t* const words = losses->words().data();
+  int64_t answered = 0;
+  size_t draws = 0;
+  for (size_t i = 0; i < k; ++i) {
+    const ElementId id = players[i];
+    const double value = s.values[i];
+    for (size_t w = 0; w < stride; ++w) {
+      const size_t at = i * stride + w;
+      uint64_t columns = WordColumns(w, 0, k);
+      if ((i >> 6) == w) columns &= ~(uint64_t{1} << (i & 63));
+      const uint64_t above = s.above[at];
+      // The lower id wins a tie. Equal values are never above delta, so
+      // only the columns at or below delta that v_i does not exceed can
+      // tie.
+      uint64_t wins = s.greater[at];
+      for (uint64_t t = ~above & ~wins & columns; t != 0; t &= t - 1) {
+        const int bit = std::countr_zero(t);
+        const size_t j = w * 64 + static_cast<size_t>(bit);
+        if (value == s.values[j] && id < players[j]) {
+          wins |= uint64_t{1} << bit;
+        }
+      }
+      const uint64_t open = columns & ~s.skipped[at];
+      const uint64_t draw = (above & above_draws) | (~above & below_draws);
+      const uint64_t r = (above & above_r) | (~above & below_r);
+      words[at] |= (r ^ above ^ wins) & ~draw & open;
+      const uint64_t upper = open & WordColumns(w, i + 1, k);
+      answered += std::popcount(upper);
+      s.greater[at] = wins;
+      s.drawn[at] = draw & upper;
+      draws += static_cast<size_t>(std::popcount(draw & upper));
+    }
+  }
+  if (draws > 0) {
+    scratch_.raw.resize(draws);
+    rng_.FillRaw({scratch_.raw.data(), draws});
+    const uint64_t* __restrict raw = scratch_.raw.data();
+    size_t cursor = 0;
+    for (size_t i = 0; i < k; ++i) {
+      // Who lost is a coin flip to the branch predictor, so both bits are
+      // written unconditionally, FoldAnswers-style: row i's in a register,
+      // one store per word; bit i of row j straight to memory.
+      const size_t shift_i = i & 63;
+      uint64_t* const column_i = words + (i >> 6);  // row j's word: j * stride
+      for (size_t w = (i + 1) >> 6; w < stride; ++w) {
+        const size_t at = i * stride + w;
+        const uint64_t above = s.above[at];
+        const uint64_t flip = above ^ s.greater[at];
+        uint64_t lost_row = 0;
+        for (uint64_t t = s.drawn[at]; t != 0; t &= t - 1) {
+          const int bit = std::countr_zero(t);
+          const uint64_t threshold = (above >> bit) & 1 ? eps_thr : coin_thr;
+          const uint64_t lost =
+              uint64_t{(raw[cursor++] >> 11) < threshold} ^ ((flip >> bit) & 1);
+          lost_row |= lost << bit;
+          column_i[(w * 64 + static_cast<size_t>(bit)) * stride] |=
+              (lost ^ 1) << shift_i;
+        }
+        words[at] |= lost_row;
+      }
+    }
+    CROWDMAX_DCHECK(cursor == draws);
+  }
+  AddComparisons(answered);
+  return answered;
 }
 
 // The pre-bulk scalar batch path, kept bit-identical as the

@@ -104,6 +104,22 @@ struct VoteBatchScratch {
   }
 };
 
+/// Scratch of ThresholdComparator's tournament kernel, reused across
+/// calls so the warm loop never allocates. For a group of k players,
+/// padded to stride = ceil(k / 64) words per row: the players' values
+/// (padded with zeros to stride * 64), and per row one word per 64
+/// columns for each value compare (|v_i - v_j| > delta; v_i > v_j, which
+/// becomes "players[i] wins" once ties are broken by id), for the skipped
+/// pairs over both triangles, and for the pairs of the upper triangle
+/// that draw.
+struct TournamentScratch {
+  std::vector<double> values;
+  std::vector<uint64_t> above;
+  std::vector<uint64_t> greater;
+  std::vector<uint64_t> skipped;
+  std::vector<uint64_t> drawn;
+};
+
 /// The paper's threshold-model worker over an Instance.
 ///
 /// Above the threshold the higher-valued element wins with probability
@@ -139,6 +155,16 @@ class ThresholdComparator : public Comparator, public VoteBatchComparator {
   int64_t GenerateVotes(std::span<const ComparisonPair> pairs,
                         std::span<ElementId> out) override;
 
+  /// Under kFreshCoin with bulk draws on, a kernel that needs no written-
+  /// out pair list (DESIGN.md §14): every row of the group is compared in
+  /// 64-column words, the pairs whose class does not draw are decided by
+  /// those words, and only the pairs whose class draws consume raw draws,
+  /// in row-major order. Otherwise, and for a group with a player outside
+  /// the instance or a NaN value, the default path.
+  int64_t GenerateTournament(std::span<const ElementId> players,
+                             std::span<const uint64_t> skip,
+                             LossMatrix* losses) override;
+
   /// Checkpoints the counter, the RNG stream position, and the sticky
   /// below-threshold answer table, so a restored run replays the exact
   /// same coin flips and per-pair opinions (core/checkpoint.h).
@@ -162,6 +188,7 @@ class ThresholdComparator : public Comparator, public VoteBatchComparator {
   // Persistent below-threshold answers for kPersistentArbitrary.
   PairTable sticky_answers_;
   VoteBatchScratch scratch_;
+  TournamentScratch tournament_;
 };
 
 /// Probabilistic-model worker whose error probability decays exponentially

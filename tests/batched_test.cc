@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "core/batched.h"
 #include "core/comparator.h"
 #include "core/instance.h"
+#include "core/resilient.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
 #include "platform/platform.h"
@@ -158,6 +161,59 @@ TEST(BatchedFilterTest, MemoizationSkipsRepeatedPairsAcrossRounds) {
   EXPECT_EQ(r_plain->filter.candidates, r_memo->filter.candidates);
   EXPECT_LE(r_memo->filter.paid_comparisons,
             r_plain->filter.paid_comparisons);
+}
+
+TEST(BatchedFilterTest, IdOutsideTheInstanceIsATypedErrorNotAnAbort) {
+  // The worker model refuses a pair with an id outside its instance; the
+  // comparator executors report that pair instead of aborting, and the
+  // recovery stack passes the error through without retrying it.
+  Result<Instance> instance = UniformInstance(100, 5);
+  ASSERT_TRUE(instance.ok());
+  const double delta = instance->DeltaForU(5);
+  for (const int64_t threads : {0, 1, 4}) {
+    for (const bool resilient : {false, true}) {
+      for (const bool memoize : {false, true}) {
+        const std::string context = "threads=" + std::to_string(threads) +
+                                    " resilient=" + std::to_string(resilient) +
+                                    " memoize=" + std::to_string(memoize);
+        ThresholdComparator naive(&*instance, ThresholdModel{delta, 0.1},
+                                  /*seed=*/3);
+        std::unique_ptr<BatchExecutor> executor;
+        if (threads == 0) {
+          executor = std::make_unique<ComparatorBatchExecutor>(&naive);
+        } else {
+          Result<std::unique_ptr<ParallelBatchExecutor>> parallel =
+              ParallelBatchExecutor::Create(&naive, threads, /*seed=*/9,
+                                            /*chunk_size=*/64);
+          ASSERT_TRUE(parallel.ok()) << context;
+          executor = std::move(parallel).value();
+        }
+        std::unique_ptr<ResilientBatchExecutor> recovery;
+        BatchExecutor* top = executor.get();
+        if (resilient) {
+          Result<std::unique_ptr<ResilientBatchExecutor>> created =
+              ResilientBatchExecutor::Create(executor.get());
+          ASSERT_TRUE(created.ok()) << context;
+          recovery = std::move(created).value();
+          top = recovery.get();
+        }
+        FilterOptions options;
+        options.u_n = 5;
+        options.memoize = memoize;
+        std::vector<ElementId> items = instance->AllElements();
+        items[50] = 1000;
+        const Result<BatchedFilterResult> result =
+            BatchedFilterCandidates(items, options, top);
+        EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+            << context;
+        EXPECT_NE(result.status().message().find("1000"), std::string::npos)
+            << context << ": " << result.status().ToString();
+        if (resilient) {
+          EXPECT_EQ(recovery->report().attempts, 1) << context;
+        }
+      }
+    }
+  }
 }
 
 TEST(BatchedFilterTest, HonorsComparisonBudget) {

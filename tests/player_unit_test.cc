@@ -10,6 +10,7 @@
 //    memo hits the uninterrupted run finds;
 //  * the kind and disjointness rules (death tests, debug builds only).
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -23,6 +24,7 @@
 #include "core/checkpoint.h"
 #include "core/comparator.h"
 #include "core/filter_phase.h"
+#include "core/loss_matrix.h"
 #include "core/resilient.h"
 #include "core/round_engine.h"
 #include "core/worker_model.h"
@@ -313,6 +315,116 @@ TEST(PlayerUnitTest, RefusedPairIsATypedErrorOnTheComparatorBackends) {
           << context;
       EXPECT_NE(drive.status().message().find("{16, 20}"), std::string::npos)
           << context << ": " << drive.status().ToString();
+    }
+  }
+}
+
+// Forwards to a worker model and counts the engine's calls into its batch
+// interface; its forks share the counts (pool threads, hence atomics).
+class CountingBatchComparator : public Comparator, public VoteBatchComparator {
+ public:
+  struct Counts {
+    std::atomic<int64_t> tournaments{0};
+    std::atomic<int64_t> votes{0};
+    std::atomic<int64_t> compares{0};
+  };
+
+  CountingBatchComparator(std::unique_ptr<Comparator> inner, Counts* counts)
+      : inner_(std::move(inner)), counts_(counts) {}
+
+  std::unique_ptr<Comparator> Fork(uint64_t seed) const override {
+    return std::make_unique<CountingBatchComparator>(inner_->Fork(seed),
+                                                     counts_);
+  }
+  VoteBatchComparator* AsVoteBatch() override { return this; }
+  int64_t GenerateVotes(std::span<const ComparisonPair> pairs,
+                        std::span<ElementId> out) override {
+    ++counts_->votes;
+    const int64_t answered = inner_->AsVoteBatch()->GenerateVotes(pairs, out);
+    AddComparisons(answered);
+    return answered;
+  }
+  int64_t GenerateTournament(std::span<const ElementId> players,
+                             std::span<const uint64_t> skip,
+                             LossMatrix* losses) override {
+    ++counts_->tournaments;
+    const int64_t answered =
+        inner_->AsVoteBatch()->GenerateTournament(players, skip, losses);
+    AddComparisons(answered);
+    return answered;
+  }
+
+ private:
+  ElementId DoCompare(ElementId a, ElementId b) override {
+    ++counts_->compares;
+    return inner_->Compare(a, b);
+  }
+
+  std::unique_ptr<Comparator> inner_;
+  Counts* counts_;
+};
+
+TEST(PlayerUnitTest, ComparatorBackendsAnswerEachUnitWithOneTournamentCall) {
+  // A silent fallback to written-out pairs (GenerateVotes) or to per-pair
+  // Compare calls fails the counts; the answers and counters must match
+  // the bare model's on the same backend.
+  struct Case {
+    const char* name;
+    int64_t n;
+    std::vector<Groups> rounds;
+  };
+  const Case cases[] = {{"small", 24, SmallSchedule()},
+                        {"large", 200, LargeSchedule()}};
+  const BackendCase backends[] = {{"serial", Backend::kSerial, 0},
+                                  {"parallel1", Backend::kParallel, 1},
+                                  {"parallel4", Backend::kParallel, 4}};
+  for (const Case& schedule : cases) {
+    const Instance instance = MakeInstance(schedule.n, 8);
+    const ThresholdModel model{instance.DeltaForU(instance.size() / 2), 0.0};
+    int64_t units = 0;
+    for (const Groups& groups : schedule.rounds) {
+      units += static_cast<int64_t>(groups.size());
+    }
+    for (const bool promise : {false, true}) {
+      for (const BackendCase& backend : backends) {
+        const std::string context = std::string(schedule.name) + " " +
+                                    backend.name +
+                                    " promise=" + std::to_string(promise);
+        std::vector<ScheduleRun> runs;
+        CountingBatchComparator::Counts counts;
+        for (const bool counting : {false, true}) {
+          std::unique_ptr<Comparator> naive =
+              std::make_unique<ThresholdComparator>(&instance, model,
+                                                    /*seed=*/77);
+          if (counting) {
+            naive = std::make_unique<CountingBatchComparator>(
+                std::move(naive), &counts);
+          }
+          std::unique_ptr<RoundEngine> engine;
+          if (backend.backend == Backend::kSerial) {
+            engine = RoundEngine::CreateSerial(naive.get(), /*memoize=*/true);
+          } else {
+            Result<std::unique_ptr<RoundEngine>> created =
+                RoundEngine::CreateParallel(naive.get(), backend.width,
+                                            /*seed=*/99, /*memoize=*/true);
+            ASSERT_TRUE(created.ok()) << context;
+            engine = std::move(created).value();
+          }
+          GroupSource source(schedule.rounds, /*players=*/true,
+                             /*granular=*/false, promise);
+          ASSERT_TRUE(engine->Drive(&source).ok()) << context;
+          runs.push_back(ScheduleRun{source.answers(), engine->paid(),
+                                     engine->issued(), engine->cache_hits(),
+                                     source.unresolved()});
+        }
+        EXPECT_EQ(counts.tournaments.load(), units) << context;
+        EXPECT_EQ(counts.votes.load(), 0) << context;
+        EXPECT_EQ(counts.compares.load(), 0) << context;
+        EXPECT_EQ(runs[1].answers, runs[0].answers) << context;
+        EXPECT_EQ(runs[1].paid, runs[0].paid) << context;
+        EXPECT_EQ(runs[1].cache_hits, runs[0].cache_hits) << context;
+        EXPECT_GT(runs[1].cache_hits, 0) << context;
+      }
     }
   }
 }

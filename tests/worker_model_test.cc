@@ -3,6 +3,7 @@
 // including the paper's key qualitative claim that majority voting helps in
 // the former regime and plateaus in the latter.
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <span>
@@ -15,6 +16,7 @@
 #include "core/checkpoint.h"
 #include "core/filter_phase.h"
 #include "core/instance.h"
+#include "core/loss_matrix.h"
 #include "core/pair_key.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
@@ -404,7 +406,7 @@ std::vector<ComparisonPair> MixedPairs(const Instance& instance,
 struct ModelDuo {
   std::unique_ptr<Comparator> percall;
   std::unique_ptr<Comparator> batch;
-  const char* name;
+  std::string name;
 };
 
 std::vector<ModelDuo> MakeModelDuos(const Instance& instance, uint64_t seed) {
@@ -552,6 +554,194 @@ TEST(VoteBatchEquivalenceTest, BulkAndScalarDrawPathsAreBitIdentical) {
       }
     }
   }
+}
+
+// ---------------------------------------------- Tournament equivalence.
+//
+// VoteBatchComparator::GenerateTournament (DESIGN.md §14) must equal one
+// GenerateVotes call over the group's unskipped pairs written out in
+// row-major order: the same matrix as the fold of those votes, the same
+// count, counter and serialized state, and no bit set outside the
+// answered pairs. `percall` plays the written-out side, `batch` the
+// tournament side.
+
+// Every model, plus the threshold model under both tie policies with
+// epsilon in {0, 0.1} and, under the fresh coin, below-threshold coins of
+// 0, 0.5 and 1: the draw-free class edges of the threshold kernel. (The
+// persistent policy draws its own fair coin, so it takes one.)
+std::vector<ModelDuo> TournamentDuos(const Instance& instance, uint64_t seed) {
+  std::vector<ModelDuo> duos = MakeModelDuos(instance, seed);
+  for (const TiePolicy policy :
+       {TiePolicy::kFreshCoin, TiePolicy::kPersistentArbitrary}) {
+    for (const double epsilon : {0.0, 0.1}) {
+      for (const double coin : {0.0, 0.5, 1.0}) {
+        if (policy == TiePolicy::kPersistentArbitrary && coin != 0.5) continue;
+        ThresholdComparator::Options options;
+        options.model = ThresholdModel{0.3, epsilon};
+        options.tie_policy = policy;
+        options.below_threshold_correct_prob = coin;
+        const auto make = [&] {
+          return std::make_unique<ThresholdComparator>(&instance, options,
+                                                       seed + 10);
+        };
+        duos.push_back(
+            {make(), make(),
+             std::string("threshold/") +
+                 (policy == TiePolicy::kFreshCoin ? "fresh" : "persistent") +
+                 " eps=" + std::to_string(epsilon) +
+                 " coin=" + std::to_string(coin)});
+      }
+    }
+  }
+  return duos;
+}
+
+// Values in [0, 1) with runs of equal values, so the winner rule's
+// lower-id tie break decides some pairs on both sides of delta = 0.3.
+Instance TiedInstance(uint64_t seed, int64_t n) {
+  Rng rng(seed);
+  std::vector<double> values;
+  for (int64_t i = 0; i < n; ++i) {
+    values.push_back(i % 5 == 4 ? values.back() : rng.NextDouble());
+  }
+  return Instance(values);
+}
+
+enum class SkipKind { kNone, kRandom, kAll };
+
+// One group's pair mask (empty for kNone), bits of the upper triangle only.
+std::vector<uint64_t> MakeSkip(SkipKind kind, size_t k, size_t stride,
+                               Rng* rng) {
+  std::vector<uint64_t> skip;
+  if (kind == SkipKind::kNone) return skip;
+  skip.assign(k * stride, 0);
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = i + 1; j < k; ++j) {
+      if (kind == SkipKind::kAll || rng->NextBounded(3) == 0) {
+        skip[i * stride + (j >> 6)] |= uint64_t{1} << (j & 63);
+      }
+    }
+  }
+  return skip;
+}
+
+bool Skipped(const std::vector<uint64_t>& skip, size_t stride, size_t i,
+             size_t j) {
+  return !skip.empty() && ((skip[i * stride + (j >> 6)] >> (j & 63)) & 1) != 0;
+}
+
+// Runs one group on both sides of `duo` and compares them. A skipped pair
+// starts with one bit set, as a memo hit would, which the call must keep.
+void ExpectTournamentMatchesVotes(const ModelDuo& duo,
+                                  const std::vector<ElementId>& players,
+                                  SkipKind kind, Rng* rng,
+                                  const std::string& context) {
+  const size_t k = players.size();
+  LossMatrix got;
+  got.Reset(k);
+  const size_t stride = got.stride();
+  const std::vector<uint64_t> skip = MakeSkip(kind, k, stride, rng);
+  std::vector<ComparisonPair> pairs;
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = i + 1; j < k; ++j) {
+      if (!Skipped(skip, stride, i, j)) {
+        pairs.push_back({players[i], players[j]});
+      } else if (rng->NextBounded(2) == 0) {
+        got.SetLost(i, j);
+      } else {
+        got.SetLost(j, i);
+      }
+    }
+  }
+  LossMatrix want = got;
+  std::vector<ElementId> votes(pairs.size(), -1);
+  const int64_t produced =
+      duo.percall->AsVoteBatch()->GenerateVotes(pairs, votes);
+  size_t m = 0;
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = i + 1; j < k; ++j) {
+      if (Skipped(skip, stride, i, j)) continue;
+      if (static_cast<int64_t>(m) < produced) {
+        if (votes[m] == players[j]) {
+          want.SetLost(i, j);
+        } else {
+          ASSERT_EQ(votes[m], players[i]) << context;
+          want.SetLost(j, i);
+        }
+      }
+      ++m;
+    }
+  }
+  const LossMatrix before = got;
+  const int64_t answered = duo.batch->AsVoteBatch()->GenerateTournament(
+      players, skip, &got);
+  EXPECT_EQ(answered, produced) << context;
+  EXPECT_TRUE(std::equal(got.words().begin(), got.words().end(),
+                         want.words().begin()))
+      << context;
+  EXPECT_EQ(duo.batch->num_comparisons(), duo.percall->num_comparisons())
+      << context;
+  EXPECT_EQ(StateBytes(*duo.batch), StateBytes(*duo.percall)) << context;
+  // Nothing outside the answered pairs: no diagonal or padding bit, and
+  // every skipped pair exactly as the memo left it.
+  int64_t stray = 0;
+  for (size_t i = 0; i < k; ++i) {
+    stray += got.Lost(i, i);
+    for (size_t j = k; j < stride * 64; ++j) stray += got.Lost(i, j);
+    for (size_t j = i + 1; j < k; ++j) {
+      if (!Skipped(skip, stride, i, j)) continue;
+      stray += got.Lost(i, j) != before.Lost(i, j);
+      stray += got.Lost(j, i) != before.Lost(j, i);
+    }
+  }
+  EXPECT_EQ(stray, 0) << context;
+}
+
+TEST(VoteBatchEquivalenceTest, TournamentMatchesGenerateVotesOverItsPairs) {
+  const Instance instance = TiedInstance(61, 256);
+  for (const bool simd : {true, false}) {
+    SetRngBulkSimd(simd);
+    for (const bool bulk : {true, false}) {
+      for (ModelDuo& duo : TournamentDuos(instance, 900)) {
+        duo.percall->AsVoteBatch()->set_bulk_draws(bulk);
+        duo.batch->AsVoteBatch()->set_bulk_draws(bulk);
+        Rng rng(62);
+        // One duo answers every group in turn, so each call also starts
+        // from the state the previous one left.
+        for (const size_t k : {2, 3, 63, 64, 65, 130, 200}) {
+          for (const SkipKind kind :
+               {SkipKind::kNone, SkipKind::kRandom, SkipKind::kAll}) {
+            std::vector<ElementId> players = instance.AllElements();
+            rng.Shuffle(&players);
+            players.resize(k);
+            ExpectTournamentMatchesVotes(
+                duo, players, kind, &rng,
+                duo.name + " simd=" + std::to_string(simd) +
+                    " bulk=" + std::to_string(bulk) +
+                    " k=" + std::to_string(k) +
+                    " skip=" + std::to_string(static_cast<int>(kind)));
+          }
+        }
+        // A player outside the instance: the same answered prefix.
+        for (const ElementId bad :
+             {static_cast<ElementId>(-1),
+              static_cast<ElementId>(instance.size())}) {
+          std::vector<ElementId> players = instance.AllElements();
+          rng.Shuffle(&players);
+          players.resize(70);
+          players[40] = bad;
+          for (const SkipKind kind : {SkipKind::kNone, SkipKind::kRandom}) {
+            ExpectTournamentMatchesVotes(
+                duo, players, kind, &rng,
+                duo.name + " simd=" + std::to_string(simd) +
+                    " bulk=" + std::to_string(bulk) +
+                    " bad=" + std::to_string(bad));
+          }
+        }
+      }
+    }
+  }
+  SetRngBulkSimd(true);
 }
 
 // Regression for the pair-key aliasing bug: a negative or out-of-range id
