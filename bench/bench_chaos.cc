@@ -90,7 +90,7 @@ CheckpointTiming TimeFilterRuns(const Instance& instance, int64_t repeats,
       controller.set_snapshot_every_rounds(cadence);
       engine->set_checkpoint(&controller);
     }
-    Result<FilterEngineRun> run =
+    Result<FilterResult> run =
         RunFilterOnEngine(items, options, engine.get());
     CROWDMAX_CHECK(run.ok());
     if (cadence > 0) {

@@ -20,7 +20,12 @@
 #include "common/table.h"
 #include "core/async_executor.h"
 #include "core/batched.h"
+#include "core/expert_max.h"
+#include "core/filter_phase.h"
+#include "core/multilevel.h"
 #include "core/resilient.h"
+#include "core/round_engine.h"
+#include "core/topk.h"
 #include "core/worker_model.h"
 #include "datasets/dots.h"
 #include "platform/platform.h"
@@ -85,7 +90,7 @@ SweepRow RunOnce(const Instance& instance, double abandon_p, double churn_p,
 
   ExpertMaxOptions algo;
   algo.filter.u_n = u_n;
-  Result<BatchedExpertMaxResult> result = BatchedFindMaxWithExperts(
+  Result<ExpertMaxResult> result = FindMaxWithExperts(
       instance.AllElements(), naive->get(), expert->get(), algo);
   CROWDMAX_CHECK(result.ok());
 
@@ -94,7 +99,7 @@ SweepRow RunOnce(const Instance& instance, double abandon_p, double churn_p,
   // agree, and every cell must satisfy
   // dispatched = answered + no_quorum + dropped.
   MetricsAuditor auditor(&trace);
-  auditor.ExpectPaidStats(result->result.paid);
+  auditor.ExpectPaidStats(result->paid);
   auditor.ExpectDispatchedTotal((*naive)->comparisons() +
                                 (*expert)->comparisons());
   auditor.ExpectTaskFaults((*platform)->fault_stats().dropped_tasks,
@@ -106,12 +111,12 @@ SweepRow RunOnce(const Instance& instance, double abandon_p, double churn_p,
   SweepRow row;
   row.abandon_p = abandon_p;
   row.fault_seed = fault_seed;
-  row.found_max = result->result.best == instance.MaxElement();
+  row.found_max = result->best == instance.MaxElement();
   row.partial = result->partial;
   row.naive_steps = result->naive_steps;
   row.expert_steps = result->expert_steps;
-  row.naive_faults = result->naive_faults;
-  row.expert_faults = result->expert_faults;
+  row.naive_faults = *result->naive_faults;
+  row.expert_faults = *result->expert_faults;
   row.platform_stats = (*platform)->fault_stats();
   return row;
 }
@@ -147,7 +152,7 @@ std::string AuditInjectedPipeline(const Instance& instance, int64_t threads,
   FilterOptions filter;
   filter.u_n = u_n;
   auto filtered =
-      BatchedFilterCandidates(instance.AllElements(), filter, resilient->get());
+      FilterCandidates(instance.AllElements(), filter, resilient->get());
   CROWDMAX_CHECK(filtered.ok());
 
   MetricsAuditor auditor(&trace);
@@ -239,12 +244,12 @@ void AuditEngineExecutedStrategies(const Instance& instance, double abandon_p,
     TopKOptions topk;
     topk.k = 3;
     topk.filter.u_n = u_n;
-    Result<BatchedTopKResult> result = BatchedFindTopKWithExperts(
+    Result<TopKResult> result = FindTopKWithExperts(
         instance.AllElements(), stack.naive.get(), stack.expert.get(), topk);
     CROWDMAX_CHECK(result.ok());
 
     MetricsAuditor auditor(&trace);
-    auditor.ExpectPaidStats(result->result.paid);
+    auditor.ExpectPaidStats(result->paid);
     auditor.ExpectDispatchedTotal(stack.naive->comparisons() +
                                   stack.expert->comparisons());
     auditor.ExpectTaskFaults(stack.platform->fault_stats().dropped_tasks,
@@ -258,17 +263,17 @@ void AuditEngineExecutedStrategies(const Instance& instance, double abandon_p,
                                         fault_seed, max_retries, min_votes);
     AlgoTrace trace;
     ScopedTrace scoped_trace(&trace);
-    std::vector<BatchedWorkerClassSpec> classes = {
+    std::vector<WorkerClassSpec> classes = {
         {stack.naive.get(), u_n, 1.0}, {stack.expert.get(), 1, 40.0}};
-    Result<BatchedMultilevelResult> result = BatchedFindMaxMultilevel(
+    Result<MultilevelResult> result = FindMaxMultilevel(
         instance.AllElements(), classes, MultilevelOptions{});
     CROWDMAX_CHECK(result.ok());
 
     MetricsAuditor auditor(&trace);
     auditor.ExpectDispatched(TraceWorkerClass::kNaive,
-                             result->result.paid_per_class[0]);
+                             result->paid_per_class[0]);
     auditor.ExpectDispatched(TraceWorkerClass::kExpert,
-                             result->result.paid_per_class[1]);
+                             result->paid_per_class[1]);
     auditor.ExpectDispatchedTotal(stack.naive->comparisons() +
                                   stack.expert->comparisons());
     auditor.ExpectTaskFaults(stack.platform->fault_stats().dropped_tasks,
@@ -297,16 +302,13 @@ std::string AuditPipelinedFaultyPlatform(const Instance& instance,
   filter.u_n = u_n;
   filter.memoize = true;
   filter.pipeline_groups = true;
-  Result<BatchedFilterResult> result = [&] {
+  Result<FilterResult> result = [&] {
     if (pipelined) {
       AsyncBatchAdapter async(stack.naive.get());
-      BatchedPipelineOptions pipeline;
-      pipeline.max_in_flight = 8;
-      return PipelinedFilterCandidates(instance.AllElements(), filter, &async,
-                                       pipeline);
+      return FilterCandidates(instance.AllElements(), filter,
+                              Execution(&async, /*max_in_flight=*/8));
     }
-    return BatchedFilterCandidates(instance.AllElements(), filter,
-                                   stack.naive.get());
+    return FilterCandidates(instance.AllElements(), filter, stack.naive.get());
   }();
   CROWDMAX_CHECK(result.ok());
 

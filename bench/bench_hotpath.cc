@@ -675,37 +675,41 @@ int Main(int argc, char** argv) {
       smoke ? 2000 : 20000, /*u_n_target=*/50, /*u_e_target=*/10,
       /*seed=*/2025);
 
-  std::vector<std::pair<std::string, ModelFactory>> models;
   using Setup = bench::TwoClassSetup;
-  models.emplace_back("threshold", [](const Setup& on, uint64_t seed)
-                                       -> std::unique_ptr<Comparator> {
-    ThresholdComparator::Options options;
-    options.model = ThresholdModel{on.delta_n, 0.15};
-    return std::make_unique<ThresholdComparator>(&on.instance, options, seed);
-  });
-  models.emplace_back("relative_error", [](const Setup& on, uint64_t seed)
-                                            -> std::unique_ptr<Comparator> {
-    return std::make_unique<RelativeErrorComparator>(
-        &on.instance, RelativeErrorComparator::Options{}, seed);
-  });
-  models.emplace_back("distance_decay", [](const Setup& on, uint64_t seed)
-                                            -> std::unique_ptr<Comparator> {
-    DistanceDecayComparator::Options options;
-    options.delta = on.delta_n;
-    options.epsilon_at_threshold = 0.25;
-    options.decay = 3.0 / on.delta_n;
-    return std::make_unique<DistanceDecayComparator>(&on.instance, options,
-                                                     seed);
-  });
-  models.emplace_back("persistent_bias", [](const Setup& on, uint64_t seed)
-                                             -> std::unique_ptr<Comparator> {
-    PersistentBiasComparator::Options options;
-    options.buckets = {{0.10, 0.60}, {0.20, 0.70}};
-    options.individual_noise = 0.28;
-    options.above_threshold_error = 0.15;
-    return std::make_unique<PersistentBiasComparator>(&on.instance, options,
+  // Built from one initializer list: GCC 12 reports a false -Warray-bounds
+  // on emplace_back of a (string, std::function) pair into an empty vector.
+  const std::vector<std::pair<std::string, ModelFactory>> models = {
+      {"threshold",
+       [](const Setup& on, uint64_t seed) -> std::unique_ptr<Comparator> {
+         ThresholdComparator::Options options;
+         options.model = ThresholdModel{on.delta_n, 0.15};
+         return std::make_unique<ThresholdComparator>(&on.instance, options,
                                                       seed);
-  });
+       }},
+      {"relative_error",
+       [](const Setup& on, uint64_t seed) -> std::unique_ptr<Comparator> {
+         return std::make_unique<RelativeErrorComparator>(
+             &on.instance, RelativeErrorComparator::Options{}, seed);
+       }},
+      {"distance_decay",
+       [](const Setup& on, uint64_t seed) -> std::unique_ptr<Comparator> {
+         DistanceDecayComparator::Options options;
+         options.delta = on.delta_n;
+         options.epsilon_at_threshold = 0.25;
+         options.decay = 3.0 / on.delta_n;
+         return std::make_unique<DistanceDecayComparator>(&on.instance,
+                                                          options, seed);
+       }},
+      {"persistent_bias",
+       [](const Setup& on, uint64_t seed) -> std::unique_ptr<Comparator> {
+         PersistentBiasComparator::Options options;
+         options.buckets = {{0.10, 0.60}, {0.20, 0.70}};
+         options.individual_noise = 0.28;
+         options.above_threshold_error = 0.15;
+         return std::make_unique<PersistentBiasComparator>(&on.instance,
+                                                           options, seed);
+       }},
+  };
 
   std::vector<ModelReport> reports;
   for (const auto& [name, factory] : models) {

@@ -315,45 +315,45 @@ void RunPipelineLatencyReport(const std::string& json_path, bool smoke) {
   const std::vector<PipelineSourceSpec> sources = {
       {"filter",
        [&](RoundEngine* engine) {
-         Result<FilterEngineRun> run = RunFilterOnEngine(
+         Result<FilterResult> run = RunFilterOnEngine(
              filter_instance.AllElements(), filter_options, engine);
          CROWDMAX_CHECK(run.ok() && !run->partial);
          PipelineRunSignature sig;
-         sig.output.assign(run->filter.candidates.begin(),
-                           run->filter.candidates.end());
+         sig.output.assign(run->candidates.begin(),
+                           run->candidates.end());
          return sig;
        }},
       {"twomax_speculate",
        [&](RoundEngine* engine) {
-         TwoMaxFindEngineOptions options;
+         TwoMaxFindOptions options;
          options.speculate = true;  // sync drives ignore speculation
-         Result<MaxFindEngineRun> run =
+         Result<MaxFindResult> run =
              RunTwoMaxFindOnEngine(twomax_items, engine, options);
          CROWDMAX_CHECK(run.ok() && !run->partial);
          PipelineRunSignature sig;
-         sig.output = {run->maxfind.best, run->maxfind.rounds,
-                       run->maxfind.paid_comparisons};
+         sig.output = {run->best, run->rounds,
+                       run->paid_comparisons};
          return sig;
        }},
       {"tournament_chunked",
        [&](RoundEngine* engine) {
          TournamentEngineOptions options;
          options.chunk_pairs = tourney_chunk;
-         Result<TournamentEngineRun> run = RunTournamentOnEngine(
+         Result<TournamentResult> run = RunTournamentOnEngine(
              tourney_instance.AllElements(), engine, "all_play_all", options);
          CROWDMAX_CHECK(run.ok() && run->unresolved == 0);
          PipelineRunSignature sig;
-         sig.output = run->tournament.wins;
+         sig.output = run->wins;
          return sig;
        }},
       {"randomized_grouped",
        [&](RoundEngine* engine) {
-         Result<MaxFindEngineRun> run = RunRandomizedMaxFindOnEngine(
+         Result<MaxFindResult> run = RunRandomizedMaxFindOnEngine(
              random_instance.AllElements(), engine, random_options);
          CROWDMAX_CHECK(run.ok() && !run->partial);
          PipelineRunSignature sig;
-         sig.output = {run->maxfind.best, run->maxfind.rounds,
-                       run->maxfind.paid_comparisons};
+         sig.output = {run->best, run->rounds,
+                       run->paid_comparisons};
          return sig;
        }},
   };

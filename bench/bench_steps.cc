@@ -18,6 +18,8 @@
 #include "common/table.h"
 #include "core/batched.h"
 #include "core/comparator.h"
+#include "core/expert_max.h"
+#include "core/maxfind.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
 
@@ -34,8 +36,8 @@ int64_t TwoMaxFindWorstCaseSteps(int64_t n, uint64_t seed) {
   AdversarialComparator adversary(&*packed, /*delta=*/1.0,
                                   AdversarialPolicy::kFirstLoses);
   ComparatorBatchExecutor executor(&adversary);
-  Result<BatchedMaxFindResult> result =
-      BatchedTwoMaxFind(packed->AllElements(), &executor);
+  Result<MaxFindResult> result =
+      TwoMaxFind(packed->AllElements(), &executor);
   CROWDMAX_CHECK(result.ok());
   return result->logical_steps;
 }
@@ -76,7 +78,7 @@ int main(int argc, char** argv) {
 
       ExpertMaxOptions options;
       options.filter.u_n = setup.u_n;
-      Result<BatchedExpertMaxResult> alg1 = BatchedFindMaxWithExperts(
+      Result<ExpertMaxResult> alg1 = FindMaxWithExperts(
           setup.instance.AllElements(), &naive_exec, &expert_exec, options);
       CROWDMAX_CHECK(alg1.ok());
       alg1_naive += static_cast<double>(alg1->naive_steps);
@@ -86,8 +88,8 @@ int main(int argc, char** argv) {
                                         ThresholdModel{setup.delta_e, 0.0},
                                         trial_seed + 3);
       ComparatorBatchExecutor single_exec(&single_worker);
-      Result<BatchedMaxFindResult> two_mf =
-          BatchedTwoMaxFind(setup.instance.AllElements(), &single_exec);
+      Result<MaxFindResult> two_mf =
+          TwoMaxFind(setup.instance.AllElements(), &single_exec);
       CROWDMAX_CHECK(two_mf.ok());
       single += static_cast<double>(two_mf->logical_steps);
     }

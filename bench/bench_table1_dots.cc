@@ -68,8 +68,8 @@ DedupOutcome RunTwoPhase(const Instance& instance, int64_t u_n, uint64_t seed,
     filter.shared_cache = &cache;
     filter.cache_class = 0;  // One class: both phases buy from this crowd.
   }
-  Result<BatchedFilterResult> phase1 =
-      BatchedFilterCandidates(instance.AllElements(), filter, naive->get());
+  Result<FilterResult> phase1 =
+      FilterCandidates(instance.AllElements(), filter, naive->get());
   CROWDMAX_CHECK(phase1.ok());
 
   Result<std::unique_ptr<RoundEngine>> finals_engine =
@@ -77,17 +77,17 @@ DedupOutcome RunTwoPhase(const Instance& instance, int64_t u_n, uint64_t seed,
                                  share_evidence ? &cache : nullptr,
                                  /*cache_class=*/0);
   CROWDMAX_CHECK(finals_engine.ok());
-  Result<TournamentEngineRun> finals = RunTournamentOnEngine(
-      phase1->filter.candidates, finals_engine->get());
+  Result<TournamentResult> finals = RunTournamentOnEngine(
+      phase1->candidates, finals_engine->get());
   CROWDMAX_CHECK(finals.ok());
 
   DedupOutcome outcome;
-  outcome.candidates = phase1->filter.candidates;
+  outcome.candidates = phase1->candidates;
   outcome.expert_issued = (*finals_engine)->issued();
   outcome.expert_paid = (*finals_engine)->paid();
   outcome.expert_hits = (*finals_engine)->cache_hits();
   outcome.pick =
-      outcome.candidates[IndexOfMostWins(finals->tournament)];
+      outcome.candidates[IndexOfMostWins(*finals)];
   return outcome;
 }
 
@@ -146,19 +146,21 @@ ExperimentOutcome RunExperiment(const Instance& instance, int64_t u_n,
   // Phase-1 comparisons aggregate 3 worker answers each (the paper's runs
   // requested multiple judgments per pair); the final round uses the
   // 7-vote "simulated experts".
-  PlatformComparator naive(platform->get(), /*votes_per_task=*/3);
-  PlatformComparator simulated_expert(platform->get(), /*votes_per_task=*/7);
+  const std::unique_ptr<PlatformComparator> naive =
+      PlatformComparator::Create(platform->get(), /*votes_per_task=*/3).value();
+  const std::unique_ptr<PlatformComparator> simulated_expert =
+      PlatformComparator::Create(platform->get(), /*votes_per_task=*/7).value();
 
   FilterOptions filter;
   filter.u_n = u_n;
   Result<FilterResult> phase1 =
-      FilterCandidates(instance.AllElements(), filter, &naive);
+      FilterCandidates(instance.AllElements(), filter, naive.get());
   CROWDMAX_CHECK(phase1.ok());
 
   // Final round: all-play-all among the survivors with simulated experts,
   // ordered by wins (the "ranking of the last round" of Table 1).
   const TournamentResult finals =
-      AllPlayAll(phase1->candidates, &simulated_expert);
+      AllPlayAll(phase1->candidates, simulated_expert.get());
   const std::vector<ElementId> ranked =
       OrderByWins(phase1->candidates, finals);
 
@@ -234,9 +236,10 @@ int main(int argc, char** argv) {
     CROWDMAX_CHECK(platform.ok());
     // Each 2-MaxFind comparison aggregates 7 worker answers, mirroring the
     // paper's multi-judgment CrowdFlower protocol.
-    PlatformComparator naive(platform->get(), 7);
+    const std::unique_ptr<PlatformComparator> naive =
+        PlatformComparator::Create(platform->get(), 7).value();
     Result<SingleClassResult> result =
-        TwoMaxFindNaiveOnly(instance.AllElements(), &naive);
+        TwoMaxFindNaiveOnly(instance.AllElements(), naive.get());
     CROWDMAX_CHECK(result.ok());
     if (result->best == instance.MaxElement()) ++correct;
   }

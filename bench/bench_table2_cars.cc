@@ -23,6 +23,7 @@
 #include "common/table.h"
 #include "core/batched.h"
 #include "core/filter_phase.h"
+#include "core/maxfind.h"
 #include "core/round_engine.h"
 #include "core/tournament.h"
 #include "core/worker_model.h"
@@ -67,8 +68,8 @@ DedupOutcome RunTwoPhase(const Instance& instance, int64_t u_n, uint64_t seed,
     filter.shared_cache = &cache;
     filter.cache_class = 0;  // One class: both phases buy from this crowd.
   }
-  Result<BatchedFilterResult> phase1 =
-      BatchedFilterCandidates(instance.AllElements(), filter, naive->get());
+  Result<FilterResult> phase1 =
+      FilterCandidates(instance.AllElements(), filter, naive->get());
   CROWDMAX_CHECK(phase1.ok());
 
   Result<std::unique_ptr<RoundEngine>> finals_engine =
@@ -76,16 +77,16 @@ DedupOutcome RunTwoPhase(const Instance& instance, int64_t u_n, uint64_t seed,
                                  share_evidence ? &cache : nullptr,
                                  /*cache_class=*/0);
   CROWDMAX_CHECK(finals_engine.ok());
-  Result<TournamentEngineRun> finals = RunTournamentOnEngine(
-      phase1->filter.candidates, finals_engine->get());
+  Result<TournamentResult> finals = RunTournamentOnEngine(
+      phase1->candidates, finals_engine->get());
   CROWDMAX_CHECK(finals.ok());
 
   DedupOutcome outcome;
-  outcome.candidates = phase1->filter.candidates;
+  outcome.candidates = phase1->candidates;
   outcome.expert_issued = (*finals_engine)->issued();
   outcome.expert_paid = (*finals_engine)->paid();
   outcome.expert_hits = (*finals_engine)->cache_hits();
-  outcome.pick = outcome.candidates[IndexOfMostWins(finals->tournament)];
+  outcome.pick = outcome.candidates[IndexOfMostWins(*finals)];
   return outcome;
 }
 
@@ -138,17 +139,19 @@ ExperimentOutcome RunExperiment(const Instance& instance, int64_t u_n,
 
   // Majority-of-3 naive votes in phase 1 (damps per-query slips), 7-vote
   // "simulated experts" in the final round, as in the paper's protocol.
-  PlatformComparator naive(platform->get(), /*votes_per_task=*/3);
-  PlatformComparator simulated_expert(platform->get(), /*votes_per_task=*/7);
+  const std::unique_ptr<PlatformComparator> naive =
+      PlatformComparator::Create(platform->get(), /*votes_per_task=*/3).value();
+  const std::unique_ptr<PlatformComparator> simulated_expert =
+      PlatformComparator::Create(platform->get(), /*votes_per_task=*/7).value();
 
   FilterOptions filter;
   filter.u_n = u_n;
   Result<FilterResult> phase1 =
-      FilterCandidates(instance.AllElements(), filter, &naive);
+      FilterCandidates(instance.AllElements(), filter, naive.get());
   CROWDMAX_CHECK(phase1.ok());
 
   const TournamentResult finals =
-      AllPlayAll(phase1->candidates, &simulated_expert);
+      AllPlayAll(phase1->candidates, simulated_expert.get());
   const std::vector<ElementId> ranked =
       OrderByWins(phase1->candidates, finals);
 
@@ -249,9 +252,10 @@ int main(int argc, char** argv) {
     CROWDMAX_CHECK(platform.ok());
     // Each 2-MaxFind comparison aggregates 7 worker answers — still not
     // enough in the CARS regime, where the crowd's bias is persistent.
-    PlatformComparator naive(platform->get(), 7);
+    const std::unique_ptr<PlatformComparator> naive =
+        PlatformComparator::Create(platform->get(), 7).value();
     Result<SingleClassResult> result =
-        TwoMaxFindNaiveOnly(instance.AllElements(), &naive);
+        TwoMaxFindNaiveOnly(instance.AllElements(), naive.get());
     CROWDMAX_CHECK(result.ok());
     if (result->best == instance.MaxElement()) ++correct;
     ++returned_rank_histogram[instance.Rank(result->best)];

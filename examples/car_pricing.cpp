@@ -58,8 +58,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  PlatformComparator naive(platform->get(), /*votes_per_task=*/3);
-  PlatformComparator simulated_expert(platform->get(), /*votes_per_task=*/7);
+  const std::unique_ptr<PlatformComparator> naive =
+      PlatformComparator::Create(platform->get(), /*votes_per_task=*/3).value();
+  const std::unique_ptr<PlatformComparator> simulated_expert =
+      PlatformComparator::Create(platform->get(), /*votes_per_task=*/7).value();
   // A real expert: a car-pricing professional who resolves every >= $500
   // difference.
   ThresholdComparator real_expert(&instance, ThresholdModel{400.0, 0.0},
@@ -69,9 +71,9 @@ int main(int argc, char** argv) {
   options.filter.u_n = 10;
 
   Result<ExpertMaxResult> with_simulated = FindMaxWithExperts(
-      instance.AllElements(), &naive, &simulated_expert, options);
+      instance.AllElements(), naive.get(), simulated_expert.get(), options);
   Result<ExpertMaxResult> with_real = FindMaxWithExperts(
-      instance.AllElements(), &naive, &real_expert, options);
+      instance.AllElements(), naive.get(), &real_expert, options);
   if (!with_simulated.ok() || !with_real.ok()) {
     std::cerr << "run failed\n";
     return 1;

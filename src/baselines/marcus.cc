@@ -4,6 +4,7 @@
 #include <memory>
 #include <utility>
 
+#include "core/execution.h"
 #include "core/round_engine.h"
 #include "core/tournament.h"
 
@@ -109,21 +110,16 @@ Result<MaxFindResult> MarcusTournamentMax(const std::vector<ElementId>& items,
   }
   if (Status ids = CheckDistinctIds(items); !ids.ok()) return ids;
 
-  std::unique_ptr<RoundEngine> engine;
-  if (options.threads >= 1) {
-    Result<std::unique_ptr<RoundEngine>> parallel = RoundEngine::CreateParallel(
-        comparator, options.threads, options.parallel_seed, /*memoize=*/false);
-    if (!parallel.ok()) return parallel.status();
-    engine = std::move(*parallel);
-  } else {
-    engine = RoundEngine::CreateSerial(comparator, /*memoize=*/false);
-  }
+  Result<std::unique_ptr<RoundEngine>> engine =
+      Execution(comparator).Engine(/*memoize=*/false, /*cache=*/nullptr, 0,
+                                   options.threads, options.parallel_seed);
+  if (!engine.ok()) return engine.status();
 
   MarcusRoundSource source(items, options);
-  const int64_t paid_before = engine->paid();
-  Result<DriveResult> drive = engine->Drive(&source);
+  const int64_t paid_before = (*engine)->paid();
+  Result<DriveResult> drive = (*engine)->Drive(&source);
   if (!drive.ok()) return drive.status();
-  return source.Finish(engine->paid() - paid_before);
+  return source.Finish((*engine)->paid() - paid_before);
 }
 
 }  // namespace crowdmax

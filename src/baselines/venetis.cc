@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "core/execution.h"
 #include "core/round_engine.h"
 
 namespace crowdmax {
@@ -124,21 +125,16 @@ Result<MaxFindResult> VenetisLadderMax(const std::vector<ElementId>& items,
         "a forkable comparator");
   }
 
-  std::unique_ptr<RoundEngine> engine;
-  if (options.threads >= 1) {
-    Result<std::unique_ptr<RoundEngine>> parallel = RoundEngine::CreateParallel(
-        comparator, options.threads, options.parallel_seed, /*memoize=*/false);
-    if (!parallel.ok()) return parallel.status();
-    engine = std::move(*parallel);
-  } else {
-    engine = RoundEngine::CreateSerial(comparator, /*memoize=*/false);
-  }
+  Result<std::unique_ptr<RoundEngine>> engine =
+      Execution(comparator).Engine(/*memoize=*/false, /*cache=*/nullptr, 0,
+                                   options.threads, options.parallel_seed);
+  if (!engine.ok()) return engine.status();
 
   VenetisRoundSource source(items, options);
-  const int64_t paid_before = engine->paid();
-  Result<DriveResult> drive = engine->Drive(&source);
+  const int64_t paid_before = (*engine)->paid();
+  Result<DriveResult> drive = (*engine)->Drive(&source);
   if (!drive.ok()) return drive.status();
-  return source.Finish(engine->paid() - paid_before);
+  return source.Finish((*engine)->paid() - paid_before);
 }
 
 double MajorityErrorProbability(int64_t k, double p) {

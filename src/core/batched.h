@@ -1,4 +1,5 @@
-// Logical-step (batched) execution of the paper's algorithms.
+// The executor stack: the crowd-side abstraction that answers a batch of
+// independent comparisons in one logical step.
 //
 // Section 3: "the algorithms we consider are organized in logical time
 // steps. In the s-th logical step, a batch B_s of pairwise comparisons is
@@ -8,39 +9,27 @@
 // algorithm (monetary cost is the comparison count; latency is the step
 // count).
 //
-// The sequential algorithms in filter_phase.h / maxfind.h issue one
-// comparison at a time through a Comparator; the Batched* variants here
-// drive the very same RoundSources (core/round_engine.h) on an
-// executor-backed engine, so every independent comparison of a round goes
-// to a BatchExecutor as one batch and the logical-step counts reflect the
-// true round structure: Algorithm 2 runs in O(log n) steps, 2-MaxFind in
-// O(sqrt(s)) steps. Results are identical to the sequential versions
-// whenever worker answers are consistent per pair (memoization/persistent
-// ties). This file owns the executor stack (the crowd-side abstraction)
-// and the thin Batched* adapters; the round loop itself lives in
-// RoundEngine and nowhere else.
+// This file holds the BatchExecutor interface and its two comparator
+// adapters (ComparatorBatchExecutor, ParallelBatchExecutor). The platform
+// adapter lives in platform/platform.h, the fault-handling decorators in
+// core/resilient.h. A query runs on an executor stack through an Execution
+// (core/execution.h): every round's cache misses go to the executor as one
+// batch, so the logical-step counts reflect the true round structure —
+// Algorithm 2 runs in O(log n) steps, 2-MaxFind in O(sqrt(s)) steps.
 
 #ifndef CROWDMAX_CORE_BATCHED_H_
 #define CROWDMAX_CORE_BATCHED_H_
 
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/comparator.h"
-#include "core/expert_max.h"
-#include "core/filter_phase.h"
+#include "core/execution.h"
 #include "core/instance.h"
-#include "core/maxfind.h"
-#include "core/multilevel.h"
-#include "core/round_engine.h"
-#include "core/topk.h"
-#include "core/tournament.h"
 
 namespace crowdmax {
 
@@ -64,41 +53,8 @@ struct BatchTaskResult {
   int64_t counted_votes = -1;
 };
 
-/// Fault/recovery accounting of a resilient execution (core/resilient.h):
-/// what was retried, what was lost, what was degraded and what the
-/// recovery cost in extra logical steps. Threaded through the Batched*
-/// results and printed by the benches so EXPERIMENTS can chart cost and
-/// latency inflation versus fault rate.
-struct FaultReport {
-  /// Caller-visible batches executed.
-  int64_t batches = 0;
-  /// Inner submissions, including retries (>= batches).
-  int64_t attempts = 0;
-  /// Task re-issues caused by unanswered or no-quorum outcomes.
-  int64_t retried_tasks = 0;
-  /// Task outcomes observed without a counted answer (before retry).
-  int64_t votes_lost = 0;
-  /// No-quorum outcomes accepted under the relaxed-quorum policy.
-  int64_t relaxed_accepts = 0;
-  /// Tasks resolved by the fallback tie-break after the retry budget ran
-  /// out.
-  int64_t degraded_tasks = 0;
-  /// Whole-batch transient errors (Unavailable) absorbed by retrying.
-  int64_t transient_errors = 0;
-  /// Extra logical steps the recovery cost: inner steps beyond the one
-  /// step per caller-visible batch, plus exponential-backoff waits.
-  int64_t steps_added = 0;
-  /// Backoff waits alone, in logical steps (included in steps_added).
-  int64_t backoff_steps = 0;
-  /// True when a batch exhausted its retry budget with unresolved tasks
-  /// and no fallback policy was available; `last_error` holds the typed
-  /// Status that was propagated.
-  bool exhausted = false;
-  Status last_error;
-
-  /// One-line human-readable summary for benches and logs.
-  std::string ToString() const;
-};
+// FaultReport, the fault/recovery accounting a resilient executor keeps,
+// lives in core/execution.h beside the query results that carry it.
 
 /// Executes batches of independent comparisons, one logical step per
 /// non-empty batch. Implementations: ComparatorBatchExecutor (simulation),
@@ -120,8 +76,8 @@ class BatchExecutor {
   /// per-task BatchTaskResult, aligned with the input. Returns a non-OK
   /// Status (typically Unavailable) when the whole submission failed — in
   /// that case no logical step is accounted. Individual tasks may come
-  /// back unanswered; the batched algorithms treat those conservatively
-  /// (no elimination without evidence) and re-issue them later.
+  /// back unanswered; the queries treat those conservatively (no
+  /// elimination without evidence) and re-issue them later.
   Result<std::vector<BatchTaskResult>> TryExecuteBatch(
       const std::vector<ComparisonPair>& tasks);
 
@@ -161,8 +117,8 @@ class BatchExecutor {
   }
 
   /// The fault/recovery report of this executor, or nullptr for executors
-  /// without one. Overridden by ResilientBatchExecutor; lets the batched
-  /// algorithms thread the report into their results without RTTI.
+  /// without one. Overridden by ResilientBatchExecutor; lets the queries
+  /// copy the report into their results without RTTI.
   virtual const FaultReport* fault_report() const { return nullptr; }
 
   /// Checkpoints the executor's replay state: the step/comparison counters
@@ -291,214 +247,6 @@ class ParallelBatchExecutor : public BatchExecutor {
   Rng seeder_;
   int64_t chunk_size_;
 };
-
-// BatchedAllPlayAll was deprecated (it bypassed the engine's cache and
-// fault accounting) and has been removed; drive RunTournamentOnEngine on
-// RoundEngine::CreateBatched instead. See DESIGN.md §10's deprecation
-// table.
-
-/// FilterResult plus the logical steps the run consumed.
-struct BatchedFilterResult {
-  FilterResult filter;
-  int64_t logical_steps = 0;
-  /// True when the executor's fault budget was exhausted mid-run: the
-  /// round loop stopped early and `filter.candidates` holds the survivors
-  /// so far (a superset of what a clean run would keep — the maximum still
-  /// survives). `fault_status` carries the typed error that stopped it.
-  bool partial = false;
-  Status fault_status;
-};
-
-/// Algorithm 2 with each round's group tournaments issued as one batch:
-/// O(log n) logical steps. Supports the same options as FilterCandidates;
-/// `memoize` keeps a pair cache across rounds so repeated pairs are not
-/// re-sent to the crowd, and `shared_cache`/`cache_class` share that cache
-/// across calls of the same worker class.
-Result<BatchedFilterResult> BatchedFilterCandidates(
-    const std::vector<ElementId>& items, const FilterOptions& options,
-    BatchExecutor* executor);
-
-/// Options of the pipelined (latency-hiding) adapters.
-struct BatchedPipelineOptions {
-  /// Rounds allowed to ride the simulated crowd latency concurrently
-  /// (RoundEngine::CreatePipelined). 1 degenerates to the batched path's
-  /// schedule with async submission.
-  int64_t max_in_flight = 4;
-  /// Cross-call pair-evidence sharing for the pipelined engine; overrides
-  /// FilterOptions::shared_cache/cache_class when set. Not owned.
-  SharedPairCache* shared_cache = nullptr;
-  int64_t cache_class = 0;
-};
-
-/// Algorithm 2 driven on a pipelined engine: rounds are submitted through
-/// `async` and overlap their crowd round trips wherever the source's
-/// legality conditions hold. Set FilterOptions::pipeline_groups to emit one
-/// engine round per disjoint group — with it off every round is a
-/// dependency barrier and the pipeline never gets deeper than 1. Results,
-/// counters and traces are bit-identical to BatchedFilterCandidates over
-/// the same executor stack with the same options; only wall-clock differs.
-Result<BatchedFilterResult> PipelinedFilterCandidates(
-    const std::vector<ElementId>& items, const FilterOptions& options,
-    AsyncBatchExecutor* async, const BatchedPipelineOptions& pipeline = {});
-
-/// MaxFindResult plus the logical steps the run consumed.
-struct BatchedMaxFindResult {
-  MaxFindResult maxfind;
-  int64_t logical_steps = 0;
-  /// True when the executor's fault budget was exhausted mid-run;
-  /// `survivors` then holds the candidates still alive (the best guess is
-  /// `maxfind.best` if the final tournament ran, else -1) and
-  /// `fault_status` the typed error.
-  bool partial = false;
-  Status fault_status;
-  std::vector<ElementId> survivors;
-};
-
-/// 2-MaxFind with two batches per round (sample tournament, then the
-/// pivot's elimination scan) and one final batch: O(sqrt(s)) logical
-/// steps. Always memoizes (the paper's assumption), so repeated pairs are
-/// answered from cache without a step; pass a `shared_cache` to extend the
-/// memo across calls of the same worker class (1 = expert by convention).
-Result<BatchedMaxFindResult> BatchedTwoMaxFind(
-    const std::vector<ElementId>& items, BatchExecutor* executor,
-    SharedPairCache* shared_cache = nullptr, int64_t cache_class = 1);
-
-/// 2-MaxFind on a pipelined engine. With `engine_options.speculate` set the
-/// source issues each round's elimination scan while its sample tournament
-/// is still in flight, predicated on the predicted pivot (DESIGN.md §15);
-/// results, traces and paid counters are bit-identical to BatchedTwoMaxFind
-/// over the same executor stack — only wall clock and the engine's
-/// speculation counters differ. Speculation is ignored on budget-gated
-/// drives (none here) and costs nothing when the prediction always misses
-/// beyond the tracked `speculation_wasted` charge.
-Result<BatchedMaxFindResult> PipelinedTwoMaxFind(
-    const std::vector<ElementId>& items, AsyncBatchExecutor* async,
-    const BatchedPipelineOptions& pipeline = {},
-    const TwoMaxFindEngineOptions& engine_options = {},
-    SharedPairCache* shared_cache = nullptr, int64_t cache_class = 1);
-
-/// Two-phase result plus per-class logical steps and fault accounting.
-struct BatchedExpertMaxResult {
-  ExpertMaxResult result;
-  int64_t naive_steps = 0;
-  int64_t expert_steps = 0;
-  /// True when either phase stopped early on an exhausted fault budget;
-  /// `result.candidates` still holds the phase-1 survivors collected so
-  /// far, `result.best` is -1 if phase 2 could not finish, and
-  /// `fault_status` carries the typed error.
-  bool partial = false;
-  Status fault_status;
-  /// Per-phase fault/recovery reports, copied from the executors when they
-  /// are resilient (BatchExecutor::fault_report() != nullptr); the
-  /// has_* flags say whether a report was collected.
-  bool has_naive_faults = false;
-  bool has_expert_faults = false;
-  FaultReport naive_faults;
-  FaultReport expert_faults;
-};
-
-/// Algorithm 1 in batched form: BatchedFilterCandidates with the naive
-/// executor, then BatchedTwoMaxFind with the expert executor. When the
-/// executors are resilient (core/resilient.h), their FaultReports are
-/// summarized into the result; when a fault budget is exhausted the run
-/// returns a partial result (survivors so far + fault status) instead of
-/// aborting.
-Result<BatchedExpertMaxResult> BatchedFindMaxWithExperts(
-    const std::vector<ElementId>& items, BatchExecutor* naive,
-    BatchExecutor* expert, const ExpertMaxOptions& options);
-
-/// Top-k result plus per-class logical steps and fault accounting.
-struct BatchedTopKResult {
-  TopKResult result;
-  int64_t naive_steps = 0;
-  int64_t expert_steps = 0;
-  /// True when a phase ran on incomplete evidence: the filter stopped
-  /// early on an exhausted fault budget (candidates hold the survivors so
-  /// far — a superset, the true top-k still inside) or the expert
-  /// tournament left pairs unresolved (the returned order is the
-  /// provisional win count). `fault_status` carries the typed error.
-  bool partial = false;
-  Status fault_status;
-  bool has_naive_faults = false;
-  bool has_expert_faults = false;
-  FaultReport naive_faults;
-  FaultReport expert_faults;
-};
-
-/// The top-k extension (core/topk.h) in batched form: the u' = u_n + k - 1
-/// filter on the naive executor (O(log n) steps), then one expert
-/// all-play-all batch over the candidates. Same options contract as
-/// FindTopKWithExperts.
-Result<BatchedTopKResult> BatchedFindTopKWithExperts(
-    const std::vector<ElementId>& items, BatchExecutor* naive,
-    BatchExecutor* expert, const TopKOptions& options);
-
-/// Top-k on pipelined engines: the filter phase overlaps its disjoint
-/// groups (set FilterOptions::pipeline_groups in options.filter) and the
-/// expert all-play-all overlaps its chunks when
-/// TopKOptions::expert_chunk_pairs > 0. Results are bit-identical to
-/// BatchedFindTopKWithExperts over the same executor stacks with the same
-/// options; only wall clock differs.
-Result<BatchedTopKResult> PipelinedFindTopKWithExperts(
-    const std::vector<ElementId>& items, AsyncBatchExecutor* naive,
-    AsyncBatchExecutor* expert, const TopKOptions& options,
-    const BatchedPipelineOptions& pipeline = {});
-
-/// One worker class of the batched cascade: multilevel.h semantics with a
-/// BatchExecutor (and its fault stack) in place of the raw Comparator.
-struct BatchedWorkerClassSpec {
-  /// Executor backed by this class's workers (not owned).
-  BatchExecutor* executor = nullptr;
-  /// u_k for this class's filter level (ignored for the last class).
-  int64_t u = 1;
-  /// Price per comparison, for cost reporting.
-  double cost_per_comparison = 1.0;
-};
-
-/// Multilevel result plus per-class logical steps and fault accounting.
-struct BatchedMultilevelResult {
-  MultilevelResult result;
-  /// Logical steps per class, aligned with the input specs.
-  std::vector<int64_t> steps_per_class;
-  /// True when any level stopped early on an exhausted fault budget; the
-  /// cascade still hands the survivor superset down, so `result.best` is
-  /// filled whenever the final phase produced a provisional leader.
-  bool partial = false;
-  Status fault_status;
-};
-
-/// The worker-class cascade (core/multilevel.h) in batched form: every
-/// non-final class runs the filter on its executor, the final class runs
-/// the configured phase-2 solver. Step counts per class come from the
-/// executors' logical-step deltas.
-Result<BatchedMultilevelResult> BatchedFindMaxMultilevel(
-    const std::vector<ElementId>& items,
-    const std::vector<BatchedWorkerClassSpec>& classes,
-    const MultilevelOptions& options);
-
-/// One worker class of the pipelined cascade: BatchedWorkerClassSpec with
-/// an async executor in place of the synchronous one.
-struct PipelinedWorkerClassSpec {
-  /// Async executor backed by this class's workers (not owned).
-  AsyncBatchExecutor* async = nullptr;
-  /// u_k for this class's filter level (ignored for the last class).
-  int64_t u = 1;
-  /// Price per comparison, for cost reporting.
-  double cost_per_comparison = 1.0;
-};
-
-/// The worker-class cascade on pipelined engines: filter levels overlap
-/// their disjoint groups (set FilterOptions::pipeline_groups in
-/// options.filter_template), and the final phase overlaps per
-/// MultilevelOptions::final_chunk_pairs / final_speculate (DESIGN.md §15).
-/// Results are bit-identical to BatchedFindMaxMultilevel over the same
-/// executor stacks with the same options; only wall clock and the engines'
-/// speculation counters differ.
-Result<BatchedMultilevelResult> PipelinedFindMaxMultilevel(
-    const std::vector<ElementId>& items,
-    const std::vector<PipelinedWorkerClassSpec>& classes,
-    const MultilevelOptions& options,
-    const BatchedPipelineOptions& pipeline = {});
 
 }  // namespace crowdmax
 

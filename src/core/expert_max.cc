@@ -12,11 +12,8 @@
 namespace crowdmax {
 
 Result<ExpertMaxResult> FindMaxWithExperts(const std::vector<ElementId>& items,
-                                           Comparator* naive,
-                                           Comparator* expert,
+                                           Execution naive, Execution expert,
                                            const ExpertMaxOptions& options) {
-  CROWDMAX_CHECK(naive != nullptr);
-  CROWDMAX_CHECK(expert != nullptr);
   if (items.empty()) {
     return Status::InvalidArgument("input set must be non-empty");
   }
@@ -44,70 +41,116 @@ Result<ExpertMaxResult> FindMaxWithExperts(const std::vector<ElementId>& items,
   result.filter_rounds = filtered->rounds;
   result.filter_hit_empty_round = filtered->hit_empty_round;
   result.filter_stopped_by_budget = filtered->stopped_by_budget;
-
+  result.naive_steps = filtered->logical_steps;
+  result.partial = filtered->partial;
+  result.fault_status = filtered->fault_status;
+  if (const FaultReport* report = naive.fault_report()) {
+    result.naive_faults = *report;
+  }
   if (result.candidates.empty()) {
     return Status::Internal("phase 1 returned an empty candidate set");
   }
 
-  // Phase 2: max-find over the candidates with expert workers. The serial
-  // max-find algorithms have no executor underneath to attribute their
-  // comparisons, so the whole phase is one trace cell (round -1), recorded
-  // from the result's counters: in the comparator model every paid
-  // comparison comes back answered, and the issued-minus-paid remainder
-  // was served by the memoization cache.
-  TraceSpanScope phase_span("expert", TraceWorkerClass::kExpert);
-  Result<MaxFindResult> phase2 = Status::Internal("unreachable");
-  switch (options.phase2) {
-    case Phase2Algorithm::kTwoMaxFind:
-      phase2 = TwoMaxFind(result.candidates, expert, two_maxfind_options);
-      break;
-    case Phase2Algorithm::kRandomized:
-      phase2 = RandomizedMaxFind(result.candidates, expert, options.randomized);
-      break;
-    case Phase2Algorithm::kAllPlayAll:
-      if (options.shared_cache != nullptr) {
-        // Memoized tournament on a shared-cache engine: candidate pairs an
-        // earlier expert-class engine already resolved are answered for
-        // free, and every pair bought here seeds later runs.
-        const std::unique_ptr<RoundEngine> engine = RoundEngine::CreateSerial(
-            expert, /*memoize=*/true, options.shared_cache,
-            options.expert_cache_class);
-        Result<TournamentEngineRun> run =
-            RunTournamentOnEngine(result.candidates, engine.get());
-        if (!run.ok()) {
-          phase2 = run.status();
-          break;
-        }
-        MaxFindResult tallied;
-        tallied.best = result.candidates[IndexOfMostWins(run->tournament)];
-        tallied.issued_comparisons = run->tournament.comparisons;
-        tallied.paid_comparisons = engine->paid();
-        phase2 = tallied;
-      } else {
-        phase2 = AllPlayAllMax(result.candidates, expert);
-      }
-      break;
-  }
+  // Phase 2 runs even on a partial phase 1: the conservative filter never
+  // evicts without a counted loss, so the maximum is still among the
+  // (possibly oversized) survivor set and the experts can finish the job.
+  Result<MaxFindResult> phase2 =
+      RunPhase2(result.candidates, expert, options.phase2,
+                two_maxfind_options, options.randomized);
   if (!phase2.ok()) return phase2.status();
-  if (AlgoTrace* trace = CurrentTrace(); trace != nullptr) {
-    trace->RecordDispatched(phase2->paid_comparisons);
-    trace->RecordOutcomes(phase2->paid_comparisons, 0, 0);
-    if (phase2->issued_comparisons > phase2->paid_comparisons) {
-      trace->RecordCacheHits(phase2->issued_comparisons -
-                             phase2->paid_comparisons);
-    }
-  }
 
   result.best = phase2->best;
   result.paid.expert = phase2->paid_comparisons;
   result.issued.expert = phase2->issued_comparisons;
   result.phase2_rounds = phase2->rounds;
+  result.expert_steps = phase2->logical_steps;
+  if (phase2->partial) {
+    result.partial = true;
+    if (result.fault_status.ok()) result.fault_status = phase2->fault_status;
+  }
+  if (const FaultReport* report = expert.fault_report()) {
+    result.expert_faults = *report;
+  }
   return result;
 }
 
+Result<MaxFindResult> RunPhase2(const std::vector<ElementId>& candidates,
+                                Execution expert, Phase2Algorithm algorithm,
+                                const TwoMaxFindOptions& two_maxfind,
+                                const RandomizedMaxFindOptions& randomized,
+                                int64_t chunk_pairs) {
+  TraceSpanScope phase_span("expert", TraceWorkerClass::kExpert);
+  const bool on_comparator = expert.comparator() != nullptr;
+  // 2-MaxFind memoizes per its options. An all-play-all asks each pair
+  // once, so it memoizes only to share the cache. Algorithm 5 runs
+  // unmemoized on a comparator, so there it leaves the cache alone.
+  SharedPairCache* cache = two_maxfind.shared_cache;
+  bool memoize = cache != nullptr;
+  if (algorithm == Phase2Algorithm::kTwoMaxFind) {
+    memoize = two_maxfind.memoize;
+  } else if (algorithm == Phase2Algorithm::kRandomized && on_comparator) {
+    cache = nullptr;
+    memoize = false;
+  }
+  Result<std::unique_ptr<RoundEngine>> engine =
+      expert.Engine(memoize, cache, two_maxfind.cache_class);
+  if (!engine.ok()) return engine.status();
+
+  Result<MaxFindResult> phase2 = Status::Internal("unreachable");
+  switch (algorithm) {
+    case Phase2Algorithm::kTwoMaxFind:
+      phase2 = RunTwoMaxFindOnEngine(candidates, engine->get(), two_maxfind);
+      break;
+    case Phase2Algorithm::kRandomized:
+      phase2 =
+          RunRandomizedMaxFindOnEngine(candidates, engine->get(), randomized);
+      break;
+    case Phase2Algorithm::kAllPlayAll: {
+      if (candidates.empty()) {
+        return Status::InvalidArgument("candidate set must be non-empty");
+      }
+      if (Status ids = CheckDistinctIds(candidates); !ids.ok()) return ids;
+      Result<TournamentResult> run = RunTournamentOnEngine(
+          candidates, engine->get(), "all_play_all",
+          TournamentEngineOptions{chunk_pairs});
+      if (!run.ok()) return run.status();
+      MaxFindResult tallied;
+      tallied.best = candidates[IndexOfMostWins(*run)];
+      tallied.issued_comparisons = run->comparisons;
+      // Mispredicted speculative spend stays on the engine's wasted
+      // counter, never in the per-class paid totals (DESIGN.md §15).
+      tallied.paid_comparisons =
+          (*engine)->paid() - (*engine)->speculation_wasted();
+      tallied.logical_steps = (*engine)->logical_steps();
+      if (run->unresolved > 0 || !run->fault.ok()) {
+        tallied.partial = true;
+        tallied.fault_status =
+            run->fault.ok()
+                ? Status::Unavailable(
+                      "final tournament left " +
+                      std::to_string(run->unresolved) +
+                      " comparisons unresolved; best is provisional")
+                : run->fault;
+      }
+      phase2 = std::move(tallied);
+      break;
+    }
+  }
+  if (!phase2.ok()) return phase2.status();
+  // The comparator backends have no executor underneath to attribute
+  // their comparisons, so the whole phase is one trace cell (round -1):
+  // every paid comparison came back answered, and the issued-minus-paid
+  // remainder was served by the memoization cache.
+  if (AlgoTrace* trace = CurrentTrace(); trace != nullptr && on_comparator) {
+    trace->RecordAnsweredCell(phase2->paid_comparisons,
+                              phase2->issued_comparisons);
+  }
+  return phase2;
+}
+
 Result<BudgetedMaxResult> BudgetedFindMaxWithExperts(
-    const std::vector<ElementId>& items, Comparator* naive,
-    Comparator* expert, const BudgetedMaxOptions& options) {
+    const std::vector<ElementId>& items, Execution naive, Execution expert,
+    const BudgetedMaxOptions& options) {
   if (!options.prices.Valid()) {
     return Status::InvalidArgument("invalid cost model");
   }

@@ -12,11 +12,13 @@
 #define CROWDMAX_CORE_EXPERT_MAX_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
 #include "core/comparator.h"
 #include "core/cost.h"
+#include "core/execution.h"
 #include "core/filter_phase.h"
 #include "core/instance.h"
 #include "core/maxfind.h"
@@ -47,14 +49,14 @@ struct ExpertMaxOptions {
 
   /// Cross-phase pair-evidence sharing (core/round_engine.h). When set, it
   /// overrides the sub-options' cache fields: phase 1 memoizes its naive
-  /// evidence into `shared_cache[naive_cache_class]` and phase 2 (2-MaxFind
-  /// or all-play-all) into `shared_cache[expert_cache_class]`. Dedup is
-  /// within-class only — naive answers never substitute for expert answers
-  /// — so phase 2 reuses phase-1 evidence exactly when both classes share
-  /// an id, i.e. both phases buy from the very same crowd (the single-class
-  /// regime of the paper's u_n = u_e degenerate case). The main gain is
-  /// across calls: a later run on the same (cache, class) answers every
-  /// already-resolved pair for free. kRandomized runs unmemoized by design
+  /// evidence into `shared_cache[naive_cache_class]` and phase 2 into
+  /// `shared_cache[expert_cache_class]`. Dedup is within-class only —
+  /// naive answers never substitute for expert answers — so phase 2 reuses
+  /// phase-1 evidence exactly when both classes share an id, i.e. both
+  /// phases buy from the very same crowd (the single-class regime of the
+  /// paper's u_n = u_e degenerate case). The main gain is across calls: a
+  /// later run on the same (cache, class) answers every already-resolved
+  /// pair for free. On a comparator kRandomized runs unmemoized by design
   /// and never reads or writes the cache. Not owned; must outlive the call.
   SharedPairCache* shared_cache = nullptr;
   int64_t naive_cache_class = 0;
@@ -77,6 +79,20 @@ struct ExpertMaxResult {
   bool filter_hit_empty_round = false;
   bool filter_stopped_by_budget = false;
 
+  /// Executor logical steps per worker class (0 on a comparator).
+  int64_t naive_steps = 0;
+  int64_t expert_steps = 0;
+  /// True when either phase stopped early on an exhausted fault budget
+  /// (executor backends only): `candidates` still holds the phase-1
+  /// survivors collected so far, `best` is -1 if phase 2 could not finish,
+  /// and `fault_status` carries the first typed error.
+  bool partial = false;
+  Status fault_status = Status::OK();
+  /// Per-phase fault/recovery reports, copied from executor stacks that
+  /// keep one (Execution::fault_report); nullopt otherwise.
+  std::optional<FaultReport> naive_faults;
+  std::optional<FaultReport> expert_faults;
+
   /// Monetary cost of this execution under `model`.
   double CostUnder(const CostModel& model) const {
     return model.Cost(paid.naive, paid.expert);
@@ -85,11 +101,26 @@ struct ExpertMaxResult {
 
 /// Runs Algorithm 1 on `items`: Algorithm 2 with `naive`, then the selected
 /// phase-2 solver with `expert`. Returns InvalidArgument for bad options,
-/// duplicate ids, or an empty input.
+/// duplicate ids, or an empty input. When a fault budget is exhausted on an
+/// executor stack, the run returns a partial result (survivors so far plus
+/// the fault status) instead of failing: phase 2 runs even on a partial
+/// phase 1, whose survivor set still holds the maximum.
 Result<ExpertMaxResult> FindMaxWithExperts(const std::vector<ElementId>& items,
-                                           Comparator* naive,
-                                           Comparator* expert,
+                                           Execution naive, Execution expert,
                                            const ExpertMaxOptions& options);
+
+/// Phase 2 over `candidates` on the `expert` class: the `algorithm` solver,
+/// memoizing into `two_maxfind.shared_cache`'s `cache_class` table when it
+/// is set (on a comparator kRandomized runs unmemoized and leaves it
+/// alone). `chunk_pairs` splits a kAllPlayAll tournament into rounds of at
+/// most that many pairs. Opens the "expert" trace phase span; a comparator,
+/// which has no executor to record cells, records the phase's spend as one
+/// cell. Shared by FindMaxWithExperts and FindMaxMultilevel's final level.
+Result<MaxFindResult> RunPhase2(const std::vector<ElementId>& candidates,
+                                Execution expert, Phase2Algorithm algorithm,
+                                const TwoMaxFindOptions& two_maxfind,
+                                const RandomizedMaxFindOptions& randomized,
+                                int64_t chunk_pairs = 0);
 
 /// Budget-constrained execution (cf. Mo et al.'s fixed-budget task
 /// assignment in the paper's related work): reserve the worst-case expert
@@ -124,8 +155,8 @@ struct BudgetedMaxResult {
 /// naive work. Returns InvalidArgument when the budget cannot cover the
 /// expert reserve plus the first filtering round.
 Result<BudgetedMaxResult> BudgetedFindMaxWithExperts(
-    const std::vector<ElementId>& items, Comparator* naive,
-    Comparator* expert, const BudgetedMaxOptions& options);
+    const std::vector<ElementId>& items, Execution naive, Execution expert,
+    const BudgetedMaxOptions& options);
 
 }  // namespace crowdmax
 

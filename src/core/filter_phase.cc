@@ -221,14 +221,13 @@ class FilterRoundSource : public RoundSource {
     return reader->status();
   }
 
-  FilterEngineRun Finish(int64_t paid_delta) {
-    FilterEngineRun run;
+  FilterResult Finish(int64_t paid_delta, int64_t steps_delta) {
     result_.candidates = std::move(current_);
     result_.paid_comparisons = paid_delta;
-    run.filter = std::move(result_);
-    run.partial = partial_;
-    run.fault_status = fault_status_;
-    return run;
+    result_.logical_steps = steps_delta;
+    result_.partial = partial_;
+    result_.fault_status = fault_status_;
+    return std::move(result_);
   }
 
  private:
@@ -376,9 +375,9 @@ class FilterRoundSource : public RoundSource {
 };
 
 // RunFilterOnEngine after its input check, which every caller makes once.
-Result<FilterEngineRun> DriveFilter(const std::vector<ElementId>& items,
-                                    const FilterOptions& options,
-                                    RoundEngine* engine) {
+Result<FilterResult> DriveFilter(const std::vector<ElementId>& items,
+                                 const FilterOptions& options,
+                                 RoundEngine* engine) {
   // One phase span covers every backend, so serial, parallel and batched
   // runs produce identically-shaped traces.
   TraceSpanScope phase_span("filter", TraceWorkerClass::kNaive);
@@ -387,16 +386,18 @@ Result<FilterEngineRun> DriveFilter(const std::vector<ElementId>& items,
   DriveOptions drive_options;
   drive_options.max_comparisons = options.max_comparisons;
   const int64_t paid_before = engine->paid();
+  const int64_t steps_before = engine->logical_steps();
   Result<DriveResult> drive = engine->Drive(&source, drive_options);
   if (!drive.ok()) return drive.status();
-  return source.Finish(engine->paid() - paid_before);
+  return source.Finish(engine->paid() - paid_before,
+                       engine->logical_steps() - steps_before);
 }
 
 }  // namespace
 
-Result<FilterEngineRun> RunFilterOnEngine(const std::vector<ElementId>& items,
-                                          const FilterOptions& options,
-                                          RoundEngine* engine) {
+Result<FilterResult> RunFilterOnEngine(const std::vector<ElementId>& items,
+                                       const FilterOptions& options,
+                                       RoundEngine* engine) {
   CROWDMAX_CHECK(engine != nullptr);
   if (Status status = ValidateFilterInput(items, options); !status.ok()) {
     return status;
@@ -406,30 +407,15 @@ Result<FilterEngineRun> RunFilterOnEngine(const std::vector<ElementId>& items,
 
 Result<FilterResult> FilterCandidates(const std::vector<ElementId>& items,
                                       const FilterOptions& options,
-                                      Comparator* naive) {
-  CROWDMAX_CHECK(naive != nullptr);
+                                      Execution naive) {
   if (Status status = ValidateFilterInput(items, options); !status.ok()) {
     return status;
   }
-
-  std::unique_ptr<RoundEngine> engine;
-  if (options.threads >= 1) {
-    Result<std::unique_ptr<RoundEngine>> parallel = RoundEngine::CreateParallel(
-        naive, options.threads, options.parallel_seed, options.memoize,
-        options.shared_cache, options.cache_class);
-    if (!parallel.ok()) return parallel.status();
-    engine = std::move(*parallel);
-  } else {
-    engine = RoundEngine::CreateSerial(naive, options.memoize,
-                                       options.shared_cache,
-                                       options.cache_class);
-  }
-
-  Result<FilterEngineRun> run = DriveFilter(items, options, engine.get());
-  if (!run.ok()) return run.status();
-  // Comparator backends never leave a round without evidence.
-  CROWDMAX_CHECK(!run->partial);
-  return std::move(run->filter);
+  Result<std::unique_ptr<RoundEngine>> engine =
+      naive.Engine(options.memoize, options.shared_cache, options.cache_class,
+                   options.threads, options.parallel_seed);
+  if (!engine.ok()) return engine.status();
+  return DriveFilter(items, options, engine->get());
 }
 
 int64_t FilterComparisonUpperBound(int64_t n, int64_t u_n) {

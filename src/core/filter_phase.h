@@ -24,10 +24,12 @@
 
 #include "common/status.h"
 #include "core/comparator.h"
+#include "core/execution.h"
 #include "core/instance.h"
 
 namespace crowdmax {
 
+class RoundEngine;
 class SharedPairCache;
 
 /// Tuning knobs for Algorithm 2.
@@ -48,7 +50,9 @@ struct FilterOptions {
   /// those (RoundSource::NamesRecurringElements): each group is one player
   /// unit, committed by survivor, and a later group probes the memo only
   /// for pairs whose players met in an earlier group (co-play signatures,
-  /// DESIGN.md §14). A shared_cache keeps every pair.
+  /// DESIGN.md §14). A shared_cache keeps every pair. Read only on a
+  /// comparator Execution: executor engines always memoize within a
+  /// round, and remember across rounds exactly when this is set.
   bool memoize = false;
 
   /// Appendix A optimization 2: evict elements that have lost to more than
@@ -63,19 +67,21 @@ struct FilterOptions {
   /// the |S| <= 2*u_n - 1 size bound is not.
   int64_t max_comparisons = 0;
 
-  /// Parallel tournament execution (core/round_engine.h). 0 (the default)
-  /// keeps the original serial path, answering every comparison through
-  /// the caller's comparator in program order. Any value >= 1 routes each
-  /// round's disjoint group tournaments through a work-stealing pool of
-  /// that many threads, answering each group through an independent
-  /// Comparator::Fork child seeded in group-index order from
-  /// `parallel_seed`. Results are observationally deterministic: winner,
-  /// survivor sets and paid-comparison counts are bit-identical for every
-  /// threads >= 1 (but differ from the serial path's RNG draw order).
-  /// Requires a forkable comparator; returns InvalidArgument otherwise.
+  /// Parallel tournament execution (core/round_engine.h), read only on a
+  /// comparator Execution. 0 (the default) keeps the serial path,
+  /// answering every comparison through the caller's comparator in
+  /// program order. Any value >= 1 routes each round's disjoint group
+  /// tournaments through a work-stealing pool of that many threads,
+  /// answering each group through an independent Comparator::Fork child
+  /// seeded in group-index order from `parallel_seed`. Results are
+  /// observationally deterministic: winner, survivor sets and
+  /// paid-comparison counts are bit-identical for every threads >= 1 (but
+  /// differ from the serial path's RNG draw order). Requires a forkable
+  /// comparator; returns InvalidArgument otherwise.
   int64_t threads = 0;
 
-  /// Seed of the per-group RNG fork chain used when threads >= 1.
+  /// Seed of the per-group RNG fork chain used when threads >= 1
+  /// (comparator Execution only).
   uint64_t parallel_seed = 0x9E3779B97F4A7C15ULL;
 
   /// Emit each round's disjoint group tournaments as separate engine
@@ -140,37 +146,33 @@ struct FilterResult {
   /// True if filtering stopped early because the next round would exceed
   /// FilterOptions::max_comparisons.
   bool stopped_by_budget = false;
-};
 
-/// Runs Algorithm 2 on `items` with `naive` workers. `items` must be
-/// distinct element ids; returns InvalidArgument for bad options or
-/// duplicate ids.
-Result<FilterResult> FilterCandidates(const std::vector<ElementId>& items,
-                                      const FilterOptions& options,
-                                      Comparator* naive);
-
-class RoundEngine;
-
-/// Outcome of driving Algorithm 2 on a caller-provided engine. On a
-/// comparator-backed engine `partial` is always false (missing evidence is
-/// impossible there); on an executor-backed engine a round that makes no
-/// progress because faults withheld evidence sets `partial` and carries the
-/// triggering fault in `fault_status`, with the conservative survivor set
-/// (no eviction without evidence) in `filter.candidates`.
-struct FilterEngineRun {
-  FilterResult filter;
+  /// Executor logical steps the run consumed (0 on a comparator).
+  int64_t logical_steps = 0;
+  /// Executor backends only (false on a comparator, where missing evidence
+  /// is impossible): a round made no progress because faults withheld
+  /// evidence, so the round loop stopped early. `candidates` then holds the
+  /// conservative survivor set (no eviction without evidence — the maximum
+  /// still survives) and `fault_status` the typed error that stopped it.
   bool partial = false;
   Status fault_status = Status::OK();
 };
 
+/// Runs Algorithm 2 on `items` with the `naive` worker class. `items` must
+/// be distinct element ids; returns InvalidArgument for bad options or
+/// duplicate ids.
+Result<FilterResult> FilterCandidates(const std::vector<ElementId>& items,
+                                      const FilterOptions& options,
+                                      Execution naive);
+
 /// Runs Algorithm 2 as a RoundSource on `engine` (any backend). The engine
 /// owns memoization, FilterOptions::max_comparisons enforcement at round
 /// boundaries, dispatch, and trace-cell recording; this function only emits
-/// rounds and consumes outcomes. `FilterCandidates` and
-/// `BatchedFilterCandidates` are thin wrappers over it.
-Result<FilterEngineRun> RunFilterOnEngine(const std::vector<ElementId>& items,
-                                          const FilterOptions& options,
-                                          RoundEngine* engine);
+/// rounds and consumes outcomes. `FilterCandidates` is a thin wrapper over
+/// it; the checkpoint and chaos tests drive engines they built themselves.
+Result<FilterResult> RunFilterOnEngine(const std::vector<ElementId>& items,
+                                       const FilterOptions& options,
+                                       RoundEngine* engine);
 
 /// The theoretical worst-case number of naive comparisons of Algorithm 2
 /// for input size n (Lemma 3): 4*n*u_n. Benches report this alongside

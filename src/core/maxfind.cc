@@ -274,14 +274,13 @@ class TwoMaxFindSource : public RoundSource {
     predicted_pivot_ = -1;
   }
 
-  MaxFindEngineRun Finish(int64_t paid_delta) {
-    MaxFindEngineRun run;
+  MaxFindResult Finish(int64_t paid_delta, int64_t steps_delta) {
     result_.paid_comparisons = paid_delta;
-    run.maxfind = std::move(result_);
-    run.partial = partial_;
-    run.fault_status = fault_status_;
-    run.survivors = std::move(survivors_);
-    return run;
+    result_.logical_steps = steps_delta;
+    result_.partial = partial_;
+    result_.fault_status = fault_status_;
+    result_.survivors = std::move(survivors_);
+    return std::move(result_);
   }
 
   Status SaveState(CheckpointWriter* writer) const override {
@@ -593,14 +592,13 @@ class RandomizedMaxFindSource : public RoundSource {
     return Status::OK();
   }
 
-  MaxFindEngineRun Finish(int64_t paid_delta) {
-    MaxFindEngineRun run;
+  MaxFindResult Finish(int64_t paid_delta, int64_t steps_delta) {
     result_.paid_comparisons = paid_delta;
-    run.maxfind = std::move(result_);
-    run.partial = partial_;
-    run.fault_status = fault_status_;
-    run.survivors = std::move(run_survivors_);
-    return run;
+    result_.logical_steps = steps_delta;
+    result_.partial = partial_;
+    result_.fault_status = fault_status_;
+    result_.survivors = std::move(run_survivors_);
+    return std::move(result_);
   }
 
   // The RNG stream position is part of the state: a resumed run must draw
@@ -723,6 +721,22 @@ Status ValidateRandomizedOptions(const RandomizedMaxFindOptions& options) {
   return Status::OK();
 }
 
+// Drives `source` on `engine` and hands it the run's paid and step
+// deltas. Mispredicted speculative spend is reported on the engine's
+// speculation_wasted counter, never in paid_comparisons — the result is
+// numerically identical to the sync drive's.
+template <typename Source>
+Result<MaxFindResult> DriveMaxFind(Source* source, RoundEngine* engine) {
+  const int64_t paid_before = engine->paid();
+  const int64_t wasted_before = engine->speculation_wasted();
+  const int64_t steps_before = engine->logical_steps();
+  Result<DriveResult> drive = engine->Drive(source);
+  if (!drive.ok()) return drive.status();
+  return source->Finish((engine->paid() - paid_before) -
+                            (engine->speculation_wasted() - wasted_before),
+                        engine->logical_steps() - steps_before);
+}
+
 }  // namespace
 
 Result<MaxFindResult> AllPlayAllMax(const std::vector<ElementId>& items,
@@ -742,38 +756,24 @@ Result<MaxFindResult> AllPlayAllMax(const std::vector<ElementId>& items,
   return result;
 }
 
-Result<MaxFindEngineRun> RunTwoMaxFindOnEngine(
+Result<MaxFindResult> RunTwoMaxFindOnEngine(
     const std::vector<ElementId>& items, RoundEngine* engine,
-    const TwoMaxFindEngineOptions& options) {
+    const TwoMaxFindOptions& options) {
   CROWDMAX_CHECK(engine != nullptr);
   Status status = ValidateItems(items);
   if (!status.ok()) return status;
-
   TwoMaxFindSource source(items, engine->SupportsPartialEvidence(),
                           options.speculate);
-  const int64_t paid_before = engine->paid();
-  const int64_t wasted_before = engine->speculation_wasted();
-  Result<DriveResult> drive = engine->Drive(&source);
-  if (!drive.ok()) return drive.status();
-  // Mispredicted speculative spend is reported on the engine's
-  // speculation_wasted counter, never in paid_comparisons — the result is
-  // numerically identical to the sync drive's.
-  return source.Finish((engine->paid() - paid_before) -
-                       (engine->speculation_wasted() - wasted_before));
+  return DriveMaxFind(&source, engine);
 }
 
 Result<MaxFindResult> TwoMaxFind(const std::vector<ElementId>& items,
-                                 Comparator* comparator,
+                                 Execution execution,
                                  const TwoMaxFindOptions& options) {
-  CROWDMAX_CHECK(comparator != nullptr);
-  const std::unique_ptr<RoundEngine> engine =
-      RoundEngine::CreateSerial(comparator, options.memoize,
-                                options.shared_cache, options.cache_class);
-  Result<MaxFindEngineRun> run = RunTwoMaxFindOnEngine(items, engine.get());
-  if (!run.ok()) return run.status();
-  // Comparator backends never leave a round without evidence.
-  CROWDMAX_CHECK(!run->partial);
-  return std::move(run->maxfind);
+  Result<std::unique_ptr<RoundEngine>> engine = execution.Engine(
+      options.memoize, options.shared_cache, options.cache_class);
+  if (!engine.ok()) return engine.status();
+  return RunTwoMaxFindOnEngine(items, engine->get(), options);
 }
 
 int64_t TwoMaxFindComparisonUpperBound(int64_t s) {
@@ -781,7 +781,7 @@ int64_t TwoMaxFindComparisonUpperBound(int64_t s) {
       std::ceil(2.0 * std::pow(static_cast<double>(s), 1.5)));
 }
 
-Result<MaxFindEngineRun> RunRandomizedMaxFindOnEngine(
+Result<MaxFindResult> RunRandomizedMaxFindOnEngine(
     const std::vector<ElementId>& items, RoundEngine* engine,
     const RandomizedMaxFindOptions& options) {
   CROWDMAX_CHECK(engine != nullptr);
@@ -791,28 +791,18 @@ Result<MaxFindEngineRun> RunRandomizedMaxFindOnEngine(
       !opt_status.ok()) {
     return opt_status;
   }
-
   RandomizedMaxFindSource source(items, options,
                                  engine->SupportsPartialEvidence());
-  const int64_t paid_before = engine->paid();
-  const int64_t wasted_before = engine->speculation_wasted();
-  Result<DriveResult> drive = engine->Drive(&source);
-  if (!drive.ok()) return drive.status();
-  return source.Finish((engine->paid() - paid_before) -
-                       (engine->speculation_wasted() - wasted_before));
+  return DriveMaxFind(&source, engine);
 }
 
 Result<MaxFindResult> RandomizedMaxFind(
-    const std::vector<ElementId>& items, Comparator* comparator,
+    const std::vector<ElementId>& items, Execution execution,
     const RandomizedMaxFindOptions& options) {
-  CROWDMAX_CHECK(comparator != nullptr);
-  const std::unique_ptr<RoundEngine> engine =
-      RoundEngine::CreateSerial(comparator, /*memoize=*/false);
-  Result<MaxFindEngineRun> run =
-      RunRandomizedMaxFindOnEngine(items, engine.get(), options);
-  if (!run.ok()) return run.status();
-  CROWDMAX_CHECK(!run->partial);
-  return std::move(run->maxfind);
+  Result<std::unique_ptr<RoundEngine>> engine =
+      execution.Engine(/*memoize=*/false, /*cache=*/nullptr, 0);
+  if (!engine.ok()) return engine.status();
+  return RunRandomizedMaxFindOnEngine(items, engine->get(), options);
 }
 
 }  // namespace crowdmax

@@ -22,9 +22,13 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/comparator.h"
+#include "core/execution.h"
 #include "core/instance.h"
 
 namespace crowdmax {
+
+class RoundEngine;
+class SharedPairCache;
 
 /// Outcome of a phase-2 solver.
 struct MaxFindResult {
@@ -36,6 +40,18 @@ struct MaxFindResult {
   int64_t issued_comparisons = 0;
   /// Round count (while-loop iterations; 0 for AllPlayAllMax).
   int64_t rounds = 0;
+
+  /// Executor logical steps the run consumed (0 on a comparator).
+  int64_t logical_steps = 0;
+  /// Executor backends only (false on a comparator): faults the executor's
+  /// own recovery could not repair left the run without evidence. An
+  /// elimination loop that stalls stops with `best == -1`; a final
+  /// tournament on incomplete evidence reports its provisional leader in
+  /// `best`. Either way `survivors` holds the candidates still alive and
+  /// `fault_status` the typed error.
+  bool partial = false;
+  Status fault_status = Status::OK();
+  std::vector<ElementId> survivors;
 };
 
 /// Plays a single all-play-all tournament over `items` and returns the
@@ -43,15 +59,14 @@ struct MaxFindResult {
 Result<MaxFindResult> AllPlayAllMax(const std::vector<ElementId>& items,
                                     Comparator* comparator);
 
-class SharedPairCache;
-
 /// Options for TwoMaxFind.
 struct TwoMaxFindOptions {
   /// Remember each pair's answer and never re-ask (the paper assumes this:
   /// "we memorize results and we do not repeat comparisons"). Memoization
   /// also guarantees termination against inconsistent (randomized)
   /// comparators; with it off the algorithm aborts with Internal status
-  /// after a progress-failure budget is exhausted.
+  /// after a progress-failure budget is exhausted. Read only on a
+  /// comparator Execution: executor engines always memoize.
   bool memoize = true;
 
   /// Cross-phase pair-evidence sharing (core/round_engine.h): when set,
@@ -61,6 +76,16 @@ struct TwoMaxFindOptions {
   /// by convention). Not owned; must outlive the call.
   SharedPairCache* shared_cache = nullptr;
   int64_t cache_class = 1;
+
+  /// Predict each sample tournament's pivot and speculatively issue the
+  /// elimination scan before the sample's answers arrive (DESIGN.md §15).
+  /// The predicted pivot is the lowest-indexed sample member, so callers
+  /// that order candidates by prior strength (e.g. phase-1 win counts)
+  /// get a high hit rate. Only a pipelined Execution consults it; results,
+  /// traces and paid counters are bit-identical to the sync drive either
+  /// way — mispredictions surface only as `speculation_wasted` spend on
+  /// the engine.
+  bool speculate = false;
 };
 
 /// Algorithm 3 (2-MaxFind). Repeatedly: tournament among ceil(sqrt(s))
@@ -68,9 +93,12 @@ struct TwoMaxFindOptions {
 /// candidate and drop all that lose to x; once at most ceil(sqrt(s))
 /// candidates remain, a final tournament decides. Elimination comparisons
 /// pass the pivot as the *first* argument (AdversarialPolicy::kFirstLoses
-/// exercises the worst case).
+/// exercises the worst case). On an executor this takes two logical steps
+/// per round (sample tournament, then the pivot's scan) and one final
+/// step: O(sqrt(s)) steps. Opens no trace phase span: the caller opens the
+/// span of the worker class it bills.
 Result<MaxFindResult> TwoMaxFind(const std::vector<ElementId>& items,
-                                 Comparator* comparator,
+                                 Execution execution,
                                  const TwoMaxFindOptions& options = {});
 
 /// The deterministic upper bound on 2-MaxFind comparisons used by the
@@ -105,52 +133,25 @@ struct RandomizedMaxFindOptions {
 /// witness set W sampled along the way; each round partitions the survivors
 /// into groups of 80*(c+2), plays all-play-all in each group and eliminates
 /// each group's minimal element; finishes with a tournament over W plus the
-/// remaining survivors.
+/// remaining survivors. Unmemoized on a comparator (the algorithm's own
+/// model); an executor engine memoizes, as every executor engine does.
 Result<MaxFindResult> RandomizedMaxFind(
-    const std::vector<ElementId>& items, Comparator* comparator,
+    const std::vector<ElementId>& items, Execution execution,
     const RandomizedMaxFindOptions& options = {});
 
-class RoundEngine;
-
-/// Outcome of a phase-2 solver driven on a caller-provided engine. On
-/// comparator backends `partial` is always false. On an executor backend,
-/// missing evidence (faults the executor's own recovery could not repair)
-/// can leave the run partial: an elimination loop that stalls without
-/// evidence stops with `maxfind.best == -1` and the surviving candidate set
-/// in `survivors`; a final tournament on incomplete evidence reports the
-/// provisional leader in `maxfind.best` and also fills `survivors`.
-struct MaxFindEngineRun {
-  MaxFindResult maxfind;
-  bool partial = false;
-  Status fault_status = Status::OK();
-  std::vector<ElementId> survivors;
-};
-
-/// Options for RunTwoMaxFindOnEngine beyond the plain sync drive.
-struct TwoMaxFindEngineOptions {
-  /// Predict each sample tournament's pivot and speculatively issue the
-  /// elimination scan before the sample's answers arrive (DESIGN.md §15).
-  /// The predicted pivot is the lowest-indexed sample member, so callers
-  /// that order candidates by prior strength (e.g. phase-1 win counts)
-  /// get a high hit rate. Only a pipelined engine consults the hooks;
-  /// results, traces and paid counters are bit-identical to the sync
-  /// drive either way — mispredictions surface only as
-  /// `speculation_wasted` spend on the engine.
-  bool speculate = false;
-};
-
 /// Algorithm 3 (2-MaxFind) as a RoundSource on `engine` (any backend). The
-/// engine owns memoization and dispatch; `TwoMaxFind` and
-/// `BatchedTwoMaxFind` are thin wrappers over this.
-Result<MaxFindEngineRun> RunTwoMaxFindOnEngine(
+/// engine owns memoization and dispatch, so of `options` only `speculate`
+/// is read. `TwoMaxFind` is a thin wrapper over this; the checkpoint,
+/// chaos and speculation tests drive engines they built themselves.
+Result<MaxFindResult> RunTwoMaxFindOnEngine(
     const std::vector<ElementId>& items, RoundEngine* engine,
-    const TwoMaxFindEngineOptions& options = {});
+    const TwoMaxFindOptions& options = {});
 
 /// Algorithm 5 as a RoundSource on `engine` (any backend). A group with an
 /// unresolved pair eliminates nobody (no eviction without evidence); a
 /// stalled elimination loop proceeds straight to the final tournament over
 /// the witness set plus all remaining survivors.
-Result<MaxFindEngineRun> RunRandomizedMaxFindOnEngine(
+Result<MaxFindResult> RunRandomizedMaxFindOnEngine(
     const std::vector<ElementId>& items, RoundEngine* engine,
     const RandomizedMaxFindOptions& options = {});
 

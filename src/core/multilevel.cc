@@ -4,8 +4,7 @@
 #include <utility>
 
 #include "core/maxfind.h"
-#include "core/round_engine.h"
-#include "core/tournament.h"
+#include "core/trace.h"
 
 namespace crowdmax {
 
@@ -17,8 +16,8 @@ Result<MultilevelResult> FindMaxMultilevel(
     return Status::InvalidArgument("at least one worker class is required");
   }
   for (const WorkerClassSpec& spec : classes) {
-    if (spec.comparator == nullptr) {
-      return Status::InvalidArgument("worker class has null comparator");
+    if (spec.execution.empty()) {
+      return Status::InvalidArgument("worker class has no execution");
     }
     if (spec.cost_per_comparison < 0.0) {
       return Status::InvalidArgument("cost_per_comparison must be >= 0");
@@ -27,13 +26,16 @@ Result<MultilevelResult> FindMaxMultilevel(
   if (items.empty()) {
     return Status::InvalidArgument("input set must be non-empty");
   }
+  TraceSpanScope run_span(TraceSpanKind::kRun, "multilevel");
 
   MultilevelResult result;
   result.paid_per_class.assign(classes.size(), 0);
+  result.steps_per_class.assign(classes.size(), 0);
 
   std::vector<ElementId> current = items;
 
-  // Filtering levels: every class except the last.
+  // Filtering levels: every class except the last. A partial level hands
+  // its (oversized but max-preserving) survivor set to the next class.
   for (size_t level = 0; level + 1 < classes.size(); ++level) {
     const WorkerClassSpec& spec = classes[level];
     if (spec.u < 1) {
@@ -46,11 +48,18 @@ Result<MultilevelResult> FindMaxMultilevel(
       filter.cache_class = static_cast<int64_t>(level);
     }
     Result<FilterResult> filtered =
-        FilterCandidates(current, filter, spec.comparator);
+        FilterCandidates(current, filter, spec.execution);
     if (!filtered.ok()) return filtered.status();
     result.paid_per_class[level] = filtered->paid_comparisons;
+    result.steps_per_class[level] = filtered->logical_steps;
     result.candidates_per_level.push_back(
         static_cast<int64_t>(filtered->candidates.size()));
+    if (filtered->partial) {
+      result.partial = true;
+      if (result.fault_status.ok()) {
+        result.fault_status = filtered->fault_status;
+      }
+    }
     current = std::move(filtered->candidates);
     if (current.empty()) {
       return Status::Internal("filter level returned an empty candidate set");
@@ -64,38 +73,20 @@ Result<MultilevelResult> FindMaxMultilevel(
     two_maxfind.shared_cache = options.shared_cache;
     two_maxfind.cache_class = static_cast<int64_t>(last);
   }
-  Result<MaxFindResult> final_result = Status::Internal("unreachable");
-  switch (options.final_phase) {
-    case Phase2Algorithm::kTwoMaxFind:
-      final_result =
-          TwoMaxFind(current, classes[last].comparator, two_maxfind);
-      break;
-    case Phase2Algorithm::kRandomized:
-      final_result = RandomizedMaxFind(current, classes[last].comparator,
-                                       options.randomized);
-      break;
-    case Phase2Algorithm::kAllPlayAll:
-      if (options.shared_cache != nullptr) {
-        const std::unique_ptr<RoundEngine> engine = RoundEngine::CreateSerial(
-            classes[last].comparator, /*memoize=*/true, options.shared_cache,
-            static_cast<int64_t>(last));
-        Result<TournamentEngineRun> run =
-            RunTournamentOnEngine(current, engine.get());
-        if (!run.ok()) return run.status();
-        MaxFindResult tallied;
-        tallied.best = current[IndexOfMostWins(run->tournament)];
-        tallied.issued_comparisons = run->tournament.comparisons;
-        tallied.paid_comparisons = engine->paid();
-        final_result = tallied;
-      } else {
-        final_result = AllPlayAllMax(current, classes[last].comparator);
-      }
-      break;
-  }
+  Result<MaxFindResult> final_result =
+      RunPhase2(current, classes[last].execution, options.final_phase,
+                two_maxfind, options.randomized, options.final_chunk_pairs);
   if (!final_result.ok()) return final_result.status();
 
   result.best = final_result->best;
   result.paid_per_class[last] = final_result->paid_comparisons;
+  result.steps_per_class[last] = final_result->logical_steps;
+  if (final_result->partial) {
+    result.partial = true;
+    if (result.fault_status.ok()) {
+      result.fault_status = final_result->fault_status;
+    }
+  }
   for (size_t i = 0; i < classes.size(); ++i) {
     result.total_cost += static_cast<double>(result.paid_per_class[i]) *
                          classes[i].cost_per_comparison;

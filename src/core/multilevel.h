@@ -16,6 +16,7 @@
 
 #include "common/status.h"
 #include "core/comparator.h"
+#include "core/execution.h"
 #include "core/expert_max.h"
 #include "core/filter_phase.h"
 #include "core/instance.h"
@@ -24,8 +25,9 @@ namespace crowdmax {
 
 /// One worker class in the cascade.
 struct WorkerClassSpec {
-  /// Comparator backed by this class's workers (not owned).
-  Comparator* comparator = nullptr;
+  /// What answers this class's comparisons (comparator, executor stack or
+  /// pipelined executor; not owned).
+  Execution execution;
   /// u_k: number of elements this class cannot distinguish from the
   /// maximum (including the maximum). Must be >= 1. Ignored for the last
   /// class, which runs phase 2 rather than a filter.
@@ -48,17 +50,15 @@ struct MultilevelOptions {
   /// memoizes into `shared_cache[k]` (the class index doubles as the cache
   /// class id, so classes of different expertise never trade evidence), and
   /// a repeated cascade over overlapping items answers every pair a
-  /// previous run's same level resolved for free. kRandomized finals run
-  /// unmemoized and never share. Not owned; must outlive the call.
+  /// previous run's same level resolved for free. On a comparator
+  /// kRandomized finals run unmemoized and never share. Not owned; must
+  /// outlive the call.
   SharedPairCache* shared_cache = nullptr;
 
-  /// Pipelining shape for the final class (consulted only when the final
-  /// engine is pipelined; sync drives are unaffected). For a kTwoMaxFind
-  /// final, enables speculative elimination scans
-  /// (TwoMaxFindEngineOptions::speculate); for a kAllPlayAll final, splits
-  /// the tournament into chunks of at most `final_chunk_pairs` pairs
-  /// (TournamentEngineOptions::chunk_pairs, 0 = single round).
-  bool final_speculate = false;
+  /// For a kAllPlayAll final, splits the tournament into engine rounds of
+  /// at most this many pairs (TournamentEngineOptions::chunk_pairs, 0 =
+  /// single round), so a pipelined final class overlaps the chunks' round
+  /// trips. A kTwoMaxFind final speculates per two_maxfind.speculate.
   int64_t final_chunk_pairs = 0;
 };
 
@@ -72,11 +72,22 @@ struct MultilevelResult {
   std::vector<int64_t> candidates_per_level;
   /// Total monetary cost given each class's cost_per_comparison.
   double total_cost = 0.0;
+
+  /// Executor logical steps per class, aligned with the input specs (0 for
+  /// comparator classes).
+  std::vector<int64_t> steps_per_class;
+  /// True when any level stopped early on an exhausted fault budget
+  /// (executor classes only); the cascade still hands the survivor
+  /// superset down, so `best` is filled whenever the final phase produced
+  /// a provisional leader. `fault_status` carries the first typed error.
+  bool partial = false;
+  Status fault_status = Status::OK();
 };
 
 /// Runs the cascade over `items`. `classes` must be non-empty and ordered
 /// from least to most expert; with one class this is a plain single-class
-/// phase-2 run.
+/// phase-2 run. Every non-final class runs the filter, the final class the
+/// configured phase-2 solver (RunPhase2).
 Result<MultilevelResult> FindMaxMultilevel(
     const std::vector<ElementId>& items,
     const std::vector<WorkerClassSpec>& classes,

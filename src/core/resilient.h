@@ -11,8 +11,8 @@
 //    exponential backoff, accepts relaxed-quorum majorities once enough
 //    votes arrived, and on an exhausted budget either degrades through a
 //    caller-supplied tie-break or propagates a typed Unavailable status so
-//    the batched algorithms can return partial results. Every recovery
-//    action is accounted in a FaultReport (core/batched.h).
+//    the queries can return partial results. Every recovery action is
+//    accounted in a FaultReport (core/execution.h).
 //
 //  * FaultInjectingBatchExecutor — deterministic fault injection over any
 //    executor, for tests and benches that need faults without a platform
@@ -61,8 +61,8 @@ struct ResilientOptions {
   int64_t backoff_base_steps = 1;
   /// Graceful degradation: applied to tasks still unresolved when the
   /// retry budget is exhausted. When empty, the executor instead
-  /// propagates Status::Unavailable and the batched algorithms return
-  /// partial results (survivors so far + fault report).
+  /// propagates Status::Unavailable and the queries return partial
+  /// results (survivors so far + fault report).
   FaultFallback fallback;
 };
 

@@ -359,8 +359,7 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
   // pair, and only by pair units; a pruning drive, and every player unit,
   // resolves read-only and commits after the consume.
   const bool write_memo = memoize_ && !prune_;
-  VoteBatchComparator* batch =
-      batch_generation_ ? comparator_->AsVoteBatch() : nullptr;
+  VoteBatchComparator* batch = comparator_->AsVoteBatch();
 
   // Batch-path scratch, engine-owned and reused across units *and* rounds
   // (empty when batch == nullptr): steady-state rounds allocate nothing.
@@ -748,8 +747,7 @@ int64_t RoundEngine::ProbePlayers(const RoundUnit& unit, LossMatrix* losses,
 Status RoundEngine::Vote(Comparator* comparator,
                          std::span<const ComparisonPair> misses,
                          std::span<ElementId> answers) const {
-  if (VoteBatchComparator* batch =
-          batch_generation_ ? comparator->AsVoteBatch() : nullptr) {
+  if (VoteBatchComparator* batch = comparator->AsVoteBatch()) {
     return ShortAnswer(batch->GenerateVotes(misses, answers), misses);
   }
   for (size_t m = 0; m < misses.size(); ++m) {
@@ -802,8 +800,7 @@ Result<int64_t> RoundEngine::AnswerPlayers(const RoundUnit& unit,
     bought -= ProbePlayers(unit, losses, scratch);
     skip = scratch->hits;
   }
-  if (VoteBatchComparator* batch =
-          batch_generation_ ? comparator->AsVoteBatch() : nullptr) {
+  if (VoteBatchComparator* batch = comparator->AsVoteBatch()) {
     const int64_t answered = batch->GenerateTournament(players, skip, losses);
     if (answered < bought) {
       return ShortTournament(answered, players, losses->stride(), skip);
@@ -1063,11 +1060,7 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
     // and the issued-minus-paid remainder was served by the memo cache.
     if (backend_ != Backend::kExecutor && round.record_round_cell &&
         trace != nullptr) {
-      trace->RecordDispatched(outcome->paid_delta);
-      trace->RecordOutcomes(outcome->paid_delta, 0, 0);
-      if (outcome->issued > outcome->paid_delta) {
-        trace->RecordCacheHits(outcome->issued - outcome->paid_delta);
-      }
+      trace->RecordAnsweredCell(outcome->paid_delta, outcome->issued);
     }
 
     Status consumed = source->ConsumeOutcome(round, *outcome);

@@ -438,16 +438,6 @@ class RoundEngine {
   }
   CheckpointController* checkpoint() const { return checkpoint_; }
 
-  /// Batch-at-once vote generation (DESIGN.md §14): when enabled (the
-  /// default) and the comparator (or its forks) exposes AsVoteBatch(), the
-  /// comparator backends answer each pair unit's cache misses with one
-  /// GenerateVotes call, and each player unit with one GenerateTournament
-  /// call, instead of per-pair virtual dispatch.
-  /// Results, counters, caches and traces are bit-identical either way;
-  /// disable to force the per-call path (equivalence tests, baselines).
-  void set_batch_generation(bool enabled) { batch_generation_ = enabled; }
-  bool batch_generation() const { return batch_generation_; }
-
  private:
   struct PendingRound;
 
@@ -509,9 +499,9 @@ class RoundEngine {
                        UnitScratch* scratch) const;
 
   /// Answers `misses` into `answers` on `comparator`: one GenerateVotes
-  /// call, or per-pair Compare calls without a batch interface (or with
-  /// batch generation off). A pair the batch interface refuses, an id
-  /// outside the comparator's instance, is an InvalidArgument naming it.
+  /// call, or per-pair Compare calls without a batch interface. A pair the
+  /// batch interface refuses, an id outside the comparator's instance, is
+  /// an InvalidArgument naming it.
   Status Vote(Comparator* comparator, std::span<const ComparisonPair> misses,
               std::span<ElementId> answers) const;
 
@@ -525,10 +515,10 @@ class RoundEngine {
 
   /// Answers one player unit into `losses`: ProbePlayers over a readable
   /// memo, then one GenerateTournament call for the pairs it did not find
-  /// — or, without a batch interface (or with batch generation off), one
-  /// Compare per such pair in row-major order, its bit set directly. A
-  /// refused pair is an InvalidArgument naming it, as in Vote. Returns the
-  /// number of pairs bought.
+  /// — or, without a batch interface, one Compare per such pair in
+  /// row-major order, its bit set directly. A refused pair is an
+  /// InvalidArgument naming it, as in Vote. Returns the number of pairs
+  /// bought.
   Result<int64_t> AnswerPlayers(const RoundUnit& unit, Comparator* comparator,
                                 UnitScratch* scratch,
                                 LossMatrix* losses) const;
@@ -618,8 +608,6 @@ class RoundEngine {
   bool signatures_on_ = false;
   std::vector<uint64_t> signatures_;
   uint64_t committed_player_units_ = 0;
-
-  bool batch_generation_ = true;
 
   // Parallel backend: the pool and the persistent fork seeder (one chain
   // across all rounds, so seeded runs replay bit-identically).

@@ -23,11 +23,13 @@
 #define CROWDMAX_CORE_TOPK_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
 #include "core/comparator.h"
 #include "core/cost.h"
+#include "core/execution.h"
 #include "core/filter_phase.h"
 #include "core/instance.h"
 
@@ -57,8 +59,9 @@ struct TopKOptions {
 
   /// When positive, the expert tournament is split into engine rounds of
   /// at most this many pairs (TournamentEngineOptions::chunk_pairs) so a
-  /// pipelined engine overlaps the chunk round trips. 0 keeps the
-  /// single-round tournament; tallies are identical either way.
+  /// pipelined Execution overlaps the chunk round trips (an executor pays
+  /// one logical step per chunk). 0 keeps the single-round tournament;
+  /// tallies are identical either way.
   int64_t expert_chunk_pairs = 0;
 };
 
@@ -73,16 +76,33 @@ struct TopKResult {
   ComparisonStats paid;
   int64_t filter_rounds = 0;
 
+  /// Executor logical steps per worker class (0 on a comparator).
+  int64_t naive_steps = 0;
+  int64_t expert_steps = 0;
+  /// True when a phase ran on incomplete evidence (executor backends
+  /// only): the filter stopped early on an exhausted fault budget
+  /// (candidates hold the survivors so far — a superset, the true top-k
+  /// still inside) or the expert tournament left pairs unresolved (the
+  /// returned order is the provisional win count). `fault_status` carries
+  /// the first typed error.
+  bool partial = false;
+  Status fault_status = Status::OK();
+  /// Per-phase fault/recovery reports, copied from executor stacks that
+  /// keep one (Execution::fault_report); nullopt otherwise.
+  std::optional<FaultReport> naive_faults;
+  std::optional<FaultReport> expert_faults;
+
   double CostUnder(const CostModel& model) const {
     return model.Cost(paid.naive, paid.expert);
   }
 };
 
 /// Runs the two-phase top-k algorithm: Algorithm 2 with u' = u_n + k - 1
-/// using `naive`, then one expert all-play-all over the candidates, ordered
-/// by wins. Returns InvalidArgument for bad options or duplicate ids.
+/// using `naive` (O(log n) steps on an executor), then one expert
+/// all-play-all over the candidates, ordered by wins. Returns
+/// InvalidArgument for bad options or duplicate ids.
 Result<TopKResult> FindTopKWithExperts(const std::vector<ElementId>& items,
-                                       Comparator* naive, Comparator* expert,
+                                       Execution naive, Execution expert,
                                        const TopKOptions& options);
 
 }  // namespace crowdmax

@@ -26,7 +26,7 @@ class TournamentRoundSource : public RoundSource {
         chunk_pairs_(chunk_pairs) {
     const int64_t k = static_cast<int64_t>(elements_.size());
     total_pairs_ = k * (k > 0 ? k - 1 : 0) / 2;
-    if (chunked()) run_.tournament.wins.assign(elements_.size(), 0);
+    if (chunked()) run_.wins.assign(elements_.size(), 0);
   }
 
   Result<bool> NextRound(EngineRound* round) override {
@@ -81,13 +81,13 @@ class TournamentRoundSource : public RoundSource {
   Status ConsumeOutcome(const EngineRound& /*round*/,
                         const RoundOutcome& outcome) override {
     if (chunked()) {
-      run_.tournament.comparisons += outcome.issued;
+      run_.comparisons += outcome.issued;
       const size_t k = elements_.size();
       for (const ElementId winner : outcome.winners[0]) {
         if (winner == kUnresolvedWinner) {
           ++run_.unresolved;
         } else {
-          ++run_.tournament.wins[winner == elements_[ci_] ? ci_ : cj_];
+          ++run_.wins[winner == elements_[ci_] ? ci_ : cj_];
         }
         ++next_consume_pair_;
         if (++cj_ >= k) {
@@ -98,8 +98,8 @@ class TournamentRoundSource : public RoundSource {
       if (run_.fault.ok() && !outcome.fault.ok()) run_.fault = outcome.fault;
       return Status::OK();
     }
-    run_.tournament.wins.assign(elements_.size(), 0);
-    run_.tournament.comparisons = outcome.issued;
+    run_.wins.assign(elements_.size(), 0);
+    run_.comparisons = outcome.issued;
     const std::vector<ElementId>& winners = outcome.winners[0];
     size_t t = 0;
     for (size_t i = 0; i < elements_.size(); ++i) {
@@ -109,14 +109,14 @@ class TournamentRoundSource : public RoundSource {
           ++run_.unresolved;
           continue;
         }
-        ++run_.tournament.wins[winner == elements_[i] ? i : j];
+        ++run_.wins[winner == elements_[i] ? i : j];
       }
     }
     run_.fault = outcome.fault;
     return Status::OK();
   }
 
-  TournamentEngineRun Finish() { return std::move(run_); }
+  TournamentResult Finish() { return std::move(run_); }
 
   // Single-round source: the only interior boundary is "tournament already
   // consumed", so the state is the tally plus the done flag. The chunked
@@ -124,8 +124,8 @@ class TournamentRoundSource : public RoundSource {
   // those resumable.
   Status SaveState(CheckpointWriter* writer) const override {
     writer->WriteTag(kTournamentTag);
-    writer->WriteIdVector(run_.tournament.wins);
-    writer->WriteI64(run_.tournament.comparisons);
+    writer->WriteIdVector(run_.wins);
+    writer->WriteI64(run_.comparisons);
     writer->WriteI64(run_.unresolved);
     writer->WriteStatus(run_.fault);
     writer->WriteBool(done_);
@@ -140,8 +140,8 @@ class TournamentRoundSource : public RoundSource {
 
   Status LoadState(CheckpointReader* reader) override {
     reader->ExpectTag(kTournamentTag);
-    reader->ReadIdVector(&run_.tournament.wins);
-    run_.tournament.comparisons = reader->ReadI64();
+    reader->ReadIdVector(&run_.wins);
+    run_.comparisons = reader->ReadI64();
     run_.unresolved = reader->ReadI64();
     run_.fault = reader->ReadStatus();
     done_ = reader->ReadBool();
@@ -161,7 +161,7 @@ class TournamentRoundSource : public RoundSource {
   const char* const span_label_;
   const int64_t chunk_pairs_;
   int64_t total_pairs_ = 0;
-  TournamentEngineRun run_;
+  TournamentResult run_;
   bool done_ = false;
   // Pair cursors for the chunked shape: (ei_, ej_) is the next pair to
   // emit, (ci_, cj_) the next to tally; the flat counters gate
@@ -176,7 +176,7 @@ class TournamentRoundSource : public RoundSource {
 
 }  // namespace
 
-Result<TournamentEngineRun> RunTournamentOnEngine(
+Result<TournamentResult> RunTournamentOnEngine(
     const std::vector<ElementId>& elements, RoundEngine* engine,
     const char* span_label, const TournamentEngineOptions& options) {
   CROWDMAX_CHECK(engine != nullptr);
@@ -194,9 +194,9 @@ TournamentResult AllPlayAll(const std::vector<ElementId>& elements,
   CROWDMAX_CHECK(comparator != nullptr);
   const std::unique_ptr<RoundEngine> engine =
       RoundEngine::CreateSerial(comparator, /*memoize=*/false);
-  Result<TournamentEngineRun> run = RunTournamentOnEngine(elements, engine.get());
+  Result<TournamentResult> run = RunTournamentOnEngine(elements, engine.get());
   CROWDMAX_CHECK(run.ok());
-  return std::move(run->tournament);
+  return std::move(run).value();
 }
 
 size_t IndexOfMostWins(const TournamentResult& result) {

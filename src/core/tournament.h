@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "core/comparator.h"
 #include "core/instance.h"
 
@@ -16,12 +17,17 @@ namespace crowdmax {
 
 /// Outcome of an all-play-all tournament among k elements.
 struct TournamentResult {
-  /// wins[i] = number of comparisons won by the i-th input element; always
-  /// sums to k*(k-1)/2.
+  /// wins[i] = number of comparisons won by the i-th input element; sums
+  /// to k*(k-1)/2 less `unresolved`.
   std::vector<int64_t> wins;
   /// Comparisons issued to the comparator (k*(k-1)/2; fewer are *paid* if
   /// the comparator memoizes).
   int64_t comparisons = 0;
+  /// Executor backends only (0 and OK elsewhere): pairs the executor could
+  /// not answer after its own recovery, which award no win to either side,
+  /// and the transient fault that left them.
+  int64_t unresolved = 0;
+  Status fault = Status::OK();
 };
 
 /// Plays every unordered pair of `elements` once through `comparator` and
@@ -32,16 +38,6 @@ TournamentResult AllPlayAll(const std::vector<ElementId>& elements,
                             Comparator* comparator);
 
 class RoundEngine;
-
-/// Outcome of an engine-backed all-play-all tournament. On comparator
-/// backends `unresolved` is 0 and `fault` is OK; on an executor backend a
-/// pair the executor could not answer (after its own recovery) awards no
-/// win to either side and is counted here instead.
-struct TournamentEngineRun {
-  TournamentResult tournament;
-  int64_t unresolved = 0;
-  Status fault = Status::OK();
-};
 
 /// Options for RunTournamentOnEngine beyond the single-round drive.
 struct TournamentEngineOptions {
@@ -58,7 +54,7 @@ struct TournamentEngineOptions {
 /// round on any backend (or chunked rounds, see TournamentEngineOptions).
 /// `span_label` names the kBatch trace span (the serial paths' historical
 /// "all_play_all").
-Result<TournamentEngineRun> RunTournamentOnEngine(
+Result<TournamentResult> RunTournamentOnEngine(
     const std::vector<ElementId>& elements, RoundEngine* engine,
     const char* span_label = "all_play_all",
     const TournamentEngineOptions& options = {});

@@ -134,6 +134,12 @@ void AlgoTrace::RecordOutcomes(int64_t answered, int64_t no_quorum,
 
 void AlgoTrace::RecordCacheHits(int64_t n) { CurrentCell()->cache_hits += n; }
 
+void AlgoTrace::RecordAnsweredCell(int64_t paid, int64_t issued) {
+  RecordDispatched(paid);
+  RecordOutcomes(paid, 0, 0);
+  if (issued > paid) RecordCacheHits(issued - paid);
+}
+
 void AlgoTrace::RecordDegraded(int64_t n) { CurrentCell()->degraded += n; }
 
 void AlgoTrace::RecordRetries(int64_t n) { CurrentCell()->retries += n; }

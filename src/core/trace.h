@@ -132,6 +132,9 @@ class AlgoTrace {
   void RecordDispatched(int64_t n);
   void RecordOutcomes(int64_t answered, int64_t no_quorum, int64_t dropped);
   void RecordCacheHits(int64_t n);
+  /// A comparator backend's cell: `paid` comparisons dispatched and all
+  /// answered, and the `issued - paid` remainder served by the memo.
+  void RecordAnsweredCell(int64_t paid, int64_t issued);
   void RecordDegraded(int64_t n);
   void RecordRetries(int64_t n);
 

@@ -292,11 +292,9 @@ class PlatformComparator : public Comparator {
   static Result<std::unique_ptr<PlatformComparator>> Create(
       CrowdPlatform* platform, int64_t votes_per_task);
 
-  /// Deprecated: aborts (CHECK) on the errors Create() reports. Kept as a
-  /// thin wrapper for existing call sites; prefer Create().
+ private:
   PlatformComparator(CrowdPlatform* platform, int64_t votes_per_task);
 
- private:
   ElementId DoCompare(ElementId a, ElementId b) override;
 
   CrowdPlatform* platform_;
@@ -306,9 +304,9 @@ class PlatformComparator : public Comparator {
 
 /// Adapts a CrowdPlatform to the BatchExecutor interface: each batch is
 /// one SubmitBatch call, i.e. exactly one platform logical step, with the
-/// configured number of votes per task. Use with the Batched* algorithms
-/// of core/batched.h to measure true logical-step latency on the simulated
-/// crowd.
+/// configured number of votes per task. Pass it to a query as its
+/// Execution (core/execution.h) to measure true logical-step latency on
+/// the simulated crowd.
 ///
 /// The fallible TryExecuteBatch() path surfaces the platform's fault model
 /// (transient Unavailable errors, kNoQuorum / kDropped outcomes) per task;
@@ -321,10 +319,6 @@ class PlatformBatchExecutor : public BatchExecutor {
   /// or votes_per_task is outside [1, platform workers].
   static Result<std::unique_ptr<PlatformBatchExecutor>> Create(
       CrowdPlatform* platform, int64_t votes_per_task);
-
-  /// Deprecated: aborts (CHECK) on the errors Create() reports. Kept as a
-  /// thin wrapper for existing call sites; prefer Create().
-  PlatformBatchExecutor(CrowdPlatform* platform, int64_t votes_per_task);
 
   /// Also snapshots the platform's vote and step counters, so the
   /// *_since_reset() accessors below report per-phase platform usage, and
@@ -360,6 +354,8 @@ class PlatformBatchExecutor : public BatchExecutor {
   int64_t TakeSimulatedLatencyMicros() override;
 
  private:
+  PlatformBatchExecutor(CrowdPlatform* platform, int64_t votes_per_task);
+
   std::vector<ElementId> DoExecuteBatch(
       const std::vector<ComparisonPair>& tasks) override;
 

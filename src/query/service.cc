@@ -10,7 +10,9 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "core/async_executor.h"
+#include "core/expert_max.h"
 #include "core/maxfind.h"
+#include "core/topk.h"
 #include "core/resilient.h"
 #include "core/worker_model.h"
 
@@ -457,92 +459,6 @@ Status BuildStack(const QueryServiceOptions& options, const QuerySpec& spec,
   return Status::OK();
 }
 
-// The two-phase kMax body — BatchedFindMaxWithExperts with an optional
-// pipelined filter (the pipeline_depth > 1 path of the service). Kept
-// byte-compatible in trace shape with core/batched.cc's glue so the
-// non-pipelined branch is interchangeable with it.
-Result<BatchedExpertMaxResult> RunTwoPhaseMax(
-    const std::vector<ElementId>& items, BatchExecutor* naive,
-    BatchExecutor* expert, const ExpertMaxOptions& options,
-    int64_t pipeline_depth) {
-  if (pipeline_depth <= 1) {
-    return BatchedFindMaxWithExperts(items, naive, expert, options);
-  }
-  TraceSpanScope run_span(TraceSpanKind::kRun, "batched_expert_max");
-
-  FilterOptions filter_options = options.filter;
-  if (options.shared_cache != nullptr) {
-    filter_options.shared_cache = options.shared_cache;
-    filter_options.cache_class = options.naive_cache_class;
-  }
-  AsyncBatchAdapter async(naive);
-  BatchedPipelineOptions pipeline;
-  pipeline.max_in_flight = pipeline_depth;
-  Result<BatchedFilterResult> filtered =
-      PipelinedFilterCandidates(items, filter_options, &async, pipeline);
-  if (!filtered.ok()) return filtered.status();
-
-  BatchedExpertMaxResult out;
-  out.result.candidates = std::move(filtered->filter.candidates);
-  out.result.paid.naive = filtered->filter.paid_comparisons;
-  out.result.issued.naive = filtered->filter.issued_comparisons;
-  out.result.filter_rounds = filtered->filter.rounds;
-  out.result.filter_hit_empty_round = filtered->filter.hit_empty_round;
-  out.result.filter_stopped_by_budget = filtered->filter.stopped_by_budget;
-  out.naive_steps = filtered->logical_steps;
-  if (filtered->partial) {
-    out.partial = true;
-    out.fault_status = filtered->fault_status;
-  }
-  if (const FaultReport* report = naive->fault_report()) {
-    out.has_naive_faults = true;
-    out.naive_faults = *report;
-  }
-  if (out.result.candidates.empty()) {
-    return Status::Internal("phase 1 returned an empty candidate set");
-  }
-
-  Result<BatchedMaxFindResult> phase2 =
-      BatchedTwoMaxFind(out.result.candidates, expert, options.shared_cache,
-                        options.expert_cache_class);
-  if (!phase2.ok()) return phase2.status();
-  out.result.best = phase2->maxfind.best;
-  out.result.paid.expert = phase2->maxfind.paid_comparisons;
-  out.result.issued.expert = phase2->maxfind.issued_comparisons;
-  out.result.phase2_rounds = phase2->maxfind.rounds;
-  out.expert_steps = phase2->logical_steps;
-  if (phase2->partial) {
-    out.partial = true;
-    if (out.fault_status.ok()) out.fault_status = phase2->fault_status;
-  }
-  if (const FaultReport* report = expert->fault_report()) {
-    out.has_expert_faults = true;
-    out.expert_faults = *report;
-  }
-  return out;
-}
-
-// Single-class 2-MaxFind on the naive executor. BatchedTwoMaxFind opens an
-// "expert" phase span by design; the naive-only strategy needs its spend
-// billed to the naive class, so this mirror opens a "naive" phase instead.
-Result<BatchedMaxFindResult> RunNaiveOnlyMax(
-    const std::vector<ElementId>& items, BatchExecutor* executor,
-    SharedPairCache* shared_cache) {
-  Result<std::unique_ptr<RoundEngine>> engine =
-      RoundEngine::CreateBatched(executor, shared_cache, /*cache_class=*/0);
-  if (!engine.ok()) return engine.status();
-  TraceSpanScope phase_span("naive", TraceWorkerClass::kNaive);
-  Result<MaxFindEngineRun> run = RunTwoMaxFindOnEngine(items, engine->get());
-  if (!run.ok()) return run.status();
-  BatchedMaxFindResult out;
-  out.maxfind = run->maxfind;
-  out.partial = run->partial;
-  out.fault_status = run->fault_status;
-  out.survivors = std::move(run->survivors);
-  out.logical_steps = (*engine)->logical_steps();
-  return out;
-}
-
 // The ABOVE (selection) query, batched: one naive vote-panel batch over
 // every item-vs-anchor pair, then (optionally) one expert batch over the
 // items whose panels were not unanimous. Classification is conservative
@@ -679,42 +595,50 @@ void RunOneQuery(const QueryServiceOptions& options, const QuerySpec& spec,
       algo.shared_cache = cache;
       switch (admission.plan.strategy) {
         case MaxStrategy::kTwoPhase: {
-          Result<BatchedExpertMaxResult> result =
-              RunTwoPhaseMax(items, stack.naive_top, stack.expert_top, algo,
-                             options.pipeline_depth);
+          // pipeline_depth > 1 rides the naive filter's disjoint groups on
+          // the crowd latency; the expert phase stays synchronous.
+          std::optional<AsyncBatchAdapter> async;
+          Execution naive = stack.naive_top;
+          if (options.pipeline_depth > 1) {
+            async.emplace(stack.naive_top);
+            naive = Execution(&*async, options.pipeline_depth);
+          }
+          Result<ExpertMaxResult> result =
+              FindMaxWithExperts(items, naive, stack.expert_top, algo);
           if (!result.ok()) {
             status = result.status();
             break;
           }
-          out->best = result->result.best;
-          out->issued = result->result.issued;
-          out->stopped_by_budget = result->result.filter_stopped_by_budget;
+          out->best = result->best;
+          out->issued = result->issued;
+          out->stopped_by_budget = result->filter_stopped_by_budget;
           out->partial = result->partial;
           out->fault_status = result->fault_status;
           break;
         }
-        case MaxStrategy::kExpertOnly: {
-          Result<BatchedMaxFindResult> result = BatchedTwoMaxFind(
-              items, stack.expert_top, cache, /*cache_class=*/1);
-          if (!result.ok()) {
-            status = result.status();
-            break;
-          }
-          out->best = result->maxfind.best;
-          out->issued.expert = result->maxfind.issued_comparisons;
-          out->partial = result->partial;
-          out->fault_status = result->fault_status;
-          break;
-        }
+        case MaxStrategy::kExpertOnly:
         case MaxStrategy::kNaiveOnly: {
-          Result<BatchedMaxFindResult> result =
-              RunNaiveOnlyMax(items, stack.naive_top, cache);
+          // Single-class 2-MaxFind, billed to the class that answers it.
+          const bool expert =
+              admission.plan.strategy == MaxStrategy::kExpertOnly;
+          TraceSpanScope phase_span(
+              expert ? "expert" : "naive",
+              expert ? TraceWorkerClass::kExpert : TraceWorkerClass::kNaive);
+          TwoMaxFindOptions two_maxfind;
+          two_maxfind.shared_cache = cache;
+          two_maxfind.cache_class = expert ? 1 : 0;
+          Result<MaxFindResult> result = TwoMaxFind(
+              items, expert ? stack.expert_top : stack.naive_top, two_maxfind);
           if (!result.ok()) {
             status = result.status();
             break;
           }
-          out->best = result->maxfind.best;
-          out->issued.naive = result->maxfind.issued_comparisons;
+          out->best = result->best;
+          if (expert) {
+            out->issued.expert = result->issued_comparisons;
+          } else {
+            out->issued.naive = result->issued_comparisons;
+          }
           out->partial = result->partial;
           out->fault_status = result->fault_status;
           break;
@@ -729,13 +653,13 @@ void RunOneQuery(const QueryServiceOptions& options, const QuerySpec& spec,
       algo.filter.memoize = true;
       algo.filter.max_comparisons = spec.max_comparisons;
       algo.shared_cache = cache;
-      Result<BatchedTopKResult> result = BatchedFindTopKWithExperts(
+      Result<TopKResult> result = FindTopKWithExperts(
           instance->AllElements(), stack.naive_top, stack.expert_top, algo);
       if (!result.ok()) {
         status = result.status();
         break;
       }
-      out->top = result->result.top;
+      out->top = result->top;
       out->partial = result->partial;
       out->fault_status = result->fault_status;
       break;

@@ -297,7 +297,7 @@ struct QueryOutcome {
   /// Pairs answered from caches: issued - paid.
   int64_t cache_hits = 0;
   bool stopped_by_budget = false;
-  /// Fault-stack degradation (partial results; see core/batched.h).
+  /// Fault-stack degradation (partial results; see ExpertMaxResult).
   bool partial = false;
   Status fault_status;
 

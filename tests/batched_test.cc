@@ -1,7 +1,7 @@
 // Tests for the batched (logical-step) execution of the algorithms:
-// equivalence with the sequential versions under consistent answers, and
-// the logical-step complexity (O(log n) for Algorithm 2, O(sqrt(s)) for
-// 2-MaxFind).
+// equivalence with the sequential versions under consistent answers, the
+// logical-step complexity (O(log n) for Algorithm 2, O(sqrt(s)) for
+// 2-MaxFind), and every query's answer on every Execution.
 
 #include <algorithm>
 #include <cmath>
@@ -12,10 +12,18 @@
 
 #include <gtest/gtest.h>
 
+#include "core/async_executor.h"
 #include "core/batched.h"
 #include "core/comparator.h"
+#include "core/expert_max.h"
+#include "core/filter_phase.h"
 #include "core/instance.h"
+#include "core/maxfind.h"
+#include "core/multilevel.h"
 #include "core/resilient.h"
+#include "core/round_engine.h"
+#include "core/topk.h"
+#include "core/tournament.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
 #include "platform/platform.h"
@@ -59,15 +67,15 @@ TEST(BatchedAllPlayAllTest, MatchesSequentialTournament) {
   Result<std::unique_ptr<RoundEngine>> engine =
       RoundEngine::CreateBatched(&executor);
   ASSERT_TRUE(engine.ok());
-  Result<TournamentEngineRun> batched =
+  Result<TournamentResult> batched =
       RunTournamentOnEngine(instance->AllElements(), engine->get());
   ASSERT_TRUE(batched.ok());
   OracleComparator oracle2(&*instance);
   const TournamentResult sequential =
       AllPlayAll(instance->AllElements(), &oracle2);
 
-  EXPECT_EQ(batched->tournament.wins, sequential.wins);
-  EXPECT_EQ(batched->tournament.comparisons, sequential.comparisons);
+  EXPECT_EQ(batched->wins, sequential.wins);
+  EXPECT_EQ(batched->comparisons, sequential.comparisons);
   EXPECT_EQ(batched->unresolved, 0);
   EXPECT_EQ(executor.logical_steps(), 1);  // One step for the whole round.
 }
@@ -98,15 +106,15 @@ TEST_P(BatchedFilterEquivalence, MatchesSequentialFilter) {
 
   ThresholdComparator batch_worker(&*instance, worker, seed + 1);
   ComparatorBatchExecutor executor(&batch_worker);
-  Result<BatchedFilterResult> batched =
-      BatchedFilterCandidates(instance->AllElements(), options, &executor);
+  Result<FilterResult> batched =
+      FilterCandidates(instance->AllElements(), options, &executor);
   ASSERT_TRUE(batched.ok());
 
-  EXPECT_EQ(batched->filter.candidates, sequential->candidates);
-  EXPECT_EQ(batched->filter.rounds, sequential->rounds);
-  EXPECT_EQ(batched->filter.paid_comparisons, sequential->paid_comparisons);
+  EXPECT_EQ(batched->candidates, sequential->candidates);
+  EXPECT_EQ(batched->rounds, sequential->rounds);
+  EXPECT_EQ(batched->paid_comparisons, sequential->paid_comparisons);
   // One logical step per round.
-  EXPECT_EQ(batched->logical_steps, batched->filter.rounds);
+  EXPECT_EQ(batched->logical_steps, batched->rounds);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -125,8 +133,8 @@ TEST(BatchedFilterTest, LogarithmicLogicalSteps) {
     ComparatorBatchExecutor executor(&worker);
     FilterOptions options;
     options.u_n = instance->CountWithin(delta);
-    Result<BatchedFilterResult> result =
-        BatchedFilterCandidates(instance->AllElements(), options, &executor);
+    Result<FilterResult> result =
+        FilterCandidates(instance->AllElements(), options, &executor);
     ASSERT_TRUE(result.ok());
     // i* <= log2(n) rounds (Lemma 3's proof).
     EXPECT_LE(result->logical_steps,
@@ -149,18 +157,18 @@ TEST(BatchedFilterTest, MemoizationSkipsRepeatedPairsAcrossRounds) {
 
   ThresholdComparator worker_a(&*instance, worker, /*seed=*/22);
   ComparatorBatchExecutor exec_a(&worker_a);
-  Result<BatchedFilterResult> r_plain =
-      BatchedFilterCandidates(instance->AllElements(), plain, &exec_a);
+  Result<FilterResult> r_plain =
+      FilterCandidates(instance->AllElements(), plain, &exec_a);
 
   ThresholdComparator worker_b(&*instance, worker, /*seed=*/22);
   ComparatorBatchExecutor exec_b(&worker_b);
-  Result<BatchedFilterResult> r_memo =
-      BatchedFilterCandidates(instance->AllElements(), memoized, &exec_b);
+  Result<FilterResult> r_memo =
+      FilterCandidates(instance->AllElements(), memoized, &exec_b);
 
   ASSERT_TRUE(r_plain.ok() && r_memo.ok());
-  EXPECT_EQ(r_plain->filter.candidates, r_memo->filter.candidates);
-  EXPECT_LE(r_memo->filter.paid_comparisons,
-            r_plain->filter.paid_comparisons);
+  EXPECT_EQ(r_plain->candidates, r_memo->candidates);
+  EXPECT_LE(r_memo->paid_comparisons,
+            r_plain->paid_comparisons);
 }
 
 TEST(BatchedFilterTest, IdOutsideTheInstanceIsATypedErrorNotAnAbort) {
@@ -202,8 +210,8 @@ TEST(BatchedFilterTest, IdOutsideTheInstanceIsATypedErrorNotAnAbort) {
         options.memoize = memoize;
         std::vector<ElementId> items = instance->AllElements();
         items[50] = 1000;
-        const Result<BatchedFilterResult> result =
-            BatchedFilterCandidates(items, options, top);
+        const Result<FilterResult> result =
+            FilterCandidates(items, options, top);
         EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
             << context;
         EXPECT_NE(result.status().message().find("1000"), std::string::npos)
@@ -225,14 +233,14 @@ TEST(BatchedFilterTest, HonorsComparisonBudget) {
   FilterOptions options;
   options.u_n = instance->CountWithin(delta);
   options.max_comparisons = 10000;
-  Result<BatchedFilterResult> result =
-      BatchedFilterCandidates(instance->AllElements(), options, &executor);
+  Result<FilterResult> result =
+      FilterCandidates(instance->AllElements(), options, &executor);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->filter.stopped_by_budget);
-  EXPECT_LE(result->filter.paid_comparisons, 10000);
+  EXPECT_TRUE(result->stopped_by_budget);
+  EXPECT_LE(result->paid_comparisons, 10000);
   // The maximum survives an early stop.
   bool found = false;
-  for (ElementId e : result->filter.candidates) {
+  for (ElementId e : result->candidates) {
     found = found || e == instance->MaxElement();
   }
   EXPECT_TRUE(found);
@@ -253,13 +261,13 @@ TEST(BatchedTwoMaxFindTest, MatchesSequentialUnderConsistentAnswers) {
 
     ThresholdComparator batch_worker(&*instance, worker, seed + 1);
     ComparatorBatchExecutor executor(&batch_worker);
-    Result<BatchedMaxFindResult> batched =
-        BatchedTwoMaxFind(instance->AllElements(), &executor);
+    Result<MaxFindResult> batched =
+        TwoMaxFind(instance->AllElements(), &executor);
 
     ASSERT_TRUE(sequential.ok() && batched.ok());
-    EXPECT_EQ(batched->maxfind.best, sequential->best);
-    EXPECT_EQ(batched->maxfind.rounds, sequential->rounds);
-    EXPECT_EQ(batched->maxfind.paid_comparisons,
+    EXPECT_EQ(batched->best, sequential->best);
+    EXPECT_EQ(batched->rounds, sequential->rounds);
+    EXPECT_EQ(batched->paid_comparisons,
               sequential->paid_comparisons);
   }
 }
@@ -271,10 +279,10 @@ TEST(BatchedTwoMaxFindTest, SquareRootLogicalSteps) {
     ASSERT_TRUE(instance.ok());
     OracleComparator oracle(&*instance);
     ComparatorBatchExecutor executor(&oracle);
-    Result<BatchedMaxFindResult> result =
-        BatchedTwoMaxFind(instance->AllElements(), &executor);
+    Result<MaxFindResult> result =
+        TwoMaxFind(instance->AllElements(), &executor);
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->maxfind.best, instance->MaxElement());
+    EXPECT_EQ(result->best, instance->MaxElement());
     // At most 2 steps per round plus the final tournament; rounds are
     // O(sqrt(s)) with consistent answers.
     const int64_t sqrt_s = static_cast<int64_t>(
@@ -288,9 +296,9 @@ TEST(BatchedTwoMaxFindTest, SingletonNeedsNoSteps) {
   Instance instance({5.0});
   OracleComparator oracle(&instance);
   ComparatorBatchExecutor executor(&oracle);
-  Result<BatchedMaxFindResult> result = BatchedTwoMaxFind({0}, &executor);
+  Result<MaxFindResult> result = TwoMaxFind({0}, &executor);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->maxfind.best, 0);
+  EXPECT_EQ(result->best, 0);
   EXPECT_EQ(result->logical_steps, 0);
 }
 
@@ -308,17 +316,17 @@ TEST(BatchedExpertMaxTest, EndToEndGuaranteeAndStepBudget) {
 
   ExpertMaxOptions options;
   options.filter.u_n = instance->CountWithin(delta_n);
-  Result<BatchedExpertMaxResult> result = BatchedFindMaxWithExperts(
+  Result<ExpertMaxResult> result = FindMaxWithExperts(
       instance->AllElements(), &naive_exec, &expert_exec, options);
   ASSERT_TRUE(result.ok());
 
-  EXPECT_LE(instance->Distance(result->result.best, instance->MaxElement()),
+  EXPECT_LE(instance->Distance(result->best, instance->MaxElement()),
             2.0 * delta_e + 1e-12);
   // Latency: logarithmic naive phase, sqrt-sized expert phase.
   EXPECT_LE(result->naive_steps, 12);
   EXPECT_LE(result->expert_steps, 2 * 7 + 3);
   // Cost matches the sequential bounds.
-  EXPECT_LE(result->result.paid.naive, 4 * 2000 * options.filter.u_n);
+  EXPECT_LE(result->paid.naive, 4 * 2000 * options.filter.u_n);
 }
 
 TEST(BatchedExpertMaxTest, RunsOnTheCrowdPlatform) {
@@ -334,15 +342,19 @@ TEST(BatchedExpertMaxTest, RunsOnTheCrowdPlatform) {
       CrowdPlatform::Create(&crowd, &*instance, {}, platform_options);
   ASSERT_TRUE(platform.ok());
 
-  PlatformBatchExecutor naive_exec(platform->get(), /*votes_per_task=*/1);
-  PlatformBatchExecutor expert_exec(platform->get(), /*votes_per_task=*/7);
+  const std::unique_ptr<PlatformBatchExecutor> naive_exec =
+      PlatformBatchExecutor::Create(platform->get(),
+                                    /*votes_per_task=*/1).value();
+  const std::unique_ptr<PlatformBatchExecutor> expert_exec =
+      PlatformBatchExecutor::Create(platform->get(),
+                                    /*votes_per_task=*/7).value();
 
   ExpertMaxOptions options;
   options.filter.u_n = 4;
-  Result<BatchedExpertMaxResult> result = BatchedFindMaxWithExperts(
-      instance->AllElements(), &naive_exec, &expert_exec, options);
+  Result<ExpertMaxResult> result = FindMaxWithExperts(
+      instance->AllElements(), naive_exec.get(), expert_exec.get(), options);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(instance->Contains(result->result.best));
+  EXPECT_TRUE(instance->Contains(result->best));
   // Platform logical steps equal executor batches exactly.
   EXPECT_EQ((*platform)->logical_steps(),
             result->naive_steps + result->expert_steps);
@@ -375,20 +387,20 @@ TEST(BatchedTopKTest, MatchesSequentialAndCountsSteps) {
   ThresholdComparator expert_cmp(&*instance, worker, /*seed=*/73);
   ComparatorBatchExecutor naive_exec(&naive_cmp);
   ComparatorBatchExecutor expert_exec(&expert_cmp);
-  Result<BatchedTopKResult> batched = BatchedFindTopKWithExperts(
+  Result<TopKResult> batched = FindTopKWithExperts(
       instance->AllElements(), &naive_exec, &expert_exec, options);
   ASSERT_TRUE(batched.ok());
   EXPECT_FALSE(batched->partial);
 
-  EXPECT_EQ(batched->result.top, sequential->top);
-  EXPECT_EQ(batched->result.candidates, sequential->candidates);
-  EXPECT_EQ(batched->result.paid.naive, sequential->paid.naive);
-  EXPECT_EQ(batched->result.paid.expert, sequential->paid.expert);
-  EXPECT_EQ(batched->result.filter_rounds, sequential->filter_rounds);
+  EXPECT_EQ(batched->top, sequential->top);
+  EXPECT_EQ(batched->candidates, sequential->candidates);
+  EXPECT_EQ(batched->paid.naive, sequential->paid.naive);
+  EXPECT_EQ(batched->paid.expert, sequential->paid.expert);
+  EXPECT_EQ(batched->filter_rounds, sequential->filter_rounds);
 
   // Latency contract: one executor batch per filter round (logarithmic in
   // n), one batch for the whole expert tournament.
-  EXPECT_EQ(batched->naive_steps, batched->result.filter_rounds);
+  EXPECT_EQ(batched->naive_steps, batched->filter_rounds);
   EXPECT_EQ(batched->naive_steps, naive_exec.logical_steps());
   EXPECT_LE(batched->naive_steps,
             static_cast<int64_t>(std::log2(600)) + 2);
@@ -426,7 +438,7 @@ TEST(BatchedMultilevelTest, MatchesSequentialAndCountsStepsPerClass) {
   ThresholdComparator expert_cmp(&*instance, worker, /*seed=*/83);
   ComparatorBatchExecutor naive_exec(&naive_cmp);
   ComparatorBatchExecutor expert_exec(&expert_cmp);
-  Result<BatchedMultilevelResult> batched = BatchedFindMaxMultilevel(
+  Result<MultilevelResult> batched = FindMaxMultilevel(
       instance->AllElements(),
       {{&naive_exec, instance->CountWithin(delta_naive), 1.0},
        {&expert_exec, 1, 30.0}},
@@ -434,11 +446,11 @@ TEST(BatchedMultilevelTest, MatchesSequentialAndCountsStepsPerClass) {
   ASSERT_TRUE(batched.ok());
   EXPECT_FALSE(batched->partial);
 
-  EXPECT_EQ(batched->result.best, sequential->best);
-  EXPECT_EQ(batched->result.paid_per_class, sequential->paid_per_class);
-  EXPECT_EQ(batched->result.candidates_per_level,
+  EXPECT_EQ(batched->best, sequential->best);
+  EXPECT_EQ(batched->paid_per_class, sequential->paid_per_class);
+  EXPECT_EQ(batched->candidates_per_level,
             sequential->candidates_per_level);
-  EXPECT_EQ(batched->result.total_cost, sequential->total_cost);
+  EXPECT_EQ(batched->total_cost, sequential->total_cost);
 
   // Per-class latency: the filter level takes one batch per round
   // (logarithmic), the final 2-MaxFind level one batch per engine round.
@@ -449,6 +461,186 @@ TEST(BatchedMultilevelTest, MatchesSequentialAndCountsStepsPerClass) {
   EXPECT_LE(batched->steps_per_class[0],
             static_cast<int64_t>(std::log2(500)) + 2);
   EXPECT_GE(batched->steps_per_class[1], 1);
+}
+
+// The query-level differential contract: every Execution returns the
+// serial comparator's result. Each query runs over OracleComparators on a
+// serial comparator, a comparator with four filter threads, a
+// ComparatorBatchExecutor, and pipelined over it at depths 1 and 8, and
+// must return the same answer (best, top, sorted candidates) everywhere,
+// with the same paid and issued counts. One cell differs by design:
+// RandomizedMaxFind runs unmemoized on a comparator and memoized on an
+// executor, so its expert paid count is compared within each family.
+enum class DiffBackend { kSerial, kThreads4, kExecutor, kDepth1, kDepth8 };
+
+enum class DiffQuery {
+  kFilter,
+  kTwoMaxFind,
+  kTwoPhaseTwoMaxFind,
+  kTwoPhaseRandomized,
+  kTwoPhaseAllPlayAll,
+  kTopK,
+  kMultilevel,
+};
+
+// One worker class: its oracle, an executor over it and an async adapter
+// over that, handed out as the Execution a backend names.
+struct DiffCrowd {
+  explicit DiffCrowd(const Instance* instance)
+      : oracle(instance), executor(&oracle), async(&executor) {}
+
+  Execution For(DiffBackend backend) {
+    switch (backend) {
+      case DiffBackend::kSerial:
+      case DiffBackend::kThreads4:
+        return &oracle;
+      case DiffBackend::kExecutor:
+        return &executor;
+      case DiffBackend::kDepth1:
+        return Execution(&async, 1);
+      case DiffBackend::kDepth8:
+        return Execution(&async, 8);
+    }
+    return Execution();
+  }
+
+  OracleComparator oracle;
+  ComparatorBatchExecutor executor;
+  AsyncBatchAdapter async;
+};
+
+struct DiffAnswer {
+  ElementId best = -1;
+  std::vector<ElementId> top;
+  std::vector<ElementId> candidates;  // Sorted.
+  std::vector<int64_t> paid;
+  std::vector<int64_t> issued;
+};
+
+DiffAnswer RunDiffQuery(DiffQuery query, const Instance& instance,
+                        DiffBackend backend) {
+  DiffCrowd naive(&instance);
+  DiffCrowd middle(&instance);
+  DiffCrowd expert(&instance);
+  const std::vector<ElementId> items = instance.AllElements();
+  FilterOptions filter;
+  filter.u_n = 6;
+  filter.memoize = true;
+  filter.pipeline_groups = true;
+  filter.threads = backend == DiffBackend::kThreads4 ? 4 : 0;
+  TwoMaxFindOptions two_maxfind;
+  two_maxfind.speculate = true;
+
+  DiffAnswer answer;
+  switch (query) {
+    case DiffQuery::kFilter: {
+      Result<FilterResult> run =
+          FilterCandidates(items, filter, naive.For(backend));
+      CROWDMAX_CHECK(run.ok());
+      answer.candidates = run->candidates;
+      answer.paid = {run->paid_comparisons};
+      answer.issued = {run->issued_comparisons};
+      break;
+    }
+    case DiffQuery::kTwoMaxFind: {
+      Result<MaxFindResult> run =
+          TwoMaxFind(items, expert.For(backend), two_maxfind);
+      CROWDMAX_CHECK(run.ok());
+      answer.best = run->best;
+      answer.paid = {run->paid_comparisons};
+      answer.issued = {run->issued_comparisons};
+      break;
+    }
+    case DiffQuery::kTwoPhaseTwoMaxFind:
+    case DiffQuery::kTwoPhaseRandomized:
+    case DiffQuery::kTwoPhaseAllPlayAll: {
+      ExpertMaxOptions options;
+      options.filter = filter;
+      options.two_maxfind = two_maxfind;
+      options.randomized.group_size_override = 4;
+      options.phase2 = query == DiffQuery::kTwoPhaseTwoMaxFind
+                           ? Phase2Algorithm::kTwoMaxFind
+                       : query == DiffQuery::kTwoPhaseRandomized
+                           ? Phase2Algorithm::kRandomized
+                           : Phase2Algorithm::kAllPlayAll;
+      Result<ExpertMaxResult> run = FindMaxWithExperts(
+          items, naive.For(backend), expert.For(backend), options);
+      CROWDMAX_CHECK(run.ok());
+      answer.best = run->best;
+      answer.candidates = run->candidates;
+      answer.paid = {run->paid.naive, run->paid.expert};
+      answer.issued = {run->issued.naive, run->issued.expert};
+      break;
+    }
+    case DiffQuery::kTopK: {
+      TopKOptions options;
+      options.k = 4;
+      options.filter = filter;
+      options.expert_chunk_pairs = 16;
+      Result<TopKResult> run = FindTopKWithExperts(
+          items, naive.For(backend), expert.For(backend), options);
+      CROWDMAX_CHECK(run.ok());
+      answer.top = run->top;
+      answer.candidates = run->candidates;
+      answer.paid = {run->paid.naive, run->paid.expert};
+      break;
+    }
+    case DiffQuery::kMultilevel: {
+      MultilevelOptions options;
+      options.filter_template = filter;
+      options.two_maxfind = two_maxfind;
+      const std::vector<WorkerClassSpec> classes = {
+          {naive.For(backend), 12, 1.0},
+          {middle.For(backend), 4, 3.0},
+          {expert.For(backend), 1, 9.0}};
+      Result<MultilevelResult> run = FindMaxMultilevel(items, classes, options);
+      CROWDMAX_CHECK(run.ok());
+      answer.best = run->best;
+      answer.candidates.assign(run->candidates_per_level.begin(),
+                               run->candidates_per_level.end());
+      answer.paid = run->paid_per_class;
+      break;
+    }
+  }
+  std::sort(answer.candidates.begin(), answer.candidates.end());
+  return answer;
+}
+
+TEST(ExecutionDifferentialTest, EveryBackendReturnsTheSerialResult) {
+  Result<Instance> instance = UniformInstance(150, /*seed=*/71);
+  ASSERT_TRUE(instance.ok());
+  for (DiffQuery query :
+       {DiffQuery::kFilter, DiffQuery::kTwoMaxFind,
+        DiffQuery::kTwoPhaseTwoMaxFind, DiffQuery::kTwoPhaseRandomized,
+        DiffQuery::kTwoPhaseAllPlayAll, DiffQuery::kTopK,
+        DiffQuery::kMultilevel}) {
+    const DiffAnswer serial =
+        RunDiffQuery(query, *instance, DiffBackend::kSerial);
+    const DiffAnswer executor =
+        RunDiffQuery(query, *instance, DiffBackend::kExecutor);
+    for (DiffBackend backend :
+         {DiffBackend::kThreads4, DiffBackend::kExecutor,
+          DiffBackend::kDepth1, DiffBackend::kDepth8}) {
+      SCOPED_TRACE("query " + std::to_string(static_cast<int>(query)) +
+                   ", backend " + std::to_string(static_cast<int>(backend)));
+      const DiffAnswer other = RunDiffQuery(query, *instance, backend);
+      EXPECT_EQ(other.best, serial.best);
+      EXPECT_EQ(other.top, serial.top);
+      EXPECT_EQ(other.candidates, serial.candidates);
+      EXPECT_EQ(other.issued, serial.issued);
+      const bool executor_family = backend != DiffBackend::kThreads4;
+      if (query == DiffQuery::kTwoPhaseRandomized && executor_family) {
+        EXPECT_EQ(other.paid, executor.paid);
+        EXPECT_EQ(other.paid[0], serial.paid[0]);
+      } else {
+        EXPECT_EQ(other.paid, serial.paid);
+      }
+    }
+  }
+  EXPECT_EQ(RunDiffQuery(DiffQuery::kTwoMaxFind, *instance,
+                         DiffBackend::kSerial)
+                .best,
+            instance->MaxElement());
 }
 
 }  // namespace

@@ -113,7 +113,7 @@ FilterStack MakeFilterStack(const Instance* instance, int64_t threads) {
 }
 
 struct GoldenOutcome {
-  FilterEngineRun run;
+  FilterResult run;
   int64_t paid = 0;
   int64_t issued = 0;
   int64_t cache_hits = 0;
@@ -138,7 +138,7 @@ TEST_P(FilterKillResumeTest, ResumeIsBitIdenticalAtEveryBoundary) {
     FilterStack stack = MakeFilterStack(&instance, threads);
     AlgoTrace trace;
     ScopedTrace scoped(&trace);
-    Result<FilterEngineRun> run =
+    Result<FilterResult> run =
         RunFilterOnEngine(items, options, stack.engine.get());
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     baseline.run = *run;
@@ -148,13 +148,13 @@ TEST_P(FilterKillResumeTest, ResumeIsBitIdenticalAtEveryBoundary) {
     baseline.comparator_spend = stack.comparator->num_comparisons();
     baseline.cells = trace.cells();
   }
-  ASSERT_GE(baseline.run.filter.rounds, 2)
+  ASSERT_GE(baseline.run.rounds, 2)
       << "instance too small to exercise mid-run boundaries";
 
   // Kill at every eligible round boundary in turn, then resume a fresh
   // stack from the snapshot; each resumed run must match the baseline
   // bit for bit.
-  for (int64_t boundary = 1; boundary < baseline.run.filter.rounds;
+  for (int64_t boundary = 1; boundary < baseline.run.rounds;
        ++boundary) {
     SCOPED_TRACE("threads=" + std::to_string(threads) +
                  " crash_boundary=" + std::to_string(boundary));
@@ -168,7 +168,7 @@ TEST_P(FilterKillResumeTest, ResumeIsBitIdenticalAtEveryBoundary) {
       stack.engine->set_checkpoint(&controller);
       AlgoTrace trace;
       ScopedTrace scoped(&trace);
-      Result<FilterEngineRun> crashed =
+      Result<FilterResult> crashed =
           RunFilterOnEngine(items, options, stack.engine.get());
       ASSERT_FALSE(crashed.ok());
       EXPECT_EQ(crashed.status().code(), StatusCode::kAborted);
@@ -184,20 +184,20 @@ TEST_P(FilterKillResumeTest, ResumeIsBitIdenticalAtEveryBoundary) {
     stack.engine->set_checkpoint(&controller);
     AlgoTrace trace;
     ScopedTrace scoped(&trace);
-    Result<FilterEngineRun> resumed =
+    Result<FilterResult> resumed =
         RunFilterOnEngine(items, options, stack.engine.get());
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
     EXPECT_EQ(controller.restores(), 1);
 
-    EXPECT_EQ(resumed->filter.candidates, baseline.run.filter.candidates);
-    EXPECT_EQ(resumed->filter.paid_comparisons,
-              baseline.run.filter.paid_comparisons);
-    EXPECT_EQ(resumed->filter.issued_comparisons,
-              baseline.run.filter.issued_comparisons);
-    EXPECT_EQ(resumed->filter.rounds, baseline.run.filter.rounds);
-    EXPECT_EQ(resumed->filter.round_sizes, baseline.run.filter.round_sizes);
-    EXPECT_EQ(resumed->filter.evicted_by_loss_counter,
-              baseline.run.filter.evicted_by_loss_counter);
+    EXPECT_EQ(resumed->candidates, baseline.run.candidates);
+    EXPECT_EQ(resumed->paid_comparisons,
+              baseline.run.paid_comparisons);
+    EXPECT_EQ(resumed->issued_comparisons,
+              baseline.run.issued_comparisons);
+    EXPECT_EQ(resumed->rounds, baseline.run.rounds);
+    EXPECT_EQ(resumed->round_sizes, baseline.run.round_sizes);
+    EXPECT_EQ(resumed->evicted_by_loss_counter,
+              baseline.run.evicted_by_loss_counter);
     EXPECT_EQ(stack.engine->paid(), baseline.paid);
     EXPECT_EQ(stack.engine->issued(), baseline.issued);
     EXPECT_EQ(stack.engine->cache_hits(), baseline.cache_hits);
@@ -226,7 +226,7 @@ TEST(ChaosEngineTest, TwoMaxFindKillAndResume) {
   };
 
   FilterStack baseline_stack = make_stack();
-  Result<MaxFindEngineRun> baseline =
+  Result<MaxFindResult> baseline =
       RunTwoMaxFindOnEngine(items, baseline_stack.engine.get());
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
@@ -234,7 +234,7 @@ TEST(ChaosEngineTest, TwoMaxFindKillAndResume) {
   CheckpointController crash_controller;
   crash_controller.ArmCrashAtBoundary(2);
   crash_stack.engine->set_checkpoint(&crash_controller);
-  Result<MaxFindEngineRun> crashed =
+  Result<MaxFindResult> crashed =
       RunTwoMaxFindOnEngine(items, crash_stack.engine.get());
   ASSERT_FALSE(crashed.ok());
   EXPECT_EQ(crashed.status().code(), StatusCode::kAborted);
@@ -244,15 +244,15 @@ TEST(ChaosEngineTest, TwoMaxFindKillAndResume) {
   CheckpointController resume_controller;
   resume_controller.ResumeFrom(crash_controller.checkpoint());
   resume_stack.engine->set_checkpoint(&resume_controller);
-  Result<MaxFindEngineRun> resumed =
+  Result<MaxFindResult> resumed =
       RunTwoMaxFindOnEngine(items, resume_stack.engine.get());
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed->maxfind.best, baseline->maxfind.best);
-  EXPECT_EQ(resumed->maxfind.paid_comparisons,
-            baseline->maxfind.paid_comparisons);
-  EXPECT_EQ(resumed->maxfind.issued_comparisons,
-            baseline->maxfind.issued_comparisons);
-  EXPECT_EQ(resumed->maxfind.rounds, baseline->maxfind.rounds);
+  EXPECT_EQ(resumed->best, baseline->best);
+  EXPECT_EQ(resumed->paid_comparisons,
+            baseline->paid_comparisons);
+  EXPECT_EQ(resumed->issued_comparisons,
+            baseline->issued_comparisons);
+  EXPECT_EQ(resumed->rounds, baseline->rounds);
   EXPECT_EQ(resume_stack.comparator->num_comparisons(),
             baseline_stack.comparator->num_comparisons());
 }
@@ -273,7 +273,7 @@ TEST(ChaosEngineTest, RandomizedMaxFindKillAndResume) {
   };
 
   FilterStack baseline_stack = make_stack();
-  Result<MaxFindEngineRun> baseline = RunRandomizedMaxFindOnEngine(
+  Result<MaxFindResult> baseline = RunRandomizedMaxFindOnEngine(
       items, baseline_stack.engine.get(), rand_options);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
@@ -281,7 +281,7 @@ TEST(ChaosEngineTest, RandomizedMaxFindKillAndResume) {
   CheckpointController crash_controller;
   crash_controller.ArmCrashAtBoundary(1);
   crash_stack.engine->set_checkpoint(&crash_controller);
-  Result<MaxFindEngineRun> crashed = RunRandomizedMaxFindOnEngine(
+  Result<MaxFindResult> crashed = RunRandomizedMaxFindOnEngine(
       items, crash_stack.engine.get(), rand_options);
   ASSERT_FALSE(crashed.ok());
   EXPECT_EQ(crashed.status().code(), StatusCode::kAborted);
@@ -293,15 +293,15 @@ TEST(ChaosEngineTest, RandomizedMaxFindKillAndResume) {
   CheckpointController resume_controller;
   resume_controller.ResumeFrom(crash_controller.checkpoint());
   resume_stack.engine->set_checkpoint(&resume_controller);
-  Result<MaxFindEngineRun> resumed = RunRandomizedMaxFindOnEngine(
+  Result<MaxFindResult> resumed = RunRandomizedMaxFindOnEngine(
       items, resume_stack.engine.get(), rand_options);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed->maxfind.best, baseline->maxfind.best);
-  EXPECT_EQ(resumed->maxfind.paid_comparisons,
-            baseline->maxfind.paid_comparisons);
-  EXPECT_EQ(resumed->maxfind.issued_comparisons,
-            baseline->maxfind.issued_comparisons);
-  EXPECT_EQ(resumed->maxfind.rounds, baseline->maxfind.rounds);
+  EXPECT_EQ(resumed->best, baseline->best);
+  EXPECT_EQ(resumed->paid_comparisons,
+            baseline->paid_comparisons);
+  EXPECT_EQ(resumed->issued_comparisons,
+            baseline->issued_comparisons);
+  EXPECT_EQ(resumed->rounds, baseline->rounds);
   EXPECT_EQ(resume_stack.comparator->num_comparisons(),
             baseline_stack.comparator->num_comparisons());
 }
@@ -319,7 +319,7 @@ TEST(ChaosEngineTest, TournamentCrashAfterOnlyRoundResumesToResult) {
   };
 
   FilterStack baseline_stack = make_stack();
-  Result<TournamentEngineRun> baseline =
+  Result<TournamentResult> baseline =
       RunTournamentOnEngine(items, baseline_stack.engine.get());
   ASSERT_TRUE(baseline.ok());
 
@@ -327,7 +327,7 @@ TEST(ChaosEngineTest, TournamentCrashAfterOnlyRoundResumesToResult) {
   CheckpointController crash_controller;
   crash_controller.ArmCrashAtBoundary(1);
   crash_stack.engine->set_checkpoint(&crash_controller);
-  Result<TournamentEngineRun> crashed =
+  Result<TournamentResult> crashed =
       RunTournamentOnEngine(items, crash_stack.engine.get());
   ASSERT_FALSE(crashed.ok());
   EXPECT_EQ(crashed.status().code(), StatusCode::kAborted);
@@ -338,11 +338,11 @@ TEST(ChaosEngineTest, TournamentCrashAfterOnlyRoundResumesToResult) {
   CheckpointController resume_controller;
   resume_controller.ResumeFrom(crash_controller.checkpoint());
   resume_stack.engine->set_checkpoint(&resume_controller);
-  Result<TournamentEngineRun> resumed =
+  Result<TournamentResult> resumed =
       RunTournamentOnEngine(items, resume_stack.engine.get());
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed->tournament.wins, baseline->tournament.wins);
-  EXPECT_EQ(resumed->tournament.comparisons, baseline->tournament.comparisons);
+  EXPECT_EQ(resumed->wins, baseline->wins);
+  EXPECT_EQ(resumed->comparisons, baseline->comparisons);
   EXPECT_EQ(resume_stack.comparator->num_comparisons(),
             baseline_stack.comparator->num_comparisons());
 }
@@ -392,16 +392,16 @@ TEST(ChaosEngineTest, FaultyExecutorStackKillAndResume) {
   };
 
   ExecutorStack baseline_stack = make_stack();
-  Result<FilterEngineRun> baseline =
+  Result<FilterResult> baseline =
       RunFilterOnEngine(items, options, baseline_stack.engine.get());
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  ASSERT_GE(baseline->filter.rounds, 2);
+  ASSERT_GE(baseline->rounds, 2);
 
   ExecutorStack crash_stack = make_stack();
   CheckpointController crash_controller;
   crash_controller.ArmCrashAtBoundary(2);
   crash_stack.engine->set_checkpoint(&crash_controller);
-  Result<FilterEngineRun> crashed =
+  Result<FilterResult> crashed =
       RunFilterOnEngine(items, options, crash_stack.engine.get());
   ASSERT_FALSE(crashed.ok());
   EXPECT_EQ(crashed.status().code(), StatusCode::kAborted);
@@ -411,14 +411,14 @@ TEST(ChaosEngineTest, FaultyExecutorStackKillAndResume) {
   CheckpointController resume_controller;
   resume_controller.ResumeFrom(crash_controller.checkpoint());
   resume_stack.engine->set_checkpoint(&resume_controller);
-  Result<FilterEngineRun> resumed =
+  Result<FilterResult> resumed =
       RunFilterOnEngine(items, options, resume_stack.engine.get());
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed->filter.candidates, baseline->filter.candidates);
-  EXPECT_EQ(resumed->filter.paid_comparisons,
-            baseline->filter.paid_comparisons);
-  EXPECT_EQ(resumed->filter.issued_comparisons,
-            baseline->filter.issued_comparisons);
+  EXPECT_EQ(resumed->candidates, baseline->candidates);
+  EXPECT_EQ(resumed->paid_comparisons,
+            baseline->paid_comparisons);
+  EXPECT_EQ(resumed->issued_comparisons,
+            baseline->issued_comparisons);
   EXPECT_EQ(resumed->partial, baseline->partial);
   EXPECT_EQ(resume_stack.resilient->comparisons(),
             baseline_stack.resilient->comparisons());
@@ -460,7 +460,7 @@ TEST(ChaosEngineTest, PipelinedDriveKillAndResume) {
   };
 
   PipelinedStack baseline_stack = make_stack();
-  Result<FilterEngineRun> baseline =
+  Result<FilterResult> baseline =
       RunFilterOnEngine(items, options, baseline_stack.engine.get());
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
@@ -468,7 +468,7 @@ TEST(ChaosEngineTest, PipelinedDriveKillAndResume) {
   CheckpointController crash_controller;
   crash_controller.ArmCrashAtBoundary(1);
   crash_stack.engine->set_checkpoint(&crash_controller);
-  Result<FilterEngineRun> crashed =
+  Result<FilterResult> crashed =
       RunFilterOnEngine(items, options, crash_stack.engine.get());
   ASSERT_FALSE(crashed.ok());
   EXPECT_EQ(crashed.status().code(), StatusCode::kAborted);
@@ -478,14 +478,14 @@ TEST(ChaosEngineTest, PipelinedDriveKillAndResume) {
   CheckpointController resume_controller;
   resume_controller.ResumeFrom(crash_controller.checkpoint());
   resume_stack.engine->set_checkpoint(&resume_controller);
-  Result<FilterEngineRun> resumed =
+  Result<FilterResult> resumed =
       RunFilterOnEngine(items, options, resume_stack.engine.get());
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed->filter.candidates, baseline->filter.candidates);
-  EXPECT_EQ(resumed->filter.paid_comparisons,
-            baseline->filter.paid_comparisons);
-  EXPECT_EQ(resumed->filter.issued_comparisons,
-            baseline->filter.issued_comparisons);
+  EXPECT_EQ(resumed->candidates, baseline->candidates);
+  EXPECT_EQ(resumed->paid_comparisons,
+            baseline->paid_comparisons);
+  EXPECT_EQ(resumed->issued_comparisons,
+            baseline->issued_comparisons);
   EXPECT_EQ(resume_stack.comparator->num_comparisons(),
             baseline_stack.comparator->num_comparisons());
 }
@@ -503,7 +503,7 @@ TEST(ChaosEngineTest, CadenceSnapshotsSupportLateResume) {
   CheckpointController cadence;
   cadence.set_snapshot_every_rounds(2);
   baseline_stack.engine->set_checkpoint(&cadence);
-  Result<FilterEngineRun> baseline =
+  Result<FilterResult> baseline =
       RunFilterOnEngine(items, options, baseline_stack.engine.get());
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   ASSERT_GE(cadence.boundaries_seen(), 2);
@@ -514,12 +514,12 @@ TEST(ChaosEngineTest, CadenceSnapshotsSupportLateResume) {
   CheckpointController controller;
   controller.ResumeFrom(cadence.checkpoint());
   resume_stack.engine->set_checkpoint(&controller);
-  Result<FilterEngineRun> resumed =
+  Result<FilterResult> resumed =
       RunFilterOnEngine(items, options, resume_stack.engine.get());
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed->filter.candidates, baseline->filter.candidates);
-  EXPECT_EQ(resumed->filter.paid_comparisons,
-            baseline->filter.paid_comparisons);
+  EXPECT_EQ(resumed->candidates, baseline->candidates);
+  EXPECT_EQ(resumed->paid_comparisons,
+            baseline->paid_comparisons);
 }
 
 // --- supervisor: chaos kills, shedding, breakers, degradation -------------

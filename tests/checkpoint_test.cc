@@ -300,7 +300,7 @@ std::string CaptureGoldenCheckpoint(const GoldenRun& run) {
   CheckpointController controller;
   controller.ArmCrashAtBoundary(1);
   engine->set_checkpoint(&controller);
-  Result<FilterEngineRun> crashed =
+  Result<FilterResult> crashed =
       RunFilterOnEngine(run.items, run.options, engine.get());
   CROWDMAX_CHECK(!crashed.ok() &&
                  crashed.status().code() == StatusCode::kAborted);
@@ -431,7 +431,7 @@ TEST(CheckpointGoldenTest, DamagedMemoValueIsRefusedTyped) {
   CheckpointController controller;
   controller.ResumeFrom(*bytes);
   engine->set_checkpoint(&controller);
-  Result<FilterEngineRun> resumed =
+  Result<FilterResult> resumed =
       RunFilterOnEngine(run.items, run.options, engine.get());
   ASSERT_FALSE(resumed.ok());
   EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
@@ -450,7 +450,7 @@ void ExpectResumeMatchesBaseline(const std::string& bytes) {
   OracleComparator baseline_comparator(&run.instance);
   std::unique_ptr<RoundEngine> baseline_engine =
       RoundEngine::CreateSerial(&baseline_comparator, /*memoize=*/true);
-  Result<FilterEngineRun> baseline =
+  Result<FilterResult> baseline =
       RunFilterOnEngine(run.items, run.options, baseline_engine.get());
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
@@ -461,16 +461,16 @@ void ExpectResumeMatchesBaseline(const std::string& bytes) {
   CheckpointController controller;
   controller.ResumeFrom(bytes);
   engine->set_checkpoint(&controller);
-  Result<FilterEngineRun> resumed =
+  Result<FilterResult> resumed =
       RunFilterOnEngine(run.items, run.options, engine.get());
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(controller.restores(), 1);
-  EXPECT_EQ(resumed->filter.candidates, baseline->filter.candidates);
-  EXPECT_EQ(resumed->filter.paid_comparisons,
-            baseline->filter.paid_comparisons);
-  EXPECT_EQ(resumed->filter.issued_comparisons,
-            baseline->filter.issued_comparisons);
-  EXPECT_EQ(resumed->filter.rounds, baseline->filter.rounds);
+  EXPECT_EQ(resumed->candidates, baseline->candidates);
+  EXPECT_EQ(resumed->paid_comparisons,
+            baseline->paid_comparisons);
+  EXPECT_EQ(resumed->issued_comparisons,
+            baseline->issued_comparisons);
+  EXPECT_EQ(resumed->rounds, baseline->rounds);
   EXPECT_EQ(comparator.num_comparisons(),
             baseline_comparator.num_comparisons());
 }

@@ -21,12 +21,16 @@
 #include "core/comparator.h"
 #include "core/expert_max.h"
 #include "core/filter_phase.h"
+#include "core/maxfind.h"
+#include "core/multilevel.h"
 #include "core/round_engine.h"
 #include "core/resilient.h"
+#include "core/topk.h"
 #include "core/trace.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
 #include "platform/platform.h"
+#include "tests/per_call_comparator.h"
 
 namespace crowdmax {
 namespace {
@@ -299,10 +303,10 @@ TEST(DeterminismTest, FaultyPipelineAccountingIdenticalAcrossThreadCounts) {
       ScopedTrace scope(&trace);
       FilterOptions filter;
       filter.u_n = 5;
-      Result<BatchedFilterResult> result = BatchedFilterCandidates(
+      Result<FilterResult> result = FilterCandidates(
           instance.AllElements(), filter, resilient->get());
       CROWDMAX_CHECK(result.ok());
-      out.candidates = result->filter.candidates;
+      out.candidates = result->candidates;
 
       MetricsAuditor auditor(&trace);
       auditor.ExpectDispatched(TraceWorkerClass::kNaive,
@@ -339,11 +343,11 @@ TEST(DeterminismTest, FaultyPipelineAccountingIdenticalAcrossThreadCounts) {
 }
 
 // The pipelined drive's headline determinism contract (DESIGN.md §11):
-// over the same executor configuration, PipelinedFilterCandidates is
-// bit-identical to BatchedFilterCandidates — candidates, paid/issued
-// accounting, logical steps and the full trace — at executor threads
-// {1, 8} and pipeline depths {1, 8}. The pipeline may only buy wall
-// clock, never change a byte.
+// over the same executor configuration, the filter on a pipelined
+// Execution is bit-identical to the filter on the executor itself —
+// candidates, paid/issued accounting, logical steps and the full trace —
+// at executor threads {1, 8} and pipeline depths {1, 8}. The pipeline may
+// only buy wall clock, never change a byte.
 TEST(DeterminismTest, PipelinedFilterBitIdenticalToBatchedAcrossThreads) {
   Instance instance = MakeInstance(350, 59);
   const double delta = instance.DeltaForU(7);
@@ -363,12 +367,12 @@ TEST(DeterminismTest, PipelinedFilterBitIdenticalToBatchedAcrossThreads) {
     int64_t executor_steps;
     std::string trace_summary;
   };
-  auto fill = [](Accounting* out, const BatchedFilterResult& result,
+  auto fill = [](Accounting* out, const FilterResult& result,
                  BatchExecutor* executor) {
-    out->candidates = result.filter.candidates;
-    out->paid = result.filter.paid_comparisons;
-    out->issued = result.filter.issued_comparisons;
-    out->rounds = result.filter.rounds;
+    out->candidates = result.candidates;
+    out->paid = result.paid_comparisons;
+    out->issued = result.issued_comparisons;
+    out->rounds = result.rounds;
     out->executor_comparisons = executor->comparisons();
     out->executor_steps = executor->logical_steps();
   };
@@ -383,7 +387,7 @@ TEST(DeterminismTest, PipelinedFilterBitIdenticalToBatchedAcrossThreads) {
     Accounting out;
     {
       ScopedTrace scope(&trace);
-      Result<BatchedFilterResult> result = BatchedFilterCandidates(
+      Result<FilterResult> result = FilterCandidates(
           instance.AllElements(), options, pool->get());
       CROWDMAX_CHECK(result.ok());
       fill(&out, *result, pool->get());
@@ -398,14 +402,12 @@ TEST(DeterminismTest, PipelinedFilterBitIdenticalToBatchedAcrossThreads) {
                                               /*chunk_size=*/8);
     CROWDMAX_CHECK(pool.ok());
     AsyncBatchAdapter async(pool->get());
-    BatchedPipelineOptions pipeline;
-    pipeline.max_in_flight = depth;
     AlgoTrace trace;
     Accounting out;
     {
       ScopedTrace scope(&trace);
-      Result<BatchedFilterResult> result = PipelinedFilterCandidates(
-          instance.AllElements(), options, &async, pipeline);
+      Result<FilterResult> result = FilterCandidates(
+          instance.AllElements(), options, Execution(&async, depth));
       CROWDMAX_CHECK(result.ok());
       fill(&out, *result, pool->get());
     }
@@ -481,16 +483,14 @@ TEST(DeterminismTest, PipelinedFaultyPlatformReplaysFromOneSeed) {
     filter.u_n = 5;
     filter.memoize = true;
     filter.pipeline_groups = true;
-    BatchedPipelineOptions pipeline;
-    pipeline.max_in_flight = 8;
     AlgoTrace trace;
     Replay out;
     {
       ScopedTrace scope(&trace);
-      Result<BatchedFilterResult> result = PipelinedFilterCandidates(
-          instance.AllElements(), filter, &async, pipeline);
+      Result<FilterResult> result = FilterCandidates(
+          instance.AllElements(), filter, Execution(&async, 8));
       CROWDMAX_CHECK(result.ok());
-      out.candidates = result->filter.candidates;
+      out.candidates = result->candidates;
     }
     out.votes = (*executor)->executor_votes();
     out.discarded = (*executor)->executor_discarded_votes();
@@ -555,20 +555,20 @@ TEST(DeterminismTest, BatchedTopKAccountingIdenticalAcrossThreadCounts) {
     Accounting out;
     {
       ScopedTrace scope(&trace);
-      Result<BatchedTopKResult> result = BatchedFindTopKWithExperts(
+      Result<TopKResult> result = FindTopKWithExperts(
           instance.AllElements(), naive_pool->get(), expert_pool->get(),
           options);
       CROWDMAX_CHECK(result.ok());
       CROWDMAX_CHECK(!result->partial);
-      out.top = result->result.top;
-      out.candidates = result->result.candidates;
-      out.paid_naive = result->result.paid.naive;
-      out.paid_expert = result->result.paid.expert;
+      out.top = result->top;
+      out.candidates = result->candidates;
+      out.paid_naive = result->paid.naive;
+      out.paid_expert = result->paid.expert;
       out.naive_steps = result->naive_steps;
       out.expert_steps = result->expert_steps;
 
       MetricsAuditor auditor(&trace);
-      auditor.ExpectPaidStats(result->result.paid);
+      auditor.ExpectPaidStats(result->paid);
       auditor.ExpectDispatchedTotal((*naive_pool)->comparisons() +
                                     (*expert_pool)->comparisons());
       const Status audit = auditor.Check();
@@ -620,7 +620,7 @@ TEST(DeterminismTest, BatchedMultilevelAccountingIdenticalAcrossThreadCounts) {
     CROWDMAX_CHECK(mid_pool.ok());
     CROWDMAX_CHECK(expert_pool.ok());
 
-    std::vector<BatchedWorkerClassSpec> classes;
+    std::vector<WorkerClassSpec> classes;
     classes.push_back(
         {mid_pool->get(), instance.CountWithin(delta_mid), 1.0});
     classes.push_back({expert_pool->get(), 1, 25.0});
@@ -629,21 +629,21 @@ TEST(DeterminismTest, BatchedMultilevelAccountingIdenticalAcrossThreadCounts) {
     Accounting out;
     {
       ScopedTrace scope(&trace);
-      Result<BatchedMultilevelResult> result = BatchedFindMaxMultilevel(
+      Result<MultilevelResult> result = FindMaxMultilevel(
           instance.AllElements(), classes, MultilevelOptions{});
       CROWDMAX_CHECK(result.ok());
       CROWDMAX_CHECK(!result->partial);
-      out.best = result->result.best;
-      out.paid_per_class = result->result.paid_per_class;
+      out.best = result->best;
+      out.paid_per_class = result->paid_per_class;
       out.steps_per_class = result->steps_per_class;
-      out.candidates_per_level = result->result.candidates_per_level;
-      out.total_cost = result->result.total_cost;
+      out.candidates_per_level = result->candidates_per_level;
+      out.total_cost = result->total_cost;
 
       MetricsAuditor auditor(&trace);
       auditor.ExpectDispatched(TraceWorkerClass::kNaive,
-                               result->result.paid_per_class[0]);
+                               result->paid_per_class[0]);
       auditor.ExpectDispatched(TraceWorkerClass::kExpert,
-                               result->result.paid_per_class[1]);
+                               result->paid_per_class[1]);
       const Status audit = auditor.Check();
       CROWDMAX_CHECK(audit.ok());
     }
@@ -719,26 +719,31 @@ TEST(DeterminismTest, BatchGenerationBitIdenticalToPerCall) {
   model.tie_policy = TiePolicy::kPersistentArbitrary;
 
   struct BatchRun {
-    FilterEngineRun run;
+    FilterResult run;
     int64_t cache_hits = 0;
     std::string comparator_state;
   };
   auto run_once = [&](int64_t threads, bool batch_generation) {
     ThresholdComparator cmp(&instance, model, /*seed=*/4711);
+    PerCallComparator per_call(&cmp);
+    Comparator* driven =
+        batch_generation ? static_cast<Comparator*>(&cmp) : &per_call;
     std::unique_ptr<RoundEngine> engine;
     if (threads == 0) {
-      engine = RoundEngine::CreateSerial(&cmp, options.memoize);
+      engine = RoundEngine::CreateSerial(driven, options.memoize);
     } else {
       Result<std::unique_ptr<RoundEngine>> parallel =
-          RoundEngine::CreateParallel(&cmp, threads, /*seed=*/4712,
+          RoundEngine::CreateParallel(driven, threads, /*seed=*/4712,
                                       options.memoize);
       CROWDMAX_CHECK(parallel.ok());
       engine = std::move(parallel).value();
     }
-    engine->set_batch_generation(batch_generation);
-    Result<FilterEngineRun> run =
+    Result<FilterResult> run =
         RunFilterOnEngine(instance.AllElements(), options, engine.get());
     CROWDMAX_CHECK(run.ok());
+    // The parallel engine merges its forks' counts into the comparator it
+    // drives; carry them to `cmp`, so both states count every vote.
+    cmp.AddComparisons(driven->num_comparisons() - cmp.num_comparisons());
     CheckpointWriter writer;
     CROWDMAX_CHECK(cmp.SaveState(&writer).ok());
     return BatchRun{*std::move(run), engine->cache_hits(), writer.Take()};
@@ -747,15 +752,15 @@ TEST(DeterminismTest, BatchGenerationBitIdenticalToPerCall) {
   for (int64_t threads : {int64_t{0}, int64_t{1}, int64_t{8}}) {
     const BatchRun percall = run_once(threads, /*batch_generation=*/false);
     const BatchRun batch = run_once(threads, /*batch_generation=*/true);
-    EXPECT_EQ(batch.run.filter.candidates, percall.run.filter.candidates)
+    EXPECT_EQ(batch.run.candidates, percall.run.candidates)
         << "threads=" << threads;
-    EXPECT_EQ(batch.run.filter.rounds, percall.run.filter.rounds)
+    EXPECT_EQ(batch.run.rounds, percall.run.rounds)
         << "threads=" << threads;
-    EXPECT_EQ(batch.run.filter.paid_comparisons,
-              percall.run.filter.paid_comparisons)
+    EXPECT_EQ(batch.run.paid_comparisons,
+              percall.run.paid_comparisons)
         << "threads=" << threads;
-    EXPECT_EQ(batch.run.filter.issued_comparisons,
-              percall.run.filter.issued_comparisons)
+    EXPECT_EQ(batch.run.issued_comparisons,
+              percall.run.issued_comparisons)
         << "threads=" << threads;
     EXPECT_EQ(batch.cache_hits, percall.cache_hits) << "threads=" << threads;
     EXPECT_EQ(batch.comparator_state, percall.comparator_state)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/batched.h"
 #include "core/cost.h"
 #include "core/expert_max.h"
 #include "core/instance.h"
@@ -146,6 +147,47 @@ TEST(ExpertMaxTest, AllPlayAllPhase2Works) {
   // All-play-all pays a full tournament over the candidates.
   const int64_t s = static_cast<int64_t>(result->candidates.size());
   EXPECT_EQ(result->paid.expert, s * (s - 1) / 2);
+}
+
+// On an executor stack the two-phase max runs the phase-2 solver it is
+// asked for, as it does on a comparator: an all-play-all pays every
+// candidate pair once (2-MaxFind pays fewer), and the randomized solver
+// returns the comparator run's answer after as many rounds.
+TEST(ExpertMaxTest, ExecutorRunsTheRequestedPhase2Solver) {
+  Result<Instance> instance = UniformInstance(40, /*seed=*/9);
+  ASSERT_TRUE(instance.ok());
+  ExpertMaxOptions options;
+  // |items| < 2 u_n: phase 1 keeps all 40 elements for phase 2.
+  options.filter.u_n = 25;
+  options.randomized.group_size_override = 4;
+  auto run_on_executors = [&](const ExpertMaxOptions& run_options) {
+    OracleComparator naive(&*instance);
+    OracleComparator expert(&*instance);
+    ComparatorBatchExecutor naive_executor(&naive);
+    ComparatorBatchExecutor expert_executor(&expert);
+    return FindMaxWithExperts(instance->AllElements(), &naive_executor,
+                              &expert_executor, run_options);
+  };
+
+  options.phase2 = Phase2Algorithm::kAllPlayAll;
+  Result<ExpertMaxResult> all_play_all = run_on_executors(options);
+  ASSERT_TRUE(all_play_all.ok());
+  const int64_t s = static_cast<int64_t>(all_play_all->candidates.size());
+  ASSERT_GE(s, 10);
+  EXPECT_EQ(all_play_all->paid.expert, s * (s - 1) / 2);
+  EXPECT_EQ(all_play_all->best, instance->MaxElement());
+
+  options.phase2 = Phase2Algorithm::kRandomized;
+  Result<ExpertMaxResult> randomized = run_on_executors(options);
+  ASSERT_TRUE(randomized.ok());
+  OracleComparator naive(&*instance);
+  OracleComparator expert(&*instance);
+  Result<ExpertMaxResult> reference =
+      FindMaxWithExperts(instance->AllElements(), &naive, &expert, options);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_GT(reference->phase2_rounds, 0);
+  EXPECT_EQ(randomized->best, reference->best);
+  EXPECT_EQ(randomized->phase2_rounds, reference->phase2_rounds);
 }
 
 TEST(ExpertMaxTest, ExpertComparisonsIndependentOfN) {

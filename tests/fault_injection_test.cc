@@ -12,6 +12,7 @@
 
 #include "core/batched.h"
 #include "core/comparator.h"
+#include "core/expert_max.h"
 #include "core/instance.h"
 #include "core/resilient.h"
 #include "core/worker_model.h"
@@ -314,7 +315,7 @@ TEST(PlatformFaultTest, SameFaultSeedReplaysBitForBit) {
 
 // Algorithm 1 over ResilientBatchExecutor on a faulty platform. Returns
 // the full batched result for inspection.
-Result<BatchedExpertMaxResult> RunFaultyAlgorithm1(
+Result<ExpertMaxResult> RunFaultyAlgorithm1(
     const Instance& instance, Comparator* naive_model,
     Comparator* expert_model, int64_t u_n, uint64_t fault_seed) {
   FaultOptions fault;
@@ -354,8 +355,8 @@ Result<BatchedExpertMaxResult> RunFaultyAlgorithm1(
 
   ExpertMaxOptions algo;
   algo.filter.u_n = u_n;
-  return BatchedFindMaxWithExperts(instance.AllElements(), naive->get(),
-                                   expert->get(), algo);
+  return FindMaxWithExperts(instance.AllElements(), naive->get(),
+                            expert->get(), algo);
 }
 
 TEST(FaultAcceptanceTest, DotsSurvivesAbandonmentAndChurn) {
@@ -374,16 +375,16 @@ TEST(FaultAcceptanceTest, DotsSurvivesAbandonmentAndChurn) {
                                   /*seed=*/900 + fault_seed);
     ThresholdComparator expert_model(&instance, ThresholdModel{delta_e, 0.0},
                                      /*seed=*/950 + fault_seed);
-    Result<BatchedExpertMaxResult> result = RunFaultyAlgorithm1(
+    Result<ExpertMaxResult> result = RunFaultyAlgorithm1(
         instance, &crowd, &expert_model, /*u_n=*/5, fault_seed);
     ASSERT_TRUE(result.ok()) << "fault_seed=" << fault_seed;
     EXPECT_FALSE(result->partial) << "fault_seed=" << fault_seed;
-    EXPECT_EQ(result->result.best, instance.MaxElement())
+    EXPECT_EQ(result->best, instance.MaxElement())
         << "fault_seed=" << fault_seed;
-    ASSERT_TRUE(result->has_naive_faults);
+    ASSERT_TRUE(result->naive_faults.has_value());
     // The fault rates guarantee losses; recovery must have done real work.
-    EXPECT_GT(result->naive_faults.votes_lost +
-                  result->naive_faults.relaxed_accepts,
+    EXPECT_GT(result->naive_faults->votes_lost +
+                  result->naive_faults->relaxed_accepts,
               0)
         << "fault_seed=" << fault_seed;
   }
@@ -410,11 +411,11 @@ TEST(FaultAcceptanceTest, CarsSurvivesAbandonmentAndChurn) {
     // relative-difference blind spot than the 10 the integration test
     // budgets for 50, and the all-seeds-exact bar leaves no slack for an
     // undershot u_n evicting the max in phase 1.
-    Result<BatchedExpertMaxResult> result = RunFaultyAlgorithm1(
+    Result<ExpertMaxResult> result = RunFaultyAlgorithm1(
         instance, &crowd, &expert_model, /*u_n=*/15, fault_seed);
     ASSERT_TRUE(result.ok()) << "fault_seed=" << fault_seed;
     EXPECT_FALSE(result->partial) << "fault_seed=" << fault_seed;
-    EXPECT_EQ(result->result.best, instance.MaxElement())
+    EXPECT_EQ(result->best, instance.MaxElement())
         << "fault_seed=" << fault_seed;
   }
 }
@@ -431,20 +432,20 @@ TEST(FaultAcceptanceTest, DeterministicFaultReplaySmoke) {
     RelativeErrorComparator crowd(&instance, DotsWorkerModel(), /*seed=*/41);
     RelativeErrorComparator expert_crowd(&instance, DotsWorkerModel(),
                                          /*seed=*/42);
-    Result<BatchedExpertMaxResult> result = RunFaultyAlgorithm1(
+    Result<ExpertMaxResult> result = RunFaultyAlgorithm1(
         instance, &crowd, &expert_crowd, /*u_n=*/4, /*fault_seed=*/9);
     CROWDMAX_CHECK(result.ok());
     return *result;
   };
-  const BatchedExpertMaxResult first = run();
-  const BatchedExpertMaxResult second = run();
-  EXPECT_EQ(first.result.best, second.result.best);
+  const ExpertMaxResult first = run();
+  const ExpertMaxResult second = run();
+  EXPECT_EQ(first.best, second.best);
   EXPECT_EQ(first.naive_steps, second.naive_steps);
   EXPECT_EQ(first.expert_steps, second.expert_steps);
-  EXPECT_EQ(first.naive_faults.attempts, second.naive_faults.attempts);
-  EXPECT_EQ(first.naive_faults.votes_lost, second.naive_faults.votes_lost);
-  EXPECT_EQ(first.expert_faults.retried_tasks,
-            second.expert_faults.retried_tasks);
+  EXPECT_EQ(first.naive_faults->attempts, second.naive_faults->attempts);
+  EXPECT_EQ(first.naive_faults->votes_lost, second.naive_faults->votes_lost);
+  EXPECT_EQ(first.expert_faults->retried_tasks,
+            second.expert_faults->retried_tasks);
 }
 
 }  // namespace

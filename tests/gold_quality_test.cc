@@ -10,6 +10,7 @@
 
 #include "core/batched.h"
 #include "core/comparator.h"
+#include "core/filter_phase.h"
 #include "core/instance.h"
 #include "core/worker_model.h"
 #include "datasets/dots.h"
@@ -85,13 +86,13 @@ TEST(GoldQualityTest, LemmaOneSurvivesSpammerHeavyPool) {
   ASSERT_TRUE(executor.ok());
   FilterOptions filter;
   filter.u_n = 5;
-  Result<BatchedFilterResult> result = BatchedFilterCandidates(
+  Result<FilterResult> result = FilterCandidates(
       instance.AllElements(), filter, executor->get());
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->partial);
 
   // Lemma 1: the element with the fewest dots survives the filter.
-  const std::vector<ElementId>& candidates = result->filter.candidates;
+  const std::vector<ElementId>& candidates = result->candidates;
   EXPECT_NE(std::find(candidates.begin(), candidates.end(),
                       instance.MaxElement()),
             candidates.end());

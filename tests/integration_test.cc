@@ -160,13 +160,15 @@ TEST(IntegrationTest, DotsOnPlatformSimulatedExpertsSucceed) {
                                         platform_options);
   ASSERT_TRUE(platform.ok());
 
-  PlatformComparator naive(platform->get(), /*votes_per_task=*/1);
-  PlatformComparator simulated_expert(platform->get(), /*votes_per_task=*/7);
+  const std::unique_ptr<PlatformComparator> naive =
+      PlatformComparator::Create(platform->get(), /*votes_per_task=*/1).value();
+  const std::unique_ptr<PlatformComparator> simulated_expert =
+      PlatformComparator::Create(platform->get(), /*votes_per_task=*/7).value();
 
   ExpertMaxOptions options;
   options.filter.u_n = 5;  // The paper's choice for the real-data runs.
   Result<ExpertMaxResult> result = FindMaxWithExperts(
-      instance.AllElements(), &naive, &simulated_expert, options);
+      instance.AllElements(), naive.get(), simulated_expert.get(), options);
   ASSERT_TRUE(result.ok());
 
   // DOTS is the wisdom-of-crowds regime: the result lands in the true
@@ -201,21 +203,24 @@ TEST(IntegrationTest, CarsOnPlatformSimulatedExpertsPlateau) {
     // Naive comparisons use majority-of-3 votes (replication damps the
     // 15% per-query slip rate on easy pairs); u_n = 10 reflects the ~10
     // cars within the crowd's 20% relative-difference blind spot.
-    PlatformComparator naive(platform->get(), 3);
-    PlatformComparator simulated_expert(platform->get(), 7);
+    const std::unique_ptr<PlatformComparator> naive =
+        PlatformComparator::Create(platform->get(), 3).value();
+    const std::unique_ptr<PlatformComparator> simulated_expert =
+        PlatformComparator::Create(platform->get(), 7).value();
     ExpertMaxOptions options;
     options.filter.u_n = 10;
     Result<ExpertMaxResult> with_simulated = FindMaxWithExperts(
-        instance.AllElements(), &naive, &simulated_expert, options);
+        instance.AllElements(), naive.get(), simulated_expert.get(), options);
     ASSERT_TRUE(with_simulated.ok());
     if (with_simulated->best == instance.MaxElement()) ++simulated_hits;
 
     // Same phase-1 conditions but a real expert in phase 2.
-    PlatformComparator naive2(platform->get(), 3);
+    const std::unique_ptr<PlatformComparator> naive2 =
+        PlatformComparator::Create(platform->get(), 3).value();
     ThresholdComparator true_expert(&instance, ThresholdModel{400.0, 0.0},
                                     seed + 4);
     Result<ExpertMaxResult> with_true = FindMaxWithExperts(
-        instance.AllElements(), &naive2, &true_expert, options);
+        instance.AllElements(), naive2.get(), &true_expert, options);
     ASSERT_TRUE(with_true.ok());
     if (with_true->best == instance.MaxElement()) ++true_expert_hits;
   }

@@ -130,13 +130,13 @@ TEST_P(BatchedEquivalenceSweep, BatchedMatchesSequentialEverywhere) {
 
     ThresholdComparator batch_worker(&*instance, worker_options, worker_seed);
     ComparatorBatchExecutor executor(&batch_worker);
-    Result<BatchedFilterResult> batched =
-        BatchedFilterCandidates(instance->AllElements(), filter, &executor);
+    Result<FilterResult> batched =
+        FilterCandidates(instance->AllElements(), filter, &executor);
 
     ASSERT_TRUE(sequential.ok() && batched.ok());
-    EXPECT_EQ(batched->filter.candidates, sequential->candidates)
+    EXPECT_EQ(batched->candidates, sequential->candidates)
         << "n=" << n << " u=" << filter.u_n;
-    EXPECT_EQ(batched->filter.paid_comparisons,
+    EXPECT_EQ(batched->paid_comparisons,
               sequential->paid_comparisons);
   }
 }

@@ -1,9 +1,8 @@
 // Property tests for the paper's Phase-1 guarantees (Lemmas 1-3), checked
 // over randomized instances — a sweep of n, u_n, and value-gap shapes —
 // against every adversarial tie policy and against threshold workers, on
-// the serial path, the parallel path, the executor backend
-// (BatchedFilterCandidates) and the pipelined backend
-// (PipelinedFilterCandidates at depth {1, 8}, group-granular rounds), and
+// the serial path, the parallel path, the executor backend and the
+// pipelined backend (depth {1, 8}, group-granular rounds), and
 // with both Appendix-A optimizations enabled, memoization alone, and
 // group-granular rounds on the serial and parallel paths:
 //
@@ -58,8 +57,8 @@ constexpr Variant kVariants[] = {
 };
 
 // Runs Algorithm 2 on the variant's backend: the comparator engines
-// through FilterCandidates, the executor ones over a
-// ComparatorBatchExecutor, which answers every pair (no partial results).
+// directly, the executor ones over a ComparatorBatchExecutor, which
+// answers every pair (no partial results).
 Result<FilterResult> RunVariant(const Variant& variant,
                                 const std::vector<ElementId>& items,
                                 FilterOptions options, Comparator* naive) {
@@ -68,19 +67,18 @@ Result<FilterResult> RunVariant(const Variant& variant,
     return FilterCandidates(items, options, naive);
   }
   ComparatorBatchExecutor executor(naive);
-  Result<BatchedFilterResult> batched = Status::Internal("unreachable");
+  Result<FilterResult> batched = Status::Internal("unreachable");
   if (variant.backend == Backend::kExecutor) {
-    batched = BatchedFilterCandidates(items, options, &executor);
+    batched = FilterCandidates(items, options, &executor);
   } else {
     AsyncBatchAdapter async(&executor);
-    BatchedPipelineOptions pipeline;
-    pipeline.max_in_flight = variant.depth;
     options.pipeline_groups = true;
-    batched = PipelinedFilterCandidates(items, options, &async, pipeline);
+    batched =
+        FilterCandidates(items, options, Execution(&async, variant.depth));
   }
   if (!batched.ok()) return batched.status();
   CROWDMAX_CHECK(!batched->partial);
-  return std::move(batched->filter);
+  return batched;
 }
 
 bool Contains(const std::vector<ElementId>& set, ElementId e) {

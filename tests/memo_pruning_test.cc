@@ -30,6 +30,7 @@
 #include "core/trace.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
+#include "tests/per_call_comparator.h"
 
 namespace crowdmax {
 namespace {
@@ -80,14 +81,17 @@ FilterRun RunFilter(const Instance& instance, double delta,
   AsyncBatchAdapter async(&executor);
   SharedPairCache cache;
   SharedPairCache* shared_cache = shared ? &cache : nullptr;
+  PerCallComparator per_call(&naive);
 
   std::unique_ptr<RoundEngine> engine;
   switch (backend.backend) {
     case Backend::kSerial:
-    case Backend::kSerialPerCall:
       engine = RoundEngine::CreateSerial(&naive, /*memoize=*/true,
                                          shared_cache);
-      engine->set_batch_generation(backend.backend == Backend::kSerial);
+      break;
+    case Backend::kSerialPerCall:
+      engine = RoundEngine::CreateSerial(&per_call, /*memoize=*/true,
+                                         shared_cache);
       break;
     case Backend::kParallel: {
       Result<std::unique_ptr<RoundEngine>> created =
@@ -117,11 +121,11 @@ FilterRun RunFilter(const Instance& instance, double delta,
   AlgoTrace trace;
   {
     ScopedTrace scope(&trace);
-    Result<FilterEngineRun> result =
+    Result<FilterResult> result =
         RunFilterOnEngine(instance.AllElements(), options, engine.get());
     CROWDMAX_CHECK(result.ok());
     CROWDMAX_CHECK(!result->partial);
-    run.candidates = result->filter.candidates;
+    run.candidates = result->candidates;
   }
   run.paid = engine->paid();
   run.issued = engine->issued();
@@ -209,10 +213,10 @@ TEST(MemoPruningTest, PairsLeftWithoutEvidenceAreBoughtAgainAsParkedOnes) {
       AlgoTrace trace;
       {
         ScopedTrace scope(&trace);
-        Result<FilterEngineRun> result = RunFilterOnEngine(
+        Result<FilterResult> result = RunFilterOnEngine(
             instance.AllElements(), options, engine->get());
         CROWDMAX_CHECK(result.ok());
-        out.candidates = result->filter.candidates;
+        out.candidates = result->candidates;
         out.partial = result->partial;
         out.fault = result->fault_status.ToString();
       }

@@ -295,13 +295,14 @@ TEST(PlatformComparatorTest, AdaptsPlatformToComparatorInterface) {
   auto platform = CrowdPlatform::Create(&oracle, &*instance, {}, options);
   ASSERT_TRUE(platform.ok());
 
-  PlatformComparator cmp(platform->get(), /*votes_per_task=*/3);
+  const std::unique_ptr<PlatformComparator> cmp =
+      PlatformComparator::Create(platform->get(), /*votes_per_task=*/3).value();
   const ElementId max_elem = instance->MaxElement();
   for (ElementId e = 0; e < instance->size(); ++e) {
     if (e == max_elem) continue;
-    EXPECT_EQ(cmp.Compare(max_elem, e), max_elem);
+    EXPECT_EQ(cmp->Compare(max_elem, e), max_elem);
   }
-  EXPECT_EQ(cmp.num_comparisons(), instance->size() - 1);
+  EXPECT_EQ(cmp->num_comparisons(), instance->size() - 1);
   EXPECT_EQ((*platform)->logical_steps(), instance->size() - 1);
 }
 
@@ -655,8 +656,9 @@ TEST(PlatformComparatorTest, SimulatedExpertUsesSevenVotes) {
   options.gold_task_probability = 0.0;
   auto platform = CrowdPlatform::Create(&oracle, &instance, {}, options);
   ASSERT_TRUE(platform.ok());
-  PlatformComparator expert(platform->get(), /*votes_per_task=*/7);
-  expert.Compare(0, 1);
+  const std::unique_ptr<PlatformComparator> expert =
+      PlatformComparator::Create(platform->get(), /*votes_per_task=*/7).value();
+  expert->Compare(0, 1);
   EXPECT_EQ((*platform)->total_votes(), 7);
 }
 

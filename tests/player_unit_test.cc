@@ -29,6 +29,7 @@
 #include "core/round_engine.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
+#include "tests/per_call_comparator.h"
 
 namespace crowdmax {
 namespace {
@@ -206,13 +207,15 @@ ScheduleRun Drive(const Instance& instance, const std::vector<Groups>& rounds,
       FaultInjectingBatchExecutor::Create(&executor, inject);
   CROWDMAX_CHECK(faulty.ok());
   AsyncBatchAdapter async(&executor);
+  PerCallComparator per_call(&naive);
 
   std::unique_ptr<RoundEngine> engine;
   switch (backend.backend) {
     case Backend::kSerial:
-    case Backend::kSerialPerCall:
       engine = RoundEngine::CreateSerial(&naive, /*memoize=*/true);
-      engine->set_batch_generation(backend.backend == Backend::kSerial);
+      break;
+    case Backend::kSerialPerCall:
+      engine = RoundEngine::CreateSerial(&per_call, /*memoize=*/true);
       break;
     case Backend::kParallel: {
       Result<std::unique_ptr<RoundEngine>> created =
@@ -487,7 +490,7 @@ TEST(PlayerUnitTest, ResumedPruningDriveFindsTheUninterruptedMemoHits) {
     ThresholdComparator baseline_naive(&instance, model, /*seed=*/2024);
     std::unique_ptr<RoundEngine> baseline =
         RoundEngine::CreateSerial(&baseline_naive, /*memoize=*/true);
-    Result<FilterEngineRun> whole =
+    Result<FilterResult> whole =
         RunFilterOnEngine(instance.AllElements(), options, baseline.get());
     ASSERT_TRUE(whole.ok());
     ASSERT_GT(baseline->cache_hits(), 0);
@@ -500,7 +503,7 @@ TEST(PlayerUnitTest, ResumedPruningDriveFindsTheUninterruptedMemoHits) {
       std::unique_ptr<RoundEngine> crashed =
           RoundEngine::CreateSerial(&crashed_naive, /*memoize=*/true);
       crashed->set_checkpoint(&crash);
-      Result<FilterEngineRun> aborted =
+      Result<FilterResult> aborted =
           RunFilterOnEngine(instance.AllElements(), options, crashed.get());
       ASSERT_EQ(aborted.status().code(), StatusCode::kAborted) << context;
       ASSERT_TRUE(crash.has_checkpoint()) << context;
@@ -511,11 +514,11 @@ TEST(PlayerUnitTest, ResumedPruningDriveFindsTheUninterruptedMemoHits) {
       std::unique_ptr<RoundEngine> resumed =
           RoundEngine::CreateSerial(&resumed_naive, /*memoize=*/true);
       resumed->set_checkpoint(&resume);
-      Result<FilterEngineRun> rest =
+      Result<FilterResult> rest =
           RunFilterOnEngine(instance.AllElements(), options, resumed.get());
       ASSERT_TRUE(rest.ok()) << context;
       EXPECT_EQ(resume.restores(), 1) << context;
-      EXPECT_EQ(rest->filter.candidates, whole->filter.candidates) << context;
+      EXPECT_EQ(rest->candidates, whole->candidates) << context;
       EXPECT_EQ(resumed->paid(), baseline->paid()) << context;
       EXPECT_EQ(resumed->cache_hits(), baseline->cache_hits()) << context;
     }

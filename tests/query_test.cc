@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "core/batched.h"
+#include "core/filter_phase.h"
 #include "core/instance.h"
+#include "core/round_engine.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
 #include "query/engine.h"
@@ -358,13 +360,13 @@ TEST(PlannerTest, ServiceBudgetMatchesStandaloneRoundEngineGate) {
   filter.u_n = spec.u_n;
   filter.memoize = true;
   filter.max_comparisons = spec.max_comparisons;
-  Result<BatchedFilterResult> baseline = BatchedFilterCandidates(
+  Result<FilterResult> baseline = FilterCandidates(
       instance->AllElements(), filter, &executor);
   ASSERT_TRUE(baseline.ok());
 
-  EXPECT_TRUE(baseline->filter.stopped_by_budget);
+  EXPECT_TRUE(baseline->stopped_by_budget);
   EXPECT_TRUE(outcome->stopped_by_budget);
-  EXPECT_EQ(outcome->paid.naive, baseline->filter.paid_comparisons);
+  EXPECT_EQ(outcome->paid.naive, baseline->paid_comparisons);
   EXPECT_LE(outcome->paid.naive, spec.max_comparisons);
 }
 

@@ -1,7 +1,7 @@
 // Tests for the fault-tolerant execution layer (core/resilient.h): retry
 // resolution, relaxed quorum, graceful degradation, typed exhaustion, the
-// partial-result contract of the Batched* algorithms, and determinism of
-// injected faults across thread counts.
+// partial-result contract of the queries on executor stacks, and
+// determinism of injected faults across thread counts.
 
 #include <algorithm>
 #include <memory>
@@ -12,7 +12,10 @@
 
 #include "core/batched.h"
 #include "core/comparator.h"
+#include "core/expert_max.h"
+#include "core/filter_phase.h"
 #include "core/instance.h"
+#include "core/maxfind.h"
 #include "core/resilient.h"
 #include "core/trace.h"
 #include "core/worker_model.h"
@@ -326,7 +329,7 @@ TEST(ResilientExecutorTest, ComparisonsMatchPlatformTranscriptUnderFaults) {
 
   FilterOptions filter;
   filter.u_n = 3;
-  Result<BatchedFilterResult> result = BatchedFilterCandidates(
+  Result<FilterResult> result = FilterCandidates(
       instance->AllElements(), filter, resilient->get());
   ASSERT_TRUE(result.ok());
   ASSERT_GT((*resilient)->report().retried_tasks, 0);
@@ -519,11 +522,11 @@ TEST(ResilientExecutorTest, BitIdenticalAcrossThreadCounts) {
         ResilientBatchExecutor::Create(injector->get(), resilient_options);
     CROWDMAX_CHECK(resilient.ok());
 
-    Result<BatchedMaxFindResult> result =
-        BatchedTwoMaxFind(instance->AllElements(), resilient->get());
+    Result<MaxFindResult> result =
+        TwoMaxFind(instance->AllElements(), resilient->get());
     CROWDMAX_CHECK(result.ok());
     const FaultReport& report = (*resilient)->report();
-    return RunOutcome{result->maxfind.best,    result->partial,
+    return RunOutcome{result->best,    result->partial,
                       result->logical_steps,   report.attempts,
                       report.retried_tasks,    report.relaxed_accepts,
                       (*injector)->injected_drops()};
@@ -553,13 +556,13 @@ TEST(BatchedPartialResultTest, FilterReturnsSurvivorsOnExhaustedBudget) {
   for (ElementId e = 0; e < 12; ++e) items.push_back(e);
   FilterOptions filter;
   filter.u_n = 1;
-  Result<BatchedFilterResult> result =
-      BatchedFilterCandidates(items, filter, resilient->get());
+  Result<FilterResult> result =
+      FilterCandidates(items, filter, resilient->get());
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->partial);
   EXPECT_EQ(result->fault_status.code(), StatusCode::kUnavailable);
   // No evidence arrived, so nothing was (wrongly) eliminated.
-  EXPECT_EQ(result->filter.candidates, items);
+  EXPECT_EQ(result->candidates, items);
 }
 
 TEST(BatchedPartialResultTest, TwoMaxFindReturnsSurvivorsOnExhaustedBudget) {
@@ -572,12 +575,12 @@ TEST(BatchedPartialResultTest, TwoMaxFindReturnsSurvivorsOnExhaustedBudget) {
 
   std::vector<ElementId> items;
   for (ElementId e = 0; e < 12; ++e) items.push_back(e);
-  Result<BatchedMaxFindResult> result =
-      BatchedTwoMaxFind(items, resilient->get());
+  Result<MaxFindResult> result =
+      TwoMaxFind(items, resilient->get());
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->partial);
   EXPECT_EQ(result->fault_status.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(result->maxfind.best, -1);
+  EXPECT_EQ(result->best, -1);
   EXPECT_EQ(result->survivors, items);
   EXPECT_TRUE((*resilient)->report().exhausted);
 }
@@ -601,17 +604,17 @@ TEST(BatchedPartialResultTest, ExpertPhaseStillRunsAfterPartialFilter) {
   for (ElementId e = 0; e < 12; ++e) items.push_back(e);
   ExpertMaxOptions options;
   options.filter.u_n = 2;
-  Result<BatchedExpertMaxResult> result =
-      BatchedFindMaxWithExperts(items, naive->get(), expert->get(), options);
+  Result<ExpertMaxResult> result =
+      FindMaxWithExperts(items, naive->get(), expert->get(), options);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->partial);
   EXPECT_EQ(result->fault_status.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(result->result.candidates, items);
-  EXPECT_EQ(result->result.best, 11);  // ScriptedExecutor: larger id wins.
-  ASSERT_TRUE(result->has_naive_faults);
-  ASSERT_TRUE(result->has_expert_faults);
-  EXPECT_TRUE(result->naive_faults.exhausted);
-  EXPECT_FALSE(result->expert_faults.exhausted);
+  EXPECT_EQ(result->candidates, items);
+  EXPECT_EQ(result->best, 11);  // ScriptedExecutor: larger id wins.
+  ASSERT_TRUE(result->naive_faults.has_value());
+  ASSERT_TRUE(result->expert_faults.has_value());
+  EXPECT_TRUE(result->naive_faults->exhausted);
+  EXPECT_FALSE(result->expert_faults->exhausted);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "core/async_executor.h"
 #include "core/batched.h"
 #include "core/comparator.h"
+#include "core/expert_max.h"
 #include "core/filter_phase.h"
 #include "core/maxfind.h"
 #include "core/resilient.h"
@@ -30,6 +31,7 @@
 #include "core/tournament.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
+#include "tests/per_call_comparator.h"
 
 namespace crowdmax {
 namespace {
@@ -95,28 +97,28 @@ TEST(RoundEngineEquivalenceTest, FilterIdenticalAcrossAllBackends) {
   options.global_loss_counter = true;
 
   BackendRig rig = MakeAllBackends(instance, options.memoize);
-  std::vector<FilterEngineRun> runs;
+  std::vector<FilterResult> runs;
   for (std::unique_ptr<RoundEngine>& engine : rig.engines) {
-    Result<FilterEngineRun> run =
+    Result<FilterResult> run =
         RunFilterOnEngine(instance.AllElements(), options, engine.get());
     ASSERT_TRUE(run.ok());
     EXPECT_FALSE(run->partial);
     runs.push_back(*std::move(run));
   }
   for (size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[i].filter.candidates, runs[0].filter.candidates)
+    EXPECT_EQ(runs[i].candidates, runs[0].candidates)
         << rig.names[i];
-    EXPECT_EQ(runs[i].filter.rounds, runs[0].filter.rounds) << rig.names[i];
-    EXPECT_EQ(runs[i].filter.round_sizes, runs[0].filter.round_sizes)
+    EXPECT_EQ(runs[i].rounds, runs[0].rounds) << rig.names[i];
+    EXPECT_EQ(runs[i].round_sizes, runs[0].round_sizes)
         << rig.names[i];
-    EXPECT_EQ(runs[i].filter.paid_comparisons,
-              runs[0].filter.paid_comparisons)
+    EXPECT_EQ(runs[i].paid_comparisons,
+              runs[0].paid_comparisons)
         << rig.names[i];
-    EXPECT_EQ(runs[i].filter.issued_comparisons,
-              runs[0].filter.issued_comparisons)
+    EXPECT_EQ(runs[i].issued_comparisons,
+              runs[0].issued_comparisons)
         << rig.names[i];
-    EXPECT_EQ(runs[i].filter.evicted_by_loss_counter,
-              runs[0].filter.evicted_by_loss_counter)
+    EXPECT_EQ(runs[i].evicted_by_loss_counter,
+              runs[0].evicted_by_loss_counter)
         << rig.names[i];
   }
 }
@@ -124,24 +126,24 @@ TEST(RoundEngineEquivalenceTest, FilterIdenticalAcrossAllBackends) {
 TEST(RoundEngineEquivalenceTest, TwoMaxFindIdenticalAcrossAllBackends) {
   Instance instance = MakeInstance(200, 5);
   BackendRig rig = MakeAllBackends(instance, /*memoize=*/true);
-  std::vector<MaxFindEngineRun> runs;
+  std::vector<MaxFindResult> runs;
   for (std::unique_ptr<RoundEngine>& engine : rig.engines) {
-    Result<MaxFindEngineRun> run =
+    Result<MaxFindResult> run =
         RunTwoMaxFindOnEngine(instance.AllElements(), engine.get());
     ASSERT_TRUE(run.ok());
     EXPECT_FALSE(run->partial);
     runs.push_back(*std::move(run));
   }
-  EXPECT_EQ(runs[0].maxfind.best, instance.MaxElement());
+  EXPECT_EQ(runs[0].best, instance.MaxElement());
   for (size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[i].maxfind.best, runs[0].maxfind.best) << rig.names[i];
-    EXPECT_EQ(runs[i].maxfind.rounds, runs[0].maxfind.rounds)
+    EXPECT_EQ(runs[i].best, runs[0].best) << rig.names[i];
+    EXPECT_EQ(runs[i].rounds, runs[0].rounds)
         << rig.names[i];
-    EXPECT_EQ(runs[i].maxfind.paid_comparisons,
-              runs[0].maxfind.paid_comparisons)
+    EXPECT_EQ(runs[i].paid_comparisons,
+              runs[0].paid_comparisons)
         << rig.names[i];
-    EXPECT_EQ(runs[i].maxfind.issued_comparisons,
-              runs[0].maxfind.issued_comparisons)
+    EXPECT_EQ(runs[i].issued_comparisons,
+              runs[0].issued_comparisons)
         << rig.names[i];
   }
 }
@@ -157,44 +159,44 @@ TEST(RoundEngineEquivalenceTest, RandomizedMaxFindIdenticalAcrossBackends) {
   // in-round cache survives into the witness tournament) but must issue
   // the same comparisons and elect the same element.
   BackendRig rig = MakeAllBackends(instance, /*memoize=*/false);
-  std::vector<MaxFindEngineRun> runs;
+  std::vector<MaxFindResult> runs;
   for (std::unique_ptr<RoundEngine>& engine : rig.engines) {
-    Result<MaxFindEngineRun> run = RunRandomizedMaxFindOnEngine(
+    Result<MaxFindResult> run = RunRandomizedMaxFindOnEngine(
         instance.AllElements(), engine.get(), options);
     ASSERT_TRUE(run.ok());
     EXPECT_FALSE(run->partial);
     runs.push_back(*std::move(run));
   }
   for (size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[i].maxfind.best, runs[0].maxfind.best) << rig.names[i];
-    EXPECT_EQ(runs[i].maxfind.rounds, runs[0].maxfind.rounds)
+    EXPECT_EQ(runs[i].best, runs[0].best) << rig.names[i];
+    EXPECT_EQ(runs[i].rounds, runs[0].rounds)
         << rig.names[i];
-    EXPECT_EQ(runs[i].maxfind.issued_comparisons,
-              runs[0].maxfind.issued_comparisons)
+    EXPECT_EQ(runs[i].issued_comparisons,
+              runs[0].issued_comparisons)
         << rig.names[i];
   }
   // The comparator backends replay each other bit-for-bit, paid included.
-  EXPECT_EQ(runs[1].maxfind.paid_comparisons,
-            runs[0].maxfind.paid_comparisons);
-  EXPECT_EQ(runs[2].maxfind.paid_comparisons,
-            runs[0].maxfind.paid_comparisons);
+  EXPECT_EQ(runs[1].paid_comparisons,
+            runs[0].paid_comparisons);
+  EXPECT_EQ(runs[2].paid_comparisons,
+            runs[0].paid_comparisons);
 }
 
 TEST(RoundEngineEquivalenceTest, TournamentIdenticalAcrossAllBackends) {
   Instance instance = MakeInstance(40, 11);
   BackendRig rig = MakeAllBackends(instance, /*memoize=*/false);
-  std::vector<TournamentEngineRun> runs;
+  std::vector<TournamentResult> runs;
   for (std::unique_ptr<RoundEngine>& engine : rig.engines) {
-    Result<TournamentEngineRun> run =
+    Result<TournamentResult> run =
         RunTournamentOnEngine(instance.AllElements(), engine.get());
     ASSERT_TRUE(run.ok());
     EXPECT_EQ(run->unresolved, 0);
     runs.push_back(*std::move(run));
   }
   for (size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[i].tournament.wins, runs[0].tournament.wins)
+    EXPECT_EQ(runs[i].wins, runs[0].wins)
         << rig.names[i];
-    EXPECT_EQ(runs[i].tournament.comparisons, runs[0].tournament.comparisons)
+    EXPECT_EQ(runs[i].comparisons, runs[0].comparisons)
         << rig.names[i];
   }
 }
@@ -238,19 +240,19 @@ TEST(RoundEngineBudgetTest, SerialAndBatchedChargeIdenticallyAtBoundary) {
 
     ThresholdComparator batch_worker(&instance, worker, /*seed=*/14);
     ComparatorBatchExecutor executor(&batch_worker);
-    Result<BatchedFilterResult> batched = BatchedFilterCandidates(
+    Result<FilterResult> batched = FilterCandidates(
         instance.AllElements(), options, &executor);
     ASSERT_TRUE(batched.ok());
 
-    EXPECT_EQ(batched->filter.candidates, serial->candidates)
+    EXPECT_EQ(batched->candidates, serial->candidates)
         << "budget=" << budget;
-    EXPECT_EQ(batched->filter.paid_comparisons, serial->paid_comparisons)
+    EXPECT_EQ(batched->paid_comparisons, serial->paid_comparisons)
         << "budget=" << budget;
-    EXPECT_EQ(batched->filter.issued_comparisons,
+    EXPECT_EQ(batched->issued_comparisons,
               serial->issued_comparisons)
         << "budget=" << budget;
-    EXPECT_EQ(batched->filter.rounds, serial->rounds) << "budget=" << budget;
-    EXPECT_EQ(batched->filter.stopped_by_budget, serial->stopped_by_budget)
+    EXPECT_EQ(batched->rounds, serial->rounds) << "budget=" << budget;
+    EXPECT_EQ(batched->stopped_by_budget, serial->stopped_by_budget)
         << "budget=" << budget;
     EXPECT_LE(serial->paid_comparisons, budget) << "budget=" << budget;
   }
@@ -263,7 +265,7 @@ TEST(RoundEngineCountersTest, MemoizedSerialCountersReconcile) {
       RoundEngine::CreateSerial(&oracle, /*memoize=*/true);
   FilterOptions options;
   options.u_n = 5;
-  Result<FilterEngineRun> run =
+  Result<FilterResult> run =
       RunFilterOnEngine(instance.AllElements(), options, engine.get());
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(engine->backend(), RoundEngine::Backend::kSerial);
@@ -271,7 +273,7 @@ TEST(RoundEngineCountersTest, MemoizedSerialCountersReconcile) {
   // paid = comparator spend; issued = every pair the sources emitted;
   // the difference is exactly the engine cache's work.
   EXPECT_EQ(engine->paid(), oracle.num_comparisons());
-  EXPECT_EQ(engine->issued(), run->filter.issued_comparisons);
+  EXPECT_EQ(engine->issued(), run->issued_comparisons);
   EXPECT_EQ(engine->cache_hits(), engine->issued() - engine->paid());
   // Comparator backends predate step accounting.
   EXPECT_EQ(engine->logical_steps(), 0);
@@ -289,11 +291,11 @@ TEST(RoundEngineCountersTest, ExecutorBackendStepsMatchRounds) {
   FilterOptions options;
   options.u_n = 5;
   options.memoize = true;
-  Result<FilterEngineRun> run =
+  Result<FilterResult> run =
       RunFilterOnEngine(instance.AllElements(), options, engine->get());
   ASSERT_TRUE(run.ok());
   // One batch — one logical step — per filter round.
-  EXPECT_EQ((*engine)->logical_steps(), run->filter.rounds);
+  EXPECT_EQ((*engine)->logical_steps(), run->rounds);
   EXPECT_EQ((*engine)->paid(), executor.comparisons());
 }
 
@@ -312,7 +314,7 @@ TEST(SharedCacheTest, SecondEngineSameClassPaysOnlyMisses) {
   Result<std::unique_ptr<RoundEngine>> first =
       RoundEngine::CreateBatched(&executor1, &cache, /*cache_class=*/1);
   ASSERT_TRUE(first.ok());
-  Result<TournamentEngineRun> run1 =
+  Result<TournamentResult> run1 =
       RunTournamentOnEngine(items, first->get());
   ASSERT_TRUE(run1.ok());
   EXPECT_EQ((*first)->paid(), total);
@@ -325,14 +327,14 @@ TEST(SharedCacheTest, SecondEngineSameClassPaysOnlyMisses) {
   Result<std::unique_ptr<RoundEngine>> second =
       RoundEngine::CreateBatched(&executor2, &cache, /*cache_class=*/1);
   ASSERT_TRUE(second.ok());
-  Result<TournamentEngineRun> run2 =
+  Result<TournamentResult> run2 =
       RunTournamentOnEngine(items, second->get());
   ASSERT_TRUE(run2.ok());
   EXPECT_EQ((*second)->issued(), total);
   EXPECT_EQ((*second)->paid(), 0);
   EXPECT_EQ((*second)->cache_hits(), total);
   EXPECT_EQ(executor2.comparisons(), 0);
-  EXPECT_EQ(run2->tournament.wins, run1->tournament.wins);
+  EXPECT_EQ(run2->wins, run1->wins);
 
   // A different worker class must not see that evidence: naive answers
   // never substitute for expert answers.
@@ -341,7 +343,7 @@ TEST(SharedCacheTest, SecondEngineSameClassPaysOnlyMisses) {
   Result<std::unique_ptr<RoundEngine>> other_class =
       RoundEngine::CreateBatched(&executor3, &cache, /*cache_class=*/0);
   ASSERT_TRUE(other_class.ok());
-  Result<TournamentEngineRun> run3 =
+  Result<TournamentResult> run3 =
       RunTournamentOnEngine(items, other_class->get());
   ASSERT_TRUE(run3.ok());
   EXPECT_EQ((*other_class)->paid(), total);
@@ -362,10 +364,10 @@ TEST(SharedCacheTest, SerialFilterEvidenceVisibleToExecutorEngine) {
   FilterOptions options;
   options.u_n = 6;
   options.memoize = true;
-  Result<FilterEngineRun> filtered = RunFilterOnEngine(
+  Result<FilterResult> filtered = RunFilterOnEngine(
       instance.AllElements(), options, filter_engine.get());
   ASSERT_TRUE(filtered.ok());
-  ASSERT_GT(filtered->filter.candidates.size(), 1u);
+  ASSERT_GT(filtered->candidates.size(), 1u);
 
   // Phase 2 over the survivors, same class: the survivors met in filter
   // groups, so at least part of the tournament is already paid for.
@@ -374,15 +376,15 @@ TEST(SharedCacheTest, SerialFilterEvidenceVisibleToExecutorEngine) {
   Result<std::unique_ptr<RoundEngine>> phase2 =
       RoundEngine::CreateBatched(&executor, &cache, /*cache_class=*/0);
   ASSERT_TRUE(phase2.ok());
-  Result<TournamentEngineRun> run =
-      RunTournamentOnEngine(filtered->filter.candidates, phase2->get());
+  Result<TournamentResult> run =
+      RunTournamentOnEngine(filtered->candidates, phase2->get());
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->unresolved, 0);
   EXPECT_GT((*phase2)->cache_hits(), 0);
   EXPECT_EQ((*phase2)->paid(), (*phase2)->issued() - (*phase2)->cache_hits());
   EXPECT_EQ((*phase2)->paid(), executor.comparisons());
   // The cross-phase winner agrees with ground truth on an oracle crowd.
-  EXPECT_EQ(filtered->filter.candidates[IndexOfMostWins(run->tournament)],
+  EXPECT_EQ(filtered->candidates[IndexOfMostWins(*run)],
             instance.MaxElement());
 }
 
@@ -405,7 +407,7 @@ int64_t ParkUnresolvedPairs(const Instance& instance,
   Result<std::unique_ptr<RoundEngine>> first =
       RoundEngine::CreateBatched(dropping->get(), cache, /*cache_class=*/0);
   CROWDMAX_CHECK(first.ok());
-  Result<TournamentEngineRun> run = RunTournamentOnEngine(items, first->get());
+  Result<TournamentResult> run = RunTournamentOnEngine(items, first->get());
   CROWDMAX_CHECK(run.ok());
   EXPECT_EQ(cache->ResolvedPairs(0), total - run->unresolved);
   return run->unresolved;
@@ -442,11 +444,12 @@ TEST(SharedCacheTest, UnresolvedPairsReissuedByLaterEngineOnEveryBackend) {
                                /*seed=*/3);
     ComparatorBatchExecutor executor(&worker);
     AsyncBatchAdapter async(&executor);
+    PerCallComparator per_call(&worker);
     std::unique_ptr<RoundEngine> engine;
     if (backend.starts_with("serial")) {
-      engine = RoundEngine::CreateSerial(&worker, /*memoize=*/true, &cache,
-                                         /*cache_class=*/0);
-      engine->set_batch_generation(backend == "serial");
+      engine = RoundEngine::CreateSerial(
+          backend == "serial" ? static_cast<Comparator*>(&worker) : &per_call,
+          /*memoize=*/true, &cache, /*cache_class=*/0);
     } else if (backend.starts_with("parallel")) {
       Result<std::unique_ptr<RoundEngine>> parallel =
           RoundEngine::CreateParallel(&worker, backend == "parallel/1" ? 1 : 8,
@@ -464,7 +467,7 @@ TEST(SharedCacheTest, UnresolvedPairsReissuedByLaterEngineOnEveryBackend) {
       ASSERT_TRUE(batched.ok());
       engine = std::move(batched).value();
     }
-    Result<TournamentEngineRun> run =
+    Result<TournamentResult> run =
         RunTournamentOnEngine(items, engine.get(), "all_play_all", chunked);
     ASSERT_TRUE(run.ok());
     EXPECT_EQ(run->unresolved, 0);
@@ -472,8 +475,8 @@ TEST(SharedCacheTest, UnresolvedPairsReissuedByLaterEngineOnEveryBackend) {
     EXPECT_EQ(engine->paid(), parked);
     EXPECT_EQ(engine->cache_hits(), total - parked);
     EXPECT_EQ(cache.ResolvedPairs(0), total);
-    if (reference_wins.empty()) reference_wins = run->tournament.wins;
-    EXPECT_EQ(run->tournament.wins, reference_wins);
+    if (reference_wins.empty()) reference_wins = run->wins;
+    EXPECT_EQ(run->wins, reference_wins);
   }
 }
 
@@ -528,7 +531,7 @@ TEST(PipelinedEngineTest, PipelinedFilterMatchesBatchedAtEveryDepth) {
 
   OracleComparator batched_oracle(&instance);
   ComparatorBatchExecutor batched_executor(&batched_oracle);
-  Result<BatchedFilterResult> reference = BatchedFilterCandidates(
+  Result<FilterResult> reference = FilterCandidates(
       instance.AllElements(), options, &batched_executor);
   ASSERT_TRUE(reference.ok());
 
@@ -536,20 +539,18 @@ TEST(PipelinedEngineTest, PipelinedFilterMatchesBatchedAtEveryDepth) {
     OracleComparator oracle(&instance);
     ComparatorBatchExecutor executor(&oracle);
     AsyncBatchAdapter async(&executor);
-    BatchedPipelineOptions pipeline;
-    pipeline.max_in_flight = depth;
-    Result<BatchedFilterResult> piped = PipelinedFilterCandidates(
-        instance.AllElements(), options, &async, pipeline);
+    Result<FilterResult> piped = FilterCandidates(
+        instance.AllElements(), options, Execution(&async, depth));
     ASSERT_TRUE(piped.ok()) << "depth=" << depth;
-    EXPECT_EQ(piped->filter.candidates, reference->filter.candidates)
+    EXPECT_EQ(piped->candidates, reference->candidates)
         << "depth=" << depth;
-    EXPECT_EQ(piped->filter.rounds, reference->filter.rounds)
+    EXPECT_EQ(piped->rounds, reference->rounds)
         << "depth=" << depth;
-    EXPECT_EQ(piped->filter.paid_comparisons,
-              reference->filter.paid_comparisons)
+    EXPECT_EQ(piped->paid_comparisons,
+              reference->paid_comparisons)
         << "depth=" << depth;
-    EXPECT_EQ(piped->filter.issued_comparisons,
-              reference->filter.issued_comparisons)
+    EXPECT_EQ(piped->issued_comparisons,
+              reference->issued_comparisons)
         << "depth=" << depth;
     EXPECT_EQ(executor.comparisons(), batched_executor.comparisons())
         << "depth=" << depth;
@@ -573,7 +574,7 @@ TEST(PipelinedEngineTest, OverlapCountersObserveDepth) {
     Result<std::unique_ptr<RoundEngine>> engine =
         RoundEngine::CreatePipelined(&async, /*max_in_flight=*/1);
     ASSERT_TRUE(engine.ok());
-    Result<FilterEngineRun> run = RunFilterOnEngine(
+    Result<FilterResult> run = RunFilterOnEngine(
         instance.AllElements(), options, engine->get());
     ASSERT_TRUE(run.ok());
     EXPECT_EQ((*engine)->overlapped_rounds(), 0);
@@ -587,7 +588,7 @@ TEST(PipelinedEngineTest, OverlapCountersObserveDepth) {
     Result<std::unique_ptr<RoundEngine>> engine =
         RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8);
     ASSERT_TRUE(engine.ok());
-    Result<FilterEngineRun> run = RunFilterOnEngine(
+    Result<FilterResult> run = RunFilterOnEngine(
         instance.AllElements(), options, engine->get());
     ASSERT_TRUE(run.ok());
     EXPECT_GT((*engine)->overlapped_rounds(), 0);

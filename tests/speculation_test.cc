@@ -25,6 +25,7 @@
 #include "core/batched.h"
 #include "core/checkpoint.h"
 #include "core/comparator.h"
+#include "core/expert_max.h"
 #include "core/maxfind.h"
 #include "core/multilevel.h"
 #include "core/round_engine.h"
@@ -57,7 +58,7 @@ std::vector<ElementId> OrderByValue(const Instance& instance,
 }
 
 struct SyncReference {
-  MaxFindEngineRun run;
+  MaxFindResult run;
   int64_t paid = 0;
   int64_t issued = 0;
   int64_t cache_hits = 0;
@@ -79,7 +80,7 @@ SyncReference RunSyncTwoMaxFind(const Instance& instance,
   {
     ScopedTrace scoped(&trace);
     TraceSpanScope phase_span("expert", TraceWorkerClass::kExpert);
-    Result<MaxFindEngineRun> run = RunTwoMaxFindOnEngine(items, engine->get());
+    Result<MaxFindResult> run = RunTwoMaxFindOnEngine(items, engine->get());
     CROWDMAX_CHECK(run.ok());
     ref.run = *std::move(run);
   }
@@ -129,22 +130,22 @@ TEST(SpeculationIdentityTest, TwoMaxFindMatchesSyncAtAllDepthsAndThreads) {
         ASSERT_TRUE(engine.ok());
 
         AlgoTrace trace;
-        Result<MaxFindEngineRun> run = [&]() -> Result<MaxFindEngineRun> {
+        Result<MaxFindResult> run = [&]() -> Result<MaxFindResult> {
           ScopedTrace scoped(&trace);
           TraceSpanScope phase_span("expert", TraceWorkerClass::kExpert);
-          TwoMaxFindEngineOptions options;
+          TwoMaxFindOptions options;
           options.speculate = true;
           return RunTwoMaxFindOnEngine(items, engine->get(), options);
         }();
         ASSERT_TRUE(run.ok()) << run.status().ToString();
 
         // The algorithm's observable outputs are sync-identical.
-        EXPECT_EQ(run->maxfind.best, ref.run.maxfind.best);
-        EXPECT_EQ(run->maxfind.rounds, ref.run.maxfind.rounds);
-        EXPECT_EQ(run->maxfind.paid_comparisons,
-                  ref.run.maxfind.paid_comparisons);
-        EXPECT_EQ(run->maxfind.issued_comparisons,
-                  ref.run.maxfind.issued_comparisons);
+        EXPECT_EQ(run->best, ref.run.best);
+        EXPECT_EQ(run->rounds, ref.run.rounds);
+        EXPECT_EQ(run->paid_comparisons,
+                  ref.run.paid_comparisons);
+        EXPECT_EQ(run->issued_comparisons,
+                  ref.run.issued_comparisons);
         EXPECT_FALSE(run->partial);
 
         // Engine accounting: paid carries the wasted spend on top of the
@@ -202,7 +203,7 @@ TEST(SpeculationAccountingTest, AdversaryMaximizesMispredictions) {
   Result<std::unique_ptr<RoundEngine>> sync_engine =
       RoundEngine::CreateBatched(&sync_executor);
   ASSERT_TRUE(sync_engine.ok());
-  Result<MaxFindEngineRun> sync_run =
+  Result<MaxFindResult> sync_run =
       RunTwoMaxFindOnEngine(items, sync_engine->get());
   ASSERT_TRUE(sync_run.ok()) << sync_run.status().ToString();
   const int64_t sync_paid = (*sync_engine)->paid();
@@ -214,16 +215,16 @@ TEST(SpeculationAccountingTest, AdversaryMaximizesMispredictions) {
   Result<std::unique_ptr<RoundEngine>> engine =
       RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8);
   ASSERT_TRUE(engine.ok());
-  TwoMaxFindEngineOptions options;
+  TwoMaxFindOptions options;
   options.speculate = true;
-  Result<MaxFindEngineRun> run =
+  Result<MaxFindResult> run =
       RunTwoMaxFindOnEngine(items, engine->get(), options);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
 
-  EXPECT_EQ(run->maxfind.best, sync_run->maxfind.best);
-  EXPECT_EQ(run->maxfind.rounds, sync_run->maxfind.rounds);
-  EXPECT_EQ(run->maxfind.paid_comparisons,
-            sync_run->maxfind.paid_comparisons);
+  EXPECT_EQ(run->best, sync_run->best);
+  EXPECT_EQ(run->rounds, sync_run->rounds);
+  EXPECT_EQ(run->paid_comparisons,
+            sync_run->paid_comparisons);
 
   EXPECT_GT((*engine)->speculative_rounds(), 0);
   EXPECT_EQ((*engine)->speculation_hits(), 0);
@@ -251,12 +252,12 @@ TEST(SpeculationAccountingTest, MetricsAuditorReconcilesCancelledSpend) {
   AlgoTrace trace;
   {
     ScopedTrace scoped(&trace);
-    TwoMaxFindEngineOptions options;
+    // TwoMaxFind bills no class itself; its caller opens the span.
+    TraceSpanScope phase_span("expert", TraceWorkerClass::kExpert);
+    TwoMaxFindOptions options;
     options.speculate = true;
-    BatchedPipelineOptions pipeline;
-    pipeline.max_in_flight = 8;
-    Result<BatchedMaxFindResult> run =
-        PipelinedTwoMaxFind(items, &async, pipeline, options);
+    Result<MaxFindResult> run =
+        TwoMaxFind(items, Execution(&async, /*max_in_flight=*/8), options);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
   }
   ASSERT_GT(executor.cancelled_comparisons(), 0)
@@ -288,11 +289,11 @@ TEST(SpeculationCheckpointTest, KillResumeBitIdentityAtEveryBoundary) {
   Instance instance = MakeInstance(90, 109);
   // Mixed ordering: both hits and mispredictions occur across the run.
   const std::vector<ElementId> items = instance.AllElements();
-  TwoMaxFindEngineOptions options;
+  TwoMaxFindOptions options;
   options.speculate = true;
 
   struct Baseline {
-    MaxFindEngineRun run;
+    MaxFindResult run;
     int64_t paid = 0;
     int64_t wasted = 0;
     int64_t hits = 0;
@@ -306,7 +307,7 @@ TEST(SpeculationCheckpointTest, KillResumeBitIdentityAtEveryBoundary) {
     Result<std::unique_ptr<RoundEngine>> engine =
         RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8);
     ASSERT_TRUE(engine.ok());
-    Result<MaxFindEngineRun> run =
+    Result<MaxFindResult> run =
         RunTwoMaxFindOnEngine(items, engine->get(), options);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     baseline.run = *std::move(run);
@@ -331,7 +332,7 @@ TEST(SpeculationCheckpointTest, KillResumeBitIdentityAtEveryBoundary) {
       CheckpointController controller;
       controller.ArmCrashAtBoundary(boundary);
       (*engine)->set_checkpoint(&controller);
-      Result<MaxFindEngineRun> crashed =
+      Result<MaxFindResult> crashed =
           RunTwoMaxFindOnEngine(items, engine->get(), options);
       if (crashed.ok()) break;  // Ran out of boundaries: matrix complete.
       ASSERT_EQ(crashed.status().code(), StatusCode::kAborted);
@@ -349,17 +350,17 @@ TEST(SpeculationCheckpointTest, KillResumeBitIdentityAtEveryBoundary) {
     CheckpointController controller;
     controller.ResumeFrom(snapshot);
     (*engine)->set_checkpoint(&controller);
-    Result<MaxFindEngineRun> resumed =
+    Result<MaxFindResult> resumed =
         RunTwoMaxFindOnEngine(items, engine->get(), options);
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
     EXPECT_EQ(controller.restores(), 1);
 
-    EXPECT_EQ(resumed->maxfind.best, baseline.run.maxfind.best);
-    EXPECT_EQ(resumed->maxfind.rounds, baseline.run.maxfind.rounds);
-    EXPECT_EQ(resumed->maxfind.paid_comparisons,
-              baseline.run.maxfind.paid_comparisons);
-    EXPECT_EQ(resumed->maxfind.issued_comparisons,
-              baseline.run.maxfind.issued_comparisons);
+    EXPECT_EQ(resumed->best, baseline.run.best);
+    EXPECT_EQ(resumed->rounds, baseline.run.rounds);
+    EXPECT_EQ(resumed->paid_comparisons,
+              baseline.run.paid_comparisons);
+    EXPECT_EQ(resumed->issued_comparisons,
+              baseline.run.issued_comparisons);
     EXPECT_EQ((*engine)->paid(), baseline.paid);
     EXPECT_EQ((*engine)->speculation_wasted(), baseline.wasted);
     EXPECT_EQ((*engine)->speculation_hits(), baseline.hits);
@@ -384,7 +385,7 @@ TEST(ChunkedTournamentTest, ChunkedMatchesSingleRoundAndPipelines) {
   Result<std::unique_ptr<RoundEngine>> single_engine =
       RoundEngine::CreateBatched(&single_executor);
   ASSERT_TRUE(single_engine.ok());
-  Result<TournamentEngineRun> single =
+  Result<TournamentResult> single =
       RunTournamentOnEngine(items, single_engine->get());
   ASSERT_TRUE(single.ok());
 
@@ -393,11 +394,11 @@ TEST(ChunkedTournamentTest, ChunkedMatchesSingleRoundAndPipelines) {
   Result<std::unique_ptr<RoundEngine>> sync_engine =
       RoundEngine::CreateBatched(&sync_executor);
   ASSERT_TRUE(sync_engine.ok());
-  Result<TournamentEngineRun> sync = RunTournamentOnEngine(
+  Result<TournamentResult> sync = RunTournamentOnEngine(
       items, sync_engine->get(), "all_play_all", chunked);
   ASSERT_TRUE(sync.ok());
-  EXPECT_EQ(sync->tournament.wins, single->tournament.wins);
-  EXPECT_EQ(sync->tournament.comparisons, single->tournament.comparisons);
+  EXPECT_EQ(sync->wins, single->wins);
+  EXPECT_EQ(sync->comparisons, single->comparisons);
   EXPECT_EQ(sync->unresolved, 0);
 
   OracleComparator oracle(&instance);
@@ -406,11 +407,11 @@ TEST(ChunkedTournamentTest, ChunkedMatchesSingleRoundAndPipelines) {
   Result<std::unique_ptr<RoundEngine>> engine =
       RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8);
   ASSERT_TRUE(engine.ok());
-  Result<TournamentEngineRun> piped = RunTournamentOnEngine(
+  Result<TournamentResult> piped = RunTournamentOnEngine(
       items, engine->get(), "all_play_all", chunked);
   ASSERT_TRUE(piped.ok());
-  EXPECT_EQ(piped->tournament.wins, single->tournament.wins);
-  EXPECT_EQ(piped->tournament.comparisons, single->tournament.comparisons);
+  EXPECT_EQ(piped->wins, single->wins);
+  EXPECT_EQ(piped->comparisons, single->comparisons);
   EXPECT_EQ((*engine)->paid(), (*sync_engine)->paid());
   EXPECT_EQ(executor.comparisons(), sync_executor.comparisons());
   EXPECT_EQ(executor.logical_steps(), sync_executor.logical_steps());
@@ -435,7 +436,7 @@ TEST(GroupedRandomizedTest, GroupedMatchesLegacyAndPipelines) {
   Result<std::unique_ptr<RoundEngine>> legacy_engine =
       RoundEngine::CreateBatched(&legacy_executor);
   ASSERT_TRUE(legacy_engine.ok());
-  Result<MaxFindEngineRun> legacy = RunRandomizedMaxFindOnEngine(
+  Result<MaxFindResult> legacy = RunRandomizedMaxFindOnEngine(
       items, legacy_engine->get(), legacy_options);
   ASSERT_TRUE(legacy.ok());
 
@@ -444,14 +445,14 @@ TEST(GroupedRandomizedTest, GroupedMatchesLegacyAndPipelines) {
   Result<std::unique_ptr<RoundEngine>> sync_engine =
       RoundEngine::CreateBatched(&sync_executor);
   ASSERT_TRUE(sync_engine.ok());
-  Result<MaxFindEngineRun> sync = RunRandomizedMaxFindOnEngine(
+  Result<MaxFindResult> sync = RunRandomizedMaxFindOnEngine(
       items, sync_engine->get(), grouped_options);
   ASSERT_TRUE(sync.ok());
-  EXPECT_EQ(sync->maxfind.best, legacy->maxfind.best);
-  EXPECT_EQ(sync->maxfind.rounds, legacy->maxfind.rounds);
-  EXPECT_EQ(sync->maxfind.issued_comparisons,
-            legacy->maxfind.issued_comparisons);
-  EXPECT_EQ(sync->maxfind.paid_comparisons, legacy->maxfind.paid_comparisons);
+  EXPECT_EQ(sync->best, legacy->best);
+  EXPECT_EQ(sync->rounds, legacy->rounds);
+  EXPECT_EQ(sync->issued_comparisons,
+            legacy->issued_comparisons);
+  EXPECT_EQ(sync->paid_comparisons, legacy->paid_comparisons);
 
   OracleComparator oracle(&instance);
   ComparatorBatchExecutor executor(&oracle);
@@ -459,15 +460,15 @@ TEST(GroupedRandomizedTest, GroupedMatchesLegacyAndPipelines) {
   Result<std::unique_ptr<RoundEngine>> engine =
       RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8);
   ASSERT_TRUE(engine.ok());
-  Result<MaxFindEngineRun> piped = RunRandomizedMaxFindOnEngine(
+  Result<MaxFindResult> piped = RunRandomizedMaxFindOnEngine(
       items, engine->get(), grouped_options);
   ASSERT_TRUE(piped.ok());
-  EXPECT_EQ(piped->maxfind.best, legacy->maxfind.best);
-  EXPECT_EQ(piped->maxfind.rounds, legacy->maxfind.rounds);
-  EXPECT_EQ(piped->maxfind.issued_comparisons,
-            legacy->maxfind.issued_comparisons);
-  EXPECT_EQ(piped->maxfind.paid_comparisons,
-            legacy->maxfind.paid_comparisons);
+  EXPECT_EQ(piped->best, legacy->best);
+  EXPECT_EQ(piped->rounds, legacy->rounds);
+  EXPECT_EQ(piped->issued_comparisons,
+            legacy->issued_comparisons);
+  EXPECT_EQ(piped->paid_comparisons,
+            legacy->paid_comparisons);
   EXPECT_EQ((*engine)->paid(), (*sync_engine)->paid());
   EXPECT_GT((*engine)->overlapped_rounds(), 0);
 }
@@ -530,9 +531,8 @@ TEST(PipelinedCompositionTest, TopKMatchesBatched) {
   OracleComparator batched_expert_oracle(&instance);
   ComparatorBatchExecutor batched_naive(&batched_naive_oracle);
   ComparatorBatchExecutor batched_expert(&batched_expert_oracle);
-  Result<BatchedTopKResult> batched =
-      BatchedFindTopKWithExperts(items, &batched_naive, &batched_expert,
-                                 options);
+  Result<TopKResult> batched =
+      FindTopKWithExperts(items, &batched_naive, &batched_expert, options);
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
 
   OracleComparator naive_oracle(&instance);
@@ -541,17 +541,15 @@ TEST(PipelinedCompositionTest, TopKMatchesBatched) {
   ComparatorBatchExecutor expert_executor(&expert_oracle);
   AsyncBatchAdapter naive_async(&naive_executor);
   AsyncBatchAdapter expert_async(&expert_executor);
-  BatchedPipelineOptions pipeline;
-  pipeline.max_in_flight = 8;
-  Result<BatchedTopKResult> piped = PipelinedFindTopKWithExperts(
-      items, &naive_async, &expert_async, options, pipeline);
+  Result<TopKResult> piped = FindTopKWithExperts(
+      items, Execution(&naive_async, 8), Execution(&expert_async, 8), options);
   ASSERT_TRUE(piped.ok()) << piped.status().ToString();
 
-  EXPECT_EQ(piped->result.top, batched->result.top);
-  EXPECT_EQ(piped->result.candidates, batched->result.candidates);
-  EXPECT_EQ(piped->result.paid.naive, batched->result.paid.naive);
-  EXPECT_EQ(piped->result.paid.expert, batched->result.paid.expert);
-  EXPECT_EQ(piped->result.filter_rounds, batched->result.filter_rounds);
+  EXPECT_EQ(piped->top, batched->top);
+  EXPECT_EQ(piped->candidates, batched->candidates);
+  EXPECT_EQ(piped->paid.naive, batched->paid.naive);
+  EXPECT_EQ(piped->paid.expert, batched->paid.expert);
+  EXPECT_EQ(piped->filter_rounds, batched->filter_rounds);
   EXPECT_FALSE(piped->partial);
 }
 
@@ -561,20 +559,20 @@ TEST(PipelinedCompositionTest, MultilevelMatchesBatched) {
   MultilevelOptions options;
   options.filter_template.pipeline_groups = true;
   options.final_phase = Phase2Algorithm::kTwoMaxFind;
-  options.final_speculate = true;
+  options.two_maxfind.speculate = true;
 
   OracleComparator batched_naive_oracle(&instance);
   OracleComparator batched_expert_oracle(&instance);
   ComparatorBatchExecutor batched_naive(&batched_naive_oracle);
   ComparatorBatchExecutor batched_expert(&batched_expert_oracle);
-  std::vector<BatchedWorkerClassSpec> batched_classes(2);
-  batched_classes[0].executor = &batched_naive;
+  std::vector<WorkerClassSpec> batched_classes(2);
+  batched_classes[0].execution = &batched_naive;
   batched_classes[0].u = 6;
   batched_classes[0].cost_per_comparison = 1.0;
-  batched_classes[1].executor = &batched_expert;
+  batched_classes[1].execution = &batched_expert;
   batched_classes[1].cost_per_comparison = 4.0;
-  Result<BatchedMultilevelResult> batched =
-      BatchedFindMaxMultilevel(items, batched_classes, options);
+  Result<MultilevelResult> batched =
+      FindMaxMultilevel(items, batched_classes, options);
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
 
   OracleComparator naive_oracle(&instance);
@@ -583,23 +581,21 @@ TEST(PipelinedCompositionTest, MultilevelMatchesBatched) {
   ComparatorBatchExecutor expert_executor(&expert_oracle);
   AsyncBatchAdapter naive_async(&naive_executor);
   AsyncBatchAdapter expert_async(&expert_executor);
-  std::vector<PipelinedWorkerClassSpec> classes(2);
-  classes[0].async = &naive_async;
+  std::vector<WorkerClassSpec> classes(2);
+  classes[0].execution = Execution(&naive_async, 8);
   classes[0].u = 6;
   classes[0].cost_per_comparison = 1.0;
-  classes[1].async = &expert_async;
+  classes[1].execution = Execution(&expert_async, 8);
   classes[1].cost_per_comparison = 4.0;
-  BatchedPipelineOptions pipeline;
-  pipeline.max_in_flight = 8;
-  Result<BatchedMultilevelResult> piped =
-      PipelinedFindMaxMultilevel(items, classes, options, pipeline);
+  Result<MultilevelResult> piped =
+      FindMaxMultilevel(items, classes, options);
   ASSERT_TRUE(piped.ok()) << piped.status().ToString();
 
-  EXPECT_EQ(piped->result.best, batched->result.best);
-  EXPECT_EQ(piped->result.paid_per_class, batched->result.paid_per_class);
-  EXPECT_EQ(piped->result.candidates_per_level,
-            batched->result.candidates_per_level);
-  EXPECT_EQ(piped->result.total_cost, batched->result.total_cost);
+  EXPECT_EQ(piped->best, batched->best);
+  EXPECT_EQ(piped->paid_per_class, batched->paid_per_class);
+  EXPECT_EQ(piped->candidates_per_level,
+            batched->candidates_per_level);
+  EXPECT_EQ(piped->total_cost, batched->total_cost);
   EXPECT_FALSE(piped->partial);
 }
 
