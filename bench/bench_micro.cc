@@ -79,28 +79,14 @@ void BM_OracleCompare(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleCompare);
 
-void BM_MemoizedCompare(benchmark::State& state) {
-  Instance instance = MakeInstance(1024, 5);
-  OracleComparator oracle(&instance);
-  MemoizingComparator memo(&oracle);
-  ElementId a = 0;
-  for (auto _ : state) {
-    const ElementId winner = memo.Compare(a, (a + 1) & 1023);
-    benchmark::DoNotOptimize(winner);
-    a = (a + 1) & 1023;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MemoizedCompare);
-
 void BM_AllPlayAll(benchmark::State& state) {
   const int64_t k = state.range(0);
   Instance instance = MakeInstance(k, 7);
   ThresholdComparator cmp(&instance, ThresholdModel{0.01, 0.0}, 8);
   const std::vector<ElementId> elements = instance.AllElements();
   for (auto _ : state) {
-    TournamentResult result = AllPlayAll(elements, &cmp);
-    benchmark::DoNotOptimize(result.wins.data());
+    Result<TournamentResult> result = AllPlayAll(elements, &cmp);
+    benchmark::DoNotOptimize(result->wins.data());
   }
   state.SetItemsProcessed(state.iterations() * k * (k - 1) / 2);
 }
@@ -340,7 +326,7 @@ void RunPipelineLatencyReport(const std::string& json_path, bool smoke) {
          TournamentEngineOptions options;
          options.chunk_pairs = tourney_chunk;
          Result<TournamentResult> run = RunTournamentOnEngine(
-             tourney_instance.AllElements(), engine, "all_play_all", options);
+             tourney_instance.AllElements(), engine, options);
          CROWDMAX_CHECK(run.ok() && run->unresolved == 0);
          PipelineRunSignature sig;
          sig.output = run->wins;

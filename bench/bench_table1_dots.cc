@@ -159,10 +159,11 @@ ExperimentOutcome RunExperiment(const Instance& instance, int64_t u_n,
 
   // Final round: all-play-all among the survivors with simulated experts,
   // ordered by wins (the "ranking of the last round" of Table 1).
-  const TournamentResult finals =
+  const Result<TournamentResult> finals =
       AllPlayAll(phase1->candidates, simulated_expert.get());
+  CROWDMAX_CHECK(finals.ok());
   const std::vector<ElementId> ranked =
-      OrderByWins(phase1->candidates, finals);
+      OrderByWins(phase1->candidates, *finals);
 
   ExperimentOutcome outcome;
   outcome.candidates = phase1->candidates;

@@ -150,10 +150,11 @@ ExperimentOutcome RunExperiment(const Instance& instance, int64_t u_n,
       FilterCandidates(instance.AllElements(), filter, naive.get());
   CROWDMAX_CHECK(phase1.ok());
 
-  const TournamentResult finals =
+  const Result<TournamentResult> finals =
       AllPlayAll(phase1->candidates, simulated_expert.get());
+  CROWDMAX_CHECK(finals.ok());
   const std::vector<ElementId> ranked =
-      OrderByWins(phase1->candidates, finals);
+      OrderByWins(phase1->candidates, *finals);
 
   ExperimentOutcome outcome;
   outcome.candidates = phase1->candidates;

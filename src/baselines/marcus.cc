@@ -12,9 +12,10 @@ namespace crowdmax {
 
 namespace {
 
-// One ladder level per round: disjoint group tournaments, per-group winner
-// selection at the level barrier in group order, a singleton bye advancing
-// free. Identical for any thread count by the engine's seeding discipline.
+// One ladder level per round: disjoint group tournaments (one player unit
+// each), per-group winner selection at the level barrier in group order, a
+// singleton bye advancing free. Identical for any thread count by the
+// engine's seeding discipline.
 class MarcusRoundSource : public RoundSource {
  public:
   MarcusRoundSource(const std::vector<ElementId>& items,
@@ -36,18 +37,9 @@ class MarcusRoundSource : public RoundSource {
         groups_.emplace_back(current_.begin() + start, current_.begin() + end);
       }
     }
-    round->units.reserve(groups_.size());
-    for (const std::vector<ElementId>& group : groups_) {
-      RoundUnit unit;
-      unit.serial_span = "all_play_all";
-      unit.serial_span_size = static_cast<int64_t>(group.size());
-      unit.pairs.reserve(group.size() * (group.size() - 1) / 2);
-      for (size_t i = 0; i < group.size(); ++i) {
-        for (size_t j = i + 1; j < group.size(); ++j) {
-          unit.pairs.push_back({group[i], group[j]});
-        }
-      }
-      round->units.push_back(std::move(unit));
+    round->units.resize(groups_.size());
+    for (size_t gi = 0; gi < groups_.size(); ++gi) {
+      round->units[gi].players = groups_[gi];
     }
     return true;
   }
@@ -59,19 +51,8 @@ class MarcusRoundSource : public RoundSource {
     std::vector<ElementId> winners;
     winners.reserve(groups_.size() + 1);
     for (size_t gi = 0; gi < groups_.size(); ++gi) {
-      const std::vector<ElementId>& group = groups_[gi];
-      const std::vector<ElementId>& pair_winners = outcome.winners[gi];
-      TournamentResult tournament;
-      tournament.wins.assign(group.size(), 0);
-      size_t t = 0;
-      for (size_t i = 0; i < group.size(); ++i) {
-        for (size_t j = i + 1; j < group.size(); ++j, ++t) {
-          const ElementId winner = pair_winners[t];
-          if (winner == kUnresolvedWinner) continue;  // No win to either.
-          ++tournament.wins[winner == group[i] ? i : j];
-        }
-      }
-      winners.push_back(group[IndexOfMostWins(tournament)]);
+      winners.push_back(
+          groups_[gi][IndexOfMostWins(TallyTournament(outcome.losses[gi]))]);
     }
     if (has_bye_) winners.push_back(bye_);
     current_ = std::move(winners);

@@ -152,7 +152,10 @@ Result<std::vector<ElementId>> ComparatorBatchExecutor::Answer(
     }
     return winners;
   }
+  // Per call, the same refusal at the same task.
+  const int64_t limit = comparator_->IdLimit();
   for (size_t t = 0; t < tasks.size(); ++t) {
+    if (!PairBelow(tasks[t], limit)) return RefusedPairError(tasks[t]);
     winners[t] = comparator_->Compare(tasks[t].first, tasks[t].second);
   }
   return winners;
@@ -240,8 +243,13 @@ Result<std::vector<ElementId>> ParallelBatchExecutor::Answer(
         refused[static_cast<size_t>(c)] = begin + produced;
       }
     } else {
+      const int64_t limit = fork->IdLimit();
       for (int64_t t = begin; t < end; ++t) {
         const ComparisonPair& task = tasks[static_cast<size_t>(t)];
+        if (!PairBelow(task, limit)) {
+          refused[static_cast<size_t>(c)] = t;
+          break;
+        }
         winners[static_cast<size_t>(t)] =
             fork->Compare(task.first, task.second);
       }

@@ -5,14 +5,12 @@
 
 #include "core/checkpoint.h"
 #include "core/loss_matrix.h"
-#include "core/pair_key.h"
 #include "core/pair_table.h"
 
 namespace crowdmax {
 
 namespace {
 constexpr uint32_t kComparatorTag = CheckpointTag("CMP ");
-constexpr uint32_t kMemoTag = CheckpointTag("MEMO");
 }  // namespace
 
 Status Comparator::SaveState(CheckpointWriter* /*writer*/) const {
@@ -87,56 +85,6 @@ Status OracleComparator::SaveState(CheckpointWriter* writer) const {
 
 Status OracleComparator::LoadState(CheckpointReader* reader) {
   return LoadCounterState(reader);
-}
-
-MemoizingComparator::MemoizingComparator(Comparator* inner) : inner_(inner) {
-  CROWDMAX_CHECK(inner != nullptr);
-}
-
-ElementId MemoizingComparator::Compare(ElementId a, ElementId b) {
-  const uint64_t key = PackPairKey(a, b);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    ++cache_hits_;
-    return it->second;
-  }
-  CountComparison();
-  const ElementId winner = inner_->Compare(a, b);
-  cache_.emplace(key, winner);
-  return winner;
-}
-
-ElementId MemoizingComparator::DoCompare(ElementId a, ElementId b) {
-  // Unreachable: Compare() is fully overridden.
-  return inner_->Compare(a, b);
-}
-
-std::unique_ptr<Comparator> MemoizingComparator::Fork(
-    uint64_t /*seed*/) const {
-  CROWDMAX_CHECK(false &&
-                 "MemoizingComparator is not thread-safe and cannot enter "
-                 "the parallel path; parallel filtering memoizes via its "
-                 "round-barrier cache instead");
-  return nullptr;
-}
-
-Status MemoizingComparator::SaveState(CheckpointWriter* writer) const {
-  Status counter = SaveCounterState(writer);
-  if (!counter.ok()) return counter;
-  writer->WriteTag(kMemoTag);
-  writer->WriteSortedMap(cache_);
-  writer->WriteI64(cache_hits_);
-  return inner_->SaveState(writer);
-}
-
-Status MemoizingComparator::LoadState(CheckpointReader* reader) {
-  Status counter = LoadCounterState(reader);
-  if (!counter.ok()) return counter;
-  reader->ExpectTag(kMemoTag);
-  reader->ReadSortedMap(&cache_);
-  cache_hits_ = reader->ReadI64();
-  if (!reader->status().ok()) return reader->status();
-  return inner_->LoadState(reader);
 }
 
 AdversarialComparator::AdversarialComparator(const Instance* instance,

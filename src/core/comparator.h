@@ -2,8 +2,10 @@
 //
 // Every worker interaction in crowdmax flows through Comparator::Compare,
 // which returns the element the worker believes is larger and counts the
-// comparison. Decorators add memoization (Appendix A, optimization 1) and
-// adversarial behaviour; model-backed comparators live in worker_model.h.
+// comparison, or through the batch interface of VoteBatchComparator, whose
+// draws are exactly Compare's. Model-backed comparators live in
+// worker_model.h; memoization (Appendix A, optimization 1) is the round
+// engine's pair cache (core/round_engine.h).
 //
 // Thread-safety contract: a Comparator instance is NOT thread-safe — its
 // comparison counter, any internal Rng, and any per-pair caches are plain
@@ -19,9 +21,9 @@
 #define CROWDMAX_CORE_COMPARATOR_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -41,6 +43,10 @@ class VoteBatchComparator;
 /// interface, the round engine and the executor stack.
 using ComparisonPair = std::pair<ElementId, ElementId>;
 
+/// Comparator::IdLimit of a comparator that knows no instance: it accepts
+/// every non-negative id.
+inline constexpr int64_t kNoIdLimit = std::numeric_limits<int64_t>::max();
+
 /// Pairwise comparison oracle. Compare(a, b) returns a or b — the element
 /// the worker reports as having the larger value — and increments the
 /// comparison counter. Implementations may be randomized (model-backed) or
@@ -50,9 +56,9 @@ class Comparator {
  public:
   virtual ~Comparator() = default;
 
-  /// Asks one worker to compare distinct elements `a` and `b`. Counts one
-  /// comparison unless the concrete class documents otherwise (memoizing
-  /// comparators count only cache misses).
+  /// Asks one worker to compare distinct elements `a` and `b`, both below
+  /// IdLimit(). Counts one comparison unless the concrete class documents
+  /// otherwise.
   virtual ElementId Compare(ElementId a, ElementId b) {
     ++num_comparisons_;
     return DoCompare(a, b);
@@ -90,6 +96,13 @@ class Comparator {
   /// and fall back to the per-call virtual path when absent; results are
   /// bit-identical either way (DESIGN.md §14).
   virtual VoteBatchComparator* AsVoteBatch() { return nullptr; }
+
+  /// How many ids this comparator answers: 0 .. IdLimit() - 1, the
+  /// elements of its instance. The per-call loops of the round engine and
+  /// the comparator executors refuse a pair with any other id before
+  /// Compare reads it, as the batch interface refuses it. The default,
+  /// kNoIdLimit, is for a comparator that knows no instance.
+  virtual int64_t IdLimit() const { return kNoIdLimit; }
 
   /// Serializes the comparator's full replay state — paid-comparison
   /// counter, RNG stream position, per-pair sticky tables — so a run
@@ -169,22 +182,10 @@ class VoteBatchComparator {
                                      std::span<const uint64_t> skip,
                                      LossMatrix* losses);
 
-  /// Switches GenerateVotes' draw resolution between the bulk RNG kernels
-  /// (integer-threshold compares over block-generated raw draws,
-  /// DESIGN.md §16 — the default) and the scalar per-row float-compare
-  /// loop they replaced. The two are bit-identical in votes, counters,
-  /// RNG position and sticky state (pinned by rng_test and
-  /// VoteBatchEquivalenceTest); the knob exists so tests and
-  /// bench_hotpath can pin and measure the equivalence, not to change
-  /// behaviour.
-  void set_bulk_draws(bool on) { bulk_draws_ = on; }
-  bool bulk_draws() const { return bulk_draws_; }
-
  protected:
   VoteBatchComparator() = default;
 
  private:
-  bool bulk_draws_ = true;
   // The default GenerateTournament's written-out pairs and their answers,
   // reused across calls.
   std::vector<ComparisonPair> tournament_pairs_;
@@ -195,6 +196,13 @@ class VoteBatchComparator {
 /// executors) returns for a pair the batch vote interface refused: one
 /// with an id outside the comparator's instance.
 Status RefusedPairError(const ComparisonPair& pair);
+
+/// True when both ids of `pair` are in [0, limit), a Comparator::IdLimit:
+/// the pairs a per-call path may ask, as the batch interface answers them.
+inline bool PairBelow(const ComparisonPair& pair, int64_t limit) {
+  return pair.first >= 0 && pair.second >= 0 && pair.first < limit &&
+         pair.second < limit;
+}
 
 /// Exact comparator: always returns the element with the larger true value
 /// (lower id on exact ties). Useful as a ground-truth baseline and in
@@ -207,6 +215,8 @@ class OracleComparator : public Comparator {
   /// fresh oracle over the same instance; `seed` is unused.
   std::unique_ptr<Comparator> Fork(uint64_t seed) const override;
 
+  int64_t IdLimit() const override { return instance_->size(); }
+
   /// Stateless beyond the counter, so the counter section is the state.
   Status SaveState(CheckpointWriter* writer) const override;
   Status LoadState(CheckpointReader* reader) override;
@@ -215,48 +225,6 @@ class OracleComparator : public Comparator {
   ElementId DoCompare(ElementId a, ElementId b) override;
 
   const Instance* instance_;
-};
-
-/// Memoizing decorator (Appendix A, optimization 1): the first query for an
-/// unordered pair is forwarded to the inner comparator and cached; repeats
-/// return the cached winner and are not counted as paid comparisons.
-///
-/// num_comparisons() on this object counts paid (forwarded) comparisons
-/// only. Does not own the inner comparator.
-///
-/// NOT usable from the parallel path: the cache is a plain unordered_map
-/// and the decorator aliases the inner comparator, so forking it is
-/// meaningless (forks would either share the cache — a data race — or
-/// silently stop memoizing). Fork() CHECK-fails with that message; the
-/// parallel filter implements memoization itself, as a read-only cache
-/// snapshot per round with new entries merged at the round barrier (see
-/// core/round_engine.h).
-class MemoizingComparator : public Comparator {
- public:
-  explicit MemoizingComparator(Comparator* inner);
-
-  ElementId Compare(ElementId a, ElementId b) override;
-
-  /// CHECK-fails: MemoizingComparator is not thread-safe and must not
-  /// enter the parallel engine.
-  std::unique_ptr<Comparator> Fork(uint64_t seed) const override;
-
-  int64_t cache_hits() const { return cache_hits_; }
-  int64_t cache_size() const { return static_cast<int64_t>(cache_.size()); }
-
-  /// Serializes the memo cache and hit counter, then the inner
-  /// comparator's state (the decorator owns walking into what it wraps).
-  Status SaveState(CheckpointWriter* writer) const override;
-  Status LoadState(CheckpointReader* reader) override;
-
- private:
-  // Final override point; unused because Compare is overridden, but must
-  // exist to make the class concrete.
-  ElementId DoCompare(ElementId a, ElementId b) override;
-
-  Comparator* inner_;
-  std::unordered_map<uint64_t, ElementId> cache_;
-  int64_t cache_hits_ = 0;
 };
 
 /// How an adversarial comparator resolves comparisons of indistinguishable
@@ -288,6 +256,8 @@ class AdversarialComparator : public Comparator {
   /// Deterministic and stateless (beyond the counter): the fork answers
   /// identically to the parent; `seed` is unused.
   std::unique_ptr<Comparator> Fork(uint64_t seed) const override;
+
+  int64_t IdLimit() const override { return instance_->size(); }
 
   /// Stateless beyond the counter, so the counter section is the state.
   Status SaveState(CheckpointWriter* writer) const override;

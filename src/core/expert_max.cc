@@ -111,8 +111,7 @@ Result<MaxFindResult> RunPhase2(const std::vector<ElementId>& candidates,
       }
       if (Status ids = CheckDistinctIds(candidates); !ids.ok()) return ids;
       Result<TournamentResult> run = RunTournamentOnEngine(
-          candidates, engine->get(), "all_play_all",
-          TournamentEngineOptions{chunk_pairs});
+          candidates, engine->get(), TournamentEngineOptions{chunk_pairs});
       if (!run.ok()) return run.status();
       MaxFindResult tallied;
       tallied.best = candidates[IndexOfMostWins(*run)];

@@ -55,10 +55,8 @@ class FilterRoundSource : public RoundSource {
       for (size_t gi = 0; gi < groups_.size(); ++gi) {
         round->units[gi].players = groups_[gi];
       }
-      round->open_round_comparator = result_.rounds + 1;
-      round->open_round_executor = result_.rounds + 1;
-      round->close_round_comparator = true;
-      round->close_round_executor = true;
+      round->open_round = result_.rounds + 1;
+      round->close_round = true;
       round->record_round_cell = true;
       round->clear_round_cache = !options_.memoize;
       return true;
@@ -75,14 +73,10 @@ class FilterRoundSource : public RoundSource {
     }
     round->units.emplace_back().players = groups_[next_emit_];
     if (next_emit_ == 0) {
-      round->open_round_comparator = result_.rounds + 1;
-      round->open_round_executor = result_.rounds + 1;
+      round->open_round = result_.rounds + 1;
       round->clear_round_cache = !options_.memoize;
     }
-    if (next_emit_ + 1 == groups_.size()) {
-      round->close_round_comparator = true;
-      round->close_round_executor = true;
-    }
+    round->close_round = next_emit_ + 1 == groups_.size();
     round->record_round_cell = true;
     ++next_emit_;
     return true;

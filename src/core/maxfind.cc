@@ -30,31 +30,11 @@ int64_t CeilSqrt(int64_t s) {
   return r;
 }
 
-// Tallies one all-play-all unit: wins per element, no win to either side of
-// an unresolved pair (missing evidence), returning the unresolved count.
-int64_t TallyAllPlayAll(const std::vector<ElementId>& group,
-                        const std::vector<ElementId>& winners,
-                        std::vector<int64_t>* wins) {
-  wins->assign(group.size(), 0);
-  int64_t unresolved = 0;
-  size_t t = 0;
-  for (size_t i = 0; i < group.size(); ++i) {
-    for (size_t j = i + 1; j < group.size(); ++j, ++t) {
-      const ElementId winner = winners[t];
-      if (winner == kUnresolvedWinner) {
-        ++unresolved;
-        continue;
-      }
-      ++(*wins)[winner == group[i] ? i : j];
-    }
-  }
-  return unresolved;
-}
-
 // Algorithm 3 as a round generator. One algorithm round spans two engine
 // rounds — the sample tournament, a barrier to pick the pivot, then the
 // elimination scan — so the trace round span opens on the sample round and
-// closes on the scan round.
+// closes on the scan round. The sample and final tournaments are player
+// units.
 class TwoMaxFindSource : public RoundSource {
  public:
   TwoMaxFindSource(const std::vector<ElementId>& items, bool partial_evidence,
@@ -89,18 +69,9 @@ class TwoMaxFindSource : public RoundSource {
         // Step 3: arbitrary ceil(sqrt(s)) candidates — take the first k
         // (the paper allows any choice; deterministic for reproducibility).
         sample_.assign(candidates_.begin(), candidates_.begin() + k_);
-        RoundUnit unit;
-        unit.serial_span = "all_play_all";
-        unit.serial_span_size = k_;
-        unit.pairs.reserve(static_cast<size_t>(k_ * (k_ - 1) / 2));
-        for (size_t i = 0; i < sample_.size(); ++i) {
-          for (size_t j = i + 1; j < sample_.size(); ++j) {
-            unit.pairs.push_back({sample_[i], sample_[j]});
-          }
-        }
-        round->units.push_back(std::move(unit));
-        round->executor_span = "sample";
-        round->open_round_executor = result_.rounds + 1;
+        round->units.emplace_back().players = sample_;
+        round->span = "sample";
+        round->open_round = result_.rounds + 1;
         awaiting_sample_ = true;
         return true;
       }
@@ -114,22 +85,14 @@ class TwoMaxFindSource : public RoundSource {
           if (y != pivot_) unit.pairs.push_back({pivot_, y});
         }
         round->units.push_back(std::move(unit));
-        round->executor_span = "scan";
-        round->close_round_executor = true;
+        round->span = "scan";
+        round->close_round = true;
         return true;
       }
       case Phase::kFinal: {
         // Step 6: final tournament among the surviving candidates.
-        RoundUnit unit;
-        unit.serial_span = "all_play_all";
-        unit.serial_span_size = static_cast<int64_t>(candidates_.size());
-        for (size_t i = 0; i < candidates_.size(); ++i) {
-          for (size_t j = i + 1; j < candidates_.size(); ++j) {
-            unit.pairs.push_back({candidates_[i], candidates_[j]});
-          }
-        }
-        round->units.push_back(std::move(unit));
-        round->executor_span = "final";
+        round->units.emplace_back().players = candidates_;
+        round->span = "final";
         return true;
       }
       case Phase::kDone:
@@ -145,11 +108,9 @@ class TwoMaxFindSource : public RoundSource {
       case Phase::kSample: {
         ++result_.rounds;
         awaiting_sample_ = false;
-        std::vector<int64_t> wins;
-        sample_unresolved_ = TallyAllPlayAll(sample_, outcome.winners[0], &wins);
+        const TournamentResult tournament = TallyTournament(outcome.losses[0]);
+        sample_unresolved_ = tournament.unresolved;
         sample_fault_ = outcome.fault;
-        TournamentResult tournament;
-        tournament.wins = std::move(wins);
         pivot_ = sample_[IndexOfMostWins(tournament)];
         phase_ = Phase::kScan;
         return Status::OK();
@@ -202,11 +163,8 @@ class TwoMaxFindSource : public RoundSource {
         return Status::OK();
       }
       case Phase::kFinal: {
-        std::vector<int64_t> wins;
-        const int64_t unresolved =
-            TallyAllPlayAll(candidates_, outcome.winners[0], &wins);
-        TournamentResult tournament;
-        tournament.wins = std::move(wins);
+        const TournamentResult tournament = TallyTournament(outcome.losses[0]);
+        const int64_t unresolved = tournament.unresolved;
         result_.best = candidates_[IndexOfMostWins(tournament)];
         if (unresolved > 0 || !outcome.fault.ok()) {
           // The final tournament ran on incomplete evidence: `best` is the
@@ -250,8 +208,8 @@ class TwoMaxFindSource : public RoundSource {
       if (y != predicted_pivot_) unit.pairs.push_back({predicted_pivot_, y});
     }
     round->units.push_back(std::move(unit));
-    round->executor_span = "scan";
-    round->close_round_executor = true;
+    round->span = "scan";
+    round->close_round = true;
     spec_outstanding_ = true;
     return true;
   }
@@ -361,7 +319,7 @@ class TwoMaxFindSource : public RoundSource {
 // witness sample and shuffles the survivors (both from the source's own
 // RNG — the engine never consumes algorithm randomness), then plays one
 // all-play-all per group; a final round decides among the witness set plus
-// the remaining survivors.
+// the remaining survivors. Every tournament is a player unit.
 class RandomizedMaxFindSource : public RoundSource {
  public:
   RandomizedMaxFindSource(const std::vector<ElementId>& items,
@@ -400,16 +358,8 @@ class RandomizedMaxFindSource : public RoundSource {
       for (ElementId e : survivors_) witness_set_.insert(e);
       finalists_.assign(witness_set_.begin(), witness_set_.end());
       std::sort(finalists_.begin(), finalists_.end());  // Determinism.
-      RoundUnit unit;
-      unit.serial_span = "all_play_all";
-      unit.serial_span_size = static_cast<int64_t>(finalists_.size());
-      for (size_t i = 0; i < finalists_.size(); ++i) {
-        for (size_t j = i + 1; j < finalists_.size(); ++j) {
-          unit.pairs.push_back({finalists_[i], finalists_[j]});
-        }
-      }
-      round->units.push_back(std::move(unit));
-      round->executor_span = "final";
+      round->units.emplace_back().players = finalists_;
+      round->span = "final";
       in_final_ = true;
       return true;
     }
@@ -471,11 +421,8 @@ class RandomizedMaxFindSource : public RoundSource {
                         const RoundOutcome& outcome) override {
     result_.issued_comparisons += outcome.issued;
     if (in_final_) {
-      std::vector<int64_t> wins;
-      const int64_t unresolved =
-          TallyAllPlayAll(finalists_, outcome.winners[0], &wins);
-      TournamentResult tournament;
-      tournament.wins = std::move(wins);
+      const TournamentResult tournament = TallyTournament(outcome.losses[0]);
+      const int64_t unresolved = tournament.unresolved;
       result_.best = finalists_[IndexOfMostWins(tournament)];
       if (unresolved > 0 || !outcome.fault.ok()) {
         partial_ = true;
@@ -497,18 +444,14 @@ class RandomizedMaxFindSource : public RoundSource {
       // One group per engine round: accumulate this group's verdict and
       // apply the logical-round barrier when the last group lands.
       const std::vector<ElementId>& group = groups_[next_consume_group_];
-      std::vector<int64_t> wins;
-      const int64_t unresolved =
-          TallyAllPlayAll(group, outcome.winners[0], &wins);
-      round_unresolved_ += unresolved;
+      const TournamentResult tournament = TallyTournament(outcome.losses[0]);
+      round_unresolved_ += tournament.unresolved;
       if (round_fault_.ok() && !outcome.fault.ok()) {
         round_fault_ = outcome.fault;
       }
-      if (unresolved > 0) {
+      if (tournament.unresolved > 0) {
         round_next_.insert(round_next_.end(), group.begin(), group.end());
       } else {
-        TournamentResult tournament;
-        tournament.wins = std::move(wins);
         const size_t minimal = IndexOfFewestWins(tournament);
         for (size_t i = 0; i < group.size(); ++i) {
           if (i != minimal) round_next_.push_back(group[i]);
@@ -554,16 +497,12 @@ class RandomizedMaxFindSource : public RoundSource {
     next.reserve(survivors_.size());
     for (size_t gi = 0; gi < groups_.size(); ++gi) {
       const std::vector<ElementId>& group = groups_[gi];
-      std::vector<int64_t> wins;
-      const int64_t unresolved =
-          TallyAllPlayAll(group, outcome.winners[gi], &wins);
-      unresolved_pairs += unresolved;
-      if (unresolved > 0) {
+      const TournamentResult tournament = TallyTournament(outcome.losses[gi]);
+      unresolved_pairs += tournament.unresolved;
+      if (tournament.unresolved > 0) {
         next.insert(next.end(), group.begin(), group.end());
         continue;
       }
-      TournamentResult tournament;
-      tournament.wins = std::move(wins);
       const size_t minimal = IndexOfFewestWins(tournament);
       for (size_t i = 0; i < group.size(); ++i) {
         if (i != minimal) next.push_back(group[i]);
@@ -670,16 +609,7 @@ class RandomizedMaxFindSource : public RoundSource {
  private:
   static void EmitGroup(const std::vector<ElementId>& group,
                         EngineRound* round) {
-    RoundUnit unit;
-    unit.serial_span = "all_play_all";
-    unit.serial_span_size = static_cast<int64_t>(group.size());
-    unit.pairs.reserve(group.size() * (group.size() - 1) / 2);
-    for (size_t i = 0; i < group.size(); ++i) {
-      for (size_t j = i + 1; j < group.size(); ++j) {
-        unit.pairs.push_back({group[i], group[j]});
-      }
-    }
-    round->units.push_back(std::move(unit));
+    round->units.emplace_back().players = group;
   }
 
   const bool partial_evidence_;
@@ -746,11 +676,12 @@ Result<MaxFindResult> AllPlayAllMax(const std::vector<ElementId>& items,
   if (!status.ok()) return status;
 
   const int64_t before = comparator->num_comparisons();
-  const TournamentResult tournament = AllPlayAll(items, comparator);
+  const Result<TournamentResult> tournament = AllPlayAll(items, comparator);
+  if (!tournament.ok()) return tournament.status();
 
   MaxFindResult result;
-  result.best = items[IndexOfMostWins(tournament)];
-  result.issued_comparisons = tournament.comparisons;
+  result.best = items[IndexOfMostWins(*tournament)];
+  result.issued_comparisons = tournament->comparisons;
   result.paid_comparisons = comparator->num_comparisons() - before;
   result.rounds = 0;
   return result;

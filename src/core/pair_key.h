@@ -1,9 +1,8 @@
 // The one unordered pair-key packer shared by every per-pair table.
 //
-// Historically ThresholdComparator, PersistentBiasComparator,
-// MemoizingComparator and the engine's RoundPairKey each carried a private
-// copy of the same packing; this header unifies them so the layout (lower
-// id in the low word) is defined exactly once and every cache/table stays
+// The worker models' sticky tables and the round engine's one memo (its
+// PairTable) all key pairs through this header, so the layout (lower id in
+// the low word) is defined exactly once and every cache/table stays
 // key-compatible with every other (serial memoized replays depend on it).
 //
 // The packing static_casts each id to uint32_t, so a negative ElementId —

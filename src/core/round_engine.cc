@@ -24,16 +24,6 @@ constexpr uint32_t kEngineTag = CheckpointTag("ENG ");
 constexpr uint32_t kCacheTag = CheckpointTag("CACH");
 constexpr uint32_t kSourceTag = CheckpointTag("SRC ");
 
-// The serial-path tournament instrumentation AllPlayAll used to own: a
-// size observation per spanned unit. Recorded only where the pre-engine
-// serial code ran a spanned all-play-all, never per comparison.
-void ObserveTournamentSize(int64_t size) {
-  if (!MetricsEnabled()) return;
-  static Histogram* sizes = MetricsRegistry::Default()->GetHistogram(
-      "crowdmax.tournament.group_size", ExponentialBounds(12));
-  sizes->Observe(size);
-}
-
 // Non-pipelined executor rounds still pay the crowd round-trip: the engine
 // sleeps out whatever simulated latency the executor stack accumulated for
 // this round. A no-op with the latency model off (the default).
@@ -116,9 +106,27 @@ std::span<const ComparisonPair> PairsOf(const RoundUnit& unit,
   return *scratch;
 }
 
-// A batch GenerateVotes that answered only `produced` of `pairs` refused
-// the next one: by the VoteBatchComparator contract, an id outside the
-// comparator's instance.
+// Answers `misses` into `answers` on `comparator`: one GenerateVotes call,
+// or one Compare per pair, in order, without a batch interface. Returns how
+// many it answered: a prefix, when a pair has an id outside the
+// comparator's instance. The per-call loop refuses the pair the batch
+// interface refuses, before Compare reads it.
+int64_t Vote(Comparator* comparator, std::span<const ComparisonPair> misses,
+             std::span<ElementId> answers) {
+  if (VoteBatchComparator* batch = comparator->AsVoteBatch()) {
+    return batch->GenerateVotes(misses, answers);
+  }
+  const int64_t limit = comparator->IdLimit();
+  size_t m = 0;
+  for (; m < misses.size() && PairBelow(misses[m], limit); ++m) {
+    answers[m] = comparator->Compare(misses[m].first, misses[m].second);
+  }
+  return static_cast<int64_t>(m);
+}
+
+// A Vote that answered only `produced` of `pairs` refused the next one: by
+// the VoteBatchComparator contract, an id outside the comparator's
+// instance.
 Status ShortAnswer(int64_t produced, std::span<const ComparisonPair> pairs) {
   if (produced == static_cast<int64_t>(pairs.size())) return Status::OK();
   return RefusedPairError(pairs[static_cast<size_t>(produced)]);
@@ -354,35 +362,24 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
   out.winners.resize(round.units.size());
   out.losses.resize(round.units.size());
   const int64_t paid_before = comparator_->num_comparisons();
-  AlgoTrace* trace = CurrentTrace();
   // The memo is written during the round only for a drive that keeps every
   // pair, and only by pair units; a pruning drive, and every player unit,
   // resolves read-only and commits after the consume.
   const bool write_memo = memoize_ && !prune_;
-  VoteBatchComparator* batch = comparator_->AsVoteBatch();
 
-  // Batch-path scratch, engine-owned and reused across units *and* rounds
-  // (empty when batch == nullptr): steady-state rounds allocate nothing.
+  // Scratch, engine-owned and reused across units *and* rounds:
+  // steady-state rounds allocate nothing.
   if (unit_scratch_.empty()) unit_scratch_.resize(1);
   UnitScratch& scratch = unit_scratch_[0];
   std::vector<ComparisonPair>& misses = scratch.misses;
   std::vector<size_t>& miss_at = serial_miss_at_;  // pair index per miss
-  std::vector<ElementId>& answers = scratch.answers;  // GenerateVotes output
+  std::vector<ElementId>& answers = scratch.answers;  // Vote output
   std::vector<size_t>& deferred = serial_deferred_;  // in-unit duplicates
   // One grow per round: every unit's batch insert below then finds room.
-  if (batch != nullptr && write_memo) cache_->Reserve(round.TotalPairs());
+  if (write_memo) cache_->Reserve(round.TotalPairs());
 
   for (size_t u = 0; u < round.units.size(); ++u) {
     const RoundUnit& unit = round.units[u];
-    int64_t span_id = -1;
-    if (unit.serial_span != nullptr) {
-      if (trace != nullptr) {
-        span_id = trace->BeginSpan(TraceSpanKind::kBatch, unit.serial_span);
-      }
-      if (unit.serial_span_size >= 0) {
-        ObserveTournamentSize(unit.serial_span_size);
-      }
-    }
     std::vector<ElementId>& winners = out.winners[u];
     Status answered = Status::OK();
     if (!unit.players.empty() || !write_memo) {
@@ -399,13 +396,13 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
       } else {
         answered = bought.status();
       }
-    } else if (batch != nullptr) {
-      // Batch-at-once unit execution, bit-identical to the per-call loop
-      // below: misses are collected in first-occurrence order (the order
-      // the per-call path would draw them), answered with one
-      // GenerateVotes call, then written back. A duplicate of a pair whose
-      // first occurrence is still unanswered counts as a cache hit — the
-      // per-call path would find the first occurrence's fresh entry — and
+    } else {
+      // A memoized pair unit, bit-identical to asking the memo, then the
+      // comparator, one pair at a time: misses are collected in
+      // first-occurrence order (the order that loop would draw them),
+      // answered with one Vote call, then written back. A duplicate of a
+      // pair whose first occurrence is still unanswered counts as a cache
+      // hit — the loop would find the first occurrence's fresh entry — and
       // is filled from the cache afterwards. One batch insert probes each
       // pair once and pins its slot (new keys reserved with -1); answers
       // and duplicates go through the pins, so a bought pair's slot is
@@ -441,7 +438,7 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
         miss_at.push_back(p);
       }
       answers.resize(misses.size());
-      const int64_t produced = batch->GenerateVotes(misses, answers);
+      const int64_t produced = Vote(comparator_, misses, answers);
       // A refused pair ends the drive. Its answered prefix stays bought;
       // every reservation from the refused pair on is parked, so the memo
       // holds no -1 after the round.
@@ -461,28 +458,8 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
         winners[miss_at[m]] = winner;
       }
       for (size_t p : deferred) winners[p] = *slots[p].value;
-    } else {
-      winners.reserve(unit.pairs.size());
-      for (const ComparisonPair& pair : unit.pairs) {
-        // An unresolved sentinel left by an earlier executor-backed phase
-        // sharing this cache is a miss: the pair is bought (and the
-        // sentinel overwritten) here.
-        ElementId winner;
-        const uint64_t key = PackPairKey(pair.first, pair.second);
-        const PairValuePtr slot = cache_->Find(key);
-        if (slot != nullptr && *slot != kUnresolvedWinner) {
-          winner = *slot;
-          ++cache_hits_;
-        } else {
-          winner = comparator_->Compare(pair.first, pair.second);
-          cache_->Set(key, winner);
-        }
-        CROWDMAX_DCHECK(winner == pair.first || winner == pair.second);
-        winners.push_back(winner);
-      }
     }
     out.issued += unit.NumPairs();
-    if (span_id >= 0) trace->EndSpan(span_id);
     if (!answered.ok()) return answered;
   }
 
@@ -560,12 +537,7 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
   out.winners.resize(round.units.size());
   out.losses.resize(round.units.size());
   const int64_t paid_before = executor_->comparisons();
-
   AlgoTrace* trace = CurrentTrace();
-  int64_t span_id = -1;
-  if (round.executor_span != nullptr && trace != nullptr) {
-    span_id = trace->BeginSpan(TraceSpanKind::kBatch, round.executor_span);
-  }
 
   // Resolve through the cache, batching only the misses (including pairs
   // left unresolved by an earlier faulty attempt). A player unit resolves
@@ -621,7 +593,6 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
   // answered or not — a rejected submission still cost the latency.
   SleepOutLatency(executor_);
   if (results.ok()) CROWDMAX_CHECK(results->size() == misses.size());
-  if (span_id >= 0) trace->EndSpan(span_id);
 
   // One walk in round order takes each bought pair's answer (or
   // kUnresolvedWinner, when the batch failed). Without pruning it also
@@ -744,18 +715,6 @@ int64_t RoundEngine::ProbePlayers(const RoundUnit& unit, LossMatrix* losses,
   return hits;
 }
 
-Status RoundEngine::Vote(Comparator* comparator,
-                         std::span<const ComparisonPair> misses,
-                         std::span<ElementId> answers) const {
-  if (VoteBatchComparator* batch = comparator->AsVoteBatch()) {
-    return ShortAnswer(batch->GenerateVotes(misses, answers), misses);
-  }
-  for (size_t m = 0; m < misses.size(); ++m) {
-    answers[m] = comparator->Compare(misses[m].first, misses[m].second);
-  }
-  return Status::OK();
-}
-
 Result<int64_t> RoundEngine::AnswerUnit(const RoundUnit& unit,
                                         Comparator* comparator,
                                         UnitScratch* scratch,
@@ -771,7 +730,8 @@ Result<int64_t> RoundEngine::AnswerUnit(const RoundUnit& unit,
     answers = &scratch->answers;
   }
   answers->resize(misses.size());
-  if (Status voted = Vote(comparator, misses, *answers); !voted.ok()) {
+  if (Status voted = ShortAnswer(Vote(comparator, misses, *answers), misses);
+      !voted.ok()) {
     return voted;
   }
   if (answers != winners) {
@@ -800,23 +760,30 @@ Result<int64_t> RoundEngine::AnswerPlayers(const RoundUnit& unit,
     bought -= ProbePlayers(unit, losses, scratch);
     skip = scratch->hits;
   }
+  int64_t answered = 0;
   if (VoteBatchComparator* batch = comparator->AsVoteBatch()) {
-    const int64_t answered = batch->GenerateTournament(players, skip, losses);
-    if (answered < bought) {
-      return ShortTournament(answered, players, losses->stride(), skip);
-    }
-    return bought;
+    answered = batch->GenerateTournament(players, skip, losses);
+  } else {
+    // As Vote: the per-call loop stops at the pair the batch call refuses.
+    const int64_t limit = comparator->IdLimit();
+    bool refused = false;
+    ForEachUnskippedPair(
+        players.size(), losses->stride(), skip, [&](size_t i, size_t j) {
+          refused = refused || !PairBelow({players[i], players[j]}, limit);
+          if (refused) return;
+          const ElementId winner = comparator->Compare(players[i], players[j]);
+          CROWDMAX_DCHECK(winner == players[i] || winner == players[j]);
+          if (winner == players[j]) {
+            losses->SetLost(i, j);
+          } else if (winner == players[i]) {
+            losses->SetLost(j, i);
+          }
+          ++answered;
+        });
   }
-  ForEachUnskippedPair(
-      players.size(), losses->stride(), skip, [&](size_t i, size_t j) {
-        const ElementId winner = comparator->Compare(players[i], players[j]);
-        CROWDMAX_DCHECK(winner == players[i] || winner == players[j]);
-        if (winner == players[j]) {
-          losses->SetLost(i, j);
-        } else if (winner == players[i]) {
-          losses->SetLost(j, i);
-        }
-      });
+  if (answered < bought) {
+    return ShortTournament(answered, players, losses->stride(), skip);
+  }
   return bought;
 }
 
@@ -1037,19 +1004,18 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
       break;
     }
 
-    const int64_t open_round = backend_ == Backend::kExecutor
-                                   ? round.open_round_executor
-                                   : round.open_round_comparator;
-    const bool close_round = backend_ == Backend::kExecutor
-                                 ? round.close_round_executor
-                                 : round.close_round_comparator;
-    if (open_round > 0 && trace != nullptr) {
+    if (round.open_round > 0 && trace != nullptr) {
       CROWDMAX_CHECK(open_round_id < 0);
-      open_round_id = trace->BeginRound(open_round);
+      open_round_id = trace->BeginRound(round.open_round);
     }
 
     CheckRound(round);
+    const int64_t span_id = round.span != nullptr && trace != nullptr
+                                ? trace->BeginSpan(TraceSpanKind::kBatch,
+                                                   round.span)
+                                : -1;
     Result<RoundOutcome> outcome = ExecuteRound(round);
+    if (span_id >= 0) trace->EndSpan(span_id);
     if (!outcome.ok()) {
       close_round_span();
       return outcome.status();
@@ -1064,7 +1030,7 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
     }
 
     Status consumed = source->ConsumeOutcome(round, *outcome);
-    if (close_round) close_round_span();
+    if (round.close_round) close_round_span();
     // Commit before the checkpoint boundary below, so a snapshot holds
     // every pair a later round can ask; nothing stays pending between
     // engine rounds.
@@ -1104,7 +1070,6 @@ struct RoundEngine::PendingRound {
   int64_t handle = -1;
   std::vector<ComparisonPair> misses;
   RoundOutcome out;
-  bool close_round = false;
   bool speculative = false;
   /// Emission ordinal of this round within the drive (rounds consumed +
   /// position in the in-flight window at emission), for diagnostics.
@@ -1127,8 +1092,8 @@ Status RoundEngine::SubmitPipelined(PendingRound* pending) {
 
   AlgoTrace* trace = CurrentTrace();
   int64_t span_id = -1;
-  if (r.executor_span != nullptr && trace != nullptr) {
-    span_id = trace->BeginSpan(TraceSpanKind::kBatch, r.executor_span);
+  if (r.span != nullptr && trace != nullptr) {
+    span_id = trace->BeginSpan(TraceSpanKind::kBatch, r.span);
   }
 
   // Cache resolution, exactly as ExecuteBatched — except that a -1
@@ -1305,7 +1270,7 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
       return done;
     }
     Status consumed = source->ConsumeOutcome(pending->round, pending->out);
-    const bool close_round = pending->close_round;
+    const bool close_round = pending->round.close_round;
     in_flight.pop_front();
     if (close_round) close_round_span();
     if (!consumed.ok()) return consumed;
@@ -1427,12 +1392,11 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
         // Speculative rounds may not open round spans or clear the cache:
         // both are effects of the synchronous schedule, which this round
         // has not joined yet.
-        CROWDMAX_CHECK(round.open_round_executor == 0);
+        CROWDMAX_CHECK(round.open_round == 0);
         CROWDMAX_CHECK(!round.clear_round_cache);
         CheckRound(round);
         auto pending = std::make_unique<PendingRound>();
         pending->speculative = true;
-        pending->close_round = round.close_round_executor;
         pending->source_round_index =
             drive.rounds_executed + static_cast<int64_t>(in_flight.size());
         pending->round = std::move(round);
@@ -1510,14 +1474,13 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
       }
     }
 
-    if (round.open_round_executor > 0 && trace != nullptr) {
+    if (round.open_round > 0 && trace != nullptr) {
       CROWDMAX_CHECK(open_round_id < 0);
-      open_round_id = trace->BeginRound(round.open_round_executor);
+      open_round_id = trace->BeginRound(round.open_round);
     }
     const bool overlapped = !in_flight.empty();
 
     auto pending = std::make_unique<PendingRound>();
-    pending->close_round = round.close_round_executor;
     pending->source_round_index =
         drive.rounds_executed + static_cast<int64_t>(in_flight.size());
     pending->round = std::move(round);

@@ -18,11 +18,11 @@
 //
 // Backends (see RoundEngine::Backend):
 //  - kSerial: pairs run through the caller's Comparator in emission order;
-//    the optional engine-owned pair cache buys each pair once, like
-//    MemoizingComparator (same unordered PairKey, paid = misses only). It
-//    keeps every bought pair unless the source names the elements that can
-//    recur (RoundSource::NamesRecurringElements), in which case it keeps
-//    only the pairs a later round can ask again. A player unit resolves
+//    the optional engine-owned pair cache buys each pair once (unordered
+//    PairKey, paid = misses only). It keeps every bought pair unless the
+//    source names the elements that can recur
+//    (RoundSource::NamesRecurringElements), in which case it keeps only
+//    the pairs a later round can ask again. A player unit resolves
 //    read-only (memo hits straight into its matrix, the rest answered by
 //    one VoteBatchComparator::GenerateTournament call) and reaches the
 //    memo after the consume.
@@ -48,14 +48,11 @@
 // only for pairs whose two players' co-play signatures share a bit, and
 // commits a player unit by survivor (DESIGN.md §14).
 //
-// Trace shape stays backend-specific on purpose (the pre-engine paths
-// differed, and seeded traces must stay bit-identical): RoundUnit carries
-// the serial-path batch-span label ("all_play_all" where the old code
-// called AllPlayAll), EngineRound carries the executor-path batch-span
-// label ("sample"/"scan"/"final"), and the round-span open/close points
-// are declared per backend family. The unit kind changes none of them: a
-// round of player units records the cells, spans and cache hits of the
-// same pairs issued as pair units. Worker threads never touch the trace.
+// One trace shape on every backend: EngineRound names the round's batch
+// span, opened around its resolve, and where a round span opens and
+// closes. The unit kind changes neither: a round of player units records
+// the spans and cache hits of the same pairs issued as pair units. Worker
+// threads never touch the trace.
 
 #ifndef CROWDMAX_CORE_ROUND_ENGINE_H_
 #define CROWDMAX_CORE_ROUND_ENGINE_H_
@@ -103,39 +100,29 @@ class CheckpointWriter;
 struct RoundUnit {
   std::vector<ComparisonPair> pairs;
   std::vector<ElementId> players;
-  /// Serial backend only: open a kBatch trace span with this label around
-  /// the unit (the shape AllPlayAll used to produce). nullptr = no span.
-  const char* serial_span = nullptr;
-  /// Serial backend only, with serial_span: observe this value in the
-  /// crowdmax.tournament.group_size histogram (-1 = no observation).
-  int64_t serial_span_size = -1;
 
   /// The comparisons the unit stands for: pairs.size(), or k(k-1)/2 for
   /// k players.
   int64_t NumPairs() const;
 };
 
-/// One engine round: the next set of independent comparisons, plus the
-/// trace-shape declarations for each backend family. An algorithm round
-/// may span several engine rounds when it has internal barriers (2-MaxFind
-/// picks its pivot between the sample tournament and the scan).
+/// One engine round: the next set of independent comparisons, plus its
+/// trace shape, which every backend honours. An algorithm round may span
+/// several engine rounds when it has internal barriers (2-MaxFind picks
+/// its pivot between the sample tournament and the scan).
 struct EngineRound {
   std::vector<RoundUnit> units;
 
-  /// Executor backend only: open a kBatch span with this label around the
-  /// round's resolve (the "sample"/"scan"/"final" labels of the batched
-  /// 2-MaxFind). nullptr = no span.
-  const char* executor_span = nullptr;
+  /// Open a kBatch span with this label around the round's resolve (e.g.
+  /// 2-MaxFind's "sample"/"scan"/"final"). nullptr = no span.
+  const char* span = nullptr;
 
-  /// Round-span control, per backend family. >0 opens a round span with
-  /// that number before execution; the matching close flag ends it after
-  /// the source consumed the outcome (so barrier tallies land inside the
-  /// span). A span may stay open across engine rounds (open on the sample
-  /// round, close on the scan round).
-  int64_t open_round_comparator = 0;
-  int64_t open_round_executor = 0;
-  bool close_round_comparator = false;
-  bool close_round_executor = false;
+  /// >0 opens a round span with that number before execution; close_round
+  /// ends it after the source consumed the outcome (so barrier tallies
+  /// land inside the span). A span may stay open across engine rounds
+  /// (open on the sample round, close on the scan round).
+  int64_t open_round = 0;
+  bool close_round = false;
 
   /// Comparator backends only: record this round's (paid, issued) deltas
   /// as one trace cell at the barrier — dispatched = answered = paid,
@@ -327,8 +314,7 @@ struct DriveResult {
 };
 
 /// The execution core. One engine instance per algorithm run (its paid /
-/// issued / step counters and memo cache are scoped to the run, like the
-/// per-call MemoizingComparator and batched caches it replaces).
+/// issued / step counters and memo cache are scoped to the run).
 class RoundEngine {
  public:
   enum class Backend { kSerial, kParallel, kExecutor };
@@ -498,17 +484,13 @@ class RoundEngine {
   int64_t ProbePlayers(const RoundUnit& unit, LossMatrix* losses,
                        UnitScratch* scratch) const;
 
-  /// Answers `misses` into `answers` on `comparator`: one GenerateVotes
-  /// call, or per-pair Compare calls without a batch interface. A pair the
-  /// batch interface refuses, an id outside the comparator's instance, is
-  /// an InvalidArgument naming it.
-  Status Vote(Comparator* comparator, std::span<const ComparisonPair> misses,
-              std::span<ElementId> answers) const;
-
   /// Answers one pair unit on `comparator` (the caller's or a fork) over a
-  /// read-only memo: ProbeUnit, then Vote over the misses in pair order.
+  /// read-only memo: ProbeUnit, then one GenerateVotes call (or one Compare
+  /// per pair without a batch interface) over the misses in pair order.
   /// Without a readable memo the votes are drawn straight from the unit's
-  /// pairs into `winners`. Returns the number of pairs bought.
+  /// pairs into `winners`. A pair with an id outside the comparator's
+  /// instance, which either path refuses, is an InvalidArgument naming it.
+  /// Returns the number of pairs bought.
   Result<int64_t> AnswerUnit(const RoundUnit& unit, Comparator* comparator,
                              UnitScratch* scratch,
                              std::vector<ElementId>* winners) const;
@@ -517,8 +499,8 @@ class RoundEngine {
   /// memo, then one GenerateTournament call for the pairs it did not find
   /// — or, without a batch interface, one Compare per such pair in
   /// row-major order, its bit set directly. A refused pair is an
-  /// InvalidArgument naming it, as in Vote. Returns the number of pairs
-  /// bought.
+  /// InvalidArgument naming it, as in AnswerUnit. Returns the number of
+  /// pairs bought.
   Result<int64_t> AnswerPlayers(const RoundUnit& unit, Comparator* comparator,
                                 UnitScratch* scratch,
                                 LossMatrix* losses) const;
@@ -575,14 +557,13 @@ class RoundEngine {
   // non-pipelined backend resolves read-only and CommitRound writes only
   // the pairs whose two ids the source named: the private memo holds the
   // pairs a later round can still ask, not every pair bought. Otherwise:
-  // serial buys each pair of a pair unit once (MemoizingComparator
-  // semantics) and commits player units after the consume; parallel
-  // reads a snapshot during a round and CommitRound merges every pair
-  // after it; executor dedups within a round always, remembers across
-  // rounds per clear_round_cache, and parks faulted pairs as
-  // kUnresolvedWinner. Those write paths go through PinSlots (one grow
-  // per round, one batch insert per unit) outside the per-call reference
-  // path and the pipelined drive, which keep every pair.
+  // serial buys each pair of a pair unit once and commits player units
+  // after the consume; parallel reads a snapshot during a round and
+  // CommitRound merges every pair after it; executor dedups within a round
+  // always, remembers across rounds per clear_round_cache, and parks
+  // faulted pairs as kUnresolvedWinner. Those write paths go through
+  // PinSlots (one grow per round, one batch insert per unit) outside the
+  // pipelined drive, which keeps every pair.
   PairTable* cache_;
   PairTable owned_cache_;
 

@@ -64,7 +64,7 @@ Result<TopKResult> FindTopKWithExperts(const std::vector<ElementId>& items,
                     options.shared_cache, options.expert_cache_class);
   if (!engine.ok()) return engine.status();
   Result<TournamentResult> tournament = RunTournamentOnEngine(
-      result.candidates, engine->get(), "all_play_all",
+      result.candidates, engine->get(),
       TournamentEngineOptions{options.expert_chunk_pairs});
   if (!tournament.ok()) return tournament.status();
 

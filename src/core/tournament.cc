@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/checkpoint.h"
+#include "core/loss_matrix.h"
 #include "core/round_engine.h"
 
 namespace crowdmax {
@@ -13,17 +14,15 @@ namespace {
 
 constexpr uint32_t kTournamentTag = CheckpointTag("TRNY");
 
-// A tournament is the degenerate round generator: one round, one unit, all
-// unordered pairs. Comparisons are attributed to a cell by the caller (the
+// A tournament is the degenerate round generator: one round of one player
+// unit. Comparisons are attributed to a cell by the caller (the
 // phase/round that ran the tournament), never here, so an all-play-all
 // inside a recorded round is not double counted.
 class TournamentRoundSource : public RoundSource {
  public:
   TournamentRoundSource(const std::vector<ElementId>& elements,
-                        const char* span_label, int64_t chunk_pairs)
-      : elements_(elements),
-        span_label_(span_label),
-        chunk_pairs_(chunk_pairs) {
+                        int64_t chunk_pairs)
+      : elements_(elements), chunk_pairs_(chunk_pairs) {
     const int64_t k = static_cast<int64_t>(elements_.size());
     total_pairs_ = k * (k > 0 ? k - 1 : 0) / 2;
     if (chunked()) run_.wins.assign(elements_.size(), 0);
@@ -31,43 +30,29 @@ class TournamentRoundSource : public RoundSource {
 
   Result<bool> NextRound(EngineRound* round) override {
     if (done_) return false;
-    const size_t k = elements_.size();
-    if (chunked()) {
-      // Chunked shape: the next <= chunk_pairs_ pairs, in the same
-      // lexicographic order the single round would carry them.
-      RoundUnit unit;
-      unit.serial_span = span_label_;
-      unit.serial_span_size = static_cast<int64_t>(k);
-      unit.pairs.reserve(static_cast<size_t>(
-          std::min(chunk_pairs_, total_pairs_ - next_emit_pair_)));
-      int64_t emitted = 0;
-      while (emitted < chunk_pairs_ &&
-             next_emit_pair_ + emitted < total_pairs_) {
-        unit.pairs.push_back({elements_[ei_], elements_[ej_]});
-        ++emitted;
-        if (++ej_ >= k) {
-          ++ei_;
-          ej_ = ei_ + 1;
-        }
-      }
-      next_emit_pair_ += emitted;
-      if (next_emit_pair_ >= total_pairs_) done_ = true;
-      round->executor_span = span_label_;
-      round->units.push_back(std::move(unit));
+    round->span = "all_play_all";
+    RoundUnit& unit = round->units.emplace_back();
+    if (!chunked()) {
+      done_ = true;
+      unit.players = elements_;
       return true;
     }
-    done_ = true;
-    RoundUnit unit;
-    unit.serial_span = span_label_;
-    unit.serial_span_size = static_cast<int64_t>(k);
-    unit.pairs.reserve(k * (k > 0 ? k - 1 : 0) / 2);
-    for (size_t i = 0; i < k; ++i) {
-      for (size_t j = i + 1; j < k; ++j) {
-        unit.pairs.push_back({elements_[i], elements_[j]});
+    // Chunked shape: a pair unit of the next <= chunk_pairs_ pairs, in the
+    // row-major order the player unit stands for.
+    const size_t k = elements_.size();
+    unit.pairs.reserve(static_cast<size_t>(
+        std::min(chunk_pairs_, total_pairs_ - next_emit_pair_)));
+    int64_t emitted = 0;
+    while (emitted < chunk_pairs_ && next_emit_pair_ + emitted < total_pairs_) {
+      unit.pairs.push_back({elements_[ei_], elements_[ej_]});
+      ++emitted;
+      if (++ej_ >= k) {
+        ++ei_;
+        ej_ = ei_ + 1;
       }
     }
-    round->executor_span = span_label_;
-    round->units.push_back(std::move(unit));
+    next_emit_pair_ += emitted;
+    if (next_emit_pair_ >= total_pairs_) done_ = true;
     return true;
   }
 
@@ -98,20 +83,7 @@ class TournamentRoundSource : public RoundSource {
       if (run_.fault.ok() && !outcome.fault.ok()) run_.fault = outcome.fault;
       return Status::OK();
     }
-    run_.wins.assign(elements_.size(), 0);
-    run_.comparisons = outcome.issued;
-    const std::vector<ElementId>& winners = outcome.winners[0];
-    size_t t = 0;
-    for (size_t i = 0; i < elements_.size(); ++i) {
-      for (size_t j = i + 1; j < elements_.size(); ++j, ++t) {
-        const ElementId winner = winners[t];
-        if (winner == kUnresolvedWinner) {
-          ++run_.unresolved;
-          continue;
-        }
-        ++run_.wins[winner == elements_[i] ? i : j];
-      }
-    }
+    run_ = TallyTournament(outcome.losses[0]);
     run_.fault = outcome.fault;
     return Status::OK();
   }
@@ -158,7 +130,6 @@ class TournamentRoundSource : public RoundSource {
   bool chunked() const { return chunk_pairs_ > 0 && total_pairs_ > 0; }
 
   const std::vector<ElementId>& elements_;
-  const char* const span_label_;
   const int64_t chunk_pairs_;
   int64_t total_pairs_ = 0;
   TournamentResult run_;
@@ -176,27 +147,44 @@ class TournamentRoundSource : public RoundSource {
 
 }  // namespace
 
+TournamentResult TallyTournament(const LossMatrix& losses) {
+  const size_t k = losses.size();
+  TournamentResult result;
+  result.wins.assign(k, 0);
+  result.comparisons = static_cast<int64_t>(k * (k > 0 ? k - 1 : 0) / 2);
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = i + 1; j < k; ++j) {
+      if (losses.Lost(i, j)) {
+        ++result.wins[j];
+      } else if (losses.Lost(j, i)) {
+        ++result.wins[i];
+      } else {
+        ++result.unresolved;
+      }
+    }
+  }
+  return result;
+}
+
 Result<TournamentResult> RunTournamentOnEngine(
     const std::vector<ElementId>& elements, RoundEngine* engine,
-    const char* span_label, const TournamentEngineOptions& options) {
+    const TournamentEngineOptions& options) {
   CROWDMAX_CHECK(engine != nullptr);
   if (options.chunk_pairs < 0) {
     return Status::InvalidArgument("chunk_pairs must be >= 0");
   }
-  TournamentRoundSource source(elements, span_label, options.chunk_pairs);
+  TournamentRoundSource source(elements, options.chunk_pairs);
   Result<DriveResult> drive = engine->Drive(&source);
   if (!drive.ok()) return drive.status();
   return source.Finish();
 }
 
-TournamentResult AllPlayAll(const std::vector<ElementId>& elements,
-                            Comparator* comparator) {
+Result<TournamentResult> AllPlayAll(const std::vector<ElementId>& elements,
+                                    Comparator* comparator) {
   CROWDMAX_CHECK(comparator != nullptr);
   const std::unique_ptr<RoundEngine> engine =
       RoundEngine::CreateSerial(comparator, /*memoize=*/false);
-  Result<TournamentResult> run = RunTournamentOnEngine(elements, engine.get());
-  CROWDMAX_CHECK(run.ok());
-  return std::move(run).value();
+  return RunTournamentOnEngine(elements, engine.get());
 }
 
 size_t IndexOfMostWins(const TournamentResult& result) {

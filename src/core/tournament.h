@@ -2,6 +2,8 @@
 //
 // Both phases of the paper's algorithm and all baselines are built out of
 // all-play-all tournaments among small groups of elements (Lemmas 1-2).
+// Each one is a round engine player unit (core/round_engine.h), answered
+// into a LossMatrix and tallied by TallyTournament.
 
 #ifndef CROWDMAX_CORE_TOURNAMENT_H_
 #define CROWDMAX_CORE_TOURNAMENT_H_
@@ -30,12 +32,21 @@ struct TournamentResult {
   Status fault = Status::OK();
 };
 
+class LossMatrix;
+
+/// The tally of one answered tournament of k players: wins[i] counts the
+/// players that lost to player i, `unresolved` the pairs with no evidence
+/// (neither bit set, no win to either side), and `comparisons` is
+/// k(k-1)/2. k == 0 and k == 1 give an empty and an all-zero tally.
+TournamentResult TallyTournament(const LossMatrix& losses);
+
 /// Plays every unordered pair of `elements` once through `comparator` and
 /// tallies wins. Elements must be distinct ids; k == 0 and k == 1 are valid
 /// (no comparisons). A thin adapter over RunTournamentOnEngine with a
-/// serial, non-memoizing engine.
-TournamentResult AllPlayAll(const std::vector<ElementId>& elements,
-                            Comparator* comparator);
+/// serial, non-memoizing engine; an id outside the comparator's instance
+/// is an InvalidArgument naming it.
+Result<TournamentResult> AllPlayAll(const std::vector<ElementId>& elements,
+                                    Comparator* comparator);
 
 class RoundEngine;
 
@@ -46,17 +57,15 @@ struct TournamentEngineOptions {
   /// are pair-disjoint and order-independent, so a pipelined engine can
   /// keep several chunk round trips in flight (CanPipelineNextRound) and
   /// overlap their latencies; the tally is identical to the single-round
-  /// drive. 0 keeps the historical single-round shape.
+  /// drive. 0 plays the tournament as one round of one player unit.
   int64_t chunk_pairs = 0;
 };
 
 /// Plays one all-play-all tournament over `elements` as a single engine
-/// round on any backend (or chunked rounds, see TournamentEngineOptions).
-/// `span_label` names the kBatch trace span (the serial paths' historical
-/// "all_play_all").
+/// round on any backend (or chunked rounds, see TournamentEngineOptions),
+/// each in an "all_play_all" batch trace span.
 Result<TournamentResult> RunTournamentOnEngine(
     const std::vector<ElementId>& elements, RoundEngine* engine,
-    const char* span_label = "all_play_all",
     const TournamentEngineOptions& options = {});
 
 /// Index (into the tournament's input vector) of an element with the most

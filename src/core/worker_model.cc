@@ -52,30 +52,6 @@ size_t ValidPrefix(const Instance& instance,
   return n;
 }
 
-// Resolves n precomputed draws with one unconditional uniform draw each.
-// Valid only when every prob is strictly inside (0, 1): in that regime
-// NextBernoulli(p) == (NextDouble() < p) bit-for-bit, with exactly one
-// Next() consumed either way, so this loop leaves the RNG stream in the
-// same position as n per-call draws.
-void DrawBranchFree(Rng& rng, const VoteBatchScratch& s, size_t n,
-                    std::span<ElementId> out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = rng.NextDouble() < s.prob[i] ? s.on_true[i] : s.on_false[i];
-  }
-}
-
-// Fallback when some prob touches 0 or 1 (e.g. exp() underflow): defer to
-// NextBernoulli per row so degenerate draws skip the RNG exactly like the
-// per-call path.
-void DrawGated(Rng& rng, const VoteBatchScratch& s, size_t n,
-               std::span<ElementId> out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = rng.NextBernoulli(s.prob[i]) ? s.on_true[i] : s.on_false[i];
-  }
-}
-
-bool Open(double p) { return p > 0.0 && p < 1.0; }
-
 // ---- Bulk draw resolution (DESIGN.md §16) --------------------------------
 
 // Clamped 53-bit threshold: the Rng::BernoulliThreshold mapping extended
@@ -261,27 +237,15 @@ void TournamentWords(const double* values, size_t k, size_t stride,
   TournamentWordsScalar(values, k, stride, delta, above, greater);
 }
 
-// Resolves n independent (sticky-free) rows on the scalar (pre-bulk) draw
-// path: the per-row float-compare loop over scratch.prob, branch-free when
-// every probability is open.
-void ResolveIndependentScalar(Rng& rng, VoteBatchScratch& s, size_t n,
-                              bool all_open, std::span<ElementId> out) {
-  if (all_open) {
-    DrawBranchFree(rng, s, n, out);
-  } else {
-    DrawGated(rng, s, n, out);
-  }
-}
-
 // Resolves n independent (sticky-free) rows with the bulk kernels, driven
-// entirely by scratch.threshold — prob[] is never read. When every row
-// draws, one FillBernoulliThresholds call resolves the batch; otherwise
-// raw words are generated for exactly the open rows and walked in order,
-// so closed rows skip the stream like per-call NextBernoulli. (The one
-// divergence from NextBernoulli: ClampedThreshold folds NaN to "never
-// true, no draw" where NextBernoulli draws and fails — unreachable here
-// because every model CHECK-validates its probabilities.) Bit-identity
-// with the scalar path is pinned by rng_test and VoteBatchEquivalenceTest.
+// entirely by scratch.threshold. When every row draws, one
+// FillBernoulliThresholds call resolves the batch; otherwise raw words are
+// generated for exactly the open rows and walked in order, so closed rows
+// skip the stream like per-call NextBernoulli. (The one divergence from
+// NextBernoulli: ClampedThreshold folds NaN to "never true, no draw" where
+// NextBernoulli draws and fails — unreachable here because every model
+// CHECK-validates its probabilities.) Bit-identity with the per-call path
+// is pinned by rng_test and VoteBatchEquivalenceTest.
 void ResolveIndependentBulk(Rng& rng, VoteBatchScratch& s, size_t n,
                             bool all_open, std::span<ElementId> out) {
   if (all_open) {
@@ -359,18 +323,13 @@ int64_t ThresholdComparator::GenerateVotes(
   CROWDMAX_CHECK(out.size() >= pairs.size());
   const size_t n = ValidPrefix(*instance_, pairs);
   scratch_.Resize(n);
-  if (!bulk_draws()) {
-    GenerateVotesScalar(pairs, n, out);
-    AddComparisons(static_cast<int64_t>(n));
-    return static_cast<int64_t>(n);
-  }
   const double delta = options_.model.delta;
   const uint64_t eps_thr = epsilon_threshold_;
   const bool eps_draws = ThresholdDraws(eps_thr);
   if (options_.tie_policy == TiePolicy::kFreshCoin) {
     // Fresh-coin precompute: two regimes, each with a constant per-class
     // threshold, so the kernel is inline value loads plus branchless
-    // selects — no prob[]/sticky[] traffic and no out-of-line calls. The
+    // selects — no sticky[] traffic and no out-of-line calls. The
     // kernel is runtime-dispatched scalar/AVX2 (bit-identical; see the
     // definitions above).
     const uint64_t coin_thr = coin_threshold_;
@@ -468,7 +427,7 @@ int64_t ThresholdComparator::GenerateVotes(
 int64_t ThresholdComparator::GenerateTournament(
     std::span<const ElementId> players, std::span<const uint64_t> skip,
     LossMatrix* losses) {
-  if (options_.tie_policy != TiePolicy::kFreshCoin || !bulk_draws()) {
+  if (options_.tie_policy != TiePolicy::kFreshCoin) {
     return VoteBatchComparator::GenerateTournament(players, skip, losses);
   }
   const size_t k = players.size();
@@ -579,65 +538,6 @@ int64_t ThresholdComparator::GenerateTournament(
   return answered;
 }
 
-// The pre-bulk scalar batch path, kept bit-identical as the
-// bench_hotpath "batch" baseline and the bulk-toggle test twin.
-void ThresholdComparator::GenerateVotesScalar(
-    std::span<const ComparisonPair> pairs, size_t n,
-    std::span<ElementId> out) {
-  const bool persistent =
-      options_.tie_policy == TiePolicy::kPersistentArbitrary;
-  if (persistent) {
-    scratch_.slots.resize(n);
-    sticky_answers_.Reserve(static_cast<int64_t>(n));
-  }
-  bool all_open = true;
-  bool any_sticky = false;
-  for (size_t i = 0; i < n; ++i) {
-    const auto [a, b] = pairs[i];
-    const ElementId correct = TrueWinner(*instance_, a, b);
-    if (instance_->Distance(a, b) > options_.model.delta) {
-      scratch_.prob[i] = options_.model.epsilon;
-      scratch_.on_true[i] = Other(correct, a, b);
-      scratch_.on_false[i] = correct;
-      scratch_.sticky[i] = 0;
-    } else if (!persistent) {
-      scratch_.prob[i] = options_.below_threshold_correct_prob;
-      scratch_.on_true[i] = correct;
-      scratch_.on_false[i] = Other(correct, a, b);
-      scratch_.sticky[i] = 0;
-    } else {
-      // kPersistentArbitrary: the sticky pick uses *argument* order
-      // (pick = coin ? a : b), so stash a/b, not correct/other. Touch
-      // the table once here (no RNG) and cache the Reserve-pinned slot;
-      // the sequential walk below draws through it without re-probing.
-      scratch_.on_true[i] = a;
-      scratch_.on_false[i] = b;
-      scratch_.prob[i] = 0.5;
-      bool fresh = false;
-      scratch_.slots[i] = sticky_answers_.Insert(PackPairKey(a, b), a, &fresh);
-      scratch_.sticky[i] = fresh ? 1 : 2;
-      any_sticky = true;
-    }
-    all_open = all_open && Open(scratch_.prob[i]);
-  }
-  if (!any_sticky) {
-    ResolveIndependentScalar(rng_, scratch_, n, all_open, out);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (scratch_.sticky[i] == 0) {
-      out[i] = rng_.NextBernoulli(scratch_.prob[i]) ? scratch_.on_true[i]
-                                                    : scratch_.on_false[i];
-    } else if (scratch_.sticky[i] == 1) {
-      const ElementId pick =
-          rng_.NextBernoulli(0.5) ? scratch_.on_true[i] : scratch_.on_false[i];
-      *scratch_.slots[i] = pick;
-      out[i] = pick;
-    } else {
-      out[i] = *scratch_.slots[i];
-    }
-  }
-}
 
 std::unique_ptr<Comparator> ThresholdComparator::Fork(uint64_t seed) const {
   return std::make_unique<ThresholdComparator>(instance_, options_, seed);
@@ -688,11 +588,6 @@ int64_t RelativeErrorComparator::GenerateVotes(
   CROWDMAX_CHECK(out.size() >= pairs.size());
   const size_t n = ValidPrefix(*instance_, pairs);
   scratch_.Resize(n);
-  if (!bulk_draws()) {
-    GenerateVotesScalar(pairs, n, out);
-    AddComparisons(static_cast<int64_t>(n));
-    return static_cast<int64_t>(n);
-  }
   const double base_error = options_.base_error;
   const double decay = options_.decay;
   const double max_error = options_.max_error;
@@ -726,26 +621,6 @@ int64_t RelativeErrorComparator::GenerateVotes(
   return static_cast<int64_t>(n);
 }
 
-// The pre-bulk scalar batch path, kept bit-identical as the
-// bench_hotpath "batch" baseline and the bulk-toggle test twin.
-void RelativeErrorComparator::GenerateVotesScalar(
-    std::span<const ComparisonPair> pairs, size_t n,
-    std::span<ElementId> out) {
-  bool all_open = true;
-  for (size_t i = 0; i < n; ++i) {
-    const auto [a, b] = pairs[i];
-    const ElementId correct = TrueWinner(*instance_, a, b);
-    const double rel = instance_->RelativeDifference(a, b);
-    const double p_error =
-        std::min(options_.max_error,
-                 options_.base_error * std::exp(-options_.decay * rel));
-    scratch_.prob[i] = p_error;
-    scratch_.on_true[i] = Other(correct, a, b);
-    scratch_.on_false[i] = correct;
-    all_open = all_open && Open(p_error);
-  }
-  ResolveIndependentScalar(rng_, scratch_, n, all_open, out);
-}
 
 std::unique_ptr<Comparator> RelativeErrorComparator::Fork(
     uint64_t seed) const {
@@ -801,11 +676,6 @@ int64_t DistanceDecayComparator::GenerateVotes(
   CROWDMAX_CHECK(out.size() >= pairs.size());
   const size_t n = ValidPrefix(*instance_, pairs);
   scratch_.Resize(n);
-  if (!bulk_draws()) {
-    GenerateVotesScalar(pairs, n, out);
-    AddComparisons(static_cast<int64_t>(n));
-    return static_cast<int64_t>(n);
-  }
   const double delta = options_.delta;
   const double decay = options_.decay;
   const double epsilon_at = options_.epsilon_at_threshold;
@@ -844,30 +714,6 @@ int64_t DistanceDecayComparator::GenerateVotes(
   return static_cast<int64_t>(n);
 }
 
-// The pre-bulk scalar batch path, kept bit-identical as the
-// bench_hotpath "batch" baseline and the bulk-toggle test twin.
-void DistanceDecayComparator::GenerateVotesScalar(
-    std::span<const ComparisonPair> pairs, size_t n,
-    std::span<ElementId> out) {
-  bool all_open = true;
-  for (size_t i = 0; i < n; ++i) {
-    const auto [a, b] = pairs[i];
-    const ElementId correct = TrueWinner(*instance_, a, b);
-    const double d = instance_->Distance(a, b);
-    if (d <= options_.delta) {
-      scratch_.prob[i] = options_.below_threshold_correct_prob;
-      scratch_.on_true[i] = correct;
-      scratch_.on_false[i] = Other(correct, a, b);
-    } else {
-      scratch_.prob[i] = options_.epsilon_at_threshold *
-                         std::exp(-options_.decay * (d - options_.delta));
-      scratch_.on_true[i] = Other(correct, a, b);
-      scratch_.on_false[i] = correct;
-    }
-    all_open = all_open && Open(scratch_.prob[i]);
-  }
-  ResolveIndependentScalar(rng_, scratch_, n, all_open, out);
-}
 
 std::unique_ptr<Comparator> DistanceDecayComparator::Fork(
     uint64_t seed) const {
@@ -959,11 +805,6 @@ int64_t PersistentBiasComparator::GenerateVotes(
   CROWDMAX_CHECK(out.size() >= pairs.size());
   const size_t n = ValidPrefix(*instance_, pairs);
   scratch_.Resize(n);
-  if (!bulk_draws()) {
-    GenerateVotesScalar(pairs, n, out);
-    AddComparisons(static_cast<int64_t>(n));
-    return static_cast<int64_t>(n);
-  }
   // Pass 1 (no RNG): bucket each row on inline value loads, touch the
   // preferred-winner table exactly once (Reserve pins the arena, so the
   // Insert's value handle stays valid for the whole batch), and count
@@ -1059,74 +900,6 @@ int64_t PersistentBiasComparator::GenerateVotes(
   return static_cast<int64_t>(n);
 }
 
-// The pre-bulk scalar batch path, kept bit-identical as the
-// bench_hotpath "batch" baseline and the bulk-toggle test twin.
-void PersistentBiasComparator::GenerateVotesScalar(
-    std::span<const ComparisonPair> pairs, size_t n,
-    std::span<ElementId> out) {
-  // Pass 1 mirrors the bulk path's sticky-row restructure (the fix for
-  // the batch-slower-than-per-call regression): touch the table once per
-  // hard row with a Reserve-pinned single-probe Insert, so the
-  // sequential walk below draws through cached slots instead of
-  // re-probing per row. Draw order and table contents are unchanged.
-  scratch_.slots.resize(n);
-  preferred_.Reserve(static_cast<int64_t>(n));
-  bool any_hard = false;
-  for (size_t i = 0; i < n; ++i) {
-    const auto [a, b] = pairs[i];
-    const ElementId correct = TrueWinner(*instance_, a, b);
-    const double rel = instance_->RelativeDifference(a, b);
-    const Bucket* bucket = nullptr;
-    for (const Bucket& candidate : options_.buckets) {
-      if (rel <= candidate.max_relative_difference) {
-        bucket = &candidate;
-        break;
-      }
-    }
-    scratch_.on_true[i] = correct;
-    scratch_.on_false[i] = Other(correct, a, b);
-    if (bucket == nullptr) {
-      // Easy pair: one error draw, errs toward the non-correct element.
-      scratch_.prob[i] = options_.above_threshold_error;
-      std::swap(scratch_.on_true[i], scratch_.on_false[i]);
-      scratch_.sticky[i] = 0;
-    } else {
-      // Hard pair: prob holds the first-touch preference draw; the noise
-      // draw is applied in the sequential pass.
-      scratch_.prob[i] = bucket->preferred_correct_prob;
-      bool fresh = false;
-      // Placeholder value; the walk draws the real preference via the slot.
-      scratch_.slots[i] = preferred_.Insert(PackPairKey(a, b), correct, &fresh);
-      scratch_.sticky[i] = fresh ? 1 : 2;
-      any_hard = true;
-    }
-  }
-  if (!any_hard) {
-    // Every row was easy, so openness is the one class flag.
-    ResolveIndependentScalar(rng_, scratch_, n,
-                             Open(options_.above_threshold_error), out);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (scratch_.sticky[i] == 0) {
-      out[i] = rng_.NextBernoulli(scratch_.prob[i]) ? scratch_.on_true[i]
-                                                    : scratch_.on_false[i];
-      continue;
-    }
-    const ElementId correct = scratch_.on_true[i];
-    const ElementId other = scratch_.on_false[i];
-    ElementId preferred;
-    if (scratch_.sticky[i] == 1) {
-      preferred = rng_.NextBernoulli(scratch_.prob[i]) ? correct : other;
-      *scratch_.slots[i] = preferred;
-    } else {
-      preferred = *scratch_.slots[i];
-    }
-    out[i] = rng_.NextBernoulli(options_.individual_noise)
-                 ? (preferred == correct ? other : correct)
-                 : preferred;
-  }
-}
 
 std::unique_ptr<Comparator> PersistentBiasComparator::Fork(
     uint64_t seed) const {

@@ -16,12 +16,12 @@
 //    converging to 1. This is the phenomenon that motivates experts.
 //
 // Every model also implements VoteBatchComparator (comparator.h): the
-// batch path precomputes per-pair error probabilities and outcome
-// candidates into flat struct-of-arrays scratch, then resolves all draws
-// in one pass — branch-free when every probability is strictly inside
-// (0, 1) — with results, counters and RNG stream positions bit-identical
-// to the per-call path (DESIGN.md §14). Sticky per-pair state lives in
-// open-addressed PairTables (core/pair_table.h) instead of unordered_maps.
+// batch path precomputes per-pair draw thresholds and outcome candidates
+// into flat struct-of-arrays scratch, then resolves all draws with the bulk
+// RNG kernels (DESIGN.md §16), with results, counters and RNG stream
+// positions bit-identical to the per-call DoCompare, which stays the spec
+// (DESIGN.md §14). Sticky per-pair state lives in open-addressed
+// PairTables (core/pair_table.h) instead of unordered_maps.
 
 #ifndef CROWDMAX_CORE_WORKER_MODEL_H_
 #define CROWDMAX_CORE_WORKER_MODEL_H_
@@ -66,21 +66,21 @@ enum class TiePolicy {
 
 /// Shared struct-of-arrays scratch of the batch vote path: one flat array
 /// per precomputed quantity, reused across GenerateVotes calls so the hot
-/// loop never allocates after warm-up. `prob[i]` is the Bernoulli
-/// probability of the i-th draw, `on_true[i]`/`on_false[i]` the two
-/// outcome candidates; models with sticky tables additionally flag the
-/// rows that walk the table instead of drawing directly.
+/// loop never allocates after warm-up. `on_true[i]`/`on_false[i]` are the
+/// two outcome candidates of the i-th draw; models with sticky tables
+/// additionally flag the rows that walk the table instead of drawing
+/// directly.
 struct VoteBatchScratch {
-  std::vector<double> prob;
   std::vector<ElementId> on_true;
   std::vector<ElementId> on_false;
   std::vector<uint8_t> sticky;
   /// Per-row 53-bit integer draw thresholds — the Rng::BernoulliThreshold
-  /// mapping of prob[], clamped to the draw-free edges (0 = never true,
-  /// 2^53 = always true; see DESIGN.md §16). The bulk draw path compares
-  /// raw 64-bit outputs against these with no float conversion in the
-  /// loop; models with constant per-class probabilities precompute the
-  /// thresholds once at construction and only copy them here per row.
+  /// mapping of the row's Bernoulli probability, clamped to the draw-free
+  /// edges (0 = never true, 2^53 = always true; see DESIGN.md §16). The
+  /// draw kernels compare raw 64-bit outputs against these with no float
+  /// conversion in the loop; models with constant per-class probabilities
+  /// precompute the thresholds once at construction and only copy them
+  /// here per row.
   std::vector<uint64_t> threshold;
   /// Draw outcomes of the bulk Bernoulli kernels (0/1 per row).
   std::vector<uint8_t> bits;
@@ -95,7 +95,6 @@ struct VoteBatchScratch {
   std::vector<PairValuePtr> slots;
 
   void Resize(size_t n) {
-    prob.resize(n);
     on_true.resize(n);
     on_false.resize(n);
     sticky.resize(n);
@@ -152,15 +151,16 @@ class ThresholdComparator : public Comparator, public VoteBatchComparator {
   std::unique_ptr<Comparator> Fork(uint64_t seed) const override;
 
   VoteBatchComparator* AsVoteBatch() override { return this; }
+  int64_t IdLimit() const override { return instance_->size(); }
   int64_t GenerateVotes(std::span<const ComparisonPair> pairs,
                         std::span<ElementId> out) override;
 
-  /// Under kFreshCoin with bulk draws on, a kernel that needs no written-
-  /// out pair list (DESIGN.md §14): every row of the group is compared in
-  /// 64-column words, the pairs whose class does not draw are decided by
-  /// those words, and only the pairs whose class draws consume raw draws,
-  /// in row-major order. Otherwise, and for a group with a player outside
-  /// the instance or a NaN value, the default path.
+  /// Under kFreshCoin, a kernel that needs no written-out pair list
+  /// (DESIGN.md §14): every row of the group is compared in 64-column
+  /// words, the pairs whose class does not draw are decided by those
+  /// words, and only the pairs whose class draws consume raw draws, in
+  /// row-major order. Otherwise, and for a group with a player outside the
+  /// instance or a NaN value, the default path.
   int64_t GenerateTournament(std::span<const ElementId> players,
                              std::span<const uint64_t> skip,
                              LossMatrix* losses) override;
@@ -173,10 +173,6 @@ class ThresholdComparator : public Comparator, public VoteBatchComparator {
 
  private:
   ElementId DoCompare(ElementId a, ElementId b) override;
-  // The pre-bulk scalar batch path (bulk_draws() == false), kept as the
-  // measurable baseline and bit-identity twin of the bulk kernels.
-  void GenerateVotesScalar(std::span<const ComparisonPair> pairs, size_t n,
-                           std::span<ElementId> out);
 
   const Instance* instance_;
   Options options_;
@@ -216,6 +212,7 @@ class RelativeErrorComparator : public Comparator, public VoteBatchComparator {
   std::unique_ptr<Comparator> Fork(uint64_t seed) const override;
 
   VoteBatchComparator* AsVoteBatch() override { return this; }
+  int64_t IdLimit() const override { return instance_->size(); }
   int64_t GenerateVotes(std::span<const ComparisonPair> pairs,
                         std::span<ElementId> out) override;
 
@@ -225,10 +222,6 @@ class RelativeErrorComparator : public Comparator, public VoteBatchComparator {
 
  private:
   ElementId DoCompare(ElementId a, ElementId b) override;
-  // The pre-bulk scalar batch path (bulk_draws() == false), kept as the
-  // measurable baseline and bit-identity twin of the bulk kernels.
-  void GenerateVotesScalar(std::span<const ComparisonPair> pairs, size_t n,
-                           std::span<ElementId> out);
 
   const Instance* instance_;
   Options options_;
@@ -265,6 +258,7 @@ class DistanceDecayComparator : public Comparator, public VoteBatchComparator {
   std::unique_ptr<Comparator> Fork(uint64_t seed) const override;
 
   VoteBatchComparator* AsVoteBatch() override { return this; }
+  int64_t IdLimit() const override { return instance_->size(); }
   int64_t GenerateVotes(std::span<const ComparisonPair> pairs,
                         std::span<ElementId> out) override;
 
@@ -274,10 +268,6 @@ class DistanceDecayComparator : public Comparator, public VoteBatchComparator {
 
  private:
   ElementId DoCompare(ElementId a, ElementId b) override;
-  // The pre-bulk scalar batch path (bulk_draws() == false), kept as the
-  // measurable baseline and bit-identity twin of the bulk kernels.
-  void GenerateVotesScalar(std::span<const ComparisonPair> pairs, size_t n,
-                           std::span<ElementId> out);
 
   const Instance* instance_;
   Options options_;
@@ -332,6 +322,7 @@ class PersistentBiasComparator : public Comparator, public VoteBatchComparator {
   std::unique_ptr<Comparator> Fork(uint64_t seed) const override;
 
   VoteBatchComparator* AsVoteBatch() override { return this; }
+  int64_t IdLimit() const override { return instance_->size(); }
   int64_t GenerateVotes(std::span<const ComparisonPair> pairs,
                         std::span<ElementId> out) override;
 
@@ -343,10 +334,6 @@ class PersistentBiasComparator : public Comparator, public VoteBatchComparator {
 
  private:
   ElementId DoCompare(ElementId a, ElementId b) override;
-  // The pre-bulk scalar batch path (bulk_draws() == false), kept as the
-  // measurable baseline and bit-identity twin of the bulk kernels.
-  void GenerateVotesScalar(std::span<const ComparisonPair> pairs, size_t n,
-                           std::span<ElementId> out);
 
   const Instance* instance_;
   Options options_;

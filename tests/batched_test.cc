@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "core/round_engine.h"
 #include "core/topk.h"
 #include "core/tournament.h"
+#include "core/trace.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
 #include "platform/platform.h"
@@ -71,11 +73,12 @@ TEST(BatchedAllPlayAllTest, MatchesSequentialTournament) {
       RunTournamentOnEngine(instance->AllElements(), engine->get());
   ASSERT_TRUE(batched.ok());
   OracleComparator oracle2(&*instance);
-  const TournamentResult sequential =
+  const Result<TournamentResult> sequential =
       AllPlayAll(instance->AllElements(), &oracle2);
+  ASSERT_TRUE(sequential.ok());
 
-  EXPECT_EQ(batched->wins, sequential.wins);
-  EXPECT_EQ(batched->comparisons, sequential.comparisons);
+  EXPECT_EQ(batched->wins, sequential->wins);
+  EXPECT_EQ(batched->comparisons, sequential->comparisons);
   EXPECT_EQ(batched->unresolved, 0);
   EXPECT_EQ(executor.logical_steps(), 1);  // One step for the whole round.
 }
@@ -515,10 +518,14 @@ struct DiffAnswer {
   std::vector<ElementId> candidates;  // Sorted.
   std::vector<int64_t> paid;
   std::vector<int64_t> issued;
+  // The span lines of the run's AlgoTrace::Summary().
+  std::string spans;
 };
 
 DiffAnswer RunDiffQuery(DiffQuery query, const Instance& instance,
                         DiffBackend backend) {
+  AlgoTrace trace;
+  const ScopedTrace scoped(&trace);
   DiffCrowd naive(&instance);
   DiffCrowd middle(&instance);
   DiffCrowd expert(&instance);
@@ -603,6 +610,10 @@ DiffAnswer RunDiffQuery(DiffQuery query, const Instance& instance,
     }
   }
   std::sort(answer.candidates.begin(), answer.candidates.end());
+  std::istringstream summary(trace.Summary());
+  for (std::string line; std::getline(summary, line);) {
+    if (line.rfind("span ", 0) == 0) answer.spans += line + "\n";
+  }
   return answer;
 }
 
@@ -618,6 +629,7 @@ TEST(ExecutionDifferentialTest, EveryBackendReturnsTheSerialResult) {
         RunDiffQuery(query, *instance, DiffBackend::kSerial);
     const DiffAnswer executor =
         RunDiffQuery(query, *instance, DiffBackend::kExecutor);
+    EXPECT_FALSE(serial.spans.empty());
     for (DiffBackend backend :
          {DiffBackend::kThreads4, DiffBackend::kExecutor,
           DiffBackend::kDepth1, DiffBackend::kDepth8}) {
@@ -628,6 +640,8 @@ TEST(ExecutionDifferentialTest, EveryBackendReturnsTheSerialResult) {
       EXPECT_EQ(other.top, serial.top);
       EXPECT_EQ(other.candidates, serial.candidates);
       EXPECT_EQ(other.issued, serial.issued);
+      // One trace shape on every backend.
+      EXPECT_EQ(other.spans, serial.spans);
       const bool executor_family = backend != DiffBackend::kThreads4;
       if (query == DiffQuery::kTwoPhaseRandomized && executor_family) {
         EXPECT_EQ(other.paid, executor.paid);

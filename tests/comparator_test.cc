@@ -1,5 +1,5 @@
-// Tests for the comparator boundary: oracle, counting, memoization,
-// adversarial policies.
+// Tests for the comparator boundary: oracle, counting, adversarial
+// policies.
 
 #include <vector>
 
@@ -35,43 +35,6 @@ TEST(OracleComparatorTest, CountsComparisons) {
   EXPECT_EQ(oracle.num_comparisons(), 2);
   oracle.ResetCount();
   EXPECT_EQ(oracle.num_comparisons(), 0);
-}
-
-TEST(MemoizingComparatorTest, PaysOncePerUnorderedPair) {
-  Instance instance({1.0, 2.0, 3.0});
-  OracleComparator oracle(&instance);
-  MemoizingComparator memo(&oracle);
-
-  EXPECT_EQ(memo.Compare(0, 1), 1);
-  EXPECT_EQ(memo.Compare(0, 1), 1);
-  EXPECT_EQ(memo.Compare(1, 0), 1);  // Reversed order hits the same entry.
-  EXPECT_EQ(memo.num_comparisons(), 1);
-  EXPECT_EQ(memo.cache_hits(), 2);
-  EXPECT_EQ(oracle.num_comparisons(), 1);
-
-  EXPECT_EQ(memo.Compare(1, 2), 2);
-  EXPECT_EQ(memo.num_comparisons(), 2);
-  EXPECT_EQ(memo.cache_size(), 2);
-}
-
-TEST(MemoizingComparatorTest, MakesRandomAnswersConsistent) {
-  // A comparator that alternates winners; the memoizer must pin the first
-  // answer.
-  class AlternatingComparator : public Comparator {
-   public:
-    ElementId DoCompare(ElementId a, ElementId b) override {
-      flip_ = !flip_;
-      return flip_ ? a : b;
-    }
-
-   private:
-    bool flip_ = false;
-  };
-
-  AlternatingComparator alternating;
-  MemoizingComparator memo(&alternating);
-  const ElementId first = memo.Compare(3, 4);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(memo.Compare(3, 4), first);
 }
 
 TEST(AdversarialComparatorTest, TruthfulAboveThreshold) {

@@ -2,9 +2,8 @@
 // of FilterOptions::threads and friends): for a fixed seed, the winner, the
 // survivor set, and the paid/issued comparison counts are bit-identical for
 // every thread count >= 1 — the thread schedule is unobservable. Also
-// covers the guard rails: non-forkable comparators are rejected with
-// InvalidArgument, and MemoizingComparator::Fork CHECK-fails rather than
-// silently entering the parallel path.
+// covers the guard rail: non-forkable comparators are rejected with
+// InvalidArgument.
 
 #include <cstdint>
 #include <memory>
@@ -694,13 +693,6 @@ TEST(DeterminismTest, NegativeThreadsRejected) {
   filter.u_n = 2;
   filter.threads = -1;
   EXPECT_FALSE(FilterCandidates(instance.AllElements(), filter, &cmp).ok());
-}
-
-TEST(DeterminismDeathTest, MemoizingComparatorForkCheckFails) {
-  Instance instance = MakeInstance(16, 41);
-  OracleComparator oracle(&instance);
-  MemoizingComparator memo(&oracle);
-  EXPECT_DEATH_IF_SUPPORTED((void)memo.Fork(1), "not thread-safe");
 }
 
 // The engine's batch vote generation (DESIGN.md §14) is an internal

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "core/instance.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
+#include "tests/per_call_comparator.h"
 
 namespace crowdmax {
 namespace {
@@ -62,7 +64,9 @@ TEST(FilterPhaseTest, RejectsNegativeAndRepeatedIdsTyped) {
 
 TEST(FilterPhaseTest, IdOutsideTheInstanceIsATypedErrorNotAnAbort) {
   // The worker model refuses a pair with an id outside its instance; the
-  // comparator backends report that pair instead of aborting.
+  // comparator backends report that pair instead of aborting. A comparator
+  // without a batch interface — the oracle, or the model answering per
+  // call — refuses the same id before reading it.
   Result<Instance> instance = UniformInstance(100, 5);
   ASSERT_TRUE(instance.ok());
   const double delta = instance->DeltaForU(5);
@@ -70,20 +74,29 @@ TEST(FilterPhaseTest, IdOutsideTheInstanceIsATypedErrorNotAnAbort) {
     for (const bool memoize : {false, true}) {
       ThresholdComparator naive(&*instance, ThresholdModel{delta, 0.1},
                                 /*seed=*/3);
-      FilterOptions options;
-      options.u_n = 5;
-      options.memoize = memoize;
-      options.threads = threads;
-      std::vector<ElementId> items = instance->AllElements();
-      items[50] = 1000;
-      const Result<FilterResult> result =
-          FilterCandidates(items, options, &naive);
-      const std::string context = "threads=" + std::to_string(threads) +
-                                  " memoize=" + std::to_string(memoize);
-      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
-          << context;
-      EXPECT_NE(result.status().message().find("1000"), std::string::npos)
-          << context << ": " << result.status().ToString();
+      OracleComparator oracle(&*instance);
+      ThresholdComparator model(&*instance, ThresholdModel{delta, 0.1},
+                                /*seed=*/3);
+      PerCallComparator per_call(&model);
+      const std::pair<const char*, Comparator*> comparators[] = {
+          {"batch", &naive}, {"oracle", &oracle}, {"per_call", &per_call}};
+      for (const auto& [name, comparator] : comparators) {
+        FilterOptions options;
+        options.u_n = 5;
+        options.memoize = memoize;
+        options.threads = threads;
+        std::vector<ElementId> items = instance->AllElements();
+        items[50] = 1000;
+        const Result<FilterResult> result =
+            FilterCandidates(items, options, comparator);
+        const std::string context = std::string(name) +
+                                    " threads=" + std::to_string(threads) +
+                                    " memoize=" + std::to_string(memoize);
+        EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+            << context;
+        EXPECT_NE(result.status().message().find("1000"), std::string::npos)
+            << context << ": " << result.status().ToString();
+      }
     }
   }
 }

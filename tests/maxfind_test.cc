@@ -1,20 +1,64 @@
 // Tests for the phase-2 solvers: AllPlayAllMax, 2-MaxFind (Algorithm 3) and
 // the randomized max-finder (Algorithm 5), including their approximation
-// guarantees (2*delta / 3*delta) and comparison bounds.
+// guarantees (2*delta / 3*delta) and comparison bounds, on every backend.
 
+#include <memory>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/async_executor.h"
+#include "core/batched.h"
 #include "core/comparator.h"
+#include "core/execution.h"
 #include "core/instance.h"
 #include "core/maxfind.h"
+#include "core/round_engine.h"
+#include "core/tournament.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
+#include "tests/per_call_comparator.h"
 
 namespace crowdmax {
 namespace {
+
+// The backends a Phase-2 query runs on. The executor and pipelined ones
+// write a player unit's pairs out and fold the answers back into its loss
+// matrix; the comparator ones answer it in one tournament call.
+enum class Backend { kSerial, kThreads4, kExecutor, kDepth8 };
+
+const auto kBackends = ::testing::Values(Backend::kSerial, Backend::kThreads4,
+                                         Backend::kExecutor, Backend::kDepth8);
+
+// A comparator's engine on one backend, with the executor stack the
+// executor and pipelined backends answer through.
+class BackendEngine {
+ public:
+  BackendEngine(Comparator* comparator, Backend backend, bool memoize)
+      : executor_(comparator), async_(&executor_) {
+    Execution execution = comparator;
+    if (backend == Backend::kExecutor) execution = &executor_;
+    if (backend == Backend::kDepth8) execution = Execution(&async_, 8);
+    Result<std::unique_ptr<RoundEngine>> engine = execution.Engine(
+        memoize, /*cache=*/nullptr, /*cache_class=*/0,
+        /*threads=*/backend == Backend::kThreads4 ? 4 : 0, /*seed=*/17);
+    CROWDMAX_CHECK(engine.ok());
+    engine_ = std::move(engine).value();
+  }
+  // async_ and the engine point into this object.
+  BackendEngine(const BackendEngine&) = delete;
+  BackendEngine& operator=(const BackendEngine&) = delete;
+
+  RoundEngine* get() { return engine_.get(); }
+
+ private:
+  ComparatorBatchExecutor executor_;
+  AsyncBatchAdapter async_;
+  std::unique_ptr<RoundEngine> engine_;
+};
 
 TEST(AllPlayAllMaxTest, ExactWithOracle) {
   Result<Instance> instance = UniformInstance(30, /*seed=*/1);
@@ -34,6 +78,26 @@ TEST(AllPlayAllMaxTest, RejectsEmptyAndDuplicates) {
   EXPECT_FALSE(AllPlayAllMax({1, 1}, &oracle).ok());
 }
 
+TEST(AllPlayAllMaxTest, IdOutsideTheInstanceIsATypedErrorNotAnAbort) {
+  // The model's batch interface refuses the pair; the oracle, which
+  // answers per call, refuses the id before reading it.
+  Result<Instance> instance = UniformInstance(100, 5);
+  ASSERT_TRUE(instance.ok());
+  ThresholdComparator model(&*instance,
+                            ThresholdModel{instance->DeltaForU(5), 0.1},
+                            /*seed=*/3);
+  OracleComparator oracle(&*instance);
+  for (Comparator* comparator : {static_cast<Comparator*>(&model),
+                                 static_cast<Comparator*>(&oracle)}) {
+    std::vector<ElementId> items = instance->AllElements();
+    items[50] = 1000;
+    const Result<MaxFindResult> result = AllPlayAllMax(items, comparator);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("1000"), std::string::npos)
+        << result.status().ToString();
+  }
+}
+
 TEST(TwoMaxFindTest, SingletonShortCircuit) {
   Instance instance({3.0});
   OracleComparator oracle(&instance);
@@ -42,6 +106,83 @@ TEST(TwoMaxFindTest, SingletonShortCircuit) {
   EXPECT_EQ(result->best, 0);
   EXPECT_EQ(result->paid_comparisons, 0);
 }
+
+class PhaseTwoOnEveryBackend : public ::testing::TestWithParam<Backend> {};
+
+TEST_P(PhaseTwoOnEveryBackend, TournamentsOfZeroOneAndTwoPlayers) {
+  // The oracle answers per call; the exact threshold model with its batch
+  // interface and tournament kernel.
+  Instance instance({3.0, 7.0});
+  OracleComparator oracle(&instance);
+  ThresholdComparator exact(&instance, ThresholdModel{0.0, 0.0}, /*seed=*/1);
+  for (Comparator* comparator : {static_cast<Comparator*>(&oracle),
+                                 static_cast<Comparator*>(&exact)}) {
+    for (const std::vector<ElementId>& players :
+         {std::vector<ElementId>{}, std::vector<ElementId>{0},
+          std::vector<ElementId>{0, 1}}) {
+      BackendEngine engine(comparator, GetParam(), /*memoize=*/false);
+      const Result<TournamentResult> run =
+          RunTournamentOnEngine(players, engine.get());
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      const int64_t k = static_cast<int64_t>(players.size());
+      // Player 0 wins no game, player 1 its one game.
+      EXPECT_EQ(run->wins,
+                std::vector<int64_t>(players.begin(), players.end()))
+          << "k=" << k;
+      EXPECT_EQ(run->comparisons, k * (k - 1) / 2);
+      EXPECT_EQ(run->unresolved, 0);
+      EXPECT_EQ(engine.get()->paid(), k * (k - 1) / 2);
+    }
+    // A singleton and a pair: the final tournament is the whole run.
+    for (const std::vector<ElementId>& items :
+         {std::vector<ElementId>{0}, std::vector<ElementId>{0, 1}}) {
+      BackendEngine two_maxfind(comparator, GetParam(), /*memoize=*/true);
+      const Result<MaxFindResult> found =
+          RunTwoMaxFindOnEngine(items, two_maxfind.get());
+      ASSERT_TRUE(found.ok()) << found.status().ToString();
+      EXPECT_EQ(found->best, items.back());
+      BackendEngine randomized(comparator, GetParam(), /*memoize=*/false);
+      const Result<MaxFindResult> drawn =
+          RunRandomizedMaxFindOnEngine(items, randomized.get());
+      ASSERT_TRUE(drawn.ok()) << drawn.status().ToString();
+      EXPECT_EQ(drawn->best, items.back());
+    }
+  }
+}
+
+TEST_P(PhaseTwoOnEveryBackend, IdOutsideTheInstanceIsATypedErrorNotAnAbort) {
+  // As FilterPhaseTest's: the model's batch interface refuses the pair,
+  // and a comparator without one — the oracle, or the model answering per
+  // call — refuses the id before reading it. In the sample and in a scan.
+  Result<Instance> instance = UniformInstance(100, 5);
+  ASSERT_TRUE(instance.ok());
+  const double delta = instance->DeltaForU(5);
+  for (const size_t at : {size_t{0}, size_t{50}}) {
+    ThresholdComparator naive(&*instance, ThresholdModel{delta, 0.1},
+                              /*seed=*/3);
+    OracleComparator oracle(&*instance);
+    ThresholdComparator model(&*instance, ThresholdModel{delta, 0.1},
+                              /*seed=*/3);
+    PerCallComparator per_call(&model);
+    const std::pair<const char*, Comparator*> comparators[] = {
+        {"batch", &naive}, {"oracle", &oracle}, {"per_call", &per_call}};
+    for (const auto& [name, comparator] : comparators) {
+      BackendEngine engine(comparator, GetParam(), /*memoize=*/true);
+      std::vector<ElementId> items = instance->AllElements();
+      items[at] = 1000;
+      const Result<MaxFindResult> result =
+          RunTwoMaxFindOnEngine(items, engine.get());
+      const std::string context =
+          std::string(name) + " at=" + std::to_string(at);
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << context;
+      EXPECT_NE(result.status().message().find("1000"), std::string::npos)
+          << context << ": " << result.status().ToString();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, PhaseTwoOnEveryBackend, kBackends);
 
 TEST(TwoMaxFindTest, PairIsASingleComparison) {
   Instance instance({3.0, 7.0});
@@ -100,12 +241,13 @@ TEST(TwoMaxFindTest, AdversarialWorstCaseStaysWithinBound) {
 }
 
 // Guarantee sweep: under T(delta, 0) the returned element is within
-// 2*delta of the maximum, for every tie behaviour.
+// 2*delta of the maximum, for every tie behaviour, on every backend.
 class TwoMaxFindGuaranteeSweep
-    : public ::testing::TestWithParam<std::tuple<int64_t, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<int64_t, uint64_t, Backend>> {
+};
 
 TEST_P(TwoMaxFindGuaranteeSweep, TwoDeltaGuarantee) {
-  const auto [n, seed] = GetParam();
+  const auto [n, seed, backend] = GetParam();
   Result<Instance> instance = UniformInstance(n, seed);
   ASSERT_TRUE(instance.ok());
   const double delta = instance->DeltaForU(std::max<int64_t>(2, n / 10));
@@ -123,7 +265,9 @@ TEST_P(TwoMaxFindGuaranteeSweep, TwoDeltaGuarantee) {
   for (Comparator* cmp : {static_cast<Comparator*>(&cmp_fresh),
                           static_cast<Comparator*>(&cmp_sticky),
                           static_cast<Comparator*>(&cmp_adv)}) {
-    Result<MaxFindResult> result = TwoMaxFind(instance->AllElements(), cmp);
+    BackendEngine engine(cmp, backend, /*memoize=*/true);
+    Result<MaxFindResult> result =
+        RunTwoMaxFindOnEngine(instance->AllElements(), engine.get());
     ASSERT_TRUE(result.ok());
     const double distance =
         instance->Distance(result->best, instance->MaxElement());
@@ -134,7 +278,7 @@ TEST_P(TwoMaxFindGuaranteeSweep, TwoDeltaGuarantee) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, TwoMaxFindGuaranteeSweep,
     ::testing::Combine(::testing::Values<int64_t>(20, 60, 150),
-                       ::testing::Values<uint64_t>(5, 6, 7, 8)));
+                       ::testing::Values<uint64_t>(5, 6, 7, 8), kBackends));
 
 TEST(TwoMaxFindTest, WithoutMemoizationStillFindsMaxWithOracle) {
   Result<Instance> instance = UniformInstance(80, /*seed=*/55);
@@ -179,7 +323,10 @@ TEST(RandomizedMaxFindTest, ExactWithOracle) {
   }
 }
 
-TEST(RandomizedMaxFindTest, ThreeDeltaGuaranteeUnderThresholdModel) {
+class RandomizedMaxFindGuarantee : public ::testing::TestWithParam<Backend> {
+};
+
+TEST_P(RandomizedMaxFindGuarantee, ThreeDeltaGuaranteeUnderThresholdModel) {
   int within = 0;
   constexpr int kTrials = 25;
   for (int t = 0; t < kTrials; ++t) {
@@ -191,8 +338,9 @@ TEST(RandomizedMaxFindTest, ThreeDeltaGuaranteeUnderThresholdModel) {
                             /*seed=*/400 + static_cast<uint64_t>(t));
     RandomizedMaxFindOptions options;
     options.seed = 500 + static_cast<uint64_t>(t);
-    Result<MaxFindResult> result =
-        RandomizedMaxFind(instance->AllElements(), &cmp, options);
+    BackendEngine engine(&cmp, GetParam(), /*memoize=*/false);
+    Result<MaxFindResult> result = RunRandomizedMaxFindOnEngine(
+        instance->AllElements(), engine.get(), options);
     ASSERT_TRUE(result.ok());
     if (instance->Distance(result->best, instance->MaxElement()) <=
         3.0 * delta + 1e-12) {
@@ -201,6 +349,8 @@ TEST(RandomizedMaxFindTest, ThreeDeltaGuaranteeUnderThresholdModel) {
   }
   EXPECT_GE(within, kTrials - 2);  // "w.h.p." with margin for noise.
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, RandomizedMaxFindGuarantee, kBackends);
 
 TEST(RandomizedMaxFindTest, CostExceedsTwoMaxFindAtPaperSizes) {
   // Section 4.1.2: the linear algorithm's constants dominate at the sizes

@@ -4,9 +4,9 @@
 // VoteBatchComparator call when the comparator offers one, and pair by pair
 // through Compare otherwise — the only path for comparators without a
 // batch interface (OracleComparator, AdversarialComparator,
-// PlatformComparator). PerCallComparator forwards Compare, Fork, SaveState
-// and LoadState to the comparator it wraps and returns nullptr from
-// AsVoteBatch, so an engine driven on it takes the per-call path while
+// PlatformComparator). PerCallComparator forwards Compare, Fork, IdLimit,
+// SaveState and LoadState to the comparator it wraps and returns nullptr
+// from AsVoteBatch, so an engine driven on it takes the per-call path while
 // drawing the very votes the batch path draws from the wrapped comparator.
 
 #ifndef CROWDMAX_TESTS_PER_CALL_COMPARATOR_H_
@@ -34,6 +34,8 @@ class PerCallComparator : public Comparator {
     wrapped->owned_ = std::move(fork);
     return wrapped;
   }
+
+  int64_t IdLimit() const override { return inner_->IdLimit(); }
 
   Status SaveState(CheckpointWriter* writer) const override {
     return inner_->SaveState(writer);

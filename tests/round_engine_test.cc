@@ -468,7 +468,7 @@ TEST(SharedCacheTest, UnresolvedPairsReissuedByLaterEngineOnEveryBackend) {
       engine = std::move(batched).value();
     }
     Result<TournamentResult> run =
-        RunTournamentOnEngine(items, engine.get(), "all_play_all", chunked);
+        RunTournamentOnEngine(items, engine.get(), chunked);
     ASSERT_TRUE(run.ok());
     EXPECT_EQ(run->unresolved, 0);
     EXPECT_EQ(engine->issued(), total);

@@ -394,8 +394,8 @@ TEST(ChunkedTournamentTest, ChunkedMatchesSingleRoundAndPipelines) {
   Result<std::unique_ptr<RoundEngine>> sync_engine =
       RoundEngine::CreateBatched(&sync_executor);
   ASSERT_TRUE(sync_engine.ok());
-  Result<TournamentResult> sync = RunTournamentOnEngine(
-      items, sync_engine->get(), "all_play_all", chunked);
+  Result<TournamentResult> sync =
+      RunTournamentOnEngine(items, sync_engine->get(), chunked);
   ASSERT_TRUE(sync.ok());
   EXPECT_EQ(sync->wins, single->wins);
   EXPECT_EQ(sync->comparisons, single->comparisons);
@@ -407,8 +407,8 @@ TEST(ChunkedTournamentTest, ChunkedMatchesSingleRoundAndPipelines) {
   Result<std::unique_ptr<RoundEngine>> engine =
       RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8);
   ASSERT_TRUE(engine.ok());
-  Result<TournamentResult> piped = RunTournamentOnEngine(
-      items, engine->get(), "all_play_all", chunked);
+  Result<TournamentResult> piped =
+      RunTournamentOnEngine(items, engine->get(), chunked);
   ASSERT_TRUE(piped.ok());
   EXPECT_EQ(piped->wins, single->wins);
   EXPECT_EQ(piped->comparisons, single->comparisons);

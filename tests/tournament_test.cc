@@ -1,6 +1,7 @@
 // Tests for the all-play-all tournament toolkit, including the
 // combinatorial facts (Lemmas 1-2) that Phase 1 relies on.
 
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,14 +16,22 @@
 namespace crowdmax {
 namespace {
 
+// AllPlayAll over ids the comparator accepts.
+TournamentResult Play(const std::vector<ElementId>& elements,
+                      Comparator* comparator) {
+  Result<TournamentResult> run = AllPlayAll(elements, comparator);
+  CROWDMAX_CHECK(run.ok());
+  return std::move(run).value();
+}
+
 TEST(TournamentTest, EmptyAndSingletonAreNoOps) {
   Instance instance({1.0});
   OracleComparator oracle(&instance);
-  TournamentResult empty = AllPlayAll({}, &oracle);
+  TournamentResult empty = Play({}, &oracle);
   EXPECT_TRUE(empty.wins.empty());
   EXPECT_EQ(empty.comparisons, 0);
 
-  TournamentResult single = AllPlayAll({0}, &oracle);
+  TournamentResult single = Play({0}, &oracle);
   ASSERT_EQ(single.wins.size(), 1u);
   EXPECT_EQ(single.wins[0], 0);
   EXPECT_EQ(single.comparisons, 0);
@@ -32,7 +41,7 @@ TEST(TournamentTest, ComparisonCountIsKChoose2) {
   Result<Instance> instance = UniformInstance(10, /*seed=*/1);
   ASSERT_TRUE(instance.ok());
   OracleComparator oracle(&*instance);
-  const TournamentResult result = AllPlayAll(instance->AllElements(), &oracle);
+  const TournamentResult result = Play(instance->AllElements(), &oracle);
   EXPECT_EQ(result.comparisons, 45);
   EXPECT_EQ(oracle.num_comparisons(), 45);
 }
@@ -41,7 +50,7 @@ TEST(TournamentTest, WinsSumToComparisons) {
   Result<Instance> instance = UniformInstance(13, /*seed=*/2);
   ASSERT_TRUE(instance.ok());
   ThresholdComparator noisy(&*instance, ThresholdModel{0.2, 0.1}, /*seed=*/3);
-  const TournamentResult result = AllPlayAll(instance->AllElements(), &noisy);
+  const TournamentResult result = Play(instance->AllElements(), &noisy);
   int64_t total = 0;
   for (int64_t w : result.wins) total += w;
   EXPECT_EQ(total, result.comparisons);
@@ -51,7 +60,7 @@ TEST(TournamentTest, WinsSumToComparisons) {
 TEST(TournamentTest, OracleTournamentRanksByValue) {
   Instance instance({5.0, 1.0, 3.0, 4.0, 2.0});
   OracleComparator oracle(&instance);
-  const TournamentResult result = AllPlayAll(instance.AllElements(), &oracle);
+  const TournamentResult result = Play(instance.AllElements(), &oracle);
   EXPECT_EQ(result.wins[0], 4);
   EXPECT_EQ(result.wins[1], 0);
   EXPECT_EQ(result.wins[2], 2);
@@ -81,7 +90,7 @@ TEST_P(Lemma1Sweep, MaximumWinsAtLeastNMinusUn) {
 
   ThresholdComparator cmp(&*instance, ThresholdModel{delta, 0.0}, seed + 1);
   const std::vector<ElementId> all = instance->AllElements();
-  const TournamentResult result = AllPlayAll(all, &cmp);
+  const TournamentResult result = Play(all, &cmp);
   const ElementId max_elem = instance->MaxElement();
   EXPECT_GE(result.wins[static_cast<size_t>(max_elem)],
             instance->size() - u_n);
@@ -102,7 +111,7 @@ TEST_P(Lemma2Sweep, AtMostTwoRMinusOneBigWinners) {
 
   // Everything is indistinguishable: answers are a pure coin.
   ThresholdComparator coin(&*packed, ThresholdModel{1.0, 0.0}, /*seed=*/78);
-  const TournamentResult result = AllPlayAll(packed->AllElements(), &coin);
+  const TournamentResult result = Play(packed->AllElements(), &coin);
   int64_t big_winners = 0;
   for (int64_t w : result.wins) {
     if (w >= n - r) ++big_winners;

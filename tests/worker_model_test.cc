@@ -515,47 +515,6 @@ TEST(VoteBatchEquivalenceTest, CheckpointRoundTripBetweenBatches) {
   }
 }
 
-// The bulk-draw knob (DESIGN.md §16) must be behaviour-free: the bulk
-// integer-threshold kernels and the legacy scalar float-compare loop give
-// the same votes, the same counters, and byte-identical serialized state
-// (RNG position and sticky tables) — for every model, including the
-// sticky two-pass walks.
-TEST(VoteBatchEquivalenceTest, BulkAndScalarDrawPathsAreBitIdentical) {
-  for (uint64_t seed : {51u, 52u}) {
-    Rng value_rng(seed);
-    std::vector<double> values;
-    for (int i = 0; i < 24; ++i) values.push_back(value_rng.NextDouble());
-    Instance instance(values);
-    // Reuse the duo scaffolding: `percall` runs the scalar path, `batch`
-    // the bulk path, over identical pair streams.
-    for (ModelDuo& duo : MakeModelDuos(instance, 700 + seed)) {
-      VoteBatchComparator* bulk = duo.batch->AsVoteBatch();
-      VoteBatchComparator* scalar = duo.percall->AsVoteBatch();
-      ASSERT_NE(bulk, nullptr) << duo.name;
-      ASSERT_NE(scalar, nullptr) << duo.name;
-      ASSERT_TRUE(bulk->bulk_draws()) << duo.name;  // Bulk is the default.
-      scalar->set_bulk_draws(false);
-      for (uint64_t batch_seed : {seed, seed + 10}) {
-        const std::vector<ComparisonPair> pairs =
-            MixedPairs(instance, batch_seed, 600);
-        std::vector<ElementId> bulk_votes(pairs.size());
-        std::vector<ElementId> scalar_votes(pairs.size());
-        ASSERT_EQ(bulk->GenerateVotes(pairs, bulk_votes),
-                  static_cast<int64_t>(pairs.size()))
-            << duo.name;
-        ASSERT_EQ(scalar->GenerateVotes(pairs, scalar_votes),
-                  static_cast<int64_t>(pairs.size()))
-            << duo.name;
-        EXPECT_EQ(bulk_votes, scalar_votes) << duo.name;
-        EXPECT_EQ(duo.batch->num_comparisons(), duo.percall->num_comparisons())
-            << duo.name;
-        EXPECT_EQ(StateBytes(*duo.batch), StateBytes(*duo.percall))
-            << duo.name;
-      }
-    }
-  }
-}
-
 // ---------------------------------------------- Tournament equivalence.
 //
 // VoteBatchComparator::GenerateTournament (DESIGN.md §14) must equal one
@@ -701,42 +660,36 @@ TEST(VoteBatchEquivalenceTest, TournamentMatchesGenerateVotesOverItsPairs) {
   const Instance instance = TiedInstance(61, 256);
   for (const bool simd : {true, false}) {
     SetRngBulkSimd(simd);
-    for (const bool bulk : {true, false}) {
-      for (ModelDuo& duo : TournamentDuos(instance, 900)) {
-        duo.percall->AsVoteBatch()->set_bulk_draws(bulk);
-        duo.batch->AsVoteBatch()->set_bulk_draws(bulk);
-        Rng rng(62);
-        // One duo answers every group in turn, so each call also starts
-        // from the state the previous one left.
-        for (const size_t k : {2, 3, 63, 64, 65, 130, 200}) {
-          for (const SkipKind kind :
-               {SkipKind::kNone, SkipKind::kRandom, SkipKind::kAll}) {
-            std::vector<ElementId> players = instance.AllElements();
-            rng.Shuffle(&players);
-            players.resize(k);
-            ExpectTournamentMatchesVotes(
-                duo, players, kind, &rng,
-                duo.name + " simd=" + std::to_string(simd) +
-                    " bulk=" + std::to_string(bulk) +
-                    " k=" + std::to_string(k) +
-                    " skip=" + std::to_string(static_cast<int>(kind)));
-          }
-        }
-        // A player outside the instance: the same answered prefix.
-        for (const ElementId bad :
-             {static_cast<ElementId>(-1),
-              static_cast<ElementId>(instance.size())}) {
+    for (ModelDuo& duo : TournamentDuos(instance, 900)) {
+      Rng rng(62);
+      // One duo answers every group in turn, so each call also starts from
+      // the state the previous one left.
+      for (const size_t k : {2, 3, 63, 64, 65, 130, 200}) {
+        for (const SkipKind kind :
+             {SkipKind::kNone, SkipKind::kRandom, SkipKind::kAll}) {
           std::vector<ElementId> players = instance.AllElements();
           rng.Shuffle(&players);
-          players.resize(70);
-          players[40] = bad;
-          for (const SkipKind kind : {SkipKind::kNone, SkipKind::kRandom}) {
-            ExpectTournamentMatchesVotes(
-                duo, players, kind, &rng,
-                duo.name + " simd=" + std::to_string(simd) +
-                    " bulk=" + std::to_string(bulk) +
-                    " bad=" + std::to_string(bad));
-          }
+          players.resize(k);
+          ExpectTournamentMatchesVotes(
+              duo, players, kind, &rng,
+              duo.name + " simd=" + std::to_string(simd) +
+                  " k=" + std::to_string(k) +
+                  " skip=" + std::to_string(static_cast<int>(kind)));
+        }
+      }
+      // A player outside the instance: the same answered prefix.
+      for (const ElementId bad :
+           {static_cast<ElementId>(-1),
+            static_cast<ElementId>(instance.size())}) {
+        std::vector<ElementId> players = instance.AllElements();
+        rng.Shuffle(&players);
+        players.resize(70);
+        players[40] = bad;
+        for (const SkipKind kind : {SkipKind::kNone, SkipKind::kRandom}) {
+          ExpectTournamentMatchesVotes(
+              duo, players, kind, &rng,
+              duo.name + " simd=" + std::to_string(simd) +
+                  " bad=" + std::to_string(bad));
         }
       }
     }
