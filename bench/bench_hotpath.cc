@@ -43,8 +43,9 @@
 //                      committed baseline JSON, exit nonzero when a serial
 //                      row drops below tolerance * committed, or when a
 //                      ratio of two rows (bulk/percall, engine=serial/bulk,
-//                      par=8/par=1, filter/bulk) drops below tolerance *
-//                      the same ratio in the committed file. Gated on the
+//                      par=8/par=1, filter/bulk, engine=d8/engine=serial)
+//                      drops below tolerance * the same ratio in the
+//                      committed file. Gated on the
 //                      CROWDMAX_BENCH_CHECK environment variable so the CI
 //                      entry is opt-in: without it the check is skipped
 //                      before measuring.
@@ -391,15 +392,16 @@ ModelReport BenchModel(const std::string& model_name,
   for (int64_t threads : {int64_t{1}, int64_t{8}}) {
     report.rows.push_back(Measure(
         "par=" + std::to_string(threads), pairs,
-        [&](std::vector<ElementId>* out) {
+        [&](std::vector<ElementId>* /*out*/) {
           std::unique_ptr<Comparator> model = make(seed);
           Result<std::unique_ptr<ParallelBatchExecutor>> executor =
               ParallelBatchExecutor::Create(model.get(), threads,
                                             /*seed=*/seed + 17,
                                             /*chunk_size=*/kChunk);
           CROWDMAX_CHECK(executor.ok());
-          *out = (*executor)->ExecuteBatch(pairs);
-          CROWDMAX_CHECK(out->size() == pairs.size());
+          Result<std::vector<BatchTaskResult>> results =
+              (*executor)->TryExecuteBatch(pairs);
+          CROWDMAX_CHECK(results.ok() && results->size() == pairs.size());
         }));
   }
 
@@ -522,6 +524,7 @@ constexpr RatioGate kRatioGates[] = {
     {"engine=serial", "bulk"},
     {"par=8", "par=1"},
     {"filter", "bulk"},
+    {"engine=d8", "engine=serial"},
 };
 
 int RunCheck(const std::vector<ModelReport>& reports,

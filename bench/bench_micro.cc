@@ -159,8 +159,10 @@ void BM_ParallelBatchExecutor(benchmark::State& state) {
     tasks.emplace_back(a, b == a ? ((a + 1) & 1023) : b);
   }
   for (auto _ : state) {
-    std::vector<ElementId> winners = (*executor)->ExecuteBatch(tasks);
-    benchmark::DoNotOptimize(winners.data());
+    Result<std::vector<BatchTaskResult>> results =
+        (*executor)->TryExecuteBatch(tasks);
+    CROWDMAX_CHECK(results.ok());
+    benchmark::DoNotOptimize(results->data());
   }
   state.SetItemsProcessed(state.iterations() * num_tasks);
   state.SetLabel("threads=" + std::to_string(threads));

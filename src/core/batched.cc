@@ -50,7 +50,7 @@ void RecordTraceOutcomes(AlgoTrace* trace,
   trace->RecordOutcomes(answered, no_quorum, dropped);
 }
 
-// Every task answered: the fallible result of an infallible batch.
+// Every task answered: a comparator-backed batch cannot fault.
 std::vector<BatchTaskResult> AllAnswered(
     const std::vector<ElementId>& winners) {
   std::vector<BatchTaskResult> results;
@@ -62,23 +62,6 @@ std::vector<BatchTaskResult> AllAnswered(
 }
 
 }  // namespace
-
-std::vector<ElementId> BatchExecutor::ExecuteBatch(
-    const std::vector<ComparisonPair>& tasks) {
-  if (tasks.empty()) return {};
-  ++logical_steps_;
-  comparisons_ += static_cast<int64_t>(tasks.size());
-  RecordBatchMetrics(static_cast<int64_t>(tasks.size()));
-  std::vector<ElementId> winners = DoExecuteBatch(tasks);
-  if (AlgoTrace* trace = CurrentTrace();
-      trace != nullptr && RecordsTraceCells()) {
-    // The infallible path answers everything: one cell record per batch,
-    // on the submitting thread (the coordinating thread at a barrier).
-    trace->RecordDispatched(static_cast<int64_t>(tasks.size()));
-    trace->RecordOutcomes(static_cast<int64_t>(tasks.size()), 0, 0);
-  }
-  return winners;
-}
 
 Result<std::vector<BatchTaskResult>> BatchExecutor::TryExecuteBatch(
     const std::vector<ComparisonPair>& tasks) {
@@ -126,20 +109,12 @@ Status BatchExecutor::DoLoadState(CheckpointReader* /*reader*/) {
       "this executor does not support checkpointing");
 }
 
-Result<std::vector<BatchTaskResult>> BatchExecutor::DoTryExecuteBatch(
-    const std::vector<ComparisonPair>& tasks) {
-  // Default adapter: the infallible path answers everything.
-  const std::vector<ElementId> winners = DoExecuteBatch(tasks);
-  CROWDMAX_CHECK(winners.size() == tasks.size());
-  return AllAnswered(winners);
-}
-
 ComparatorBatchExecutor::ComparatorBatchExecutor(Comparator* comparator)
     : comparator_(comparator) {
   CROWDMAX_CHECK(comparator != nullptr);
 }
 
-Result<std::vector<ElementId>> ComparatorBatchExecutor::Answer(
+Result<std::vector<BatchTaskResult>> ComparatorBatchExecutor::DoTryExecuteBatch(
     const std::vector<ComparisonPair>& tasks) {
   std::vector<ElementId> winners(tasks.size(), -1);
   if (VoteBatchComparator* batch = comparator_->AsVoteBatch();
@@ -150,7 +125,7 @@ Result<std::vector<ElementId>> ComparatorBatchExecutor::Answer(
     if (produced < static_cast<int64_t>(tasks.size())) {
       return RefusedPairError(tasks[static_cast<size_t>(produced)]);
     }
-    return winners;
+    return AllAnswered(winners);
   }
   // Per call, the same refusal at the same task.
   const int64_t limit = comparator_->IdLimit();
@@ -158,21 +133,7 @@ Result<std::vector<ElementId>> ComparatorBatchExecutor::Answer(
     if (!PairBelow(tasks[t], limit)) return RefusedPairError(tasks[t]);
     winners[t] = comparator_->Compare(tasks[t].first, tasks[t].second);
   }
-  return winners;
-}
-
-std::vector<ElementId> ComparatorBatchExecutor::DoExecuteBatch(
-    const std::vector<ComparisonPair>& tasks) {
-  Result<std::vector<ElementId>> winners = Answer(tasks);
-  CROWDMAX_CHECK(winners.ok());
-  return std::move(winners).value();
-}
-
-Result<std::vector<BatchTaskResult>> ComparatorBatchExecutor::DoTryExecuteBatch(
-    const std::vector<ComparisonPair>& tasks) {
-  Result<std::vector<ElementId>> winners = Answer(tasks);
-  if (!winners.ok()) return winners.status();
-  return AllAnswered(*winners);
+  return AllAnswered(winners);
 }
 
 Status ComparatorBatchExecutor::DoSaveState(CheckpointWriter* writer) const {
@@ -208,11 +169,11 @@ Result<std::unique_ptr<ParallelBatchExecutor>> ParallelBatchExecutor::Create(
       new ParallelBatchExecutor(comparator, threads, seed, chunk_size));
 }
 
-Result<std::vector<ElementId>> ParallelBatchExecutor::Answer(
+Result<std::vector<BatchTaskResult>> ParallelBatchExecutor::DoTryExecuteBatch(
     const std::vector<ComparisonPair>& tasks) {
   const int64_t n = static_cast<int64_t>(tasks.size());
   const int64_t num_chunks = (n + chunk_size_ - 1) / chunk_size_;
-  std::vector<ElementId> winners(tasks.size(), -1);
+  std::vector<BatchTaskResult> results(tasks.size());
 
   // Chunk seeds are drawn before dispatch, in chunk order, so answers are
   // independent of which thread runs which chunk.
@@ -231,14 +192,19 @@ Result<std::vector<ElementId>> ParallelBatchExecutor::Answer(
     const int64_t begin = c * chunk_size_;
     const int64_t end = std::min(n, begin + chunk_size_);
     const size_t count = static_cast<size_t>(end - begin);
+    // Each chunk writes its answers into its own slots of `results`, so
+    // the packing runs on the pool too.
+    BatchTaskResult* out = results.data() + begin;
     if (VoteBatchComparator* batch = fork->AsVoteBatch(); batch != nullptr) {
-      // Whole chunk in one call, on span slices of the shared arrays —
-      // same seeds, same draws, same disjoint output slots.
+      // Whole chunk in one call — same seeds, same draws.
+      std::vector<ElementId> winners(count);
       const int64_t produced = batch->GenerateVotes(
           std::span<const ComparisonPair>(tasks).subspan(
               static_cast<size_t>(begin), count),
-          std::span<ElementId>(winners).subspan(static_cast<size_t>(begin),
-                                                count));
+          winners);
+      for (int64_t t = 0; t < produced; ++t) {
+        out[t] = {winners[static_cast<size_t>(t)], true, -1};
+      }
       if (produced < static_cast<int64_t>(count)) {
         refused[static_cast<size_t>(c)] = begin + produced;
       }
@@ -250,8 +216,7 @@ Result<std::vector<ElementId>> ParallelBatchExecutor::Answer(
           refused[static_cast<size_t>(c)] = t;
           break;
         }
-        winners[static_cast<size_t>(t)] =
-            fork->Compare(task.first, task.second);
+        out[t - begin] = {fork->Compare(task.first, task.second), true, -1};
       }
     }
     paid[static_cast<size_t>(c)] = fork->num_comparisons();
@@ -263,21 +228,7 @@ Result<std::vector<ElementId>> ParallelBatchExecutor::Answer(
   for (int64_t task : refused) {
     if (task >= 0) return RefusedPairError(tasks[static_cast<size_t>(task)]);
   }
-  return winners;
-}
-
-std::vector<ElementId> ParallelBatchExecutor::DoExecuteBatch(
-    const std::vector<ComparisonPair>& tasks) {
-  Result<std::vector<ElementId>> winners = Answer(tasks);
-  CROWDMAX_CHECK(winners.ok());
-  return std::move(winners).value();
-}
-
-Result<std::vector<BatchTaskResult>> ParallelBatchExecutor::DoTryExecuteBatch(
-    const std::vector<ComparisonPair>& tasks) {
-  Result<std::vector<ElementId>> winners = Answer(tasks);
-  if (!winners.ok()) return winners.status();
-  return AllAnswered(*winners);
+  return results;
 }
 
 Status ParallelBatchExecutor::DoSaveState(CheckpointWriter* writer) const {

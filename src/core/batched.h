@@ -65,19 +65,14 @@ class BatchExecutor {
  public:
   virtual ~BatchExecutor() = default;
 
-  /// Executes `tasks` in one logical step and returns the winners, aligned
-  /// with the input. An empty batch costs nothing and no step. This path
-  /// assumes an executor that cannot fail (the paper's model); executors
-  /// with fault modes abort (CHECK) here and must be driven through
-  /// TryExecuteBatch or wrapped in ResilientBatchExecutor.
-  std::vector<ElementId> ExecuteBatch(const std::vector<ComparisonPair>& tasks);
-
-  /// Fallible variant: executes `tasks` in one logical step and reports a
-  /// per-task BatchTaskResult, aligned with the input. Returns a non-OK
-  /// Status (typically Unavailable) when the whole submission failed — in
-  /// that case no logical step is accounted. Individual tasks may come
-  /// back unanswered; the queries treat those conservatively (no
-  /// elimination without evidence) and re-issue them later.
+  /// Executes `tasks` in one logical step and reports a per-task
+  /// BatchTaskResult, aligned with the input. An empty batch costs nothing
+  /// and no step. Returns a non-OK Status (typically Unavailable) when the
+  /// whole submission failed — in that case no logical step is accounted.
+  /// Individual tasks may come back unanswered; the queries treat those
+  /// conservatively (no elimination without evidence) and re-issue them
+  /// later. An executor that cannot fail (the paper's model) answers every
+  /// task.
   Result<std::vector<BatchTaskResult>> TryExecuteBatch(
       const std::vector<ComparisonPair>& tasks);
 
@@ -154,13 +149,10 @@ class BatchExecutor {
   void ChargeExtraComparisons(int64_t delta) { comparisons_ += delta; }
 
  private:
-  virtual std::vector<ElementId> DoExecuteBatch(
-      const std::vector<ComparisonPair>& tasks) = 0;
-
-  /// Fallible override point. The default adapts DoExecuteBatch: every
-  /// task comes back answered and the call never fails.
+  /// The one override point: answers a non-empty batch for
+  /// TryExecuteBatch, which does the step and comparison accounting.
   virtual Result<std::vector<BatchTaskResult>> DoTryExecuteBatch(
-      const std::vector<ComparisonPair>& tasks);
+      const std::vector<ComparisonPair>& tasks) = 0;
 
   /// Whether the public wrappers record this executor's dispatched tasks
   /// and their outcomes as trace cells (core/trace.h). True for executors
@@ -190,12 +182,7 @@ class ComparatorBatchExecutor : public BatchExecutor {
 
  private:
   // Answers every task, or returns the InvalidArgument naming the first
-  // task the batch vote interface refused (an id outside the instance):
-  // TryExecuteBatch reports it, ExecuteBatch CHECK-fails on it.
-  Result<std::vector<ElementId>> Answer(
-      const std::vector<ComparisonPair>& tasks);
-  std::vector<ElementId> DoExecuteBatch(
-      const std::vector<ComparisonPair>& tasks) override;
+  // task the batch vote interface refused (an id outside the instance).
   Result<std::vector<BatchTaskResult>> DoTryExecuteBatch(
       const std::vector<ComparisonPair>& tasks) override;
 
@@ -227,12 +214,8 @@ class ParallelBatchExecutor : public BatchExecutor {
   ParallelBatchExecutor(Comparator* comparator, int64_t threads,
                         uint64_t seed, int64_t chunk_size);
 
-  // As ComparatorBatchExecutor::Answer; with refusals in several chunks,
-  // the first in chunk order is named, after the chunks' counts merged.
-  Result<std::vector<ElementId>> Answer(
-      const std::vector<ComparisonPair>& tasks);
-  std::vector<ElementId> DoExecuteBatch(
-      const std::vector<ComparisonPair>& tasks) override;
+  // As ComparatorBatchExecutor's; with refusals in several chunks, the
+  // first in chunk order is named, after the chunks' counts merged.
   Result<std::vector<BatchTaskResult>> DoTryExecuteBatch(
       const std::vector<ComparisonPair>& tasks) override;
 

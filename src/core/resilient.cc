@@ -90,21 +90,6 @@ Status ResilientBatchExecutor::DoLoadState(CheckpointReader* reader) {
   return inner_->LoadState(reader);
 }
 
-std::vector<ElementId> ResilientBatchExecutor::DoExecuteBatch(
-    const std::vector<ComparisonPair>& tasks) {
-  Result<std::vector<BatchTaskResult>> results = DoTryExecuteBatch(tasks);
-  // The infallible contract cannot report failure; configure a fallback
-  // policy (ResilientOptions::fallback) or use TryExecuteBatch.
-  CROWDMAX_CHECK(results.ok());
-  std::vector<ElementId> winners;
-  winners.reserve(results->size());
-  for (const BatchTaskResult& result : *results) {
-    CROWDMAX_CHECK(result.answered);
-    winners.push_back(result.winner);
-  }
-  return winners;
-}
-
 Result<std::vector<BatchTaskResult>> ResilientBatchExecutor::DoTryExecuteBatch(
     const std::vector<ComparisonPair>& tasks) {
   ++report_.batches;
@@ -277,11 +262,6 @@ FaultInjectingBatchExecutor::Create(BatchExecutor* inner,
   }
   return std::unique_ptr<FaultInjectingBatchExecutor>(
       new FaultInjectingBatchExecutor(inner, options));
-}
-
-std::vector<ElementId> FaultInjectingBatchExecutor::DoExecuteBatch(
-    const std::vector<ComparisonPair>& tasks) {
-  return inner_->ExecuteBatch(tasks);
 }
 
 Result<std::vector<BatchTaskResult>>

@@ -102,12 +102,6 @@ class ResilientBatchExecutor : public BatchExecutor {
  private:
   ResilientBatchExecutor(BatchExecutor* inner, const ResilientOptions& options);
 
-  /// Infallible path: requires the recovery to fully resolve the batch
-  /// (i.e. a fallback policy, or faults mild enough for the retry budget);
-  /// aborts otherwise. Prefer TryExecuteBatch.
-  std::vector<ElementId> DoExecuteBatch(
-      const std::vector<ComparisonPair>& tasks) override;
-
   Result<std::vector<BatchTaskResult>> DoTryExecuteBatch(
       const std::vector<ComparisonPair>& tasks) override;
 
@@ -149,7 +143,6 @@ struct InjectedFaultOptions {
 /// draws happen serially at submission time, before delegating to the
 /// inner executor, so the injected pattern depends only on the submission
 /// sequence and the seed — never on the inner executor's thread schedule.
-/// The infallible ExecuteBatch path forwards untouched (fault-free).
 class FaultInjectingBatchExecutor : public BatchExecutor {
  public:
   /// `inner` is not owned. Returns InvalidArgument for a null inner,
@@ -169,9 +162,6 @@ class FaultInjectingBatchExecutor : public BatchExecutor {
  private:
   FaultInjectingBatchExecutor(BatchExecutor* inner,
                               const InjectedFaultOptions& options);
-
-  std::vector<ElementId> DoExecuteBatch(
-      const std::vector<ComparisonPair>& tasks) override;
 
   Result<std::vector<BatchTaskResult>> DoTryExecuteBatch(
       const std::vector<ComparisonPair>& tasks) override;

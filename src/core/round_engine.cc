@@ -77,33 +77,34 @@ bool HasPlayerUnits(const EngineRound& round) {
                      [](const RoundUnit& unit) { return !unit.players.empty(); });
 }
 
-// Appends the pairs `unit` stands for, in order: a pair unit's list, or a
-// player unit's (players[i], players[j]) for i < j, row by row. Every
-// write-out of a unit's pairs goes through here (or PairsOf).
-void AppendPairs(const RoundUnit& unit, std::vector<ComparisonPair>* out) {
-  if (unit.players.empty()) {
-    out->insert(out->end(), unit.pairs.begin(), unit.pairs.end());
-    return;
-  }
+// A unit's pairs in order: a pair unit's own list, or a player unit's
+// (players[i], players[j]) for i < j, row by row, written out into
+// `scratch`. Every write-out of a unit's pairs goes through here.
+std::span<const ComparisonPair> PairsOf(const RoundUnit& unit,
+                                        std::vector<ComparisonPair>* scratch) {
+  if (unit.players.empty()) return unit.pairs;
   const std::vector<ElementId>& players = unit.players;
-  const size_t at = out->size();
-  out->resize(at + static_cast<size_t>(unit.NumPairs()));
-  ComparisonPair* pair = out->data() + at;
+  scratch->resize(static_cast<size_t>(unit.NumPairs()));
+  ComparisonPair* pair = scratch->data();
   for (size_t i = 0; i < players.size(); ++i) {
     for (size_t j = i + 1; j < players.size(); ++j) {
       *pair++ = {players[i], players[j]};
     }
   }
+  return *scratch;
 }
 
-// A unit's pairs in order: a pair unit's own list, or a player unit's
-// written out into `scratch`.
-std::span<const ComparisonPair> PairsOf(const RoundUnit& unit,
-                                        std::vector<ComparisonPair>* scratch) {
-  if (unit.players.empty()) return unit.pairs;
-  scratch->clear();
-  AppendPairs(unit, scratch);
-  return *scratch;
+// A winners placeholder of the executor resolve: a later occurrence of a
+// pair the round bought at an earlier one (which holds -1), read back from
+// the cache once the answers are stored.
+constexpr ElementId kRepeatedPair = -3;
+
+// Miss m's answer in an executor batch's `answers`: its winner, or
+// kUnresolvedWinner when the task came back unanswered or the whole batch
+// failed (`answers` null).
+ElementId AnswerOf(const std::vector<BatchTaskResult>* answers, size_t m) {
+  if (answers == nullptr || !(*answers)[m].answered) return kUnresolvedWinner;
+  return (*answers)[m].winner;
 }
 
 // Answers `misses` into `answers` on `comparator`: one GenerateVotes call,
@@ -345,18 +346,6 @@ int64_t RoundEngine::logical_steps() const {
   return executor_->logical_steps() - steps_base_;
 }
 
-Result<RoundOutcome> RoundEngine::ExecuteRound(const EngineRound& round) {
-  switch (backend_) {
-    case Backend::kSerial:
-      return ExecuteSerial(round);
-    case Backend::kParallel:
-      return ExecuteParallel(round);
-    case Backend::kExecutor:
-      return ExecuteBatched(round);
-  }
-  return Status::Internal("unreachable");
-}
-
 Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
   RoundOutcome out;
   out.winners.resize(round.units.size());
@@ -530,36 +519,99 @@ Result<RoundOutcome> RoundEngine::ExecuteParallel(const EngineRound& round) {
   return out;
 }
 
-Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
-  if (round.clear_round_cache) cache_->Clear();
-
+// One round between its submission and its consume: the unit of the
+// drive's in-flight window. A comparator backend answers the whole round
+// at submission; an executor round carries its misses from the resolve to
+// the read-back. A speculative round sits in the window with only `round`,
+// `handle` (an unconfirmed speculative handle) and `source_round_index`
+// filled in: its deterministic half runs at confirmation, when Submit is
+// invoked on it.
+struct RoundEngine::PendingRound {
+  EngineRound round;
   RoundOutcome out;
-  out.winners.resize(round.units.size());
-  out.losses.resize(round.units.size());
-  const int64_t paid_before = executor_->comparisons();
-  AlgoTrace* trace = CurrentTrace();
+  /// Executor rounds: the pairs bought, in first-occurrence order, and each
+  /// later occurrence of one of them within the round, in round order.
+  std::vector<ComparisonPair> misses;
+  std::vector<ComparisonPair> repeats;
+  /// The synchronous executor's answers, taken at submission.
+  Result<std::vector<BatchTaskResult>> results{std::vector<BatchTaskResult>()};
+  /// Pipelined engines: the round's async batch.
+  int64_t handle = -1;
+  bool speculative = false;
+  /// Emission ordinal of this round within the drive (rounds consumed +
+  /// position in the in-flight window at emission), for diagnostics.
+  int64_t source_round_index = 0;
+};
 
-  // Resolve through the cache, batching only the misses (including pairs
-  // left unresolved by an earlier faulty attempt). A player unit resolves
-  // pair by pair here, its pairs written out in order and its winners
-  // folded into its loss matrix at the end. A pruning drive probes
-  // read-only, unit by unit (ProbeUnit), and leaves the memo to
-  // CommitRound. Otherwise: one grow per round, then one batch insert per
-  // unit, with every pair's slot pinned until the answers are mapped back.
-  // A new key is reserved with -1 (an unresolved parking is rewritten to
-  // it), so a duplicate query within the round finds the reservation and
-  // is sent once. Either way a bought pair's first occurrence is marked -1
-  // in its winners slot.
+Status RoundEngine::Submit(PendingRound* pending, bool overlapped) {
+  const EngineRound& round = pending->round;
+  AlgoTrace* trace = CurrentTrace();
+  const int64_t span_id = round.span != nullptr && trace != nullptr
+                              ? trace->BeginSpan(TraceSpanKind::kBatch,
+                                                 round.span)
+                              : -1;
+  Status submitted = Status::OK();
+  if (backend_ == Backend::kExecutor) {
+    submitted = SubmitExecutor(pending, overlapped);
+  } else {
+    Result<RoundOutcome> outcome = backend_ == Backend::kSerial
+                                       ? ExecuteSerial(round)
+                                       : ExecuteParallel(round);
+    if (outcome.ok()) {
+      pending->out = std::move(outcome).value();
+    } else {
+      submitted = outcome.status();
+    }
+  }
+  // The batch span closes at submission on every engine: no trace
+  // operation runs between the dispatch returning and the span end.
+  if (span_id >= 0) trace->EndSpan(span_id);
+  return submitted;
+}
+
+Status RoundEngine::SubmitExecutor(PendingRound* pending, bool overlapped) {
+  const EngineRound& round = pending->round;
+  if (round.clear_round_cache) cache_->Clear();  // The drive drained first.
+  RoundOutcome& out = pending->out;
   out.issued = round.TotalPairs();
   issued_ += out.issued;
-  std::vector<ComparisonPair>& misses = round_misses_;
-  std::vector<PairValuePtr>& pinned = round_pinned_;  // each pair's slot
-  misses.clear();
-  pinned.clear();
-  if (!prune_) {
-    cache_->Reserve(out.issued);
-    pinned.reserve(static_cast<size_t>(out.issued));
+  out.winners.resize(round.units.size());
+  out.losses.resize(round.units.size());
+
+  // The overlap guard, run before the round reserves anything: a -1 in the
+  // cache can then only be a reservation of another round still in flight,
+  // so finding one means the source emitted a round overlapping it — a
+  // CanPipelineNextRound contract violation, reported instead of silently
+  // racing on the answer, and leaving nothing of this round behind.
+  if (overlapped) {
+    for (const RoundUnit& unit : round.units) {
+      for (const ComparisonPair& pair : PairsOf(unit, &unit_pairs_)) {
+        const uint64_t key = PackPairKey(pair.first, pair.second);
+        const PairValuePtr slot = cache_->Find(key);
+        if (slot == nullptr || *slot != -1) continue;
+        return Status::Internal(
+            "pipelined round depends on a pair still in flight "
+            "(RoundPairKey " +
+            std::to_string(key) + " = {" + std::to_string(pair.first) +
+            ", " + std::to_string(pair.second) + "}, source round index " +
+            std::to_string(pending->source_round_index) +
+            "); the RoundSource violated the CanPipelineNextRound "
+            "disjointness rule");
+      }
+    }
   }
+
+  // The resolve: batch only the misses (including pairs an earlier faulty
+  // attempt parked). A player unit's pairs are written out in order; its
+  // answers fold into its loss matrix at the read-back. A pruning drive
+  // probes read-only, unit by unit (ProbeUnit), and leaves the memo to
+  // CommitRound. Otherwise one grow per round, then one batch insert per
+  // unit reserves each miss with -1 (an unresolved parking is rewritten to
+  // it), so a repeat of the pair later in the round finds the reservation
+  // and is sent once. A bought pair's first occurrence is -1 in its
+  // winners slot, a repeat kRepeatedPair, until the read-back.
+  std::vector<ComparisonPair>& misses = pending->misses;
+  if (!prune_) cache_->Reserve(out.issued);
   for (size_t u = 0; u < round.units.size(); ++u) {
     const std::span<const ComparisonPair> pairs =
         PairsOf(round.units[u], &unit_pairs_);
@@ -568,14 +620,22 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
       ProbeUnit(pairs, &winners, &misses);
       continue;
     }
-    winners.assign(pairs.size(), 0);
+    winners.resize(pairs.size());
     const std::span<const PairSlotRef> slots =
         PinSlots(pairs, /*absent_value=*/-1);
     for (size_t p = 0; p < pairs.size(); ++p) {
       const PairSlotRef& slot = slots[p];
-      pinned.push_back(slot.value);
       if (!slot.inserted) {
-        if (*slot.value != kUnresolvedWinner) continue;
+        const ElementId cached = *slot.value;
+        if (cached >= 0) {
+          winners[p] = cached;
+          continue;
+        }
+        if (cached == -1) {
+          winners[p] = kRepeatedPair;
+          pending->repeats.push_back(pairs[p]);
+          continue;
+        }
         *slot.value = -1;
       }
       misses.push_back(pairs[p]);
@@ -585,49 +645,79 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
   if (const int64_t hits = out.issued - static_cast<int64_t>(misses.size());
       hits > 0) {
     cache_hits_ += hits;
-    if (trace != nullptr) trace->RecordCacheHits(hits);
+    if (AlgoTrace* trace = CurrentTrace()) trace->RecordCacheHits(hits);
   }
-  Result<std::vector<BatchTaskResult>> results =
-      executor_->TryExecuteBatch(misses);
-  // The non-pipelined drive pays the simulated crowd round trip here,
-  // answered or not — a rejected submission still cost the latency.
-  SleepOutLatency(executor_);
-  if (results.ok()) CROWDMAX_CHECK(results->size() == misses.size());
 
-  // One walk in round order takes each bought pair's answer (or
-  // kUnresolvedWinner, when the batch failed). Without pruning it also
-  // writes that answer (or parking) through the pinned slot and reads
-  // every other pair's outcome from its slot; a duplicate always follows
-  // its first occurrence, so its slot is final by then. A pruning drive's
-  // hits already hold their answers.
+  // The dispatch, the one step the two executor engines do differently.
+  // The synchronous engine pays the simulated crowd round trip here,
+  // answered or not: a rejected submission still cost the latency. The
+  // pipelined one computes at submission too (core/async_executor.h) and
+  // banks only the latency; a speculative round being confirmed already
+  // holds its handle, and ConfirmBatch back-dates its deadline to the
+  // speculative start. Either way paid_delta is final here, which keeps
+  // the budget gate and every counter identical at every depth.
+  const int64_t paid_before = executor_->comparisons();
+  if (async_ == nullptr) {
+    pending->results = executor_->TryExecuteBatch(misses);
+    SleepOutLatency(executor_);
+  } else {
+    Status dispatched = Status::OK();
+    if (pending->handle >= 0) {
+      dispatched = async_->ConfirmBatch(pending->handle, misses);
+    } else if (Result<int64_t> handle = async_->SubmitBatchAsync(misses);
+               handle.ok()) {
+      pending->handle = *handle;
+    } else {
+      dispatched = handle.status();
+    }
+    if (!dispatched.ok()) {
+      StoreAnswers(misses, nullptr);
+      return dispatched;
+    }
+  }
+  out.paid_delta = executor_->comparisons() - paid_before;
+  return Status::OK();
+}
+
+Status RoundEngine::Complete(PendingRound* pending) {
+  if (backend_ != Backend::kExecutor) return Status::OK();
+  const Result<std::vector<BatchTaskResult>> results =
+      async_ != nullptr ? async_->Wait(pending->handle)
+                        : std::move(pending->results);
+  const std::vector<BatchTaskResult>* answers =
+      results.ok() ? &*results : nullptr;
+  const std::vector<ComparisonPair>& misses = pending->misses;
+  CROWDMAX_CHECK(answers == nullptr || answers->size() == misses.size());
+  if (!prune_) StoreAnswers(misses, answers);
+
+  // One walk in round order fills each bought pair's first occurrence from
+  // its answer (kUnresolvedWinner when the batch failed) and each repeat
+  // from the cache, which now holds that answer. A pruning drive's hits
+  // already hold their answers.
+  RoundOutcome& out = pending->out;
   size_t next_miss = 0;
-  size_t index = 0;
-  for (std::vector<ElementId>& winners : out.winners) {
+  size_t next_repeat = 0;
+  for (size_t u = 0; u < out.winners.size(); ++u) {
+    std::vector<ElementId>& winners = out.winners[u];
     for (ElementId& winner : winners) {
       if (winner == -1) {
-        const BatchTaskResult* result =
-            results.ok() ? &(*results)[next_miss] : nullptr;
-        CROWDMAX_DCHECK(result == nullptr || !result->answered ||
-                        result->winner == misses[next_miss].first ||
-                        result->winner == misses[next_miss].second);
+        winner = AnswerOf(answers, next_miss);
+        CROWDMAX_DCHECK(winner == misses[next_miss].first ||
+                        winner == misses[next_miss].second ||
+                        winner == kUnresolvedWinner);
         ++next_miss;
-        winner = result != nullptr && result->answered ? result->winner
-                                                       : kUnresolvedWinner;
-        if (!prune_) *pinned[index] = winner;
-      } else if (!prune_) {
-        winner = *pinned[index];
+      } else if (winner == kRepeatedPair) {
+        const ComparisonPair& pair = pending->repeats[next_repeat++];
+        winner = *cache_->Find(PackPairKey(pair.first, pair.second));
       }
-      ++index;
       CROWDMAX_CHECK(winner != -1);
       if (winner == kUnresolvedWinner) ++out.unresolved;
     }
-  }
-  for (size_t u = 0; u < round.units.size(); ++u) {
-    const RoundUnit& unit = round.units[u];
+    const RoundUnit& unit = pending->round.units[u];
     if (unit.players.empty()) continue;
     out.losses[u].Reset(unit.players.size());
-    FoldAnswers(unit.players, {}, out.winners[u], &out.losses[u]);
-    out.winners[u].clear();
+    FoldAnswers(unit.players, {}, winners, &out.losses[u]);
+    winners.clear();
   }
   if (!results.ok()) {
     // Non-transient executor failure: abort the drive.
@@ -636,9 +726,17 @@ Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
     }
     out.fault = results.status();
   }
+  return Status::OK();
+}
 
-  out.paid_delta = executor_->comparisons() - paid_before;
-  return out;
+void RoundEngine::StoreAnswers(std::span<const ComparisonPair> misses,
+                               const std::vector<BatchTaskResult>* answers) {
+  const std::span<const PairSlotRef> slots =
+      PinSlots(misses, /*absent_value=*/kUnresolvedWinner);
+  for (size_t m = 0; m < misses.size(); ++m) {
+    CROWDMAX_DCHECK(!slots[m].inserted && *slots[m].value == -1);
+    *slots[m].value = AnswerOf(answers, m);
+  }
 }
 
 std::span<const PairSlotRef> RoundEngine::PinSlots(
@@ -942,17 +1040,16 @@ void RoundEngine::CheckRound(const EngineRound& round) const {
 Result<DriveResult> RoundEngine::Drive(RoundSource* source,
                                        const DriveOptions& options) {
   CROWDMAX_CHECK(source != nullptr);
-  if (async_ != nullptr) return DrivePipelined(source, options);
   DriveResult drive;
   int64_t paid_start = paid();
   int64_t open_round_id = -1;
   AlgoTrace* trace = CurrentTrace();
-  const auto close_round_span = [&] {
-    if (open_round_id >= 0) {
-      trace->EndSpan(open_round_id);
-      open_round_id = -1;
-    }
-  };
+  // The rounds submitted and not yet consumed, oldest first: at most
+  // max_in_flight_, which only a pipelined engine sets above 1. At depth 1
+  // a round is submitted only into an empty window and retired before the
+  // next one is asked for, so the drive never overlaps, never speculates
+  // and never consults the pipelining hooks.
+  std::deque<std::unique_ptr<PendingRound>> in_flight;
 
   // A staged restore rebuilds the whole run — engine counters, cache,
   // comparator/executor stack, source — before the first round, so the
@@ -965,11 +1062,12 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
   }
 
   // Memo pruning (DESIGN.md §14), decided once per drive. A shared cache
-  // keeps every pair: another engine or query may ask any of them. The
-  // co-play signatures start empty, and are trusted only over a memo this
-  // drive writes from the start: one empty now, after any restore (an
+  // keeps every pair: another engine or query may ask any of them. So does
+  // a pipelined engine, whose in-flight rounds reserve their pairs in it.
+  // The co-play signatures start empty, and are trusted only over a memo
+  // this drive writes from the start: one empty now, after any restore (an
   // empty restored memo has nothing a signature could miss).
-  prune_ = memoize_ && cache_ == &owned_cache_ &&
+  prune_ = async_ == nullptr && memoize_ && cache_ == &owned_cache_ &&
            source->NamesRecurringElements();
   retired_bits_.clear();
   signatures_on_ = prune_ && cache_->empty();
@@ -985,246 +1083,6 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
                         (backend_ == Backend::kSerial && HasPlayerUnits(round)));
   };
 
-  while (true) {
-    EngineRound round;
-    Result<bool> more = source->NextRound(&round);
-    if (!more.ok()) {
-      close_round_span();
-      return more.status();
-    }
-    if (!*more) break;
-
-    // Budget gate, at the round boundary: a round whose worst case would
-    // exceed the cap never starts (memoization hits could make it cheaper,
-    // but a guaranteed-affordable round is what the cap promises).
-    if (options.max_comparisons > 0 &&
-        (paid() - paid_start) + round.TotalPairs() > options.max_comparisons) {
-      drive.stopped_by_budget = true;
-      source->OnBudgetStop();
-      break;
-    }
-
-    if (round.open_round > 0 && trace != nullptr) {
-      CROWDMAX_CHECK(open_round_id < 0);
-      open_round_id = trace->BeginRound(round.open_round);
-    }
-
-    CheckRound(round);
-    const int64_t span_id = round.span != nullptr && trace != nullptr
-                                ? trace->BeginSpan(TraceSpanKind::kBatch,
-                                                   round.span)
-                                : -1;
-    Result<RoundOutcome> outcome = ExecuteRound(round);
-    if (span_id >= 0) trace->EndSpan(span_id);
-    if (!outcome.ok()) {
-      close_round_span();
-      return outcome.status();
-    }
-
-    // Comparator-backend cell recording at the round barrier: every paid
-    // comparison came back answered (faults live in the executor stack)
-    // and the issued-minus-paid remainder was served by the memo cache.
-    if (backend_ != Backend::kExecutor && round.record_round_cell &&
-        trace != nullptr) {
-      trace->RecordAnsweredCell(outcome->paid_delta, outcome->issued);
-    }
-
-    Status consumed = source->ConsumeOutcome(round, *outcome);
-    if (round.close_round) close_round_span();
-    // Commit before the checkpoint boundary below, so a snapshot holds
-    // every pair a later round can ask; nothing stays pending between
-    // engine rounds.
-    if (commits(round)) {
-      CommitRound(round, *outcome,
-                  prune_ ? source->RecurringElements()
-                         : std::span<const ElementId>());
-    }
-    if (!consumed.ok()) {
-      close_round_span();
-      return consumed;
-    }
-    ++drive.rounds_executed;
-    // Clean round boundary: no open trace span, no outstanding work. The
-    // controller may snapshot here (cadence) or kill the run (chaos plan);
-    // a kAborted from the plan propagates out like any drive error.
-    if (checkpoint_ != nullptr && open_round_id < 0) {
-      Status boundary = checkpoint_->OnRoundBoundary(
-          [&] { return SerializeCheckpoint(source, paid_start, drive); });
-      if (!boundary.ok()) return boundary;
-    }
-  }
-
-  close_round_span();
-  return drive;
-}
-
-// One pipelined round between submission and completion. `out` already
-// carries the submission-time halves (issued, paid_delta, cache hits
-// recorded); completion fills winners/unresolved/fault. A speculative
-// round sits in the window with only `round`, `handle` (an unconfirmed
-// speculative handle) and `source_round_index` filled in — its
-// deterministic halves run at confirmation, when SubmitPipelined is
-// invoked on it a second time.
-struct RoundEngine::PendingRound {
-  EngineRound round;
-  int64_t handle = -1;
-  std::vector<ComparisonPair> misses;
-  RoundOutcome out;
-  bool speculative = false;
-  /// Emission ordinal of this round within the drive (rounds consumed +
-  /// position in the in-flight window at emission), for diagnostics.
-  int64_t source_round_index = 0;
-};
-
-Status RoundEngine::SubmitPipelined(PendingRound* pending) {
-  const EngineRound& r = pending->round;
-  if (r.clear_round_cache) cache_->Clear();  // Drive drained first.
-
-  RoundOutcome& out = pending->out;
-  out.winners.resize(r.units.size());
-  std::vector<ComparisonPair>& queries = round_queries_;
-  queries.clear();
-  queries.reserve(static_cast<size_t>(r.TotalPairs()));
-  for (const RoundUnit& unit : r.units) AppendPairs(unit, &queries);
-  out.issued = static_cast<int64_t>(queries.size());
-  issued_ += out.issued;
-  const int64_t paid_before = executor_->comparisons();
-
-  AlgoTrace* trace = CurrentTrace();
-  int64_t span_id = -1;
-  if (r.span != nullptr && trace != nullptr) {
-    span_id = trace->BeginSpan(TraceSpanKind::kBatch, r.span);
-  }
-
-  // Cache resolution, exactly as ExecuteBatched — except that a -1
-  // reservation now marks a pair owned by a round still in flight. Seeing
-  // one that this round did not reserve itself means the source emitted a
-  // round overlapping an in-flight round: a CanPipelineNextRound contract
-  // violation, reported instead of silently racing on the answer.
-  std::unordered_set<uint64_t> reserved_here;
-  std::vector<ComparisonPair>& misses = pending->misses;
-  misses.reserve(queries.size());
-  for (const ComparisonPair& q : queries) {
-    const uint64_t key = PackPairKey(q.first, q.second);
-    const PairValuePtr slot = cache_->Find(key);
-    if (slot != nullptr && *slot == -1 && reserved_here.count(key) == 0) {
-      if (span_id >= 0) trace->EndSpan(span_id);
-      return Status::Internal(
-          "pipelined round depends on a pair still in flight (RoundPairKey " +
-          std::to_string(key) + " = {" + std::to_string(q.first) + ", " +
-          std::to_string(q.second) + "}, source round index " +
-          std::to_string(pending->source_round_index) +
-          "); the RoundSource violated the CanPipelineNextRound "
-          "disjointness rule");
-    }
-    if (slot == nullptr || *slot == kUnresolvedWinner) {
-      misses.push_back(q);
-      cache_->Set(key, -1);
-      reserved_here.insert(key);
-    }
-  }
-  if (const int64_t hits =
-          static_cast<int64_t>(queries.size() - misses.size());
-      hits > 0) {
-    cache_hits_ += hits;
-    if (trace != nullptr) trace->RecordCacheHits(hits);
-  }
-
-  // Compute-at-submit: the adapter runs the inner executor synchronously
-  // here (identical RNG draws, counters, transcript rows and trace cells
-  // to the non-pipelined path) and banks only the latency. paid_delta is
-  // therefore final at submission, which is what keeps the budget gate and
-  // every counter bit-identical to the serial drive. A speculative round
-  // being confirmed already holds its handle: the same deterministic half
-  // runs now — at the exact point the synchronous drive would have
-  // submitted it — and the adapter back-dates the deadline to the
-  // speculative start, which is the whole wall-clock win.
-  if (pending->handle >= 0) {
-    Status confirmed = async_->ConfirmBatch(pending->handle, misses);
-    if (!confirmed.ok()) {
-      for (const ComparisonPair& m : misses) {
-        cache_->Set(PackPairKey(m.first, m.second), kUnresolvedWinner);
-      }
-      if (span_id >= 0) trace->EndSpan(span_id);
-      return confirmed;
-    }
-  } else {
-    Result<int64_t> handle = async_->SubmitBatchAsync(misses);
-    if (!handle.ok()) {
-      for (const ComparisonPair& m : misses) {
-        cache_->Set(PackPairKey(m.first, m.second), kUnresolvedWinner);
-      }
-      if (span_id >= 0) trace->EndSpan(span_id);
-      return handle.status();
-    }
-    pending->handle = *handle;
-  }
-  out.paid_delta = executor_->comparisons() - paid_before;
-  // The batch span closes at submission: the sync path emits no trace
-  // operation between the executor call returning and its span end, so
-  // the operation sequences match exactly.
-  if (span_id >= 0) trace->EndSpan(span_id);
-  return Status::OK();
-}
-
-Status RoundEngine::CompletePipelined(PendingRound* pending) {
-  Result<std::vector<BatchTaskResult>> results =
-      async_->Wait(pending->handle);
-  RoundOutcome& out = pending->out;
-  if (!results.ok()) {
-    for (const ComparisonPair& m : pending->misses) {
-      cache_->Set(PackPairKey(m.first, m.second), kUnresolvedWinner);
-    }
-    if (results.status().code() != StatusCode::kUnavailable) {
-      return results.status();
-    }
-    out.fault = results.status();
-  } else {
-    CROWDMAX_CHECK(results->size() == pending->misses.size());
-    for (size_t i = 0; i < pending->misses.size(); ++i) {
-      const BatchTaskResult& result = (*results)[i];
-      const uint64_t key = PackPairKey(pending->misses[i].first,
-                                       pending->misses[i].second);
-      if (!result.answered) {
-        cache_->Set(key, kUnresolvedWinner);
-        continue;
-      }
-      CROWDMAX_DCHECK(result.winner == pending->misses[i].first ||
-                      result.winner == pending->misses[i].second);
-      cache_->Set(key, result.winner);
-    }
-  }
-
-  out.losses.resize(pending->round.units.size());
-  for (size_t u = 0; u < pending->round.units.size(); ++u) {
-    const RoundUnit& unit = pending->round.units[u];
-    std::vector<ElementId>& winners = out.winners[u];
-    const std::span<const ComparisonPair> pairs = PairsOf(unit, &unit_pairs_);
-    winners.reserve(pairs.size());
-    for (const ComparisonPair& pair : pairs) {
-      const PairValuePtr slot =
-          cache_->Find(PackPairKey(pair.first, pair.second));
-      CROWDMAX_CHECK(slot != nullptr && *slot != -1);
-      if (*slot == kUnresolvedWinner) ++out.unresolved;
-      winners.push_back(*slot);
-    }
-    if (!unit.players.empty()) {
-      out.losses[u].Reset(unit.players.size());
-      FoldAnswers(unit.players, {}, winners, &out.losses[u]);
-      winners.clear();
-    }
-  }
-  return Status::OK();
-}
-
-Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
-                                                const DriveOptions& options) {
-  DriveResult drive;
-  int64_t paid_start = paid();
-  int64_t open_round_id = -1;
-  AlgoTrace* trace = CurrentTrace();
-  std::deque<std::unique_ptr<PendingRound>> in_flight;
-
   const auto close_round_span = [&] {
     if (open_round_id >= 0) {
       trace->EndSpan(open_round_id);
@@ -1236,7 +1094,8 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
   // handles — computed answers abandoned unconsumed are banked-answer
   // refunds the adapter accounts. Speculative rounds reserved nothing in
   // the cache and computed nothing, so cancellation alone unwinds them;
-  // the source is told its speculation died with the drive.
+  // the source is told its speculation died with the drive. A round whose
+  // own submission failed is not in the window: Submit left nothing of it.
   const auto abandon_in_flight = [&] {
     bool aborted_speculation = false;
     for (const auto& pending : in_flight) {
@@ -1249,35 +1108,49 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
         aborted_speculation = true;
         continue;
       }
-      for (const ComparisonPair& m : pending->misses) {
-        cache_->Set(PackPairKey(m.first, m.second), kUnresolvedWinner);
-      }
+      StoreAnswers(pending->misses, nullptr);
     }
     in_flight.clear();
     if (aborted_speculation) source->OnSpeculationAborted();
   };
-  // Waits out the oldest in-flight round and delivers its outcome —
-  // strictly in submission order, so the source sees the same callback
-  // sequence as the serial drive. Never called on a speculative round:
-  // the reconcile branch below turns the window firm (or cancels it)
-  // before anything in it can retire.
+  // Retires the oldest in-flight round — strictly in submission order, so
+  // the source sees the same callback sequence at every depth: read back
+  // its answers, record a comparator backend's cell, deliver the outcome,
+  // commit it to the memo, and offer the checkpoint boundary. Never called
+  // on a speculative round: the reconcile branch below turns the window
+  // firm (or cancels it) before anything in it can retire.
   const auto complete_oldest = [&]() -> Status {
-    PendingRound* pending = in_flight.front().get();
-    CROWDMAX_CHECK(!pending->speculative);
-    Status done = CompletePipelined(pending);
-    if (!done.ok()) {
-      in_flight.pop_front();
-      return done;
-    }
-    Status consumed = source->ConsumeOutcome(pending->round, pending->out);
-    const bool close_round = pending->round.close_round;
+    const std::unique_ptr<PendingRound> pending = std::move(in_flight.front());
     in_flight.pop_front();
-    if (close_round) close_round_span();
+    CROWDMAX_CHECK(!pending->speculative);
+    Status done = Complete(pending.get());
+    if (!done.ok()) return done;
+    const EngineRound& round = pending->round;
+    const RoundOutcome& outcome = pending->out;
+    // Comparator-backend cell recording at the round barrier: every paid
+    // comparison came back answered (faults live in the executor stack)
+    // and the issued-minus-paid remainder was served by the memo cache.
+    if (backend_ != Backend::kExecutor && round.record_round_cell &&
+        trace != nullptr) {
+      trace->RecordAnsweredCell(outcome.paid_delta, outcome.issued);
+    }
+    Status consumed = source->ConsumeOutcome(round, outcome);
+    if (round.close_round) close_round_span();
+    // Commit before the checkpoint boundary below, so a snapshot holds
+    // every pair a later round can ask; nothing stays pending between
+    // engine rounds.
+    if (commits(round)) {
+      CommitRound(round, outcome,
+                  prune_ ? source->RecurringElements()
+                         : std::span<const ElementId>());
+    }
     if (!consumed.ok()) return consumed;
     ++drive.rounds_executed;
     // Checkpoints only at fully-drained boundaries: nothing in flight and
     // no open trace span, so the serialized state has no half-submitted
-    // rounds or -1 cache reservations in it.
+    // rounds or -1 cache reservations in it. The controller may snapshot
+    // here (cadence) or kill the run (chaos plan); a kAborted from the
+    // plan propagates out like any drive error.
     if (checkpoint_ != nullptr && in_flight.empty() && open_round_id < 0) {
       Status boundary = checkpoint_->OnRoundBoundary(
           [&] { return SerializeCheckpoint(source, paid_start, drive); });
@@ -1285,13 +1158,19 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
     }
     return Status::OK();
   };
-
-  if (checkpoint_ != nullptr && checkpoint_->PendingRestore() != nullptr) {
-    Status restored = RestoreCheckpoint(
-        source, *checkpoint_->PendingRestore(), &paid_start, &drive);
-    if (!restored.ok()) return restored;
-    checkpoint_->MarkRestored();
-  }
+  // Retires every in-flight round, oldest first.
+  const auto drain = [&]() -> Status {
+    while (!in_flight.empty()) {
+      Status retired = complete_oldest();
+      if (!retired.ok()) return retired;
+    }
+    return Status::OK();
+  };
+  const auto fail = [&](Status status) -> Result<DriveResult> {
+    abandon_in_flight();
+    close_round_span();
+    return status;
+  };
 
   // Speculation is legal only on budget-free drives: the budget gate is
   // an emission-time predicate of the synchronous schedule, and a
@@ -1311,23 +1190,17 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
         // deterministic half (cache resolution, batch span, executor
         // compute, paid accounting) runs here — the exact program point
         // where the synchronous drive would have submitted it — while its
-        // latency deadline stays anchored at the speculative start.
-        int64_t confirmed_rounds = 0;
-        Status confirm_error = Status::OK();
-        for (auto& pending : in_flight) {
+        // latency deadline stays anchored at the speculative start. Only
+        // the rounds confirmed before it are in flight with it.
+        for (size_t i = 0; i < in_flight.size(); ++i) {
+          PendingRound* pending = in_flight[i].get();
           CROWDMAX_CHECK(pending->speculative);
-          confirm_error = SubmitPipelined(pending.get());
-          if (!confirm_error.ok()) break;
+          Status confirmed = Submit(pending, /*overlapped=*/i > 0);
+          if (!confirmed.ok()) return fail(confirmed);
           pending->speculative = false;
           ++speculation_hits_;
-          ++confirmed_rounds;
         }
-        if (!confirm_error.ok()) {
-          abandon_in_flight();
-          close_round_span();
-          return confirm_error;
-        }
-        ObserveSpeculation(confirmed_rounds, 0, 0);
+        ObserveSpeculation(static_cast<int64_t>(in_flight.size()), 0, 0);
         continue;
       }
       // Misprediction: cancel the whole window before anything in it runs,
@@ -1377,17 +1250,11 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
     const bool emit_firm =
         in_flight.empty() ||
         (!window_full && !tail_speculative && source->CanPipelineNextRound());
-    bool emit_speculative = !emit_firm && !window_full && allow_speculation &&
-                            source->CanSpeculateNextRound();
-
-    if (emit_speculative) {
+    if (!emit_firm && !window_full && allow_speculation &&
+        source->CanSpeculateNextRound()) {
       EngineRound round;
       Result<bool> offered = source->SpeculateNextRound(&round);
-      if (!offered.ok()) {
-        abandon_in_flight();
-        close_round_span();
-        return offered.status();
-      }
+      if (!offered.ok()) return fail(offered.status());
       if (*offered) {
         // Speculative rounds may not open round spans or clear the cache:
         // both are effects of the synchronous schedule, which this round
@@ -1401,110 +1268,75 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
             drive.rounds_executed + static_cast<int64_t>(in_flight.size());
         pending->round = std::move(round);
         Result<int64_t> handle = async_->SubmitSpeculativeBatch();
-        if (!handle.ok()) {
-          abandon_in_flight();
-          close_round_span();
-          return handle.status();
-        }
+        if (!handle.ok()) return fail(handle.status());
         pending->handle = *handle;
         in_flight.push_back(std::move(pending));
         ++speculative_rounds_;
         ++overlapped_rounds_;  // a speculative round overlaps by definition
         const int64_t depth = static_cast<int64_t>(in_flight.size());
-        if (depth > max_in_flight_observed_) max_in_flight_observed_ = depth;
+        max_in_flight_observed_ = std::max(max_in_flight_observed_, depth);
         ObservePipelineDepth(depth);
         continue;
       }
-      emit_speculative = false;  // declined after all: fall through to retire
+      // Declined after all: fall through to retire.
     }
 
-    // Retire the oldest round whenever the pipeline is full or the source
+    // Retire the oldest round whenever the window is full or the source
     // needs an outcome before it can emit again.
     if (!emit_firm) {
       Status retired = complete_oldest();
-      if (!retired.ok()) {
-        abandon_in_flight();
-        close_round_span();
-        return retired;
-      }
+      if (!retired.ok()) return fail(retired);
       continue;
     }
 
     EngineRound round;
     Result<bool> more = source->NextRound(&round);
-    if (!more.ok()) {
-      abandon_in_flight();
-      close_round_span();
-      return more.status();
-    }
+    if (!more.ok()) return fail(more.status());
     if (!*more) break;
-    CheckRound(round);
 
-    // Budget gate: paid() is already final for every submitted round
-    // (compute-at-submit), so the gate evaluates exactly the serial
-    // drive's predicate. In-flight rounds are drained before the source
-    // hears about the stop, preserving its callback order.
+    // Budget gate, at the round boundary: a round whose worst case would
+    // exceed the cap never starts (memoization hits could make it cheaper,
+    // but a guaranteed-affordable round is what the cap promises). paid()
+    // is final for every submitted round (compute-at-submit), so the gate
+    // evaluates the synchronous drive's predicate at every depth. In-flight
+    // rounds are drained before the source hears about the stop,
+    // preserving its callback order.
     if (options.max_comparisons > 0 &&
         (paid() - paid_start) + round.TotalPairs() > options.max_comparisons) {
-      while (!in_flight.empty()) {
-        Status retired = complete_oldest();
-        if (!retired.ok()) {
-          abandon_in_flight();
-          close_round_span();
-          return retired;
-        }
-      }
+      if (Status drained = drain(); !drained.ok()) return fail(drained);
       drive.stopped_by_budget = true;
       source->OnBudgetStop();
       break;
     }
-
     // A cache clear under in-flight rounds would drop their reservations:
     // drain first. (Pipelining sources only clear at logical-round
-    // boundaries, where CanPipelineNextRound already forced a drain, so
-    // this loop is a no-op for them.)
+    // boundaries, where CanPipelineNextRound already forced a drain.)
     if (round.clear_round_cache) {
-      while (!in_flight.empty()) {
-        Status retired = complete_oldest();
-        if (!retired.ok()) {
-          abandon_in_flight();
-          close_round_span();
-          return retired;
-        }
-      }
+      if (Status drained = drain(); !drained.ok()) return fail(drained);
     }
 
     if (round.open_round > 0 && trace != nullptr) {
       CROWDMAX_CHECK(open_round_id < 0);
       open_round_id = trace->BeginRound(round.open_round);
     }
+    CheckRound(round);
     const bool overlapped = !in_flight.empty();
-
     auto pending = std::make_unique<PendingRound>();
     pending->source_round_index =
         drive.rounds_executed + static_cast<int64_t>(in_flight.size());
     pending->round = std::move(round);
-    Status submitted = SubmitPipelined(pending.get());
-    if (!submitted.ok()) {
-      abandon_in_flight();
-      close_round_span();
-      return submitted;
-    }
+    Status submitted = Submit(pending.get(), overlapped);
+    if (!submitted.ok()) return fail(submitted);
     in_flight.push_back(std::move(pending));
-    if (overlapped) ++overlapped_rounds_;
-    const int64_t depth = static_cast<int64_t>(in_flight.size());
-    if (depth > max_in_flight_observed_) max_in_flight_observed_ = depth;
-    ObservePipelineDepth(depth);
+    if (async_ != nullptr) {
+      if (overlapped) ++overlapped_rounds_;
+      const int64_t depth = static_cast<int64_t>(in_flight.size());
+      max_in_flight_observed_ = std::max(max_in_flight_observed_, depth);
+      ObservePipelineDepth(depth);
+    }
   }
 
-  while (!in_flight.empty()) {
-    Status retired = complete_oldest();
-    if (!retired.ok()) {
-      abandon_in_flight();
-      close_round_span();
-      return retired;
-    }
-  }
+  if (Status drained = drain(); !drained.ok()) return fail(drained);
   close_round_span();
   return drive;
 }

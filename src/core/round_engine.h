@@ -41,12 +41,22 @@
 //    on the next resolve) and surface to the source as no-evidence
 //    outcomes, so partial-result semantics (no eviction without evidence)
 //    stay with the algorithm while retry/quorum live in the executor
-//    stack. This backend and the pipelined drive write a player unit's
-//    pairs out in order, resolve them pair by pair like a pair unit's, and
-//    fold the winners into its matrix; a faulted pair sets neither bit.
+//    stack. The synchronous (CreateBatched) and pipelined (CreatePipelined)
+//    engines share one round: the resolve reserves each miss with one
+//    batch insert per unit, the read-back stores the answers with one
+//    batch insert over the misses and fills the winners. They differ only
+//    in how the batch is dispatched. A player unit's pairs are written out
+//    in order, resolved with the rest, and their answers folded into its
+//    matrix; a faulted pair sets neither bit.
 // On a pruning drive every backend but the pipelined one probes the memo
 // only for pairs whose two players' co-play signatures share a bit, and
 // commits a player unit by survivor (DESIGN.md §14).
+//
+// One drive loop: every engine runs the in-flight window of DESIGN.md
+// §11.2. The serial, parallel and synchronous executor engines run it at
+// depth 1, where a round is submitted, completed, consumed and committed
+// before the next is asked for; a pipelined engine runs it at its
+// max_in_flight.
 //
 // One trace shape on every backend: EngineRound names the round's batch
 // span, opened around its resolve, and where a round span opens and
@@ -73,6 +83,7 @@
 namespace crowdmax {
 
 class BatchExecutor;
+struct BatchTaskResult;
 class AsyncBatchExecutor;
 class CheckpointController;
 class CheckpointReader;
@@ -394,9 +405,9 @@ class RoundEngine {
   /// backends: the serial/parallel paths predate step accounting).
   int64_t logical_steps() const;
 
-  /// Pipelined drive only: rounds submitted while at least one earlier
-  /// round was still in flight (the overlap the pipeline buys), and the
-  /// deepest concurrent in-flight depth observed.
+  /// Pipelined engines only (0 on the others): rounds submitted while at
+  /// least one earlier round was still in flight (the overlap the pipeline
+  /// buys), and the deepest concurrent in-flight depth observed.
   int64_t overlapped_rounds() const { return overlapped_rounds_; }
   int64_t max_in_flight_observed() const { return max_in_flight_observed_; }
 
@@ -444,10 +455,8 @@ class RoundEngine {
               uint64_t seed, SharedPairCache* shared_cache,
               int64_t cache_class);
 
-  Result<RoundOutcome> ExecuteRound(const EngineRound& round);
   Result<RoundOutcome> ExecuteSerial(const EngineRound& round);
   Result<RoundOutcome> ExecuteParallel(const EngineRound& round);
-  Result<RoundOutcome> ExecuteBatched(const EngineRound& round);
 
   /// Resolves every pair of `pairs` against the cache with one
   /// PairTable::InsertBatch (absent keys inserted as `absent_value`) and
@@ -520,19 +529,29 @@ class RoundEngine {
   /// (b). A no-op under NDEBUG.
   void CheckRound(const EngineRound& round) const;
 
-  Result<DriveResult> DrivePipelined(RoundSource* source,
-                                     const DriveOptions& options);
-  /// Submission half of a pipelined round (pending->round already set):
-  /// cache resolution, batch span, accounting, async dispatch. All
-  /// counter/trace mutation for the round happens here, in submission
-  /// order. For a speculative round being confirmed (pending->handle
-  /// already issued) the same body runs at confirmation time — the exact
-  /// program point where the synchronous drive would have submitted it —
-  /// and dispatches through ConfirmBatch instead.
-  Status SubmitPipelined(PendingRound* pending);
-  /// Completion half: waits out the round's latency, stores the answers,
-  /// and maps them back onto the round's units.
-  Status CompletePipelined(PendingRound* pending);
+  /// Submission half of a round (pending->round set), run in submission
+  /// order inside the round's batch span: the whole round on a comparator
+  /// backend, SubmitExecutor on an executor. For a speculative round being
+  /// confirmed (pending->handle already issued) the same body runs at
+  /// confirmation time — the exact program point where the synchronous
+  /// drive would have submitted it. `overlapped`: another submitted round
+  /// is still in flight.
+  Status Submit(PendingRound* pending, bool overlapped);
+  /// An executor round's submission, shared by both executor engines: the
+  /// overlap guard (when `overlapped`), the cache resolve, accounting, and
+  /// the dispatch, which alone differs — TryExecuteBatch and the latency
+  /// sleep, or SubmitBatchAsync (ConfirmBatch when confirming). A refused
+  /// round leaves no reservation behind.
+  Status SubmitExecutor(PendingRound* pending, bool overlapped);
+  /// Completion half: on an executor, takes the batch's answers (waiting
+  /// out a pipelined round's latency), stores them in the cache, fills the
+  /// winners and folds the player units. A no-op on comparator backends.
+  Status Complete(PendingRound* pending);
+  /// Replaces the -1 reservation of each of `misses` with its answer from
+  /// `answers`, or parks it as kUnresolvedWinner when it came back
+  /// unanswered or `answers` is null, through one batch insert.
+  void StoreAnswers(std::span<const ComparisonPair> misses,
+                    const std::vector<BatchTaskResult>* answers);
 
   /// Serializes one checkpoint: drive progress (`paid_start`, rounds), the
   /// engine's counters/cache/seeder, the comparator or executor stack, and
@@ -547,7 +566,7 @@ class RoundEngine {
   const Backend backend_;
   Comparator* const comparator_;  // Comparator backends; else nullptr.
   BatchExecutor* const executor_;  // Executor backend; else nullptr.
-  AsyncBatchExecutor* async_ = nullptr;  // Pipelined drive; else nullptr.
+  AsyncBatchExecutor* async_ = nullptr;  // Pipelined engine; else nullptr.
   int64_t max_in_flight_ = 1;
   const bool memoize_;
 
@@ -562,14 +581,14 @@ class RoundEngine {
   // CommitRound merges every pair after it; executor dedups within a round
   // always, remembers across rounds per clear_round_cache, and parks
   // faulted pairs as kUnresolvedWinner. Those write paths go through
-  // PinSlots (one grow per round, one batch insert per unit) outside the
-  // pipelined drive, which keeps every pair.
+  // PinSlots (one grow per round, one batch insert per unit); a pipelined
+  // engine never prunes.
   PairTable* cache_;
   PairTable owned_cache_;
 
   // This drive's pruning decision: the source promises
   // (RoundSource::NamesRecurringElements), the memo is on and private, and
-  // the drive is not pipelined. Set once at the start of each drive.
+  // the engine is not pipelined. Set once at the start of each drive.
   bool prune_ = false;
   // CommitRound's id-indexed bitmap of the elements the source named;
   // cleared again after each commit.
@@ -607,32 +626,32 @@ class RoundEngine {
   int64_t speculation_mispredicts_ = 0;
   int64_t speculation_wasted_ = 0;
 
-  // Cross-round reusable scratch (DESIGN.md §15 satellite): the per-round
-  // miss/answer buffers of the dispatch paths, hoisted out of the round
-  // loop so steady-state rounds allocate nothing. The parallel backend
-  // gets one slot per unit index — each pool task touches only its own
-  // slot, so the buffers stay fork-local and race-free; the serial
-  // backend uses slot 0. A player unit's slot holds only its hit mask and
-  // signatures: the per-pair buffers of the default tournament call live
-  // in the comparator, which on the parallel backend is the unit's fork,
-  // so they are bounded by the threads running at once.
+  // Cross-round reusable scratch (DESIGN.md §15 satellite): the per-unit
+  // miss/answer buffers of the comparator dispatch paths, hoisted out of
+  // the round loop so they allocate nothing in steady state (an executor
+  // round keeps its misses in its PendingRound until the read-back). The
+  // parallel backend gets one slot per unit index — each pool task
+  // touches only its own slot, so the buffers stay fork-local and
+  // race-free; the serial backend uses slot 0. A player unit's slot holds
+  // only its hit mask and signatures: the per-pair buffers of the default
+  // tournament call live in the comparator, which on the parallel backend
+  // is the unit's fork, so they are bounded by the threads running at
+  // once.
   std::vector<size_t> serial_miss_at_;
   std::vector<size_t> serial_deferred_;
   std::vector<UnitScratch> unit_scratch_;
-  std::vector<ComparisonPair> round_queries_;
-  std::vector<ComparisonPair> round_misses_;
-  // A player unit's pairs, written out for the drives that resolve pair
-  // by pair (executor and pipelined).
+  // A player unit's pairs, written out for the executor engines' resolve
+  // and their overlap guard (PairsOf).
   std::vector<ComparisonPair> unit_pairs_;
-  // PinSlots' and CommitRound's packed keys and pinned slots (one unit's
-  // worth), CommitRound's answer per key and a player unit's committing
-  // players, and every pair's slot on the executor path, held until the
-  // answers map back.
+  // PinSlots' and CommitRound's packed keys and slots (one batch insert's
+  // worth: a unit, or a round's misses at the read-back), CommitRound's
+  // answer per key and a player unit's committing players. No slot is
+  // held past the call that pinned it: a later round's insert may grow
+  // the table while this one is in flight.
   std::vector<uint64_t> round_keys_;
   std::vector<PairSlotRef> round_slots_;
   std::vector<ElementId> round_key_winners_;
   std::vector<size_t> commit_players_;
-  std::vector<PairValuePtr> round_pinned_;
 
   // Round-boundary snapshot/crash/restore coordinator; null = disabled.
   CheckpointController* checkpoint_ = nullptr;

@@ -644,29 +644,6 @@ int64_t PlatformBatchExecutor::platform_discarded_votes_since_reset() const {
   return platform_->discarded_votes() - discarded_votes_snapshot_;
 }
 
-std::vector<ElementId> PlatformBatchExecutor::DoExecuteBatch(
-    const std::vector<ComparisonPair>& tasks) {
-  std::vector<ComparisonTask> batch;
-  batch.reserve(tasks.size());
-  for (const ComparisonPair& task : tasks) {
-    batch.push_back({task.first, task.second});
-  }
-  Result<std::vector<TaskOutcome>> outcomes =
-      platform_->SubmitBatch(batch, votes_per_task_);
-  CROWDMAX_CHECK(outcomes.ok());
-  AccountOwnSubmission(*outcomes);
-  std::vector<ElementId> winners;
-  winners.reserve(outcomes->size());
-  for (const TaskOutcome& outcome : *outcomes) {
-    // The infallible path has no way to report an unresolved task; with
-    // faults enabled, drive this executor through TryExecuteBatch (e.g.
-    // wrapped in ResilientBatchExecutor).
-    CROWDMAX_CHECK(outcome.disposition != TaskDisposition::kDropped);
-    winners.push_back(outcome.majority_winner);
-  }
-  return winners;
-}
-
 Result<std::vector<BatchTaskResult>> PlatformBatchExecutor::DoTryExecuteBatch(
     const std::vector<ComparisonPair>& tasks) {
   std::vector<ComparisonTask> batch;

@@ -308,11 +308,9 @@ class PlatformComparator : public Comparator {
 /// Execution (core/execution.h) to measure true logical-step latency on
 /// the simulated crowd.
 ///
-/// The fallible TryExecuteBatch() path surfaces the platform's fault model
-/// (transient Unavailable errors, kNoQuorum / kDropped outcomes) per task;
-/// the legacy ExecuteBatch() path requires a fault-free run and aborts if
-/// the platform misbehaves — wrap the executor in ResilientBatchExecutor
-/// when faults are enabled.
+/// TryExecuteBatch() surfaces the platform's fault model (transient
+/// Unavailable errors, kNoQuorum / kDropped outcomes) per task; wrap the
+/// executor in ResilientBatchExecutor to retry them.
 class PlatformBatchExecutor : public BatchExecutor {
  public:
   /// Validating factory. Returns InvalidArgument when `platform` is null
@@ -355,9 +353,6 @@ class PlatformBatchExecutor : public BatchExecutor {
 
  private:
   PlatformBatchExecutor(CrowdPlatform* platform, int64_t votes_per_task);
-
-  std::vector<ElementId> DoExecuteBatch(
-      const std::vector<ComparisonPair>& tasks) override;
 
   Result<std::vector<BatchTaskResult>> DoTryExecuteBatch(
       const std::vector<ComparisonPair>& tasks) override;

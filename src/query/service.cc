@@ -176,18 +176,6 @@ ScheduledBatchExecutor::ScheduledBatchExecutor(BatchExecutor* inner,
   CROWDMAX_CHECK(scheduler != nullptr);
 }
 
-std::vector<ElementId> ScheduledBatchExecutor::DoExecuteBatch(
-    const std::vector<ComparisonPair>& tasks) {
-  if (tasks.empty()) return {};
-  // The engine drives executors through the fallible path; this path has
-  // no error channel, so a deadline here is a misuse of the gate.
-  const Status acquired = scheduler_->Acquire(tenant_);
-  CROWDMAX_CHECK(acquired.ok());
-  std::vector<ElementId> winners = inner_->ExecuteBatch(tasks);
-  scheduler_->Release(tenant_);
-  return winners;
-}
-
 Result<std::vector<BatchTaskResult>> ScheduledBatchExecutor::DoTryExecuteBatch(
     const std::vector<ComparisonPair>& tasks) {
   if (tasks.empty()) return inner_->TryExecuteBatch(tasks);

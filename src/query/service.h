@@ -249,8 +249,6 @@ class ScheduledBatchExecutor : public BatchExecutor {
   }
 
  private:
-  std::vector<ElementId> DoExecuteBatch(
-      const std::vector<ComparisonPair>& tasks) override;
   Result<std::vector<BatchTaskResult>> DoTryExecuteBatch(
       const std::vector<ComparisonPair>& tasks) override;
   /// The inner executor records the dispatched/outcome cells; the gate

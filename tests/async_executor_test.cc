@@ -33,12 +33,6 @@ Instance MakeInstance(int64_t n, uint64_t seed) {
 // pinning that a stored failure is delivered at Wait, not at submit.
 class AlwaysUnavailableExecutor : public BatchExecutor {
  private:
-  std::vector<ElementId> DoExecuteBatch(
-      const std::vector<ComparisonPair>& tasks) override {
-    CROWDMAX_CHECK(false);
-    (void)tasks;
-    return {};
-  }
   Result<std::vector<BatchTaskResult>> DoTryExecuteBatch(
       const std::vector<ComparisonPair>&) override {
     return Status::Unavailable("platform down");

@@ -38,17 +38,21 @@ TEST(BatchExecutorTest, CountsStepsAndComparisons) {
   OracleComparator oracle(&instance);
   ComparatorBatchExecutor executor(&oracle);
 
-  EXPECT_TRUE(executor.ExecuteBatch({}).empty());
+  Result<std::vector<BatchTaskResult>> empty = executor.TryExecuteBatch({});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
   EXPECT_EQ(executor.logical_steps(), 0);  // Empty batch is free.
 
-  std::vector<ElementId> winners = executor.ExecuteBatch({{0, 1}, {1, 2}});
-  ASSERT_EQ(winners.size(), 2u);
-  EXPECT_EQ(winners[0], 1);
-  EXPECT_EQ(winners[1], 2);
+  Result<std::vector<BatchTaskResult>> winners =
+      executor.TryExecuteBatch({{0, 1}, {1, 2}});
+  ASSERT_TRUE(winners.ok());
+  ASSERT_EQ(winners->size(), 2u);
+  EXPECT_EQ((*winners)[0].winner, 1);
+  EXPECT_EQ((*winners)[1].winner, 2);
   EXPECT_EQ(executor.logical_steps(), 1);
   EXPECT_EQ(executor.comparisons(), 2);
 
-  executor.ExecuteBatch({{0, 2}});
+  ASSERT_TRUE(executor.TryExecuteBatch({{0, 2}}).ok());
   EXPECT_EQ(executor.logical_steps(), 2);
   EXPECT_EQ(executor.comparisons(), 3);
 

@@ -175,7 +175,13 @@ TEST(DeterminismTest, ParallelBatchExecutorIdenticalAcrossThreadCounts) {
         ParallelBatchExecutor::Create(&cmp, threads, /*seed=*/55,
                                       /*chunk_size=*/16);
     ASSERT_TRUE(executor.ok());
-    winners.push_back((*executor)->ExecuteBatch(tasks));
+    Result<std::vector<BatchTaskResult>> results =
+        (*executor)->TryExecuteBatch(tasks);
+    ASSERT_TRUE(results.ok());
+    winners.emplace_back();
+    for (const BatchTaskResult& result : *results) {
+      winners.back().push_back(result.winner);
+    }
     paid.push_back(cmp.num_comparisons());
   }
   EXPECT_EQ(winners[0], winners[1]);

@@ -552,7 +552,11 @@ TEST(PlatformAdapterTest, FactoriesValidateArguments) {
   EXPECT_FALSE(PlatformBatchExecutor::Create(platform->get(), 6).ok());
   auto executor = PlatformBatchExecutor::Create(platform->get(), 3);
   ASSERT_TRUE(executor.ok());
-  EXPECT_EQ((*executor)->ExecuteBatch({{0, 1}})[0], 1);
+  Result<std::vector<BatchTaskResult>> results =
+      (*executor)->TryExecuteBatch({{0, 1}});
+  ASSERT_TRUE(results.ok());
+  EXPECT_TRUE((*results)[0].answered);
+  EXPECT_EQ((*results)[0].winner, 1);
 }
 
 TEST(PlatformAdapterTest, ResetCountersSnapshotsPlatformUsage) {
@@ -571,9 +575,10 @@ TEST(PlatformAdapterTest, ResetCountersSnapshotsPlatformUsage) {
   auto expert = PlatformBatchExecutor::Create(platform->get(), /*votes=*/5);
   ASSERT_TRUE(naive.ok() && expert.ok());
 
-  (*naive)->ExecuteBatch({{0, 1}, {1, 2}});  // 2 tasks x 3 votes.
-  (*expert)->ResetCounters();                // Expert phase starts here.
-  (*expert)->ExecuteBatch({{0, 2}});         // 1 task x 5 votes.
+  // 2 tasks x 3 votes, then the expert phase starts: 1 task x 5 votes.
+  ASSERT_TRUE((*naive)->TryExecuteBatch({{0, 1}, {1, 2}}).ok());
+  (*expert)->ResetCounters();
+  ASSERT_TRUE((*expert)->TryExecuteBatch({{0, 2}}).ok());
 
   EXPECT_EQ((*naive)->platform_votes_since_reset(), 11);
   EXPECT_EQ((*expert)->platform_votes_since_reset(), 5);
@@ -614,12 +619,12 @@ TEST(PlatformAdapterTest, InterleavedExecutorsAttributeVotesAndLatencyOnce) {
 
   // Interleave: naive, expert, naive. Each executor banks only its own
   // submissions' votes and latency draws at submission time.
-  (*naive)->ExecuteBatch({{0, 1}, {2, 3}});        // 2 tasks x 3 votes.
+  ASSERT_TRUE((*naive)->TryExecuteBatch({{0, 1}, {2, 3}}).ok());  // 2 x 3.
   const int64_t naive_first_latency =
       (*platform)->last_batch_latency_micros();
-  (*expert)->ExecuteBatch({{0, 2}});               // 1 task x 5 votes.
+  ASSERT_TRUE((*expert)->TryExecuteBatch({{0, 2}}).ok());  // 1 task x 5.
   const int64_t expert_latency = (*platform)->last_batch_latency_micros();
-  (*naive)->ExecuteBatch({{1, 3}});                // 1 task x 3 votes.
+  ASSERT_TRUE((*naive)->TryExecuteBatch({{1, 3}}).ok());  // 1 task x 3.
   const int64_t naive_second_latency =
       (*platform)->last_batch_latency_micros();
 
@@ -641,7 +646,7 @@ TEST(PlatformAdapterTest, InterleavedExecutorsAttributeVotesAndLatencyOnce) {
 
   // ResetCounters zeroes the executor-own tallies and any undrained
   // latency along with the platform snapshots.
-  (*expert)->ExecuteBatch({{1, 2}});
+  ASSERT_TRUE((*expert)->TryExecuteBatch({{1, 2}}).ok());
   (*expert)->ResetCounters();
   EXPECT_EQ((*expert)->executor_votes(), 0);
   EXPECT_EQ((*expert)->TakeSimulatedLatencyMicros(), 0);

@@ -45,16 +45,6 @@ class ScriptedExecutor : public BatchExecutor {
   int64_t calls() const { return calls_; }
 
  private:
-  std::vector<ElementId> DoExecuteBatch(
-      const std::vector<ComparisonPair>& tasks) override {
-    std::vector<ElementId> winners;
-    winners.reserve(tasks.size());
-    for (const ComparisonPair& task : tasks) {
-      winners.push_back(std::max(task.first, task.second));
-    }
-    return winners;
-  }
-
   Result<std::vector<BatchTaskResult>> DoTryExecuteBatch(
       const std::vector<ComparisonPair>& tasks) override {
     const Call call =
@@ -118,7 +108,7 @@ TEST(BatchExecutorTest, ResetCountersIsVirtualThroughBasePointer) {
   Instance instance({1.0, 2.0});
   OracleComparator oracle(&instance);
   ComparatorBatchExecutor executor(&oracle);
-  executor.ExecuteBatch({{0, 1}});
+  ASSERT_TRUE(executor.TryExecuteBatch({{0, 1}}).ok());
   BatchExecutor* base = &executor;
   EXPECT_EQ(base->fault_report(), nullptr);
   base->ResetCounters();
@@ -155,14 +145,14 @@ TEST(BatchExecutorTest, BatchedExecutorAndComparatorCountersAgree) {
   Instance instance({1.0, 2.0, 3.0, 4.0, 5.0});
   ThresholdComparator cmp(&instance, ThresholdModel{0.5, 0.1}, /*seed=*/78);
   ComparatorBatchExecutor executor(&cmp);
-  executor.ExecuteBatch({{0, 1}, {2, 3}, {1, 4}});
-  executor.ExecuteBatch({{0, 4}});
+  ASSERT_TRUE(executor.TryExecuteBatch({{0, 1}, {2, 3}, {1, 4}}).ok());
+  ASSERT_TRUE(executor.TryExecuteBatch({{0, 4}}).ok());
   EXPECT_EQ(executor.comparisons(), 4);
   EXPECT_EQ(cmp.num_comparisons(), 4);
 
   executor.ResetCounters();
   cmp.ResetCount();
-  executor.ExecuteBatch({{2, 4}});
+  ASSERT_TRUE(executor.TryExecuteBatch({{2, 4}}).ok());
   EXPECT_EQ(executor.comparisons(), 1);
   EXPECT_EQ(cmp.num_comparisons(), 1);
 }

@@ -27,8 +27,10 @@
 #include "core/filter_phase.h"
 #include "core/maxfind.h"
 #include "core/resilient.h"
+#include "core/pair_key.h"
 #include "core/round_engine.h"
 #include "core/tournament.h"
+#include "core/trace.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
 #include "tests/per_call_comparator.h"
@@ -594,6 +596,249 @@ TEST(PipelinedEngineTest, OverlapCountersObserveDepth) {
     EXPECT_GT((*engine)->overlapped_rounds(), 0);
     EXPECT_GT((*engine)->max_in_flight_observed(), 1);
     EXPECT_LE((*engine)->max_in_flight_observed(), 8);
+  }
+}
+
+// Emits scripted rounds in order, each one unit of pairs or of players, and
+// records every outcome's answers as one winner per pair in round order (a
+// player unit's read off its loss matrix, row by row). Every round may
+// pipeline: the scripts below keep in-flight rounds disjoint unless a test
+// means to break the rule.
+class ScriptedRoundsSource : public RoundSource {
+ public:
+  explicit ScriptedRoundsSource(std::vector<std::vector<RoundUnit>> rounds)
+      : rounds_(std::move(rounds)) {}
+
+  Result<bool> NextRound(EngineRound* round) override {
+    if (next_ >= rounds_.size()) return false;
+    round->units = rounds_[next_++];
+    round->span = "scripted";
+    return true;
+  }
+  Status ConsumeOutcome(const EngineRound& round,
+                        const RoundOutcome& outcome) override {
+    std::vector<ElementId>& answers = answers_.emplace_back();
+    for (size_t u = 0; u < round.units.size(); ++u) {
+      const std::vector<ElementId>& players = round.units[u].players;
+      if (players.empty()) {
+        answers.insert(answers.end(), outcome.winners[u].begin(),
+                       outcome.winners[u].end());
+        continue;
+      }
+      const LossMatrix& losses = outcome.losses[u];
+      for (size_t i = 0; i < players.size(); ++i) {
+        for (size_t j = i + 1; j < players.size(); ++j) {
+          answers.push_back(losses.Lost(i, j)   ? players[j]
+                            : losses.Lost(j, i) ? players[i]
+                                                : kUnresolvedWinner);
+        }
+      }
+    }
+    paid_.push_back(outcome.paid_delta);
+    return Status::OK();
+  }
+  bool CanPipelineNextRound() const override { return true; }
+
+  const std::vector<std::vector<ElementId>>& answers() const {
+    return answers_;
+  }
+  const std::vector<int64_t>& paid() const { return paid_; }
+
+ private:
+  std::vector<std::vector<RoundUnit>> rounds_;
+  size_t next_ = 0;
+  std::vector<std::vector<ElementId>> answers_;
+  std::vector<int64_t> paid_;
+};
+
+RoundUnit PairUnit(std::vector<ComparisonPair> pairs) {
+  RoundUnit unit;
+  unit.pairs = std::move(pairs);
+  return unit;
+}
+
+// True when some entry of the cache's class-0 table is a -1 in-flight
+// reservation, which no drive may leave behind.
+bool HoldsReservation(SharedPairCache* cache) {
+  bool reserved = false;
+  cache->ForClass(0)->ForEach([&reserved](uint64_t, ElementId winner) {
+    reserved = reserved || winner == -1;
+  });
+  return reserved;
+}
+
+// One firm round, then two predicted rounds the source confirms. The
+// second repeats the first's pair {4, 5}, so it is refused at its
+// confirmation, after its predecessor reserved that pair.
+class OverlappingSpeculationSource : public RoundSource {
+ public:
+  Result<bool> NextRound(EngineRound* round) override {
+    if (emitted_++ > 0) return false;
+    round->units.push_back(PairUnit({{0, 1}}));
+    return true;
+  }
+  Status ConsumeOutcome(const EngineRound&, const RoundOutcome&) override {
+    return Status::OK();
+  }
+  bool CanSpeculateNextRound() const override { return speculated_ < 2; }
+  Result<bool> SpeculateNextRound(EngineRound* round) override {
+    round->units.push_back(speculated_++ == 0 ? PairUnit({{4, 5}})
+                                              : PairUnit({{2, 3}, {4, 5}}));
+    return true;
+  }
+  SpeculationVerdict ReconcileSpeculation() override {
+    return SpeculationVerdict::kConfirmed;
+  }
+  void OnSpeculationAborted() override { aborted_ = true; }
+
+  bool aborted() const { return aborted_; }
+
+ private:
+  int64_t emitted_ = 0;
+  int64_t speculated_ = 0;
+  bool aborted_ = false;
+};
+
+// A round refused by the overlap guard, firm or at its confirmation, leaves
+// no reservation of its own pairs in the cache: {2, 3} was asked only by
+// the refused round. A later engine on the same cache then buys {2, 3}
+// instead of reading a -1 as its winner.
+TEST(PipelinedEngineTest, RefusedRoundLeavesNoReservation) {
+  Instance instance = MakeInstance(6, 73);
+  for (const bool speculative : {false, true}) {
+    SCOPED_TRACE(speculative ? "confirm path" : "firm path");
+    SharedPairCache cache;
+    OracleComparator oracle(&instance);
+    ComparatorBatchExecutor executor(&oracle);
+    AsyncBatchAdapter async(&executor);
+    Result<std::unique_ptr<RoundEngine>> engine = RoundEngine::CreatePipelined(
+        &async, /*max_in_flight=*/4, &cache, /*cache_class=*/0);
+    ASSERT_TRUE(engine.ok());
+    ScriptedRoundsSource firm({{PairUnit({{0, 1}})},
+                               {PairUnit({{2, 3}, {0, 1}})}});
+    OverlappingSpeculationSource predicted;
+    Result<DriveResult> drive =
+        speculative ? (*engine)->Drive(&predicted) : (*engine)->Drive(&firm);
+    ASSERT_FALSE(drive.ok());
+    EXPECT_EQ(drive.status().code(), StatusCode::kInternal);
+    EXPECT_NE(drive.status().ToString().find("still in flight"),
+              std::string::npos);
+    if (speculative) {
+      EXPECT_TRUE(predicted.aborted());
+    }
+    EXPECT_FALSE(HoldsReservation(&cache));
+    EXPECT_FALSE(cache.ForClass(0)->Find(PackPairKey(2, 3)));
+
+    OracleComparator later_oracle(&instance);
+    std::unique_ptr<RoundEngine> later = RoundEngine::CreateSerial(
+        &later_oracle, /*memoize=*/true, &cache, /*cache_class=*/0);
+    ScriptedRoundsSource ask({{PairUnit({{2, 3}})}});
+    ASSERT_TRUE(later->Drive(&ask).ok());
+    EXPECT_EQ(ask.answers()[0][0],
+              instance.value(2) > instance.value(3) ? 2 : 3);
+    EXPECT_EQ(later->paid(), 1);
+  }
+}
+
+// A pair asked again in one round, within a unit or across two, is bought
+// once on every executor engine: one paid comparison and one cache hit per
+// repeat, the same winner at every occurrence, and one trace shape on the
+// synchronous engine and the pipelined one at depths 1 and 8.
+TEST(PipelinedEngineTest, RepeatedPairInRoundIsBoughtOnce) {
+  Instance instance = MakeInstance(8, 97);
+  const std::vector<std::vector<RoundUnit>> script = {
+      {PairUnit({{0, 1}, {1, 0}})},
+      {PairUnit({{2, 3}, {4, 5}}), PairUnit({{5, 4}})},
+      {PairUnit({{6, 7}, {7, 6}, {6, 7}})},
+  };
+  std::string reference_trace;
+  std::vector<std::vector<ElementId>> reference_answers;
+  for (const int64_t depth : {int64_t{0}, int64_t{1}, int64_t{8}}) {
+    SCOPED_TRACE(depth == 0 ? "batched" : "depth " + std::to_string(depth));
+    ThresholdComparator worker(&instance, ThresholdModel{0.5, 0.3},
+                               /*seed=*/5);
+    ComparatorBatchExecutor executor(&worker);
+    AsyncBatchAdapter async(&executor);
+    Result<std::unique_ptr<RoundEngine>> engine =
+        depth == 0 ? RoundEngine::CreateBatched(&executor)
+                   : RoundEngine::CreatePipelined(&async, depth);
+    ASSERT_TRUE(engine.ok());
+    ScriptedRoundsSource source(script);
+    AlgoTrace trace;
+    {
+      ScopedTrace scoped(&trace);
+      ASSERT_TRUE((*engine)->Drive(&source).ok());
+    }
+    const std::vector<std::vector<ElementId>>& answers = source.answers();
+    ASSERT_EQ(answers.size(), 3u);
+    EXPECT_EQ(source.paid(), (std::vector<int64_t>{1, 2, 1}));
+    EXPECT_EQ(answers[0][0], answers[0][1]);
+    EXPECT_EQ(answers[1][1], answers[1][2]);
+    EXPECT_EQ(answers[2][0], answers[2][1]);
+    EXPECT_EQ(answers[2][0], answers[2][2]);
+    EXPECT_EQ((*engine)->issued(), 8);
+    EXPECT_EQ((*engine)->paid(), 4);
+    EXPECT_EQ((*engine)->cache_hits(), 4);
+    if (depth == 0) {
+      reference_trace = trace.Summary();
+      reference_answers = answers;
+      continue;
+    }
+    EXPECT_EQ(trace.Summary(), reference_trace);
+    EXPECT_EQ(answers, reference_answers);
+  }
+}
+
+// Eight disjoint rounds of 28 pairs ride a depth-8 window together, so the
+// cache grows from its 64 slots while the earliest rounds are still in
+// flight; their answers are stored and read back after those grows. Pair
+// and player units alternate. Answers, counters and the memo match the
+// synchronous executor engine's.
+TEST(PipelinedEngineTest, CacheGrowsWhileRoundsAreInFlight) {
+  constexpr ElementId kGroup = 8;
+  Instance instance = MakeInstance(8 * kGroup, 101);
+  std::vector<std::vector<RoundUnit>> script;
+  for (ElementId r = 0; r < 8; ++r) {
+    RoundUnit unit;
+    for (ElementId i = 0; i < kGroup; ++i) {
+      unit.players.push_back(r * kGroup + i);
+    }
+    if (r % 2 == 0) {
+      for (size_t i = 0; i < unit.players.size(); ++i) {
+        for (size_t j = i + 1; j < unit.players.size(); ++j) {
+          unit.pairs.push_back({unit.players[j], unit.players[i]});
+        }
+      }
+      unit.players.clear();
+    }
+    script.push_back({std::move(unit)});
+  }
+
+  std::vector<std::vector<ElementId>> reference;
+  std::vector<std::pair<uint64_t, ElementId>> reference_memo;
+  for (const int64_t depth : {int64_t{0}, int64_t{8}}) {
+    SCOPED_TRACE(depth == 0 ? "batched" : "depth 8");
+    SharedPairCache cache;
+    ThresholdComparator worker(&instance, ThresholdModel{0.5, 0.3},
+                               /*seed=*/7);
+    ComparatorBatchExecutor executor(&worker);
+    AsyncBatchAdapter async(&executor);
+    Result<std::unique_ptr<RoundEngine>> engine =
+        depth == 0 ? RoundEngine::CreateBatched(&executor, &cache, 0)
+                   : RoundEngine::CreatePipelined(&async, depth, &cache, 0);
+    ASSERT_TRUE(engine.ok());
+    ScriptedRoundsSource source(script);
+    ASSERT_TRUE((*engine)->Drive(&source).ok());
+    EXPECT_EQ((*engine)->paid(), 8 * 28);
+    EXPECT_GT(cache.ForClass(0)->capacity(), 64u);
+    if (depth == 0) {
+      reference = source.answers();
+      reference_memo = cache.ForClass(0)->SortedEntries();
+      continue;
+    }
+    EXPECT_EQ((*engine)->max_in_flight_observed(), 8);
+    EXPECT_EQ(source.answers(), reference);
+    EXPECT_EQ(cache.ForClass(0)->SortedEntries(), reference_memo);
   }
 }
 
