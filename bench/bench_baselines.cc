@@ -15,11 +15,11 @@
 
 #include "baselines/adaptive.h"
 #include "baselines/marcus.h"
-#include "baselines/single_class.h"
 #include "baselines/venetis.h"
 #include "bench/bench_common.h"
 #include "common/table.h"
 #include "core/expert_max.h"
+#include "core/maxfind.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
 

@@ -12,10 +12,10 @@
 #include <iostream>
 #include <vector>
 
-#include "baselines/single_class.h"
 #include "bench/bench_common.h"
 #include "common/table.h"
 #include "core/expert_max.h"
+#include "core/maxfind.h"
 #include "core/worker_model.h"
 
 namespace crowdmax {
@@ -52,10 +52,10 @@ void RunConfig(const Config& config, int64_t trials, uint64_t seed,
       options.filter.u_n = setup.u_n;
       Result<ExpertMaxResult> alg1 = FindMaxWithExperts(
           setup.instance.AllElements(), &naive, &expert, options);
-      Result<SingleClassResult> naive_only =
-          TwoMaxFindNaiveOnly(setup.instance.AllElements(), &naive);
-      Result<SingleClassResult> expert_only =
-          TwoMaxFindExpertOnly(setup.instance.AllElements(), &expert);
+      Result<MaxFindResult> naive_only =
+          TwoMaxFind(setup.instance.AllElements(), &naive);
+      Result<MaxFindResult> expert_only =
+          TwoMaxFind(setup.instance.AllElements(), &expert);
       CROWDMAX_CHECK(alg1.ok() && naive_only.ok() && expert_only.ok());
 
       rank_alg1 += static_cast<double>(setup.instance.Rank(alg1->best));

@@ -14,11 +14,11 @@
 #include <iostream>
 #include <vector>
 
-#include "baselines/single_class.h"
 #include "bench/bench_common.h"
 #include "common/table.h"
 #include "core/expert_max.h"
 #include "core/filter_phase.h"
+#include "core/maxfind.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
 
@@ -71,8 +71,8 @@ void RunConfig(const Config& config, int64_t trials, uint64_t seed,
       options.filter.threads = threads;
       Result<ExpertMaxResult> alg1 = FindMaxWithExperts(
           setup.instance.AllElements(), &naive, &expert, options);
-      Result<SingleClassResult> expert_only =
-          TwoMaxFindExpertOnly(setup.instance.AllElements(), &expert);
+      Result<MaxFindResult> expert_only =
+          TwoMaxFind(setup.instance.AllElements(), &expert);
       CROWDMAX_CHECK(alg1.ok() && expert_only.ok());
 
       alg1_naive += static_cast<double>(alg1->paid.naive);

@@ -10,11 +10,11 @@
 #include <iostream>
 #include <vector>
 
-#include "baselines/single_class.h"
 #include "bench/bench_common.h"
 #include "common/table.h"
 #include "core/cost.h"
 #include "core/expert_max.h"
+#include "core/maxfind.h"
 #include "core/worker_model.h"
 
 namespace crowdmax {
@@ -56,10 +56,10 @@ TrialCosts MeasureAverages(const Config& config, int64_t n, int64_t trials,
     options.filter.u_n = setup.u_n;
     Result<ExpertMaxResult> alg1 = FindMaxWithExperts(
         setup.instance.AllElements(), &naive, &expert, options);
-    Result<SingleClassResult> naive_only =
-        TwoMaxFindNaiveOnly(setup.instance.AllElements(), &naive);
-    Result<SingleClassResult> expert_only =
-        TwoMaxFindExpertOnly(setup.instance.AllElements(), &expert);
+    Result<MaxFindResult> naive_only =
+        TwoMaxFind(setup.instance.AllElements(), &naive);
+    Result<MaxFindResult> expert_only =
+        TwoMaxFind(setup.instance.AllElements(), &expert);
     CROWDMAX_CHECK(alg1.ok() && naive_only.ok() && expert_only.ok());
 
     sums.alg1_naive += static_cast<double>(alg1->paid.naive);

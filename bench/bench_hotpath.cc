@@ -346,7 +346,8 @@ ModelReport BenchModel(const std::string& model_name,
     ComparatorBatchExecutor executor(&timed);
     AsyncBatchAdapter async(&executor);
     Result<std::unique_ptr<RoundEngine>> engine =
-        RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8);
+        RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8,
+                                     /*memoize=*/true);
     CROWDMAX_CHECK(engine.ok());
     PairStreamSource source(&unique_pairs, kChunk, out);
     Result<DriveResult> drive = (*engine)->Drive(&source);

@@ -367,8 +367,10 @@ void RunPipelineLatencyReport(const std::string& json_path, bool smoke) {
       async = std::make_unique<AsyncBatchAdapter>(executor->get());
     }
     Result<std::unique_ptr<RoundEngine>> engine =
-        depth == 0 ? RoundEngine::CreateBatched(executor->get())
-                   : RoundEngine::CreatePipelined(async.get(), depth);
+        depth == 0 ? RoundEngine::CreateBatched(executor->get(),
+                                                /*memoize=*/true)
+                   : RoundEngine::CreatePipelined(async.get(), depth,
+                                                  /*memoize=*/true);
     CROWDMAX_CHECK(engine.ok());
 
     const auto start = std::chrono::steady_clock::now();

@@ -14,10 +14,10 @@
 #include <string>
 #include <vector>
 
-#include "baselines/single_class.h"
 #include "bench/bench_common.h"
 #include "common/table.h"
 #include "core/expert_max.h"
+#include "core/maxfind.h"
 #include "core/worker_model.h"
 #include "datasets/search.h"
 
@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
       ThresholdComparator naive(
           &instance, SearchNaiveWorkerModel(naive_delta),
           seed + static_cast<uint64_t>(1000 + 10 * query_index + run));
-      Result<SingleClassResult> result =
-          TwoMaxFindNaiveOnly(instance.AllElements(), &naive);
+      Result<MaxFindResult> result =
+          TwoMaxFind(instance.AllElements(), &naive);
       CROWDMAX_CHECK(result.ok());
       const bool hit = result->best == instance.MaxElement();
       naive_table.AddRow(

@@ -19,12 +19,12 @@
 #include <string>
 #include <vector>
 
-#include "baselines/single_class.h"
 #include "bench/bench_common.h"
 #include "common/table.h"
 #include "core/batched.h"
 #include "core/expert_max.h"
 #include "core/filter_phase.h"
+#include "core/maxfind.h"
 #include "core/round_engine.h"
 #include "core/tournament.h"
 #include "datasets/dots.h"
@@ -73,7 +73,7 @@ DedupOutcome RunTwoPhase(const Instance& instance, int64_t u_n, uint64_t seed,
   CROWDMAX_CHECK(phase1.ok());
 
   Result<std::unique_ptr<RoundEngine>> finals_engine =
-      RoundEngine::CreateBatched(expert->get(),
+      RoundEngine::CreateBatched(expert->get(), /*memoize=*/true,
                                  share_evidence ? &cache : nullptr,
                                  /*cache_class=*/0);
   CROWDMAX_CHECK(finals_engine.ok());
@@ -239,8 +239,8 @@ int main(int argc, char** argv) {
     // paper's multi-judgment CrowdFlower protocol.
     const std::unique_ptr<PlatformComparator> naive =
         PlatformComparator::Create(platform->get(), 7).value();
-    Result<SingleClassResult> result =
-        TwoMaxFindNaiveOnly(instance.AllElements(), naive.get());
+    Result<MaxFindResult> result =
+        TwoMaxFind(instance.AllElements(), naive.get());
     CROWDMAX_CHECK(result.ok());
     if (result->best == instance.MaxElement()) ++correct;
   }

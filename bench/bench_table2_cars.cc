@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/single_class.h"
 #include "bench/bench_common.h"
 #include "common/table.h"
 #include "core/batched.h"
@@ -73,7 +72,7 @@ DedupOutcome RunTwoPhase(const Instance& instance, int64_t u_n, uint64_t seed,
   CROWDMAX_CHECK(phase1.ok());
 
   Result<std::unique_ptr<RoundEngine>> finals_engine =
-      RoundEngine::CreateBatched(expert->get(),
+      RoundEngine::CreateBatched(expert->get(), /*memoize=*/true,
                                  share_evidence ? &cache : nullptr,
                                  /*cache_class=*/0);
   CROWDMAX_CHECK(finals_engine.ok());
@@ -255,8 +254,8 @@ int main(int argc, char** argv) {
     // enough in the CARS regime, where the crowd's bias is persistent.
     const std::unique_ptr<PlatformComparator> naive =
         PlatformComparator::Create(platform->get(), 7).value();
-    Result<SingleClassResult> result =
-        TwoMaxFindNaiveOnly(instance.AllElements(), naive.get());
+    Result<MaxFindResult> result =
+        TwoMaxFind(instance.AllElements(), naive.get());
     CROWDMAX_CHECK(result.ok());
     if (result->best == instance.MaxElement()) ++correct;
     ++returned_rank_histogram[instance.Rank(result->best)];

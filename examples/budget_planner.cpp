@@ -11,11 +11,11 @@
 #include <iostream>
 #include <vector>
 
-#include "baselines/single_class.h"
 #include "common/flags.h"
 #include "common/table.h"
 #include "core/cost.h"
 #include "core/expert_max.h"
+#include "core/maxfind.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
 
@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
     options.filter.u_n = instance->CountWithin(delta_n);
     Result<ExpertMaxResult> alg1 =
         FindMaxWithExperts(instance->AllElements(), &naive, &expert, options);
-    Result<SingleClassResult> expert_only =
-        TwoMaxFindExpertOnly(instance->AllElements(), &expert);
+    Result<MaxFindResult> expert_only =
+        TwoMaxFind(instance->AllElements(), &expert);
     if (!alg1.ok() || !expert_only.ok()) {
       std::cerr << "simulation failed\n";
       return 1;

@@ -32,10 +32,10 @@ Result<std::unique_ptr<RoundEngine>> Execution::Engine(
                                      cache_class);
   }
   if (executor_ != nullptr) {
-    return RoundEngine::CreateBatched(executor_, cache, cache_class);
+    return RoundEngine::CreateBatched(executor_, memoize, cache, cache_class);
   }
   CROWDMAX_CHECK(async_ != nullptr);
-  return RoundEngine::CreatePipelined(async_, max_in_flight_, cache,
+  return RoundEngine::CreatePipelined(async_, max_in_flight_, memoize, cache,
                                       cache_class);
 }
 

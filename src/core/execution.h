@@ -97,11 +97,11 @@ class Execution {
   Comparator* comparator() const { return comparator_; }
 
   /// Builds the engine of one phase, memoizing into `cache`'s
-  /// `cache_class` table when `cache` is set (a private table otherwise).
-  /// `memoize`, `threads` and `seed` are read only by a comparator backend
-  /// (threads >= 1 selects the parallel engine, its fork chain seeded by
-  /// `seed`; a shared cache implies memoization). Executor engines always
-  /// memoize.
+  /// `cache_class` table when `cache` is set (a shared cache implies
+  /// memoization) and into a private table when only `memoize` is.
+  /// `memoize` means the same on every backend; `threads` and `seed` are
+  /// read only by a comparator backend (threads >= 1 selects the parallel
+  /// engine, its fork chain seeded by `seed`).
   Result<std::unique_ptr<RoundEngine>> Engine(bool memoize,
                                               SharedPairCache* cache,
                                               int64_t cache_class,

@@ -80,18 +80,15 @@ Result<MaxFindResult> RunPhase2(const std::vector<ElementId>& candidates,
                                 const RandomizedMaxFindOptions& randomized,
                                 int64_t chunk_pairs) {
   TraceSpanScope phase_span("expert", TraceWorkerClass::kExpert);
-  const bool on_comparator = expert.comparator() != nullptr;
   // 2-MaxFind memoizes per its options. An all-play-all asks each pair
   // once, so it memoizes only to share the cache. Algorithm 5 runs
-  // unmemoized on a comparator, so there it leaves the cache alone.
-  SharedPairCache* cache = two_maxfind.shared_cache;
-  bool memoize = cache != nullptr;
-  if (algorithm == Phase2Algorithm::kTwoMaxFind) {
-    memoize = two_maxfind.memoize;
-  } else if (algorithm == Phase2Algorithm::kRandomized && on_comparator) {
-    cache = nullptr;
-    memoize = false;
-  }
+  // unmemoized, so it leaves the cache alone.
+  SharedPairCache* cache = algorithm == Phase2Algorithm::kRandomized
+                               ? nullptr
+                               : two_maxfind.shared_cache;
+  const bool memoize = algorithm == Phase2Algorithm::kTwoMaxFind
+                           ? two_maxfind.memoize
+                           : cache != nullptr;
   Result<std::unique_ptr<RoundEngine>> engine =
       expert.Engine(memoize, cache, two_maxfind.cache_class);
   if (!engine.ok()) return engine.status();
@@ -140,7 +137,8 @@ Result<MaxFindResult> RunPhase2(const std::vector<ElementId>& candidates,
   // their comparisons, so the whole phase is one trace cell (round -1):
   // every paid comparison came back answered, and the issued-minus-paid
   // remainder was served by the memoization cache.
-  if (AlgoTrace* trace = CurrentTrace(); trace != nullptr && on_comparator) {
+  if (AlgoTrace* trace = CurrentTrace();
+      trace != nullptr && expert.comparator() != nullptr) {
     trace->RecordAnsweredCell(phase2->paid_comparisons,
                               phase2->issued_comparisons);
   }

@@ -56,8 +56,8 @@ struct ExpertMaxOptions {
   /// phases buy from the very same crowd (the single-class regime of the
   /// paper's u_n = u_e degenerate case). The main gain is across calls: a
   /// later run on the same (cache, class) answers every already-resolved
-  /// pair for free. On a comparator kRandomized runs unmemoized by design
-  /// and never reads or writes the cache. Not owned; must outlive the call.
+  /// pair for free. kRandomized runs unmemoized by design and never reads
+  /// or writes the cache. Not owned; must outlive the call.
   SharedPairCache* shared_cache = nullptr;
   int64_t naive_cache_class = 0;
   int64_t expert_cache_class = 1;
@@ -111,11 +111,11 @@ Result<ExpertMaxResult> FindMaxWithExperts(const std::vector<ElementId>& items,
 
 /// Phase 2 over `candidates` on the `expert` class: the `algorithm` solver,
 /// memoizing into `two_maxfind.shared_cache`'s `cache_class` table when it
-/// is set (on a comparator kRandomized runs unmemoized and leaves it
-/// alone). `chunk_pairs` splits a kAllPlayAll tournament into rounds of at
-/// most that many pairs. Opens the "expert" trace phase span; a comparator,
-/// which has no executor to record cells, records the phase's spend as one
-/// cell. Shared by FindMaxWithExperts and FindMaxMultilevel's final level.
+/// is set (kRandomized runs unmemoized and leaves it alone). `chunk_pairs`
+/// splits a kAllPlayAll tournament into rounds of at most that many pairs.
+/// Opens the "expert" trace phase span; a comparator, which has no executor
+/// to record cells, records the phase's spend as one cell. Shared by
+/// FindMaxWithExperts and FindMaxMultilevel's final level.
 Result<MaxFindResult> RunPhase2(const std::vector<ElementId>& candidates,
                                 Execution expert, Phase2Algorithm algorithm,
                                 const TwoMaxFindOptions& two_maxfind,

@@ -58,7 +58,6 @@ class FilterRoundSource : public RoundSource {
       round->open_round = result_.rounds + 1;
       round->close_round = true;
       round->record_round_cell = true;
-      round->clear_round_cache = !options_.memoize;
       return true;
     }
 
@@ -72,10 +71,7 @@ class FilterRoundSource : public RoundSource {
       if (!Partition()) return false;
     }
     round->units.emplace_back().players = groups_[next_emit_];
-    if (next_emit_ == 0) {
-      round->open_round = result_.rounds + 1;
-      round->clear_round_cache = !options_.memoize;
-    }
+    if (next_emit_ == 0) round->open_round = result_.rounds + 1;
     round->close_round = next_emit_ + 1 == groups_.size();
     round->record_round_cell = true;
     ++next_emit_;

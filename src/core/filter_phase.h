@@ -50,9 +50,8 @@ struct FilterOptions {
   /// those (RoundSource::NamesRecurringElements): each group is one player
   /// unit, committed by survivor, and a later group probes the memo only
   /// for pairs whose players met in an earlier group (co-play signatures,
-  /// DESIGN.md §14). A shared_cache keeps every pair. Read only on a
-  /// comparator Execution: executor engines always memoize within a
-  /// round, and remember across rounds exactly when this is set.
+  /// DESIGN.md §14). A shared_cache keeps every pair. The same on every
+  /// Execution.
   bool memoize = false;
 
   /// Appendix A optimization 2: evict elements that have lost to more than

@@ -65,8 +65,8 @@ struct TwoMaxFindOptions {
   /// "we memorize results and we do not repeat comparisons"). Memoization
   /// also guarantees termination against inconsistent (randomized)
   /// comparators; with it off the algorithm aborts with Internal status
-  /// after a progress-failure budget is exhausted. Read only on a
-  /// comparator Execution: executor engines always memoize.
+  /// after a progress-failure budget is exhausted. The same on every
+  /// Execution.
   bool memoize = true;
 
   /// Cross-phase pair-evidence sharing (core/round_engine.h): when set,
@@ -133,8 +133,8 @@ struct RandomizedMaxFindOptions {
 /// witness set W sampled along the way; each round partitions the survivors
 /// into groups of 80*(c+2), plays all-play-all in each group and eliminates
 /// each group's minimal element; finishes with a tournament over W plus the
-/// remaining survivors. Unmemoized on a comparator (the algorithm's own
-/// model); an executor engine memoizes, as every executor engine does.
+/// remaining survivors. Unmemoized on every Execution (the algorithm's own
+/// model).
 Result<MaxFindResult> RandomizedMaxFind(
     const std::vector<ElementId>& items, Execution execution,
     const RandomizedMaxFindOptions& options = {});

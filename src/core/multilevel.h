@@ -50,9 +50,8 @@ struct MultilevelOptions {
   /// memoizes into `shared_cache[k]` (the class index doubles as the cache
   /// class id, so classes of different expertise never trade evidence), and
   /// a repeated cascade over overlapping items answers every pair a
-  /// previous run's same level resolved for free. On a comparator
-  /// kRandomized finals run unmemoized and never share. Not owned; must
-  /// outlive the call.
+  /// previous run's same level resolved for free. kRandomized finals run
+  /// unmemoized and never share. Not owned; must outlive the call.
   SharedPairCache* shared_cache = nullptr;
 
   /// For a kAllPlayAll final, splits the tournament into engine rounds of

@@ -239,8 +239,7 @@ class PairTable {
   }
 
   /// Drops every entry by zeroing the arena in one pass; capacity is
-  /// retained. Called when a non-memoized executor round clears the
-  /// cache, and by LoadPairTable.
+  /// retained. Called by LoadPairTable.
   void Clear();
 
   int64_t size() const { return size_; }

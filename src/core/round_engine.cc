@@ -178,7 +178,9 @@ RoundEngine::RoundEngine(Backend backend, Comparator* comparator,
     : backend_(backend),
       comparator_(comparator),
       executor_(executor),
-      memoize_(memoize),
+      // A shared cache only works through memoization: opting into sharing
+      // implies it, on every backend.
+      memoize_(memoize || shared_cache != nullptr),
       cache_(shared_cache != nullptr ? shared_cache->ForClass(cache_class)
                                      : &owned_cache_),
       seeder_(seed),
@@ -197,12 +199,9 @@ std::unique_ptr<RoundEngine> RoundEngine::CreateSerial(
     Comparator* comparator, bool memoize, SharedPairCache* shared_cache,
     int64_t cache_class) {
   CROWDMAX_CHECK(comparator != nullptr);
-  return std::unique_ptr<RoundEngine>(
-      new RoundEngine(Backend::kSerial, comparator, nullptr,
-                      // A shared cache only works through memoization;
-                      // opting into sharing implies it.
-                      memoize || shared_cache != nullptr, 0, 0, shared_cache,
-                      cache_class));
+  return std::unique_ptr<RoundEngine>(new RoundEngine(
+      Backend::kSerial, comparator, nullptr, memoize, 0, 0, shared_cache,
+      cache_class));
 }
 
 Result<std::unique_ptr<RoundEngine>> RoundEngine::CreateParallel(
@@ -219,31 +218,30 @@ Result<std::unique_ptr<RoundEngine>> RoundEngine::CreateParallel(
         "comparator does not support Fork(); the parallel engine requires "
         "a forkable comparator (see comparator.h thread-safety contract)");
   }
-  return std::unique_ptr<RoundEngine>(new RoundEngine(
-      Backend::kParallel, comparator, nullptr,
-      memoize || shared_cache != nullptr, threads, seed, shared_cache,
-      cache_class));
+  return std::unique_ptr<RoundEngine>(
+      new RoundEngine(Backend::kParallel, comparator, nullptr, memoize,
+                      threads, seed, shared_cache, cache_class));
 }
 
 Result<std::unique_ptr<RoundEngine>> RoundEngine::CreateBatched(
-    BatchExecutor* executor, SharedPairCache* shared_cache,
+    BatchExecutor* executor, bool memoize, SharedPairCache* shared_cache,
     int64_t cache_class) {
   CROWDMAX_CHECK(executor != nullptr);
   return std::unique_ptr<RoundEngine>(
-      new RoundEngine(Backend::kExecutor, nullptr, executor, /*memoize=*/true,
-                      0, 0, shared_cache, cache_class));
+      new RoundEngine(Backend::kExecutor, nullptr, executor, memoize, 0, 0,
+                      shared_cache, cache_class));
 }
 
 Result<std::unique_ptr<RoundEngine>> RoundEngine::CreatePipelined(
-    AsyncBatchExecutor* async, int64_t max_in_flight,
+    AsyncBatchExecutor* async, int64_t max_in_flight, bool memoize,
     SharedPairCache* shared_cache, int64_t cache_class) {
   CROWDMAX_CHECK(async != nullptr);
   if (max_in_flight < 1) {
     return Status::InvalidArgument("max_in_flight must be >= 1");
   }
   std::unique_ptr<RoundEngine> engine(
-      new RoundEngine(Backend::kExecutor, nullptr, async->inner(),
-                      /*memoize=*/true, 0, 0, shared_cache, cache_class));
+      new RoundEngine(Backend::kExecutor, nullptr, async->inner(), memoize, 0,
+                      0, shared_cache, cache_class));
   engine->async_ = async;
   engine->max_in_flight_ = max_in_flight;
   return engine;
@@ -571,7 +569,6 @@ Status RoundEngine::Submit(PendingRound* pending, bool overlapped) {
 
 Status RoundEngine::SubmitExecutor(PendingRound* pending, bool overlapped) {
   const EngineRound& round = pending->round;
-  if (round.clear_round_cache) cache_->Clear();  // The drive drained first.
   RoundOutcome& out = pending->out;
   out.issued = round.TotalPairs();
   issued_ += out.issued;
@@ -605,18 +602,21 @@ Status RoundEngine::SubmitExecutor(PendingRound* pending, bool overlapped) {
   // attempt parked). A player unit's pairs are written out in order; its
   // answers fold into its loss matrix at the read-back. A pruning drive
   // probes read-only, unit by unit (ProbeUnit), and leaves the memo to
-  // CommitRound. Otherwise one grow per round, then one batch insert per
-  // unit reserves each miss with -1 (an unresolved parking is rewritten to
-  // it), so a repeat of the pair later in the round finds the reservation
-  // and is sent once. A bought pair's first occurrence is -1 in its
-  // winners slot, a repeat kRepeatedPair, until the read-back.
+  // CommitRound; so does an unmemoized one, whose memo is empty, so every
+  // listed pair is a miss, repeats included. Otherwise one grow per round,
+  // then one batch insert per unit reserves each miss with -1 (an
+  // unresolved parking is rewritten to it), so a repeat of the pair later
+  // in the round finds the reservation and is sent once. A bought pair's
+  // first occurrence is -1 in its winners slot, a repeat kRepeatedPair,
+  // until the read-back.
   std::vector<ComparisonPair>& misses = pending->misses;
-  if (!prune_) cache_->Reserve(out.issued);
+  const bool reserve = ReservesMisses();
+  if (reserve) cache_->Reserve(out.issued);
   for (size_t u = 0; u < round.units.size(); ++u) {
     const std::span<const ComparisonPair> pairs =
         PairsOf(round.units[u], &unit_pairs_);
     std::vector<ElementId>& winners = out.winners[u];
-    if (prune_) {
+    if (!reserve) {
       ProbeUnit(pairs, &winners, &misses);
       continue;
     }
@@ -671,7 +671,7 @@ Status RoundEngine::SubmitExecutor(PendingRound* pending, bool overlapped) {
       dispatched = handle.status();
     }
     if (!dispatched.ok()) {
-      StoreAnswers(misses, nullptr);
+      if (reserve) StoreAnswers(misses, nullptr);
       return dispatched;
     }
   }
@@ -688,12 +688,12 @@ Status RoundEngine::Complete(PendingRound* pending) {
       results.ok() ? &*results : nullptr;
   const std::vector<ComparisonPair>& misses = pending->misses;
   CROWDMAX_CHECK(answers == nullptr || answers->size() == misses.size());
-  if (!prune_) StoreAnswers(misses, answers);
+  if (ReservesMisses()) StoreAnswers(misses, answers);
 
   // One walk in round order fills each bought pair's first occurrence from
   // its answer (kUnresolvedWinner when the batch failed) and each repeat
-  // from the cache, which now holds that answer. A pruning drive's hits
-  // already hold their answers.
+  // from the cache, which now holds that answer. A read-only resolve's
+  // hits already hold their answers.
   RoundOutcome& out = pending->out;
   size_t next_miss = 0;
   size_t next_repeat = 0;
@@ -1074,11 +1074,10 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
   signatures_.clear();
   committed_player_units_ = 0;
   // The rounds whose outcomes reach the memo only through CommitRound:
-  // every round of a pruning drive except a cache-clearing one, every
-  // memoized parallel round (its barrier merge), and every memoized
-  // serial round of player units.
+  // every round of a pruning drive, every memoized parallel round (its
+  // barrier merge), and every memoized serial round of player units.
   const auto commits = [&](const EngineRound& round) {
-    if (prune_) return !round.clear_round_cache;
+    if (prune_) return true;
     return memoize_ && (backend_ == Backend::kParallel ||
                         (backend_ == Backend::kSerial && HasPlayerUnits(round)));
   };
@@ -1089,8 +1088,8 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
       open_round_id = -1;
     }
   };
-  // Abort-path cleanup: park every in-flight round's misses so a shared
-  // cache is not left holding -1 reservations, and cancel the async
+  // Abort-path cleanup: park every in-flight round's reserved misses so a
+  // shared cache is not left holding -1 reservations, and cancel the async
   // handles — computed answers abandoned unconsumed are banked-answer
   // refunds the adapter accounts. Speculative rounds reserved nothing in
   // the cache and computed nothing, so cancellation alone unwinds them;
@@ -1108,7 +1107,7 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
         aborted_speculation = true;
         continue;
       }
-      StoreAnswers(pending->misses, nullptr);
+      if (ReservesMisses()) StoreAnswers(pending->misses, nullptr);
     }
     in_flight.clear();
     if (aborted_speculation) source->OnSpeculationAborted();
@@ -1204,16 +1203,21 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
         continue;
       }
       // Misprediction: cancel the whole window before anything in it runs,
-      // charge the comparisons the rounds *would* have bought (deduped
-      // against the cache and each other, the way submission would have
-      // deduped them) as first-class wasted spend, and let the source roll
-      // its emission bookkeeping back to consumed truth.
+      // charge the comparisons the rounds *would* have bought (on a
+      // memoizing engine deduped against the cache and each other, the way
+      // submission would have deduped them; every pair otherwise) as
+      // first-class wasted spend, and let the source roll its emission
+      // bookkeeping back to consumed truth.
       int64_t wasted = 0;
       int64_t cancelled_rounds = 0;
       std::unordered_set<uint64_t> would_buy;
       for (const auto& pending : in_flight) {
         CROWDMAX_CHECK(pending->speculative);
         for (const RoundUnit& unit : pending->round.units) {
+          if (!memoize_) {
+            wasted += unit.NumPairs();
+            continue;
+          }
           for (const ComparisonPair& pair : PairsOf(unit, &unit_pairs_)) {
             const uint64_t key = PackPairKey(pair.first, pair.second);
             const PairValuePtr slot = cache_->Find(key);
@@ -1256,11 +1260,9 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
       Result<bool> offered = source->SpeculateNextRound(&round);
       if (!offered.ok()) return fail(offered.status());
       if (*offered) {
-        // Speculative rounds may not open round spans or clear the cache:
-        // both are effects of the synchronous schedule, which this round
-        // has not joined yet.
+        // Speculative rounds may not open round spans: that is an effect
+        // of the synchronous schedule, which this round has not joined yet.
         CROWDMAX_CHECK(round.open_round == 0);
-        CROWDMAX_CHECK(!round.clear_round_cache);
         CheckRound(round);
         auto pending = std::make_unique<PendingRound>();
         pending->speculative = true;
@@ -1308,13 +1310,6 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
       source->OnBudgetStop();
       break;
     }
-    // A cache clear under in-flight rounds would drop their reservations:
-    // drain first. (Pipelining sources only clear at logical-round
-    // boundaries, where CanPipelineNextRound already forced a drain.)
-    if (round.clear_round_cache) {
-      if (Status drained = drain(); !drained.ok()) return fail(drained);
-    }
-
     if (round.open_round > 0 && trace != nullptr) {
       CROWDMAX_CHECK(open_round_id < 0);
       open_round_id = trace->BeginRound(round.open_round);

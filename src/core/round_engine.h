@@ -42,12 +42,14 @@
 //    outcomes, so partial-result semantics (no eviction without evidence)
 //    stay with the algorithm while retry/quorum live in the executor
 //    stack. The synchronous (CreateBatched) and pipelined (CreatePipelined)
-//    engines share one round: the resolve reserves each miss with one
-//    batch insert per unit, the read-back stores the answers with one
+//    engines share one round: a memoizing resolve reserves each miss with
+//    one batch insert per unit, the read-back stores the answers with one
 //    batch insert over the misses and fills the winners. They differ only
-//    in how the batch is dispatched. A player unit's pairs are written out
-//    in order, resolved with the rest, and their answers folded into its
-//    matrix; a faulted pair sets neither bit.
+//    in how the batch is dispatched. An unmemoized round resolves
+//    read-only over an empty memo, so every listed pair is bought, repeats
+//    included, and nothing is stored. A player unit's pairs are written
+//    out in order, resolved with the rest, and their answers folded into
+//    its matrix; a faulted pair sets neither bit.
 // On a pruning drive every backend but the pipelined one probes the memo
 // only for pairs whose two players' co-play signatures share a bit, and
 // commits a player unit by survivor (DESIGN.md §14).
@@ -142,12 +144,6 @@ struct EngineRound {
   /// and the engine records only cache hits, so attribution stays
   /// exactly-once.
   bool record_round_cell = false;
-
-  /// Executor backend only: drop the pair cache before resolving (a
-  /// non-memoized source forgets across rounds; a pruning drive commits
-  /// nothing from such a round). Unresolved sentinels are dropped with it;
-  /// the source must re-emit the pairs it still needs.
-  bool clear_round_cache = false;
 
   int64_t TotalPairs() const;
 };
@@ -275,10 +271,10 @@ class RoundSource {
   /// outstanding flag) may change, because a misprediction rolls the
   /// emission back via OnSpeculationAborted and the true round is
   /// re-emitted through NextRound. Speculative rounds must not open round
-  /// trace spans or clear the round cache (the engine CHECKs), and are
-  /// refused on budget-gated drives — the budget gate is an emission-time
-  /// predicate with no sync-equivalent program point for a round that has
-  /// not, in the synchronous schedule, been emitted yet.
+  /// trace spans (the engine CHECKs), and are refused on budget-gated
+  /// drives — the budget gate is an emission-time predicate with no
+  /// sync-equivalent program point for a round that has not, in the
+  /// synchronous schedule, been emitted yet.
   virtual bool CanSpeculateNextRound() const { return false; }
   virtual Result<bool> SpeculateNextRound(EngineRound* round);
 
@@ -335,6 +331,8 @@ class RoundEngine {
   /// `shared_cache` is non-null the engine memoizes into that cache's
   /// `cache_class` map instead of a private one, so evidence outlives the
   /// engine and is visible to later engines on the same (cache, class).
+  /// On every backend a shared cache implies memoization, and an
+  /// unmemoized engine buys every pair it is asked, repeats included.
   static std::unique_ptr<RoundEngine> CreateSerial(
       Comparator* comparator, bool memoize,
       SharedPairCache* shared_cache = nullptr, int64_t cache_class = 0);
@@ -347,13 +345,10 @@ class RoundEngine {
       SharedPairCache* shared_cache = nullptr, int64_t cache_class = 0);
 
   /// Batched execution through a BatchExecutor stack (fault injection,
-  /// retry/quorum recovery, platform adapters). Always caches within a
-  /// round; EngineRound::clear_round_cache controls cross-round memory
-  /// (and, with a shared cache, drops the whole class map — a non-memoized
-  /// source opting into sharing would be contradictory).
+  /// retry/quorum recovery, platform adapters), memoized as CreateSerial.
   static Result<std::unique_ptr<RoundEngine>> CreateBatched(
-      BatchExecutor* executor, SharedPairCache* shared_cache = nullptr,
-      int64_t cache_class = 0);
+      BatchExecutor* executor, bool memoize,
+      SharedPairCache* shared_cache = nullptr, int64_t cache_class = 0);
 
   /// Pipelined batched execution: rounds are submitted through `async`
   /// (core/async_executor.h) and up to `max_in_flight` rounds ride the
@@ -374,7 +369,7 @@ class RoundEngine {
   /// Results, traces and non-speculation counters stay bit-identical to
   /// the synchronous drive on both the hit and the miss path.
   static Result<std::unique_ptr<RoundEngine>> CreatePipelined(
-      AsyncBatchExecutor* async, int64_t max_in_flight,
+      AsyncBatchExecutor* async, int64_t max_in_flight, bool memoize,
       SharedPairCache* shared_cache = nullptr, int64_t cache_class = 0);
 
   /// Runs the source to completion: budget gate, round execution, cell
@@ -468,6 +463,11 @@ class RoundEngine {
 
   /// True when a read-only resolve has anything to find in the memo.
   bool MemoReadable() const { return memoize_ && !cache_->empty(); }
+
+  /// True when an executor round reserves its misses in the cache and
+  /// stores their answers at the read-back: a memoizing drive that does
+  /// not prune. Every other executor round resolves read-only.
+  bool ReservesMisses() const { return memoize_ && !prune_; }
 
   /// The co-play signature of `id` (zero when it has none).
   uint64_t SignatureOf(ElementId id) const {
@@ -578,11 +578,10 @@ class RoundEngine {
   // pairs a later round can still ask, not every pair bought. Otherwise:
   // serial buys each pair of a pair unit once and commits player units
   // after the consume; parallel reads a snapshot during a round and
-  // CommitRound merges every pair after it; executor dedups within a round
-  // always, remembers across rounds per clear_round_cache, and parks
-  // faulted pairs as kUnresolvedWinner. Those write paths go through
-  // PinSlots (one grow per round, one batch insert per unit); a pipelined
-  // engine never prunes.
+  // CommitRound merges every pair after it; executor buys each pair once
+  // and parks faulted pairs as kUnresolvedWinner. Those write paths go
+  // through PinSlots (one grow per round, one batch insert per unit); a
+  // pipelined engine never prunes. An unmemoized engine writes nothing.
   PairTable* cache_;
   PairTable owned_cache_;
 

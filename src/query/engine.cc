@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "baselines/single_class.h"
 #include "core/expert_max.h"
 #include "core/topk.h"
 
@@ -37,36 +36,16 @@ Result<MaxQueryAnswer> CrowdQueryEngine::Max(
   Result<MaxQueryPlan> plan = PlanMaxQuery(planner_input);
   if (!plan.ok()) return plan.status();
 
+  ExpertMaxOptions options;
+  options.filter.u_n = u_n;
+  Result<ExpertMaxResult> run = RunMaxPlan(items, plan->strategy, options,
+                                           options_.naive, options_.expert);
+  if (!run.ok()) return run.status();
+
   MaxQueryAnswer answer;
+  answer.best = run->best;
   answer.plan = *plan;
-  switch (plan->strategy) {
-    case MaxStrategy::kTwoPhase: {
-      ExpertMaxOptions options;
-      options.filter.u_n = u_n;
-      Result<ExpertMaxResult> run = FindMaxWithExperts(
-          items, options_.naive, options_.expert, options);
-      if (!run.ok()) return run.status();
-      answer.best = run->best;
-      answer.paid = run->paid;
-      break;
-    }
-    case MaxStrategy::kExpertOnly: {
-      Result<SingleClassResult> run =
-          TwoMaxFindExpertOnly(items, options_.expert);
-      if (!run.ok()) return run.status();
-      answer.best = run->best;
-      answer.paid.expert = run->paid_comparisons;
-      break;
-    }
-    case MaxStrategy::kNaiveOnly: {
-      Result<SingleClassResult> run =
-          TwoMaxFindNaiveOnly(items, options_.naive);
-      if (!run.ok()) return run.status();
-      answer.best = run->best;
-      answer.paid.naive = run->paid_comparisons;
-      break;
-    }
-  }
+  answer.paid = run->paid;
   answer.actual_cost =
       options_.prices.Cost(answer.paid.naive, answer.paid.expert);
   return answer;
@@ -75,42 +54,12 @@ Result<MaxQueryAnswer> CrowdQueryEngine::Max(
 Result<AboveQueryAnswer> CrowdQueryEngine::Above(
     const std::vector<ElementId>& items, ElementId anchor,
     const AboveQueryOptions& options) {
-  if (items.empty()) {
-    return Status::InvalidArgument("item set must be non-empty");
-  }
-  if (options.votes_per_item < 1 || options.votes_per_item % 2 == 0) {
-    return Status::InvalidArgument("votes_per_item must be odd and >= 1");
-  }
+  Result<AboveResult> run =
+      FindAbove(items, anchor, options, options_.naive, options_.expert);
+  if (!run.ok()) return run.status();
 
-  const int64_t naive_before = options_.naive->num_comparisons();
-  const int64_t expert_before = options_.expert->num_comparisons();
-
-  AboveQueryAnswer answer;
-  for (ElementId item : items) {
-    if (item == anchor) {
-      return Status::InvalidArgument("anchor must not appear in items");
-    }
-    int64_t wins_item = 0;
-    for (int64_t v = 0; v < options.votes_per_item; ++v) {
-      if (options_.naive->Compare(item, anchor) == item) ++wins_item;
-    }
-    const bool unanimous =
-        wins_item == 0 || wins_item == options.votes_per_item;
-    bool is_above = 2 * wins_item > options.votes_per_item;
-    if (!unanimous) {
-      answer.escalated.push_back(item);
-      if (options.expert_refine) {
-        is_above = options_.expert->Compare(item, anchor) == item;
-      }
-    }
-    (is_above ? answer.above : answer.below).push_back(item);
-  }
-
-  answer.paid.naive = options_.naive->num_comparisons() - naive_before;
-  answer.paid.expert = options_.expert->num_comparisons() - expert_before;
-  answer.actual_cost =
-      options_.prices.Cost(answer.paid.naive, answer.paid.expert);
-  return answer;
+  const double cost = options_.prices.Cost(run->paid.naive, run->paid.expert);
+  return AboveQueryAnswer{std::move(run).value(), cost};
 }
 
 Result<TopKQueryAnswer> CrowdQueryEngine::TopK(

@@ -1,8 +1,9 @@
 // A small declarative layer over the max-finding algorithms — the
 // "CrowdDB-style" entry point the paper's introduction motivates. The
 // engine owns no workers: it is configured with one comparator per worker
-// class, plans the cheapest adequate strategy (query/planner.h) and
-// executes it, returning the answer together with what it actually cost.
+// class, plans the cheapest adequate strategy (query/planner.h), runs it
+// through the same entry points as the query service (RunMaxPlan,
+// FindTopKWithExperts, FindAbove) and prices what it actually cost.
 
 #ifndef CROWDMAX_QUERY_ENGINE_H_
 #define CROWDMAX_QUERY_ENGINE_H_
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/above.h"
 #include "core/comparator.h"
 #include "core/cost.h"
 #include "core/instance.h"
@@ -47,28 +49,8 @@ struct TopKQueryAnswer {
   double actual_cost = 0.0;
 };
 
-/// Options for an ABOVE (selection) query.
-struct AboveQueryOptions {
-  /// Naive votes per item-vs-anchor comparison; odd, >= 1. Unanimous votes
-  /// classify the item directly; a unanimity fluke on a hard pair happens
-  /// with probability 2^(1-votes) under the fair-coin threshold model.
-  int64_t votes_per_item = 5;
-  /// Send items with non-unanimous votes (the likely
-  /// naive-indistinguishable ones) to one expert comparison each; when
-  /// false, the naive majority decides them.
-  bool expert_refine = true;
-};
-
-/// Answer of an ABOVE query.
-struct AboveQueryAnswer {
-  /// Items classified as having a larger value than the anchor.
-  std::vector<ElementId> above;
-  /// Items classified as smaller.
-  std::vector<ElementId> below;
-  /// Items whose naive votes disagreed (escalated to experts when
-  /// expert_refine is on).
-  std::vector<ElementId> escalated;
-  ComparisonStats paid;
+/// Answer of an ABOVE query (core/above.h), priced.
+struct AboveQueryAnswer : AboveResult {
   double actual_cost = 0.0;
 };
 
@@ -90,14 +72,8 @@ class CrowdQueryEngine {
   Result<TopKQueryAnswer> TopK(const std::vector<ElementId>& items,
                                int64_t u_n, int64_t k);
 
-  /// SELECT WHERE value > anchor (CrowdScreen-style filtering with the
-  /// paper's expert twist): each item is compared against `anchor` by a
-  /// naive vote panel; unanimous panels classify directly, split panels
-  /// escalate to one expert judgment. Items farther than delta_n from the
-  /// anchor are misclassified only by a unanimity fluke
-  /// (<= 2^(1-votes) under the model); items inside delta_n are decided by
-  /// the expert (within delta_e exactly when expert_refine is on).
-  /// `anchor` must not appear in `items`.
+  /// SELECT WHERE value > anchor: FindAbove (core/above.h). `anchor` must
+  /// not appear in `items`.
   Result<AboveQueryAnswer> Above(const std::vector<ElementId>& items,
                                  ElementId anchor,
                                  const AboveQueryOptions& options = {});

@@ -6,6 +6,7 @@
 #include "common/table.h"
 #include "core/filter_phase.h"
 #include "core/maxfind.h"
+#include "core/trace.h"
 
 namespace crowdmax {
 
@@ -102,6 +103,41 @@ Result<MaxQueryPlan> PlanMaxQuery(const PlannerInput& input) {
            : "") +
       " -> " + MaxStrategyName(plan.strategy);
   return plan;
+}
+
+Result<ExpertMaxResult> RunMaxPlan(const std::vector<ElementId>& items,
+                                   MaxStrategy strategy,
+                                   const ExpertMaxOptions& options,
+                                   Execution naive, Execution expert) {
+  if (strategy == MaxStrategy::kTwoPhase) {
+    return FindMaxWithExperts(items, naive, expert, options);
+  }
+  const bool on_expert = strategy == MaxStrategy::kExpertOnly;
+  const Execution execution = on_expert ? expert : naive;
+  TraceSpanScope phase_span(
+      on_expert ? "expert" : "naive",
+      on_expert ? TraceWorkerClass::kExpert : TraceWorkerClass::kNaive);
+  TwoMaxFindOptions two_maxfind = options.two_maxfind;
+  if (options.shared_cache != nullptr) {
+    two_maxfind.shared_cache = options.shared_cache;
+    two_maxfind.cache_class =
+        on_expert ? options.expert_cache_class : options.naive_cache_class;
+  }
+  Result<MaxFindResult> run = TwoMaxFind(items, execution, two_maxfind);
+  if (!run.ok()) return run.status();
+
+  ExpertMaxResult result;
+  result.best = run->best;
+  (on_expert ? result.paid.expert : result.paid.naive) = run->paid_comparisons;
+  (on_expert ? result.issued.expert : result.issued.naive) =
+      run->issued_comparisons;
+  (on_expert ? result.expert_steps : result.naive_steps) = run->logical_steps;
+  result.partial = run->partial;
+  result.fault_status = run->fault_status;
+  if (const FaultReport* report = execution.fault_report()) {
+    (on_expert ? result.expert_faults : result.naive_faults) = *report;
+  }
+  return result;
 }
 
 }  // namespace crowdmax

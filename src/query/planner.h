@@ -7,16 +7,21 @@
 // 2-MaxFind wins when the expert/naive price ratio is small (< ~10), and
 // the two-phase Algorithm 1 wins when experts are expensive. The planner
 // encodes exactly that decision as closed-form cost predictions so a query
-// engine can pick a strategy before spending a cent.
+// engine can pick a strategy before spending a cent, and RunMaxPlan runs the
+// chosen strategy on whatever Executions the caller holds.
 
 #ifndef CROWDMAX_QUERY_PLANNER_H_
 #define CROWDMAX_QUERY_PLANNER_H_
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "core/cost.h"
+#include "core/execution.h"
+#include "core/expert_max.h"
+#include "core/instance.h"
 
 namespace crowdmax {
 
@@ -82,6 +87,17 @@ double PredictTwoMaxFindComparisons(int64_t n, bool worst_case);
 /// Chooses the cheapest strategy meeting the accuracy requirement.
 /// Returns InvalidArgument for non-positive n / u_n or invalid prices.
 Result<MaxQueryPlan> PlanMaxQuery(const PlannerInput& input);
+
+/// Runs `strategy` over `items`: Algorithm 1 (FindMaxWithExperts with
+/// `options`) for kTwoPhase; otherwise 2-MaxFind with
+/// `options.two_maxfind` on the one class the strategy bills, inside that
+/// class's "naive" or "expert" phase span, memoizing into
+/// `options.shared_cache` under that class's cache id when it is set. A
+/// single-class run fills only its own class's counters.
+Result<ExpertMaxResult> RunMaxPlan(const std::vector<ElementId>& items,
+                                   MaxStrategy strategy,
+                                   const ExpertMaxOptions& options,
+                                   Execution naive, Execution expert);
 
 }  // namespace crowdmax
 

@@ -9,9 +9,9 @@
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
+#include "core/above.h"
 #include "core/async_executor.h"
 #include "core/expert_max.h"
-#include "core/maxfind.h"
 #include "core/topk.h"
 #include "core/resilient.h"
 #include "core/worker_model.h"
@@ -447,105 +447,6 @@ Status BuildStack(const QueryServiceOptions& options, const QuerySpec& spec,
   return Status::OK();
 }
 
-// The ABOVE (selection) query, batched: one naive vote-panel batch over
-// every item-vs-anchor pair, then (optionally) one expert batch over the
-// items whose panels were not unanimous. Classification is conservative
-// under faults: an item with any lost vote escalates, and an escalated
-// item with no expert evidence falls back to its naive majority (anchor
-// wins a 0-0 tie), flagged partial.
-Status RunAbove(const std::vector<ElementId>& items, ElementId anchor,
-                const AboveQueryOptions& options, BatchExecutor* naive,
-                BatchExecutor* expert, QueryOutcome* out) {
-  TraceSpanScope run_span(TraceSpanKind::kRun, "service_above");
-  const int64_t votes = options.votes_per_item;
-  const int64_t count = static_cast<int64_t>(items.size());
-
-  std::vector<BatchTaskResult> panel;
-  {
-    TraceSpanScope phase_span("above_naive", TraceWorkerClass::kNaive);
-    std::vector<ComparisonPair> tasks;
-    tasks.reserve(static_cast<size_t>(count * votes));
-    for (ElementId item : items) {
-      for (int64_t v = 0; v < votes; ++v) tasks.emplace_back(item, anchor);
-    }
-    Result<std::vector<BatchTaskResult>> result =
-        naive->TryExecuteBatch(tasks);
-    if (!result.ok()) return result.status();
-    panel = std::move(result).value();
-  }
-
-  std::vector<int64_t> wins(static_cast<size_t>(count), 0);
-  std::vector<int64_t> counted(static_cast<size_t>(count), 0);
-  std::vector<ElementId> escalate;
-  for (int64_t i = 0; i < count; ++i) {
-    for (int64_t v = 0; v < votes; ++v) {
-      const BatchTaskResult& vote =
-          panel[static_cast<size_t>(i * votes + v)];
-      if (!vote.answered) continue;  // Lost or provisional: not counted.
-      ++counted[static_cast<size_t>(i)];
-      if (vote.winner == items[static_cast<size_t>(i)]) {
-        ++wins[static_cast<size_t>(i)];
-      }
-    }
-    const bool unanimous =
-        counted[static_cast<size_t>(i)] == votes &&
-        (wins[static_cast<size_t>(i)] == 0 ||
-         wins[static_cast<size_t>(i)] == votes);
-    if (!unanimous) {
-      escalate.push_back(items[static_cast<size_t>(i)]);
-    } else if (wins[static_cast<size_t>(i)] == votes) {
-      out->above.push_back(items[static_cast<size_t>(i)]);
-    } else {
-      out->below.push_back(items[static_cast<size_t>(i)]);
-    }
-    if (counted[static_cast<size_t>(i)] < votes) out->partial = true;
-  }
-  out->escalated = escalate;
-
-  if (escalate.empty()) return Status::OK();
-  if (options.expert_refine) {
-    TraceSpanScope phase_span("above_expert", TraceWorkerClass::kExpert);
-    std::vector<ComparisonPair> tasks;
-    tasks.reserve(escalate.size());
-    for (ElementId item : escalate) tasks.emplace_back(item, anchor);
-    Result<std::vector<BatchTaskResult>> result =
-        expert->TryExecuteBatch(tasks);
-    if (!result.ok()) return result.status();
-    for (size_t i = 0; i < escalate.size(); ++i) {
-      const BatchTaskResult& verdict = (*result)[i];
-      ElementId winner = verdict.winner;
-      if (!verdict.answered) {
-        out->partial = true;
-        if (winner == -1) winner = anchor;  // No evidence: keep it out.
-      }
-      if (winner == escalate[i]) {
-        out->above.push_back(escalate[i]);
-      } else {
-        out->below.push_back(escalate[i]);
-      }
-    }
-    return Status::OK();
-  }
-  // No expert refinement: the naive majority decides the split panels.
-  for (ElementId item : escalate) {
-    int64_t index = -1;
-    for (int64_t i = 0; i < count; ++i) {
-      if (items[static_cast<size_t>(i)] == item) {
-        index = i;
-        break;
-      }
-    }
-    CROWDMAX_CHECK(index >= 0);
-    if (2 * wins[static_cast<size_t>(index)] >
-        counted[static_cast<size_t>(index)]) {
-      out->above.push_back(item);
-    } else {
-      out->below.push_back(item);
-    }
-  }
-  return Status::OK();
-}
-
 // Runs one admitted spec on its hermetic stack. `cache` is the shard's
 // cross-query cache for sharing tenants, or nullptr.
 void RunOneQuery(const QueryServiceOptions& options, const QuerySpec& spec,
@@ -581,57 +482,26 @@ void RunOneQuery(const QueryServiceOptions& options, const QuerySpec& spec,
       algo.filter.max_comparisons = spec.max_comparisons;
       algo.filter.pipeline_groups = options.pipeline_depth > 1;
       algo.shared_cache = cache;
-      switch (admission.plan.strategy) {
-        case MaxStrategy::kTwoPhase: {
-          // pipeline_depth > 1 rides the naive filter's disjoint groups on
-          // the crowd latency; the expert phase stays synchronous.
-          std::optional<AsyncBatchAdapter> async;
-          Execution naive = stack.naive_top;
-          if (options.pipeline_depth > 1) {
-            async.emplace(stack.naive_top);
-            naive = Execution(&*async, options.pipeline_depth);
-          }
-          Result<ExpertMaxResult> result =
-              FindMaxWithExperts(items, naive, stack.expert_top, algo);
-          if (!result.ok()) {
-            status = result.status();
-            break;
-          }
-          out->best = result->best;
-          out->issued = result->issued;
-          out->stopped_by_budget = result->filter_stopped_by_budget;
-          out->partial = result->partial;
-          out->fault_status = result->fault_status;
-          break;
-        }
-        case MaxStrategy::kExpertOnly:
-        case MaxStrategy::kNaiveOnly: {
-          // Single-class 2-MaxFind, billed to the class that answers it.
-          const bool expert =
-              admission.plan.strategy == MaxStrategy::kExpertOnly;
-          TraceSpanScope phase_span(
-              expert ? "expert" : "naive",
-              expert ? TraceWorkerClass::kExpert : TraceWorkerClass::kNaive);
-          TwoMaxFindOptions two_maxfind;
-          two_maxfind.shared_cache = cache;
-          two_maxfind.cache_class = expert ? 1 : 0;
-          Result<MaxFindResult> result = TwoMaxFind(
-              items, expert ? stack.expert_top : stack.naive_top, two_maxfind);
-          if (!result.ok()) {
-            status = result.status();
-            break;
-          }
-          out->best = result->best;
-          if (expert) {
-            out->issued.expert = result->issued_comparisons;
-          } else {
-            out->issued.naive = result->issued_comparisons;
-          }
-          out->partial = result->partial;
-          out->fault_status = result->fault_status;
-          break;
-        }
+      // pipeline_depth > 1 rides the two-phase plan's naive filter groups
+      // on the crowd latency; every other phase stays synchronous.
+      std::optional<AsyncBatchAdapter> async;
+      Execution naive = stack.naive_top;
+      if (admission.plan.strategy == MaxStrategy::kTwoPhase &&
+          options.pipeline_depth > 1) {
+        async.emplace(stack.naive_top);
+        naive = Execution(&*async, options.pipeline_depth);
       }
+      Result<ExpertMaxResult> result = RunMaxPlan(
+          items, admission.plan.strategy, algo, naive, stack.expert_top);
+      if (!result.ok()) {
+        status = result.status();
+        break;
+      }
+      out->best = result->best;
+      out->issued = result->issued;
+      out->stopped_by_budget = result->filter_stopped_by_budget;
+      out->partial = result->partial;
+      out->fault_status = result->fault_status;
       break;
     }
     case QueryKind::kTopK: {
@@ -658,8 +528,16 @@ void RunOneQuery(const QueryServiceOptions& options, const QuerySpec& spec,
       for (ElementId e = 0; e < instance->size(); ++e) {
         if (e != spec.anchor) items.push_back(e);
       }
-      status = RunAbove(items, spec.anchor, spec.above, stack.naive_top,
-                        stack.expert_top, out);
+      Result<AboveResult> result = FindAbove(
+          items, spec.anchor, spec.above, stack.naive_top, stack.expert_top);
+      if (!result.ok()) {
+        status = result.status();
+        break;
+      }
+      out->above = std::move(result->above);
+      out->below = std::move(result->below);
+      out->escalated = std::move(result->escalated);
+      out->partial = result->partial;
       break;
     }
   }

@@ -54,6 +54,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/above.h"
 #include "core/batched.h"
 #include "core/cost.h"
 #include "core/instance.h"
@@ -61,7 +62,6 @@
 #include "core/round_engine.h"
 #include "core/trace.h"
 #include "platform/platform.h"
-#include "query/engine.h"
 #include "query/planner.h"
 
 namespace crowdmax {
@@ -270,8 +270,7 @@ struct QueryOutcome {
   Status status;
   bool admitted = false;
 
-  /// kMax answer (also the naive majority winner count carrier for
-  /// kAbove's escalations).
+  /// kMax answer.
   ElementId best = -1;
   /// kTopK answer, in decreasing estimated-rank order.
   std::vector<ElementId> top;

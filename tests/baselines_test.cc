@@ -1,5 +1,6 @@
-// Tests for the baseline algorithms: single-class 2-MaxFind wrappers, the
-// Marcus recursive tournament and the Venetis replicated ladder.
+// Tests for the baseline algorithms: single-class 2-MaxFind (the planner's
+// naive-only and expert-only plans), the Marcus recursive tournament and
+// the Venetis replicated ladder.
 
 #include <vector>
 
@@ -7,12 +8,13 @@
 
 #include "baselines/adaptive.h"
 #include "baselines/marcus.h"
-#include "baselines/single_class.h"
 #include "baselines/venetis.h"
 #include "core/cost.h"
 #include "core/instance.h"
+#include "core/maxfind.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
+#include "query/planner.h"
 
 namespace crowdmax {
 namespace {
@@ -24,25 +26,29 @@ TEST(SingleClassTest, NaiveAndExpertBillCorrectly) {
   ASSERT_TRUE(instance.ok());
   OracleComparator worker(&*instance);
 
-  Result<SingleClassResult> naive =
-      TwoMaxFindNaiveOnly(instance->AllElements(), &worker);
-  Result<SingleClassResult> expert =
-      TwoMaxFindExpertOnly(instance->AllElements(), &worker);
+  Result<ExpertMaxResult> naive =
+      RunMaxPlan(instance->AllElements(), MaxStrategy::kNaiveOnly,
+                 ExpertMaxOptions{}, &worker, Execution());
+  Result<ExpertMaxResult> expert =
+      RunMaxPlan(instance->AllElements(), MaxStrategy::kExpertOnly,
+                 ExpertMaxOptions{}, Execution(), &worker);
   ASSERT_TRUE(naive.ok());
   ASSERT_TRUE(expert.ok());
 
   EXPECT_EQ(naive->best, instance->MaxElement());
   EXPECT_EQ(expert->best, instance->MaxElement());
-  EXPECT_EQ(naive->billed_to, WorkerClass::kNaive);
-  EXPECT_EQ(expert->billed_to, WorkerClass::kExpert);
+  EXPECT_GT(naive->paid.naive, 0);
+  EXPECT_EQ(naive->paid.expert, 0);
+  EXPECT_EQ(expert->paid.naive, 0);
+  EXPECT_EQ(expert->paid.expert, naive->paid.naive);
 
   CostModel model;
   model.naive_cost = 1.0;
   model.expert_cost = 50.0;
   EXPECT_DOUBLE_EQ(naive->CostUnder(model),
-                   static_cast<double>(naive->paid_comparisons));
+                   static_cast<double>(naive->paid.naive));
   EXPECT_DOUBLE_EQ(expert->CostUnder(model),
-                   50.0 * static_cast<double>(expert->paid_comparisons));
+                   50.0 * static_cast<double>(expert->paid.expert));
 }
 
 TEST(SingleClassTest, NaiveOnlyIsInaccurateWithLargeUn) {
@@ -64,10 +70,10 @@ TEST(SingleClassTest, NaiveOnlyIsInaccurateWithLargeUn) {
     ThresholdComparator expert_worker(&*instance,
                                       ThresholdModel{delta_e, 0.0},
                                       /*seed=*/300 + static_cast<uint64_t>(t));
-    Result<SingleClassResult> naive =
-        TwoMaxFindNaiveOnly(instance->AllElements(), &naive_worker);
-    Result<SingleClassResult> expert =
-        TwoMaxFindExpertOnly(instance->AllElements(), &expert_worker);
+    Result<MaxFindResult> naive =
+        TwoMaxFind(instance->AllElements(), &naive_worker);
+    Result<MaxFindResult> expert =
+        TwoMaxFind(instance->AllElements(), &expert_worker);
     ASSERT_TRUE(naive.ok());
     ASSERT_TRUE(expert.ok());
     naive_rank_sum += instance->Rank(naive->best);

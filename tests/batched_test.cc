@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/above.h"
 #include "core/async_executor.h"
 #include "core/batched.h"
 #include "core/comparator.h"
@@ -71,7 +72,7 @@ TEST(BatchedAllPlayAllTest, MatchesSequentialTournament) {
   ComparatorBatchExecutor executor(&oracle);
 
   Result<std::unique_ptr<RoundEngine>> engine =
-      RoundEngine::CreateBatched(&executor);
+      RoundEngine::CreateBatched(&executor, /*memoize=*/true);
   ASSERT_TRUE(engine.ok());
   Result<TournamentResult> batched =
       RunTournamentOnEngine(instance->AllElements(), engine->get());
@@ -471,13 +472,12 @@ TEST(BatchedMultilevelTest, MatchesSequentialAndCountsStepsPerClass) {
 }
 
 // The query-level differential contract: every Execution returns the
-// serial comparator's result. Each query runs over OracleComparators on a
-// serial comparator, a comparator with four filter threads, a
-// ComparatorBatchExecutor, and pipelined over it at depths 1 and 8, and
-// must return the same answer (best, top, sorted candidates) everywhere,
-// with the same paid and issued counts. One cell differs by design:
-// RandomizedMaxFind runs unmemoized on a comparator and memoized on an
-// executor, so its expert paid count is compared within each family.
+// serial comparator's result. Each query runs over OracleComparators (ABOVE
+// over a noisy naive class, so that panels split) on a serial comparator,
+// a comparator with four filter threads, a ComparatorBatchExecutor, and
+// pipelined over it at depths 1 and 8, and must return the same answer
+// (best, top, sorted candidates, ABOVE's ordered lists) everywhere, with
+// the same paid and issued counts.
 enum class DiffBackend { kSerial, kThreads4, kExecutor, kDepth1, kDepth8 };
 
 enum class DiffQuery {
@@ -488,19 +488,26 @@ enum class DiffQuery {
   kTwoPhaseAllPlayAll,
   kTopK,
   kMultilevel,
+  kAboveRefined,
+  kAboveNaiveMajority,
 };
 
-// One worker class: its oracle, an executor over it and an async adapter
-// over that, handed out as the Execution a backend names.
+// One worker class: its model (an oracle unless given), an executor over
+// it and an async adapter over that, handed out as the Execution a backend
+// names.
 struct DiffCrowd {
   explicit DiffCrowd(const Instance* instance)
-      : oracle(instance), executor(&oracle), async(&executor) {}
+      : DiffCrowd(std::make_unique<OracleComparator>(instance)) {}
+  explicit DiffCrowd(std::unique_ptr<Comparator> model)
+      : model(std::move(model)),
+        executor(this->model.get()),
+        async(&executor) {}
 
   Execution For(DiffBackend backend) {
     switch (backend) {
       case DiffBackend::kSerial:
       case DiffBackend::kThreads4:
-        return &oracle;
+        return model.get();
       case DiffBackend::kExecutor:
         return &executor;
       case DiffBackend::kDepth1:
@@ -511,7 +518,7 @@ struct DiffCrowd {
     return Execution();
   }
 
-  OracleComparator oracle;
+  std::unique_ptr<Comparator> model;
   ComparatorBatchExecutor executor;
   AsyncBatchAdapter async;
 };
@@ -519,6 +526,7 @@ struct DiffCrowd {
 struct DiffAnswer {
   ElementId best = -1;
   std::vector<ElementId> top;
+  std::vector<ElementId> below;
   std::vector<ElementId> candidates;  // Sorted.
   std::vector<int64_t> paid;
   std::vector<int64_t> issued;
@@ -612,6 +620,26 @@ DiffAnswer RunDiffQuery(DiffQuery query, const Instance& instance,
       answer.paid = run->paid_per_class;
       break;
     }
+    case DiffQuery::kAboveRefined:
+    case DiffQuery::kAboveNaiveMajority: {
+      DiffCrowd noisy(std::make_unique<ThresholdComparator>(
+          &instance, ThresholdModel{instance.DeltaForU(40), 0.0},
+          /*seed=*/5));
+      AboveQueryOptions options;
+      options.votes_per_item = 3;
+      options.expert_refine = query == DiffQuery::kAboveRefined;
+      std::vector<ElementId> others(items.begin() + 1, items.end());
+      Result<AboveResult> run =
+          FindAbove(others, items[0], options, noisy.For(backend),
+                    expert.For(backend));
+      CROWDMAX_CHECK(run.ok());
+      CROWDMAX_CHECK(!run->escalated.empty());
+      answer.top = run->above;
+      answer.below = run->below;
+      answer.candidates = run->escalated;
+      answer.paid = {run->paid.naive, run->paid.expert};
+      break;
+    }
   }
   std::sort(answer.candidates.begin(), answer.candidates.end());
   std::istringstream summary(trace.Summary());
@@ -628,11 +656,10 @@ TEST(ExecutionDifferentialTest, EveryBackendReturnsTheSerialResult) {
        {DiffQuery::kFilter, DiffQuery::kTwoMaxFind,
         DiffQuery::kTwoPhaseTwoMaxFind, DiffQuery::kTwoPhaseRandomized,
         DiffQuery::kTwoPhaseAllPlayAll, DiffQuery::kTopK,
-        DiffQuery::kMultilevel}) {
+        DiffQuery::kMultilevel, DiffQuery::kAboveRefined,
+        DiffQuery::kAboveNaiveMajority}) {
     const DiffAnswer serial =
         RunDiffQuery(query, *instance, DiffBackend::kSerial);
-    const DiffAnswer executor =
-        RunDiffQuery(query, *instance, DiffBackend::kExecutor);
     EXPECT_FALSE(serial.spans.empty());
     for (DiffBackend backend :
          {DiffBackend::kThreads4, DiffBackend::kExecutor,
@@ -642,23 +669,50 @@ TEST(ExecutionDifferentialTest, EveryBackendReturnsTheSerialResult) {
       const DiffAnswer other = RunDiffQuery(query, *instance, backend);
       EXPECT_EQ(other.best, serial.best);
       EXPECT_EQ(other.top, serial.top);
+      EXPECT_EQ(other.below, serial.below);
       EXPECT_EQ(other.candidates, serial.candidates);
+      EXPECT_EQ(other.paid, serial.paid);
       EXPECT_EQ(other.issued, serial.issued);
       // One trace shape on every backend.
       EXPECT_EQ(other.spans, serial.spans);
-      const bool executor_family = backend != DiffBackend::kThreads4;
-      if (query == DiffQuery::kTwoPhaseRandomized && executor_family) {
-        EXPECT_EQ(other.paid, executor.paid);
-        EXPECT_EQ(other.paid[0], serial.paid[0]);
-      } else {
-        EXPECT_EQ(other.paid, serial.paid);
-      }
     }
   }
   EXPECT_EQ(RunDiffQuery(DiffQuery::kTwoMaxFind, *instance,
                          DiffBackend::kSerial)
                 .best,
             instance->MaxElement());
+}
+
+// A shared cache implies memoization on every Execution: a filter run with
+// `memoize` left unset keeps its evidence in the cache, so the same run
+// again pays nothing.
+TEST(ExecutionDifferentialTest, SharedCacheMemoizesOnEveryBackend) {
+  Result<Instance> instance = UniformInstance(400, /*seed=*/73);
+  ASSERT_TRUE(instance.ok());
+  for (DiffBackend backend :
+       {DiffBackend::kSerial, DiffBackend::kThreads4, DiffBackend::kExecutor,
+        DiffBackend::kDepth1, DiffBackend::kDepth8}) {
+    SCOPED_TRACE("backend " + std::to_string(static_cast<int>(backend)));
+    DiffCrowd naive(std::make_unique<ThresholdComparator>(
+        &*instance, ThresholdModel{instance->DeltaForU(4), 0.0},
+        /*seed=*/9));
+    SharedPairCache cache;
+    FilterOptions filter;
+    filter.u_n = 4;
+    filter.shared_cache = &cache;
+    filter.pipeline_groups = backend == DiffBackend::kDepth8;
+    filter.threads = backend == DiffBackend::kThreads4 ? 4 : 0;
+    Result<FilterResult> first =
+        FilterCandidates(instance->AllElements(), filter, naive.For(backend));
+    ASSERT_TRUE(first.ok());
+    EXPECT_GT(first->paid_comparisons, 0);
+    EXPECT_EQ(cache.ResolvedPairs(0), first->paid_comparisons);
+    Result<FilterResult> second =
+        FilterCandidates(instance->AllElements(), filter, naive.For(backend));
+    ASSERT_TRUE(second.ok());
+    EXPECT_EQ(second->paid_comparisons, 0);
+    EXPECT_EQ(second->candidates, first->candidates);
+  }
 }
 
 }  // namespace

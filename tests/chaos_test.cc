@@ -385,7 +385,7 @@ TEST(ChaosEngineTest, FaultyExecutorStackKillAndResume) {
     CROWDMAX_CHECK(resilient.ok());
     stack.resilient = std::move(resilient).value();
     Result<std::unique_ptr<RoundEngine>> engine =
-        RoundEngine::CreateBatched(stack.resilient.get());
+        RoundEngine::CreateBatched(stack.resilient.get(), /*memoize=*/true);
     CROWDMAX_CHECK(engine.ok());
     stack.engine = std::move(engine).value();
     return stack;
@@ -453,7 +453,8 @@ TEST(ChaosEngineTest, PipelinedDriveKillAndResume) {
         std::make_unique<ComparatorBatchExecutor>(stack.comparator.get());
     stack.async = std::make_unique<AsyncBatchAdapter>(stack.executor.get());
     Result<std::unique_ptr<RoundEngine>> engine =
-        RoundEngine::CreatePipelined(stack.async.get(), /*max_in_flight=*/3);
+        RoundEngine::CreatePipelined(stack.async.get(), /*max_in_flight=*/3,
+                                     /*memoize=*/true);
     CROWDMAX_CHECK(engine.ok());
     stack.engine = std::move(engine).value();
     return stack;

@@ -10,10 +10,10 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/single_class.h"
 #include "core/cost.h"
 #include "core/estimate.h"
 #include "core/expert_max.h"
+#include "core/maxfind.h"
 #include "core/worker_model.h"
 #include "datasets/cars.h"
 #include "datasets/dots.h"
@@ -48,10 +48,10 @@ TEST(IntegrationTest, AccuracyOrderingMatchesFigure3) {
     options.filter.u_n = u_n;
     Result<ExpertMaxResult> alg1 = FindMaxWithExperts(
         instance->AllElements(), &naive, &expert, options);
-    Result<SingleClassResult> naive_only =
-        TwoMaxFindNaiveOnly(instance->AllElements(), &naive);
-    Result<SingleClassResult> expert_only =
-        TwoMaxFindExpertOnly(instance->AllElements(), &expert);
+    Result<MaxFindResult> naive_only =
+        TwoMaxFind(instance->AllElements(), &naive);
+    Result<MaxFindResult> expert_only =
+        TwoMaxFind(instance->AllElements(), &expert);
     ASSERT_TRUE(alg1.ok());
     ASSERT_TRUE(naive_only.ok());
     ASSERT_TRUE(expert_only.ok());
@@ -89,19 +89,19 @@ TEST(IntegrationTest, CostCrossoverAroundRatioTen) {
   options.filter.u_n = u_n;
   Result<ExpertMaxResult> alg1 =
       FindMaxWithExperts(instance->AllElements(), &naive, &expert_a, options);
-  Result<SingleClassResult> expert_only =
-      TwoMaxFindExpertOnly(instance->AllElements(), &expert_b);
+  Result<MaxFindResult> expert_only =
+      TwoMaxFind(instance->AllElements(), &expert_b);
   ASSERT_TRUE(alg1.ok());
   ASSERT_TRUE(expert_only.ok());
 
   CostModel cheap_experts{1.0, 2.0};
   CostModel pricey_experts{1.0, 200.0};
   // At ratio 2 the expert-only baseline is cheaper...
-  EXPECT_LT(expert_only->CostUnder(cheap_experts),
+  EXPECT_LT(cheap_experts.Cost(0, expert_only->paid_comparisons),
             alg1->CostUnder(cheap_experts));
   // ...at ratio 200 Algorithm 1 wins decisively.
   EXPECT_LT(alg1->CostUnder(pricey_experts),
-            expert_only->CostUnder(pricey_experts) / 2.0);
+            pricey_experts.Cost(0, expert_only->paid_comparisons) / 2.0);
 }
 
 TEST(IntegrationTest, EstimatedUnDrivesAlgorithmOneEndToEnd) {
@@ -277,8 +277,8 @@ TEST(IntegrationTest, NaiveOnlySearchEvaluationIsUnreliable) {
     ThresholdComparator naive(
         &instance, SearchNaiveWorkerModel(dataset->SuggestedNaiveDelta()),
         /*seed=*/700 + static_cast<uint64_t>(r));
-    Result<SingleClassResult> result =
-        TwoMaxFindNaiveOnly(instance.AllElements(), &naive);
+    Result<MaxFindResult> result =
+        TwoMaxFind(instance.AllElements(), &naive);
     ASSERT_TRUE(result.ok());
     if (result->best == instance.MaxElement()) ++hits;
   }

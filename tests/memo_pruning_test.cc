@@ -103,14 +103,15 @@ FilterRun RunFilter(const Instance& instance, double delta,
     }
     case Backend::kExecutor: {
       Result<std::unique_ptr<RoundEngine>> created =
-          RoundEngine::CreateBatched(&executor, shared_cache);
+          RoundEngine::CreateBatched(&executor, /*memoize=*/true, shared_cache);
       CROWDMAX_CHECK(created.ok());
       engine = std::move(created).value();
       break;
     }
     case Backend::kPipelined: {
       Result<std::unique_ptr<RoundEngine>> created =
-          RoundEngine::CreatePipelined(&async, backend.width, shared_cache);
+          RoundEngine::CreatePipelined(&async, backend.width,
+                                       /*memoize=*/true, shared_cache);
       CROWDMAX_CHECK(created.ok());
       engine = std::move(created).value();
       break;
@@ -207,7 +208,7 @@ TEST(MemoPruningTest, PairsLeftWithoutEvidenceAreBoughtAgainAsParkedOnes) {
       CROWDMAX_CHECK(faulty.ok());
       SharedPairCache cache;
       Result<std::unique_ptr<RoundEngine>> engine = RoundEngine::CreateBatched(
-          faulty->get(), shared ? &cache : nullptr);
+          faulty->get(), /*memoize=*/true, shared ? &cache : nullptr);
       CROWDMAX_CHECK(engine.ok());
       FaultyRun out;
       AlgoTrace trace;

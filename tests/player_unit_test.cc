@@ -227,14 +227,14 @@ ScheduleRun Drive(const Instance& instance, const std::vector<Groups>& rounds,
     }
     case Backend::kExecutor: {
       Result<std::unique_ptr<RoundEngine>> created =
-          RoundEngine::CreateBatched(faulty->get());
+          RoundEngine::CreateBatched(faulty->get(), /*memoize=*/true);
       CROWDMAX_CHECK(created.ok());
       engine = std::move(created).value();
       break;
     }
     case Backend::kPipelined: {
       Result<std::unique_ptr<RoundEngine>> created =
-          RoundEngine::CreatePipelined(&async, backend.width);
+          RoundEngine::CreatePipelined(&async, backend.width, /*memoize=*/true);
       CROWDMAX_CHECK(created.ok());
       engine = std::move(created).value();
       break;

@@ -619,6 +619,31 @@ TEST(QueryServiceTest, DistinctShardsNeverShareEvidence) {
 // The pipelined filter path (pipeline_depth > 1) stays inside the
 // determinism contract: concurrent results equal ExecuteAlone with the
 // same options.
+// Every engine round waits out the crowd round trip the simulated platform
+// banked for it, ABOVE's panel and escalation rounds included.
+TEST(QueryServiceTest, PlatformAboveWaitsOutItsRoundTrips) {
+  const Instance shard = MakeInstance(200, 3);
+  QueryServiceOptions options;
+  options.shards = {{&shard, shard.DeltaForU(4), shard.DeltaForU(1)}};
+  options.use_platform = true;
+  options.latency.base_micros = 1000;
+  options.latency.jitter_micros = 200;
+
+  QuerySpec spec;
+  spec.kind = QueryKind::kAbove;
+  spec.anchor = 100;
+  spec.above.votes_per_item = 3;
+  spec.seed = 17;
+  Result<QueryOutcome> outcome = QueryService::ExecuteAlone(options, spec);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_TRUE(outcome->status.ok()) << outcome->status.ToString();
+  EXPECT_EQ(outcome->above.size() + outcome->below.size(), 199u);
+  EXPECT_GE(outcome->naive_steps, 1);
+  EXPECT_GE(outcome->latency_micros,
+            options.latency.base_micros *
+                (outcome->naive_steps + outcome->expert_steps));
+}
+
 TEST(QueryServiceTest, PipelinedDepthKeepsEquivalence) {
   const Instance shard = MakeInstance(64, 51);
   QueryServiceOptions options;

@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/above.h"
 #include "core/batched.h"
 #include "core/filter_phase.h"
 #include "core/instance.h"
+#include "core/resilient.h"
 #include "core/round_engine.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
@@ -232,6 +236,13 @@ TEST(EngineTest, AboveQueryValidation) {
   AboveQueryOptions even_votes;
   even_votes.votes_per_item = 2;
   EXPECT_FALSE(engine->Above({0, 2}, 1, even_votes).ok());
+  // Ids go through CheckDistinctIds, as at every other entry point.
+  EXPECT_EQ(engine->Above({2, 2}, 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->Above({-1, 2}, 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->Above({0, 2}, -1).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(EngineTest, AboveQueryPerfectWithOracles) {
@@ -323,6 +334,155 @@ TEST(EngineTest, AboveQueryWithoutRefinementUsesNaiveMajority) {
   // Element 2 is easy and must be classified above.
   EXPECT_NE(std::find(answer->above.begin(), answer->above.end(), 2),
             answer->above.end());
+}
+
+// One worker class behind injected faults: its model, the executor over it
+// and the fault injector over that.
+struct FaultyClass {
+  FaultyClass(std::unique_ptr<Comparator> model,
+              const InjectedFaultOptions& faults)
+      : model(std::move(model)), inner(this->model.get()) {
+    Result<std::unique_ptr<FaultInjectingBatchExecutor>> created =
+        FaultInjectingBatchExecutor::Create(&inner, faults);
+    CROWDMAX_CHECK(created.ok());
+    faulty = std::move(created).value();
+  }
+
+  std::unique_ptr<Comparator> model;
+  ComparatorBatchExecutor inner;
+  std::unique_ptr<FaultInjectingBatchExecutor> faulty;
+};
+
+// ABOVE's fault rule. FindAbove runs on one pair of faulty stacks, and the
+// same submissions replay on a twin pair with the same seeds, which shows
+// every lost vote and verdict. An item with a lost naive vote escalates;
+// an escalated item without an expert verdict takes the naive majority of
+// the votes that arrived, the anchor winning ties; both set `partial`.
+TEST(AboveTest, LostVotesEscalateAndLostVerdictsTakeTheNaiveMajority) {
+  Result<Instance> instance = UniformInstance(80, /*seed=*/31);
+  ASSERT_TRUE(instance.ok());
+  const double delta = instance->DeltaForU(30);
+  InjectedFaultOptions naive_faults;
+  naive_faults.drop_probability = 0.3;
+  naive_faults.seed = 3;
+  InjectedFaultOptions expert_faults;
+  expert_faults.no_quorum_probability = 0.5;
+  expert_faults.seed = 4;
+  const auto make_naive = [&] {
+    return FaultyClass(std::make_unique<ThresholdComparator>(
+                           &*instance, ThresholdModel{delta, 0.0}, 7),
+                       naive_faults);
+  };
+  const auto make_expert = [&] {
+    return FaultyClass(std::make_unique<OracleComparator>(&*instance),
+                       expert_faults);
+  };
+  const ElementId anchor = 0;
+  std::vector<ElementId> items;
+  for (ElementId e = 1; e < instance->size(); ++e) items.push_back(e);
+  AboveQueryOptions options;
+  options.votes_per_item = 3;
+
+  FaultyClass naive = make_naive();
+  FaultyClass expert = make_expert();
+  Result<AboveResult> run = FindAbove(items, anchor, options,
+                                      naive.faulty.get(), expert.faulty.get());
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+  FaultyClass naive_twin = make_naive();
+  FaultyClass expert_twin = make_expert();
+  std::vector<ComparisonPair> panels;
+  for (ElementId item : items) panels.insert(panels.end(), 3, {item, anchor});
+  Result<std::vector<BatchTaskResult>> votes =
+      naive_twin.faulty->TryExecuteBatch(panels);
+  ASSERT_TRUE(votes.ok());
+  std::vector<ElementId> above;
+  std::vector<ElementId> below;
+  std::vector<ElementId> escalated;
+  std::vector<std::pair<int64_t, int64_t>> tallies;  // (wins, counted)
+  int64_t escalated_by_loss = 0;
+  for (size_t i = 0; i < items.size(); ++i) {
+    int64_t wins = 0;
+    int64_t counted = 0;
+    for (size_t v = 0; v < 3; ++v) {
+      const BatchTaskResult& vote = (*votes)[3 * i + v];
+      if (!vote.answered) continue;
+      ++counted;
+      if (vote.winner == items[i]) ++wins;
+    }
+    if (counted == 3 && (wins == 0 || wins == 3)) {
+      (wins == 3 ? above : below).push_back(items[i]);
+      continue;
+    }
+    escalated.push_back(items[i]);
+    tallies.emplace_back(wins, counted);
+    if (wins == 0 || wins == counted) ++escalated_by_loss;
+  }
+  std::vector<ComparisonPair> asks;
+  for (ElementId item : escalated) asks.push_back({item, anchor});
+  Result<std::vector<BatchTaskResult>> verdicts =
+      expert_twin.faulty->TryExecuteBatch(asks);
+  ASSERT_TRUE(verdicts.ok());
+  int64_t without_verdict = 0;
+  int64_t ties_to_anchor = 0;
+  int64_t provisional_overruled = 0;
+  for (size_t j = 0; j < escalated.size(); ++j) {
+    const BatchTaskResult& verdict = (*verdicts)[j];
+    bool is_above = verdict.winner == escalated[j];
+    if (!verdict.answered) {
+      const auto [wins, counted] = tallies[j];
+      ++without_verdict;
+      if (2 * wins == counted) ++ties_to_anchor;
+      if ((2 * wins > counted) != is_above) ++provisional_overruled;
+      is_above = 2 * wins > counted;
+    }
+    (is_above ? above : below).push_back(escalated[j]);
+  }
+
+  // Every branch of the rule is taken: escalation by a lost vote alone, an
+  // expert verdict, none, a tie the anchor wins, and a naive majority that
+  // overrules the expert's provisional (no-quorum) answer.
+  EXPECT_GT(escalated_by_loss, 0);
+  EXPECT_GT(without_verdict, 0);
+  EXPECT_LT(without_verdict, static_cast<int64_t>(escalated.size()));
+  EXPECT_GT(ties_to_anchor, 0);
+  EXPECT_GT(provisional_overruled, 0);
+  EXPECT_EQ(run->escalated, escalated);
+  EXPECT_EQ(run->above, above);
+  EXPECT_EQ(run->below, below);
+  EXPECT_TRUE(run->partial);
+  EXPECT_EQ(run->paid.naive, naive.faulty->comparisons());
+  EXPECT_EQ(run->paid.expert, expert.faulty->comparisons());
+  EXPECT_EQ(run->naive_steps, 1);
+  EXPECT_EQ(run->expert_steps, 1);
+}
+
+// A whole-batch failure, of the panels or of the escalations, ends the
+// query with its status.
+TEST(AboveTest, WholeBatchFailureEndsTheQuery) {
+  Result<Instance> instance = UniformInstance(40, /*seed=*/33);
+  ASSERT_TRUE(instance.ok());
+  const double delta = instance->DeltaForU(20);
+  std::vector<ElementId> items;
+  for (ElementId e = 1; e < instance->size(); ++e) items.push_back(e);
+  InjectedFaultOptions healthy;
+  InjectedFaultOptions failing;
+  failing.unavailable_probability = 0.99;
+  failing.seed = 5;
+  for (const bool naive_fails : {true, false}) {
+    SCOPED_TRACE(naive_fails ? "panels" : "escalations");
+    FaultyClass naive(std::make_unique<ThresholdComparator>(
+                          &*instance, ThresholdModel{delta, 0.0}, 7),
+                      naive_fails ? failing : healthy);
+    FaultyClass expert(std::make_unique<OracleComparator>(&*instance),
+                       naive_fails ? healthy : failing);
+    Result<AboveResult> run = FindAbove(items, 0, AboveQueryOptions{},
+                                        naive.faulty.get(),
+                                        expert.faulty.get());
+    EXPECT_EQ(run.status().code(), StatusCode::kUnavailable);
+    EXPECT_EQ((naive_fails ? naive : expert).faulty->injected_unavailable(),
+              1);
+  }
 }
 
 // Planner regression: a per-query max_comparisons budget threaded through

@@ -84,7 +84,7 @@ BackendRig MakeAllBackends(const Instance& instance, bool memoize) {
   rig.executors.push_back(
       std::make_unique<ComparatorBatchExecutor>(rig.comparators.back().get()));
   Result<std::unique_ptr<RoundEngine>> batched =
-      RoundEngine::CreateBatched(rig.executors.back().get());
+      RoundEngine::CreateBatched(rig.executors.back().get(), memoize);
   CROWDMAX_CHECK(batched.ok());
   rig.engines.push_back(std::move(batched).value());
   rig.names.push_back("executor");
@@ -157,9 +157,8 @@ TEST(RoundEngineEquivalenceTest, RandomizedMaxFindIdenticalAcrossBackends) {
   options.group_size_override = 20;
 
   // The source's own sampling RNG is seeded by options, so every backend
-  // replays the same partitions. The executor backend may pay less (its
-  // in-round cache survives into the witness tournament) but must issue
-  // the same comparisons and elect the same element.
+  // replays the same partitions, and, unmemoized on every backend, pays
+  // for the same comparisons.
   BackendRig rig = MakeAllBackends(instance, /*memoize=*/false);
   std::vector<MaxFindResult> runs;
   for (std::unique_ptr<RoundEngine>& engine : rig.engines) {
@@ -176,12 +175,9 @@ TEST(RoundEngineEquivalenceTest, RandomizedMaxFindIdenticalAcrossBackends) {
     EXPECT_EQ(runs[i].issued_comparisons,
               runs[0].issued_comparisons)
         << rig.names[i];
+    EXPECT_EQ(runs[i].paid_comparisons, runs[0].paid_comparisons)
+        << rig.names[i];
   }
-  // The comparator backends replay each other bit-for-bit, paid included.
-  EXPECT_EQ(runs[1].paid_comparisons,
-            runs[0].paid_comparisons);
-  EXPECT_EQ(runs[2].paid_comparisons,
-            runs[0].paid_comparisons);
 }
 
 TEST(RoundEngineEquivalenceTest, TournamentIdenticalAcrossAllBackends) {
@@ -286,7 +282,7 @@ TEST(RoundEngineCountersTest, ExecutorBackendStepsMatchRounds) {
   OracleComparator oracle(&instance);
   ComparatorBatchExecutor executor(&oracle);
   Result<std::unique_ptr<RoundEngine>> engine =
-      RoundEngine::CreateBatched(&executor);
+      RoundEngine::CreateBatched(&executor, /*memoize=*/true);
   ASSERT_TRUE(engine.ok());
   EXPECT_EQ((*engine)->backend(), RoundEngine::Backend::kExecutor);
   EXPECT_TRUE((*engine)->SupportsPartialEvidence());
@@ -314,7 +310,8 @@ TEST(SharedCacheTest, SecondEngineSameClassPaysOnlyMisses) {
   OracleComparator oracle1(&instance);
   ComparatorBatchExecutor executor1(&oracle1);
   Result<std::unique_ptr<RoundEngine>> first =
-      RoundEngine::CreateBatched(&executor1, &cache, /*cache_class=*/1);
+      RoundEngine::CreateBatched(&executor1, /*memoize=*/true, &cache,
+                                 /*cache_class=*/1);
   ASSERT_TRUE(first.ok());
   Result<TournamentResult> run1 =
       RunTournamentOnEngine(items, first->get());
@@ -327,7 +324,8 @@ TEST(SharedCacheTest, SecondEngineSameClassPaysOnlyMisses) {
   OracleComparator oracle2(&instance);
   ComparatorBatchExecutor executor2(&oracle2);
   Result<std::unique_ptr<RoundEngine>> second =
-      RoundEngine::CreateBatched(&executor2, &cache, /*cache_class=*/1);
+      RoundEngine::CreateBatched(&executor2, /*memoize=*/true, &cache,
+                                 /*cache_class=*/1);
   ASSERT_TRUE(second.ok());
   Result<TournamentResult> run2 =
       RunTournamentOnEngine(items, second->get());
@@ -343,7 +341,8 @@ TEST(SharedCacheTest, SecondEngineSameClassPaysOnlyMisses) {
   OracleComparator oracle3(&instance);
   ComparatorBatchExecutor executor3(&oracle3);
   Result<std::unique_ptr<RoundEngine>> other_class =
-      RoundEngine::CreateBatched(&executor3, &cache, /*cache_class=*/0);
+      RoundEngine::CreateBatched(&executor3, /*memoize=*/true, &cache,
+                                 /*cache_class=*/0);
   ASSERT_TRUE(other_class.ok());
   Result<TournamentResult> run3 =
       RunTournamentOnEngine(items, other_class->get());
@@ -376,7 +375,8 @@ TEST(SharedCacheTest, SerialFilterEvidenceVisibleToExecutorEngine) {
   OracleComparator expert_oracle(&instance);
   ComparatorBatchExecutor executor(&expert_oracle);
   Result<std::unique_ptr<RoundEngine>> phase2 =
-      RoundEngine::CreateBatched(&executor, &cache, /*cache_class=*/0);
+      RoundEngine::CreateBatched(&executor, /*memoize=*/true, &cache,
+                                 /*cache_class=*/0);
   ASSERT_TRUE(phase2.ok());
   Result<TournamentResult> run =
       RunTournamentOnEngine(filtered->candidates, phase2->get());
@@ -407,7 +407,8 @@ int64_t ParkUnresolvedPairs(const Instance& instance,
       FaultInjectingBatchExecutor::Create(&faulty_inner, faults);
   CROWDMAX_CHECK(dropping.ok());
   Result<std::unique_ptr<RoundEngine>> first =
-      RoundEngine::CreateBatched(dropping->get(), cache, /*cache_class=*/0);
+      RoundEngine::CreateBatched(dropping->get(), /*memoize=*/true, cache,
+                                 /*cache_class=*/0);
   CROWDMAX_CHECK(first.ok());
   Result<TournamentResult> run = RunTournamentOnEngine(items, first->get());
   CROWDMAX_CHECK(run.ok());
@@ -462,10 +463,11 @@ TEST(SharedCacheTest, UnresolvedPairsReissuedByLaterEngineOnEveryBackend) {
     } else {
       Result<std::unique_ptr<RoundEngine>> batched =
           backend == "batched"
-              ? RoundEngine::CreateBatched(&executor, &cache,
+              ? RoundEngine::CreateBatched(&executor, /*memoize=*/true, &cache,
                                            /*cache_class=*/0)
               : RoundEngine::CreatePipelined(&async, /*max_in_flight=*/4,
-                                             &cache, /*cache_class=*/0);
+                                             /*memoize=*/true, &cache,
+                                             /*cache_class=*/0);
       ASSERT_TRUE(batched.ok());
       engine = std::move(batched).value();
     }
@@ -510,7 +512,8 @@ TEST(PipelinedEngineTest, OverlappingInFlightPairIsContractViolation) {
   ComparatorBatchExecutor executor(&oracle);
   AsyncBatchAdapter async(&executor);
   Result<std::unique_ptr<RoundEngine>> engine =
-      RoundEngine::CreatePipelined(&async, /*max_in_flight=*/4);
+      RoundEngine::CreatePipelined(&async, /*max_in_flight=*/4,
+                                   /*memoize=*/true);
   ASSERT_TRUE(engine.ok());
 
   OverlappingPairSource source;
@@ -574,7 +577,8 @@ TEST(PipelinedEngineTest, OverlapCountersObserveDepth) {
     ComparatorBatchExecutor executor(&oracle);
     AsyncBatchAdapter async(&executor);
     Result<std::unique_ptr<RoundEngine>> engine =
-        RoundEngine::CreatePipelined(&async, /*max_in_flight=*/1);
+        RoundEngine::CreatePipelined(&async, /*max_in_flight=*/1,
+                                     /*memoize=*/true);
     ASSERT_TRUE(engine.ok());
     Result<FilterResult> run = RunFilterOnEngine(
         instance.AllElements(), options, engine->get());
@@ -588,7 +592,8 @@ TEST(PipelinedEngineTest, OverlapCountersObserveDepth) {
     ComparatorBatchExecutor executor(&oracle);
     AsyncBatchAdapter async(&executor);
     Result<std::unique_ptr<RoundEngine>> engine =
-        RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8);
+        RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8,
+                                     /*memoize=*/true);
     ASSERT_TRUE(engine.ok());
     Result<FilterResult> run = RunFilterOnEngine(
         instance.AllElements(), options, engine->get());
@@ -603,16 +608,19 @@ TEST(PipelinedEngineTest, OverlapCountersObserveDepth) {
 // records every outcome's answers as one winner per pair in round order (a
 // player unit's read off its loss matrix, row by row). Every round may
 // pipeline: the scripts below keep in-flight rounds disjoint unless a test
-// means to break the rule.
+// means to break the rule. `record_cells` asks a comparator backend for
+// one trace cell per round, as the executor backends record.
 class ScriptedRoundsSource : public RoundSource {
  public:
-  explicit ScriptedRoundsSource(std::vector<std::vector<RoundUnit>> rounds)
-      : rounds_(std::move(rounds)) {}
+  explicit ScriptedRoundsSource(std::vector<std::vector<RoundUnit>> rounds,
+                                bool record_cells = false)
+      : rounds_(std::move(rounds)), record_cells_(record_cells) {}
 
   Result<bool> NextRound(EngineRound* round) override {
     if (next_ >= rounds_.size()) return false;
     round->units = rounds_[next_++];
     round->span = "scripted";
+    round->record_round_cell = record_cells_;
     return true;
   }
   Status ConsumeOutcome(const EngineRound& round,
@@ -646,6 +654,7 @@ class ScriptedRoundsSource : public RoundSource {
 
  private:
   std::vector<std::vector<RoundUnit>> rounds_;
+  const bool record_cells_;
   size_t next_ = 0;
   std::vector<std::vector<ElementId>> answers_;
   std::vector<int64_t> paid_;
@@ -712,7 +721,8 @@ TEST(PipelinedEngineTest, RefusedRoundLeavesNoReservation) {
     ComparatorBatchExecutor executor(&oracle);
     AsyncBatchAdapter async(&executor);
     Result<std::unique_ptr<RoundEngine>> engine = RoundEngine::CreatePipelined(
-        &async, /*max_in_flight=*/4, &cache, /*cache_class=*/0);
+        &async, /*max_in_flight=*/4, /*memoize=*/true, &cache,
+        /*cache_class=*/0);
     ASSERT_TRUE(engine.ok());
     ScriptedRoundsSource firm({{PairUnit({{0, 1}})},
                                {PairUnit({{2, 3}, {0, 1}})}});
@@ -760,8 +770,9 @@ TEST(PipelinedEngineTest, RepeatedPairInRoundIsBoughtOnce) {
     ComparatorBatchExecutor executor(&worker);
     AsyncBatchAdapter async(&executor);
     Result<std::unique_ptr<RoundEngine>> engine =
-        depth == 0 ? RoundEngine::CreateBatched(&executor)
-                   : RoundEngine::CreatePipelined(&async, depth);
+        depth == 0 ? RoundEngine::CreateBatched(&executor, /*memoize=*/true)
+                   : RoundEngine::CreatePipelined(&async, depth,
+                                                  /*memoize=*/true);
     ASSERT_TRUE(engine.ok());
     ScriptedRoundsSource source(script);
     AlgoTrace trace;
@@ -786,6 +797,58 @@ TEST(PipelinedEngineTest, RepeatedPairInRoundIsBoughtOnce) {
     }
     EXPECT_EQ(trace.Summary(), reference_trace);
     EXPECT_EQ(answers, reference_answers);
+  }
+}
+
+// Without memoization every listed pair is a fresh answer, on every engine:
+// a pair repeated r times in a round is paid r times, and nothing is kept
+// for a later round or drive. Every engine records the same trace.
+TEST(UnmemoizedEngineTest, RepeatedPairInRoundIsPaidEveryTime) {
+  Instance instance = MakeInstance(8, 97);
+  const std::vector<std::vector<RoundUnit>> script = {
+      {PairUnit({{0, 1}, {1, 0}, {0, 1}})},
+      {PairUnit({{2, 3}, {4, 5}}), PairUnit({{5, 4}, {2, 3}, {6, 7}})},
+  };
+  std::string reference_trace;
+  for (const std::string backend :
+       {"serial", "parallel", "batched", "depth 1", "depth 8"}) {
+    SCOPED_TRACE(backend);
+    ThresholdComparator worker(&instance, ThresholdModel{0.5, 0.3},
+                               /*seed=*/5);
+    ComparatorBatchExecutor executor(&worker);
+    AsyncBatchAdapter async(&executor);
+    Result<std::unique_ptr<RoundEngine>> engine =
+        backend == "serial"
+            ? RoundEngine::CreateSerial(&worker, /*memoize=*/false)
+        : backend == "parallel"
+            ? RoundEngine::CreateParallel(&worker, /*threads=*/4, /*seed=*/1,
+                                          /*memoize=*/false)
+        : backend == "batched"
+            ? RoundEngine::CreateBatched(&executor, /*memoize=*/false)
+            : RoundEngine::CreatePipelined(&async,
+                                           backend == "depth 1" ? 1 : 8,
+                                           /*memoize=*/false);
+    ASSERT_TRUE(engine.ok());
+    AlgoTrace trace;
+    {
+      ScopedTrace scoped(&trace);
+      ScriptedRoundsSource source(script, /*record_cells=*/true);
+      ASSERT_TRUE((*engine)->Drive(&source).ok());
+      EXPECT_EQ(source.paid(), (std::vector<int64_t>{3, 5}));
+      EXPECT_EQ((*engine)->issued(), 8);
+      EXPECT_EQ((*engine)->paid(), 8);
+      EXPECT_EQ((*engine)->cache_hits(), 0);
+      // The memo stayed empty: the same script again is bought in full.
+      ScriptedRoundsSource again(script, /*record_cells=*/true);
+      ASSERT_TRUE((*engine)->Drive(&again).ok());
+      EXPECT_EQ(again.paid(), (std::vector<int64_t>{3, 5}));
+      EXPECT_EQ((*engine)->cache_hits(), 0);
+    }
+    if (backend == "serial") {
+      reference_trace = trace.Summary();
+      continue;
+    }
+    EXPECT_EQ(trace.Summary(), reference_trace);
   }
 }
 
@@ -824,8 +887,10 @@ TEST(PipelinedEngineTest, CacheGrowsWhileRoundsAreInFlight) {
     ComparatorBatchExecutor executor(&worker);
     AsyncBatchAdapter async(&executor);
     Result<std::unique_ptr<RoundEngine>> engine =
-        depth == 0 ? RoundEngine::CreateBatched(&executor, &cache, 0)
-                   : RoundEngine::CreatePipelined(&async, depth, &cache, 0);
+        depth == 0 ? RoundEngine::CreateBatched(&executor,
+                                                /*memoize=*/true, &cache, 0)
+                   : RoundEngine::CreatePipelined(&async, depth,
+                                                  /*memoize=*/true, &cache, 0);
     ASSERT_TRUE(engine.ok());
     ScriptedRoundsSource source(script);
     ASSERT_TRUE((*engine)->Drive(&source).ok());

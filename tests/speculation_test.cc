@@ -73,7 +73,7 @@ SyncReference RunSyncTwoMaxFind(const Instance& instance,
   OracleComparator oracle(&instance);
   ComparatorBatchExecutor executor(&oracle);
   Result<std::unique_ptr<RoundEngine>> engine =
-      RoundEngine::CreateBatched(&executor);
+      RoundEngine::CreateBatched(&executor, /*memoize=*/true);
   CROWDMAX_CHECK(engine.ok());
   AlgoTrace trace;
   SyncReference ref;
@@ -126,7 +126,7 @@ TEST(SpeculationIdentityTest, TwoMaxFindMatchesSyncAtAllDepthsAndThreads) {
         }
         AsyncBatchAdapter async(executor);
         Result<std::unique_ptr<RoundEngine>> engine =
-            RoundEngine::CreatePipelined(&async, depth);
+            RoundEngine::CreatePipelined(&async, depth, /*memoize=*/true);
         ASSERT_TRUE(engine.ok());
 
         AlgoTrace trace;
@@ -201,7 +201,7 @@ TEST(SpeculationAccountingTest, AdversaryMaximizesMispredictions) {
                                        AdversarialPolicy::kFirstLoses);
   ComparatorBatchExecutor sync_executor(&sync_adversary);
   Result<std::unique_ptr<RoundEngine>> sync_engine =
-      RoundEngine::CreateBatched(&sync_executor);
+      RoundEngine::CreateBatched(&sync_executor, /*memoize=*/true);
   ASSERT_TRUE(sync_engine.ok());
   Result<MaxFindResult> sync_run =
       RunTwoMaxFindOnEngine(items, sync_engine->get());
@@ -213,7 +213,8 @@ TEST(SpeculationAccountingTest, AdversaryMaximizesMispredictions) {
   ComparatorBatchExecutor executor(&adversary);
   AsyncBatchAdapter async(&executor);
   Result<std::unique_ptr<RoundEngine>> engine =
-      RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8);
+      RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8,
+                                   /*memoize=*/true);
   ASSERT_TRUE(engine.ok());
   TwoMaxFindOptions options;
   options.speculate = true;
@@ -235,6 +236,98 @@ TEST(SpeculationAccountingTest, AdversaryMaximizesMispredictions) {
             sync_executor.comparisons() + (*engine)->speculation_wasted());
   EXPECT_EQ(executor.cancelled_comparisons(),
             (*engine)->speculation_wasted());
+}
+
+// Without memoization 2-MaxFind asks pairs again, and a speculating drive
+// at depth 8 still returns the synchronous answer: its spend exceeds the
+// synchronous spend by exactly the wasted tally. In ascending order every
+// pivot prediction misses.
+TEST(SpeculationAccountingTest, UnmemoizedTwoMaxFindMatchesSync) {
+  Instance instance = MakeInstance(120, 109);
+  const std::vector<ElementId> items =
+      OrderByValue(instance, /*descending=*/false);
+
+  OracleComparator sync_oracle(&instance);
+  ComparatorBatchExecutor sync_executor(&sync_oracle);
+  Result<std::unique_ptr<RoundEngine>> sync_engine =
+      RoundEngine::CreateBatched(&sync_executor, /*memoize=*/false);
+  ASSERT_TRUE(sync_engine.ok());
+  Result<MaxFindResult> sync_run =
+      RunTwoMaxFindOnEngine(items, sync_engine->get());
+  ASSERT_TRUE(sync_run.ok()) << sync_run.status().ToString();
+
+  OracleComparator oracle(&instance);
+  ComparatorBatchExecutor executor(&oracle);
+  AsyncBatchAdapter async(&executor);
+  Result<std::unique_ptr<RoundEngine>> engine = RoundEngine::CreatePipelined(
+      &async, /*max_in_flight=*/8, /*memoize=*/false);
+  ASSERT_TRUE(engine.ok());
+  TwoMaxFindOptions options;
+  options.speculate = true;
+  Result<MaxFindResult> run =
+      RunTwoMaxFindOnEngine(items, engine->get(), options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+  EXPECT_EQ(run->best, sync_run->best);
+  EXPECT_EQ(run->rounds, sync_run->rounds);
+  EXPECT_EQ(run->paid_comparisons, sync_run->paid_comparisons);
+  EXPECT_EQ(run->issued_comparisons, sync_run->issued_comparisons);
+  EXPECT_EQ((*engine)->cache_hits(), 0);
+  EXPECT_GT((*engine)->speculation_mispredicts(), 0);
+  const int64_t wasted = (*engine)->speculation_wasted();
+  EXPECT_GT(wasted, 0);
+  EXPECT_EQ((*engine)->paid(), (*sync_engine)->paid() + wasted);
+  EXPECT_EQ(executor.cancelled_comparisons(), wasted);
+}
+
+// One firm round {0, 1}, then a predicted round {0, 1}, {2, 3}, {2, 3}
+// that the source rejects.
+class MispredictingSource : public RoundSource {
+ public:
+  Result<bool> NextRound(EngineRound* round) override {
+    if (emitted_++ > 0) return false;
+    round->units.emplace_back().pairs = {{0, 1}};
+    return true;
+  }
+  Status ConsumeOutcome(const EngineRound&, const RoundOutcome&) override {
+    return Status::OK();
+  }
+  bool CanSpeculateNextRound() const override { return !speculated_; }
+  Result<bool> SpeculateNextRound(EngineRound* round) override {
+    speculated_ = true;
+    round->units.emplace_back().pairs = {{0, 1}, {2, 3}, {2, 3}};
+    return true;
+  }
+  SpeculationVerdict ReconcileSpeculation() override {
+    return SpeculationVerdict::kMispredicted;
+  }
+
+ private:
+  int64_t emitted_ = 0;
+  bool speculated_ = false;
+};
+
+// A mispredicted round is charged what its submission would have bought:
+// on an unmemoized engine every listed pair, repeats included; on a
+// memoizing one each pair it does not hold, once.
+TEST(SpeculationAccountingTest, MispredictedRoundChargesWhatItWouldBuy) {
+  Instance instance = MakeInstance(8, 113);
+  for (const bool memoize : {false, true}) {
+    SCOPED_TRACE(memoize ? "memoized" : "unmemoized");
+    OracleComparator oracle(&instance);
+    ComparatorBatchExecutor executor(&oracle);
+    AsyncBatchAdapter async(&executor);
+    Result<std::unique_ptr<RoundEngine>> engine =
+        RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8, memoize);
+    ASSERT_TRUE(engine.ok());
+    MispredictingSource source;
+    ASSERT_TRUE((*engine)->Drive(&source).ok());
+    EXPECT_EQ((*engine)->speculation_mispredicts(), 1);
+    const int64_t wasted = memoize ? 1 : 3;
+    EXPECT_EQ((*engine)->speculation_wasted(), wasted);
+    EXPECT_EQ((*engine)->paid(), 1 + wasted);
+    EXPECT_EQ(executor.cancelled_comparisons(), wasted);
+  }
 }
 
 // Trace reconciliation: cancelled speculative work never lands in a trace
@@ -305,7 +398,8 @@ TEST(SpeculationCheckpointTest, KillResumeBitIdentityAtEveryBoundary) {
     ComparatorBatchExecutor executor(&oracle);
     AsyncBatchAdapter async(&executor);
     Result<std::unique_ptr<RoundEngine>> engine =
-        RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8);
+        RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8,
+                                     /*memoize=*/true);
     ASSERT_TRUE(engine.ok());
     Result<MaxFindResult> run =
         RunTwoMaxFindOnEngine(items, engine->get(), options);
@@ -327,7 +421,8 @@ TEST(SpeculationCheckpointTest, KillResumeBitIdentityAtEveryBoundary) {
       ComparatorBatchExecutor executor(&oracle);
       AsyncBatchAdapter async(&executor);
       Result<std::unique_ptr<RoundEngine>> engine =
-          RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8);
+          RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8,
+                                       /*memoize=*/true);
       ASSERT_TRUE(engine.ok());
       CheckpointController controller;
       controller.ArmCrashAtBoundary(boundary);
@@ -345,7 +440,8 @@ TEST(SpeculationCheckpointTest, KillResumeBitIdentityAtEveryBoundary) {
     ComparatorBatchExecutor executor(&oracle);
     AsyncBatchAdapter async(&executor);
     Result<std::unique_ptr<RoundEngine>> engine =
-        RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8);
+        RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8,
+                                     /*memoize=*/true);
     ASSERT_TRUE(engine.ok());
     CheckpointController controller;
     controller.ResumeFrom(snapshot);
@@ -383,7 +479,7 @@ TEST(ChunkedTournamentTest, ChunkedMatchesSingleRoundAndPipelines) {
   OracleComparator single_oracle(&instance);
   ComparatorBatchExecutor single_executor(&single_oracle);
   Result<std::unique_ptr<RoundEngine>> single_engine =
-      RoundEngine::CreateBatched(&single_executor);
+      RoundEngine::CreateBatched(&single_executor, /*memoize=*/true);
   ASSERT_TRUE(single_engine.ok());
   Result<TournamentResult> single =
       RunTournamentOnEngine(items, single_engine->get());
@@ -392,7 +488,7 @@ TEST(ChunkedTournamentTest, ChunkedMatchesSingleRoundAndPipelines) {
   OracleComparator sync_oracle(&instance);
   ComparatorBatchExecutor sync_executor(&sync_oracle);
   Result<std::unique_ptr<RoundEngine>> sync_engine =
-      RoundEngine::CreateBatched(&sync_executor);
+      RoundEngine::CreateBatched(&sync_executor, /*memoize=*/true);
   ASSERT_TRUE(sync_engine.ok());
   Result<TournamentResult> sync =
       RunTournamentOnEngine(items, sync_engine->get(), chunked);
@@ -405,7 +501,8 @@ TEST(ChunkedTournamentTest, ChunkedMatchesSingleRoundAndPipelines) {
   ComparatorBatchExecutor executor(&oracle);
   AsyncBatchAdapter async(&executor);
   Result<std::unique_ptr<RoundEngine>> engine =
-      RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8);
+      RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8,
+                                   /*memoize=*/true);
   ASSERT_TRUE(engine.ok());
   Result<TournamentResult> piped =
       RunTournamentOnEngine(items, engine->get(), chunked);
@@ -434,7 +531,7 @@ TEST(GroupedRandomizedTest, GroupedMatchesLegacyAndPipelines) {
   OracleComparator legacy_oracle(&instance);
   ComparatorBatchExecutor legacy_executor(&legacy_oracle);
   Result<std::unique_ptr<RoundEngine>> legacy_engine =
-      RoundEngine::CreateBatched(&legacy_executor);
+      RoundEngine::CreateBatched(&legacy_executor, /*memoize=*/true);
   ASSERT_TRUE(legacy_engine.ok());
   Result<MaxFindResult> legacy = RunRandomizedMaxFindOnEngine(
       items, legacy_engine->get(), legacy_options);
@@ -443,7 +540,7 @@ TEST(GroupedRandomizedTest, GroupedMatchesLegacyAndPipelines) {
   OracleComparator sync_oracle(&instance);
   ComparatorBatchExecutor sync_executor(&sync_oracle);
   Result<std::unique_ptr<RoundEngine>> sync_engine =
-      RoundEngine::CreateBatched(&sync_executor);
+      RoundEngine::CreateBatched(&sync_executor, /*memoize=*/true);
   ASSERT_TRUE(sync_engine.ok());
   Result<MaxFindResult> sync = RunRandomizedMaxFindOnEngine(
       items, sync_engine->get(), grouped_options);
@@ -458,7 +555,8 @@ TEST(GroupedRandomizedTest, GroupedMatchesLegacyAndPipelines) {
   ComparatorBatchExecutor executor(&oracle);
   AsyncBatchAdapter async(&executor);
   Result<std::unique_ptr<RoundEngine>> engine =
-      RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8);
+      RoundEngine::CreatePipelined(&async, /*max_in_flight=*/8,
+                                   /*memoize=*/true);
   ASSERT_TRUE(engine.ok());
   Result<MaxFindResult> piped = RunRandomizedMaxFindOnEngine(
       items, engine->get(), grouped_options);
@@ -501,7 +599,8 @@ TEST(SpeculationDiagnosticsTest, OverlapErrorNamesPairKeyAndRoundIndex) {
   ComparatorBatchExecutor executor(&oracle);
   AsyncBatchAdapter async(&executor);
   Result<std::unique_ptr<RoundEngine>> engine =
-      RoundEngine::CreatePipelined(&async, /*max_in_flight=*/4);
+      RoundEngine::CreatePipelined(&async, /*max_in_flight=*/4,
+                                   /*memoize=*/true);
   ASSERT_TRUE(engine.ok());
 
   OverlappingPairSource source;
