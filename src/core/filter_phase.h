@@ -48,10 +48,10 @@ struct FilterOptions {
   /// pair so re-grouped pairs are answered for free. Only pairs of two
   /// survivors can be re-grouped, so the engine's private memo keeps just
   /// those (RoundSource::NamesRecurringElements): each group is one player
-  /// unit, committed by survivor, and a later group probes the memo only
-  /// for pairs whose players met in an earlier group (co-play signatures,
-  /// DESIGN.md §14). A shared_cache keeps every pair. The same on every
-  /// Execution.
+  /// unit, and the memo is the groups' own loss matrices with a seat for
+  /// each survivor, so a later group reads only the pairs whose players
+  /// met in an earlier group (DESIGN.md §14). A shared_cache keeps every
+  /// pair. The same on every Execution.
   bool memoize = false;
 
   /// Appendix A optimization 2: evict elements that have lost to more than

@@ -1,8 +1,10 @@
 #include "core/round_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <deque>
+#include <limits>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -57,21 +59,6 @@ void ObserveSpeculation(int64_t hits, int64_t mispredicts, int64_t wasted) {
   if (wasted > 0) wasted_counter->Add(wasted);
 }
 
-// Id-indexed bitmaps: the elements a pruning source named (CommitRound)
-// and, in debug builds, the ones it retired. Ids are dense (instance.h),
-// so a map sized to the largest id marked stays small.
-bool TestIdBit(const std::vector<uint64_t>& bits, ElementId id) {
-  const size_t word = static_cast<size_t>(id) >> 6;
-  return word < bits.size() && ((bits[word] >> (id & 63)) & 1) != 0;
-}
-
-void SetIdBit(std::vector<uint64_t>* bits, ElementId id) {
-  CROWDMAX_DCHECK(id >= 0);
-  const size_t word = static_cast<size_t>(id) >> 6;
-  if (word >= bits->size()) bits->resize(word + 1, 0);
-  (*bits)[word] |= uint64_t{1} << (id & 63);
-}
-
 bool HasPlayerUnits(const EngineRound& round) {
   return std::any_of(round.units.begin(), round.units.end(),
                      [](const RoundUnit& unit) { return !unit.players.empty(); });
@@ -105,6 +92,44 @@ constexpr ElementId kRepeatedPair = -3;
 ElementId AnswerOf(const std::vector<BatchTaskResult>* answers, size_t m) {
   if (answers == nullptr || !(*answers)[m].answered) return kUnresolvedWinner;
   return (*answers)[m].winner;
+}
+
+// Calls fn(x, y, x_lost) for every pair x < y of the `count` players whose
+// rows in `losses` are row(0), ..., row(count - 1) that has evidence;
+// x_lost tells which of the two lost. A pair without evidence (a faulted
+// one) sets neither bit and is skipped.
+template <typename Row, typename Fn>
+void ForEachAnsweredPair(const LossMatrix& losses, size_t count, Row&& row,
+                         Fn&& fn) {
+  for (size_t x = 0; x < count; ++x) {
+    const size_t rx = row(x);
+    for (size_t y = x + 1; y < count; ++y) {
+      const size_t ry = row(y);
+      if (losses.Lost(rx, ry)) {
+        fn(x, y, true);
+      } else if (losses.Lost(ry, rx)) {
+        fn(x, y, false);
+      }
+    }
+  }
+}
+
+// A batch that failed as a whole: a transient fault (kUnavailable) reaches
+// the source as the outcome's `fault`; any other aborts the drive.
+Status TakeFault(const Result<std::vector<BatchTaskResult>>& results,
+                 RoundOutcome* out) {
+  if (results.ok()) return Status::OK();
+  if (results.status().code() != StatusCode::kUnavailable) {
+    return results.status();
+  }
+  out->fault = results.status();
+  return Status::OK();
+}
+
+int64_t CountBits(std::span<const uint64_t> words) {
+  int64_t bits = 0;
+  for (const uint64_t word : words) bits += std::popcount(word);
+  return bits;
 }
 
 // Answers `misses` into `answers` on `comparator`: one GenerateVotes call,
@@ -169,6 +194,157 @@ int64_t EngineRound::TotalPairs() const {
   int64_t total = 0;
   for (const RoundUnit& unit : units) total += unit.NumPairs();
   return total;
+}
+
+void RoundEngine::Ledger::Clear() {
+  units_.clear();
+  seats_.clear();
+  elements_.clear();
+  slots_.clear();
+  shift_ = 64;
+}
+
+int64_t RoundEngine::Ledger::Find(ElementId id) const {
+  if (slots_.empty()) return -1;
+  const uint64_t key = static_cast<uint64_t>(id) + 1;
+  const size_t mask = slots_.size() - 1;
+  for (size_t at = (key * 0x9e3779b97f4a7c15ULL) >> shift_;;
+       at = (at + 1) & mask) {
+    const uint64_t slot = slots_[at];
+    if (slot == 0) return -1;
+    if ((slot >> 32) == key) return static_cast<int64_t>(slot & 0xffffffff);
+  }
+}
+
+void RoundEngine::Ledger::Reserve(size_t additional) {
+  // At most half full, so a miss ends within a few slots.
+  const size_t needed = 2 * (elements_.size() + additional);
+  if (needed <= slots_.size()) return;
+  slots_.assign(std::bit_ceil(std::max<size_t>(needed, 64)), 0);
+  shift_ = 64 - std::countr_zero(slots_.size());
+  for (size_t index = 0; index < elements_.size(); ++index) {
+    Place(elements_[index].id, index);
+  }
+}
+
+void RoundEngine::Ledger::Place(ElementId id, size_t index) {
+  const uint64_t key = static_cast<uint64_t>(id) + 1;
+  const size_t mask = slots_.size() - 1;
+  size_t at = (key * 0x9e3779b97f4a7c15ULL) >> shift_;
+  while (slots_[at] != 0) at = (at + 1) & mask;
+  slots_[at] = key << 32 | index;
+}
+
+void RoundEngine::Ledger::Name(std::span<const ElementId> named) {
+  ++commit_;
+  Reserve(named.size());
+  for (const ElementId id : named) {
+    CROWDMAX_DCHECK(id >= 0);
+    int64_t index = Find(id);
+    if (index < 0) {
+      index = static_cast<int64_t>(elements_.size());
+      elements_.push_back({.id = id});
+      Place(id, elements_.size() - 1);
+    }
+    elements_[static_cast<size_t>(index)].named_at = commit_;
+  }
+}
+
+int64_t RoundEngine::Ledger::NamedIndex(ElementId id) const {
+  const int64_t index = Find(id);
+  return index >= 0 && elements_[static_cast<size_t>(index)].named_at == commit_
+             ? index
+             : -1;
+}
+
+void RoundEngine::Ledger::AddUnit(LossMatrix losses,
+                                  std::span<const size_t> rows,
+                                  std::span<const int64_t> elements) {
+  CROWDMAX_CHECK(seats_.size() + rows.size() <
+                 static_cast<size_t>(std::numeric_limits<int32_t>::max()));
+  const uint32_t unit = static_cast<uint32_t>(units_.size());
+  units_.push_back({std::move(losses), seats_.size(), rows.size()});
+  for (size_t x = 0; x < rows.size(); ++x) {
+    Element& element = elements_[static_cast<size_t>(elements[x])];
+    seats_.push_back({unit, static_cast<uint32_t>(rows[x]),
+                      static_cast<uint32_t>(elements[x]), element.last_seat});
+    element.last_seat = static_cast<int32_t>(seats_.size() - 1);
+  }
+}
+
+void RoundEngine::Ledger::Probe(std::span<const ElementId> players,
+                                LossMatrix* losses, std::span<uint64_t> hits,
+                                std::vector<uint64_t>* seats) const {
+  // Every seat the players hold, as (seat << 32 | player). A unit's seats
+  // are consecutive, so ordering by seat groups the players by the unit
+  // they met in, in commit order.
+  seats->clear();
+  for (size_t i = 0; i < players.size(); ++i) {
+    const int64_t element = Find(players[i]);
+    if (element < 0) continue;
+    for (int32_t seat = elements_[static_cast<size_t>(element)].last_seat;
+         seat >= 0; seat = seats_[static_cast<size_t>(seat)].previous) {
+      seats->push_back(static_cast<uint64_t>(seat) << 32 | i);
+    }
+  }
+  if (!std::is_sorted(seats->begin(), seats->end())) {
+    std::sort(seats->begin(), seats->end());
+  }
+  const size_t stride = losses->stride();
+  uint64_t* const words = losses->words().data();
+  for (size_t begin = 0; begin < seats->size();) {
+    // The players that met in one unit, rewritten in place as
+    // (row << 32 | player).
+    const uint32_t unit =
+        seats_[static_cast<size_t>((*seats)[begin] >> 32)].unit;
+    size_t end = begin;
+    for (; end < seats->size(); ++end) {
+      const uint64_t held = (*seats)[end];
+      const Seat& seat = seats_[static_cast<size_t>(held >> 32)];
+      if (seat.unit != unit) break;
+      (*seats)[end] = uint64_t{seat.row} << 32 | (held & 0xffffffff);
+    }
+    // Copies each pair's two loss bits and its evidence without a branch
+    // on who won: that is a coin flip to the branch predictor.
+    const LossMatrix& met_losses = units_[unit].losses;
+    const uint64_t* const met = met_losses.Row(0).data();
+    const size_t met_stride = met_losses.stride();
+    const uint64_t* const run = seats->data() + begin;
+    const size_t count = end - begin;
+    for (size_t x = 0; x < count; ++x) {
+      const size_t rx = static_cast<size_t>(run[x] >> 32);
+      const size_t ix = static_cast<size_t>(run[x] & 0xffffffff);
+      const uint64_t* const met_row = met + rx * met_stride;
+      uint64_t* const row = words + ix * stride;
+      for (size_t y = x + 1; y < count; ++y) {
+        const size_t ry = static_cast<size_t>(run[y] >> 32);
+        const size_t iy = static_cast<size_t>(run[y] & 0xffffffff);
+        const uint64_t x_lost = (met_row[ry >> 6] >> (ry & 63)) & 1;
+        const uint64_t y_lost =
+            (met[ry * met_stride + (rx >> 6)] >> (rx & 63)) & 1;
+        row[iy >> 6] |= x_lost << (iy & 63);
+        words[iy * stride + (ix >> 6)] |= y_lost << (ix & 63);
+        const size_t lo = std::min(ix, iy);
+        const size_t hi = std::max(ix, iy);
+        hits[lo * stride + (hi >> 6)] |= (x_lost | y_lost) << (hi & 63);
+      }
+    }
+    begin = end;
+  }
+}
+
+template <typename Fn>
+void RoundEngine::Ledger::ForEachAnswered(Fn&& fn) const {
+  for (const Unit& unit : units_) {
+    const std::span<const Seat> seats(seats_.data() + unit.first_seat,
+                                      unit.num_seats);
+    const auto id = [&](size_t x) { return elements_[seats[x].element].id; };
+    ForEachAnsweredPair(
+        unit.losses, seats.size(), [&](size_t x) { return seats[x].row; },
+        [&](size_t x, size_t y, bool x_lost) {
+          fn(id(x), id(y), x_lost ? id(y) : id(x));
+        });
+  }
 }
 
 RoundEngine::RoundEngine(Backend backend, Comparator* comparator,
@@ -264,8 +440,7 @@ Result<bool> RoundSource::SpeculateNextRound(EngineRound* /*round*/) {
 }
 
 Result<std::string> RoundEngine::SerializeCheckpoint(
-    const RoundSource* source, int64_t paid_start,
-    const DriveResult& drive) const {
+    const RoundSource* source, int64_t paid_start, const DriveResult& drive) {
   CheckpointWriter writer;
   writer.WriteTag(kDriveTag);
   writer.WriteI64(paid_start);
@@ -289,7 +464,13 @@ Result<std::string> RoundEngine::SerializeCheckpoint(
   // At a clean boundary the cache holds winners and kUnresolvedWinner
   // parkings only — never a -1 in-flight reservation.
   writer.WriteTag(kCacheTag);
-  SavePairTable(&writer, *cache_);
+  if (ledger_.empty()) {
+    SavePairTable(&writer, *cache_);
+  } else {
+    PairTable memo = *cache_;
+    WriteLedger(&memo);
+    SavePairTable(&writer, memo);
+  }
   Status stack = comparator_ != nullptr ? comparator_->SaveState(&writer)
                                         : executor_->SaveState(&writer);
   if (!stack.ok()) return stack;
@@ -323,6 +504,7 @@ Status RoundEngine::RestoreCheckpoint(RoundSource* source,
   seeder_.set_state(reader.ReadRngState());
   reader.ExpectTag(kCacheTag);
   LoadPairTable(&reader, cache_);
+  ledger_.Clear();
   if (!reader.status().ok()) return reader.status();
   Status stack = comparator_ != nullptr ? comparator_->LoadState(&reader)
                                         : executor_->LoadState(&reader);
@@ -531,6 +713,13 @@ struct RoundEngine::PendingRound {
   /// later occurrence of one of them within the round, in round order.
   std::vector<ComparisonPair> misses;
   std::vector<ComparisonPair> repeats;
+  /// A round resolved read-only: each player unit's memo hits (a pair mask
+  /// of its matrix's layout, empty when nothing was probed). Its other
+  /// pairs are among the misses, in row-major order.
+  std::vector<std::vector<uint64_t>> player_hits;
+  /// The round's lone pair unit went to the executor as it is, because the
+  /// memo had nothing to read: its winners are the answers, in order.
+  bool direct = false;
   /// The synchronous executor's answers, taken at submission.
   Result<std::vector<BatchTaskResult>> results{std::vector<BatchTaskResult>()};
   /// Pipelined engines: the round's async batch.
@@ -599,27 +788,47 @@ Status RoundEngine::SubmitExecutor(PendingRound* pending, bool overlapped) {
   }
 
   // The resolve: batch only the misses (including pairs an earlier faulty
-  // attempt parked). A player unit's pairs are written out in order; its
-  // answers fold into its loss matrix at the read-back. A pruning drive
-  // probes read-only, unit by unit (ProbeUnit), and leaves the memo to
-  // CommitRound; so does an unmemoized one, whose memo is empty, so every
-  // listed pair is a miss, repeats included. Otherwise one grow per round,
-  // then one batch insert per unit reserves each miss with -1 (an
-  // unresolved parking is rewritten to it), so a repeat of the pair later
-  // in the round finds the reservation and is sent once. A bought pair's
-  // first occurrence is -1 in its winners slot, a repeat kRepeatedPair,
-  // until the read-back.
+  // attempt parked). A pruning drive probes read-only, unit by unit, and
+  // leaves the memo to CommitRound; so does an unmemoized one, whose memo
+  // is empty, so every listed pair is a miss, repeats included. There a
+  // player unit's memo hits go straight into its matrix (ProbePlayers)
+  // and only its other pairs are sent, in row-major order, to be folded in
+  // at the read-back; a lone pair unit over a memo with nothing to read is
+  // sent as it is. Otherwise one grow per round, then one batch insert per
+  // unit reserves each miss with -1 (an unresolved parking is rewritten to
+  // it), so a repeat of the pair later in the round finds the reservation
+  // and is sent once. A player unit's pairs are written out in order
+  // there. A bought pair's first occurrence is -1 in its winners slot, a
+  // repeat kRepeatedPair, until the read-back.
   std::vector<ComparisonPair>& misses = pending->misses;
   const bool reserve = ReservesMisses();
+  pending->direct = !reserve && !MemoReadable() && round.units.size() == 1 &&
+                    round.units[0].players.empty();
   if (reserve) cache_->Reserve(out.issued);
-  for (size_t u = 0; u < round.units.size(); ++u) {
-    const std::span<const ComparisonPair> pairs =
-        PairsOf(round.units[u], &unit_pairs_);
+  for (size_t u = 0; u < round.units.size() && !pending->direct; ++u) {
+    const RoundUnit& unit = round.units[u];
     std::vector<ElementId>& winners = out.winners[u];
-    if (!reserve) {
-      ProbeUnit(pairs, &winners, &misses);
+    if (!reserve && unit.players.empty()) {
+      ProbeUnit(unit.pairs, &winners, &misses);
       continue;
     }
+    if (!reserve) {
+      const std::vector<ElementId>& players = unit.players;
+      LossMatrix& losses = out.losses[u];
+      losses.Reset(players.size());
+      pending->player_hits.resize(round.units.size());
+      std::vector<uint64_t>& hits = pending->player_hits[u];
+      if (MemoReadable()) {
+        if (unit_scratch_.empty()) unit_scratch_.resize(1);
+        ProbePlayers(unit, &losses, &hits, &unit_scratch_[0].seats);
+      }
+      ForEachUnskippedPair(players.size(), losses.stride(), hits,
+                           [&](size_t i, size_t j) {
+                             misses.push_back({players[i], players[j]});
+                           });
+      continue;
+    }
+    const std::span<const ComparisonPair> pairs = PairsOf(unit, &unit_pairs_);
     winners.resize(pairs.size());
     const std::span<const PairSlotRef> slots =
         PinSlots(pairs, /*absent_value=*/-1);
@@ -642,7 +851,9 @@ Status RoundEngine::SubmitExecutor(PendingRound* pending, bool overlapped) {
       winners[p] = -1;
     }
   }
-  if (const int64_t hits = out.issued - static_cast<int64_t>(misses.size());
+  const std::vector<ComparisonPair>& batch =
+      pending->direct ? round.units[0].pairs : misses;
+  if (const int64_t hits = out.issued - static_cast<int64_t>(batch.size());
       hits > 0) {
     cache_hits_ += hits;
     if (AlgoTrace* trace = CurrentTrace()) trace->RecordCacheHits(hits);
@@ -658,13 +869,13 @@ Status RoundEngine::SubmitExecutor(PendingRound* pending, bool overlapped) {
   // the budget gate and every counter identical at every depth.
   const int64_t paid_before = executor_->comparisons();
   if (async_ == nullptr) {
-    pending->results = executor_->TryExecuteBatch(misses);
+    pending->results = executor_->TryExecuteBatch(batch);
     SleepOutLatency(executor_);
   } else {
     Status dispatched = Status::OK();
     if (pending->handle >= 0) {
-      dispatched = async_->ConfirmBatch(pending->handle, misses);
-    } else if (Result<int64_t> handle = async_->SubmitBatchAsync(misses);
+      dispatched = async_->ConfirmBatch(pending->handle, batch);
+    } else if (Result<int64_t> handle = async_->SubmitBatchAsync(batch);
                handle.ok()) {
       pending->handle = *handle;
     } else {
@@ -687,46 +898,62 @@ Status RoundEngine::Complete(PendingRound* pending) {
   const std::vector<BatchTaskResult>* answers =
       results.ok() ? &*results : nullptr;
   const std::vector<ComparisonPair>& misses = pending->misses;
-  CROWDMAX_CHECK(answers == nullptr || answers->size() == misses.size());
+  const std::vector<ComparisonPair>& sent =
+      pending->direct ? pending->round.units[0].pairs : misses;
+  CROWDMAX_CHECK(answers == nullptr || answers->size() == sent.size());
   if (ReservesMisses()) StoreAnswers(misses, answers);
+  RoundOutcome& out = pending->out;
+  // A collected answer; a pair without one is counted unresolved.
+  const auto answer = [&](size_t m) {
+    const ElementId winner = AnswerOf(answers, m);
+    CROWDMAX_DCHECK(winner == sent[m].first || winner == sent[m].second ||
+                    winner == kUnresolvedWinner);
+    if (winner == kUnresolvedWinner) ++out.unresolved;
+    return winner;
+  };
+  if (pending->direct) {
+    std::vector<ElementId>& winners = out.winners[0];
+    winners.resize(sent.size());
+    for (size_t p = 0; p < sent.size(); ++p) winners[p] = answer(p);
+    return TakeFault(results, &out);
+  }
 
   // One walk in round order fills each bought pair's first occurrence from
   // its answer (kUnresolvedWinner when the batch failed) and each repeat
   // from the cache, which now holds that answer. A read-only resolve's
-  // hits already hold their answers.
-  RoundOutcome& out = pending->out;
+  // hits already hold their answers, and its player units fold the
+  // answers to the pairs they sent into their matrices.
   size_t next_miss = 0;
   size_t next_repeat = 0;
   for (size_t u = 0; u < out.winners.size(); ++u) {
+    const RoundUnit& unit = pending->round.units[u];
+    if (!unit.players.empty() && !ReservesMisses()) {
+      const std::vector<uint64_t>& hits = pending->player_hits[u];
+      fold_answers_.resize(
+          static_cast<size_t>(unit.NumPairs() - CountBits(hits)));
+      for (ElementId& winner : fold_answers_) winner = answer(next_miss++);
+      FoldAnswers(unit.players, hits, fold_answers_, &out.losses[u]);
+      continue;
+    }
     std::vector<ElementId>& winners = out.winners[u];
     for (ElementId& winner : winners) {
       if (winner == -1) {
-        winner = AnswerOf(answers, next_miss);
-        CROWDMAX_DCHECK(winner == misses[next_miss].first ||
-                        winner == misses[next_miss].second ||
-                        winner == kUnresolvedWinner);
-        ++next_miss;
-      } else if (winner == kRepeatedPair) {
+        winner = answer(next_miss++);
+        continue;
+      }
+      if (winner == kRepeatedPair) {
         const ComparisonPair& pair = pending->repeats[next_repeat++];
         winner = *cache_->Find(PackPairKey(pair.first, pair.second));
+        if (winner == kUnresolvedWinner) ++out.unresolved;
       }
-      CROWDMAX_CHECK(winner != -1);
-      if (winner == kUnresolvedWinner) ++out.unresolved;
+      CROWDMAX_CHECK(winner >= 0 || winner == kUnresolvedWinner);
     }
-    const RoundUnit& unit = pending->round.units[u];
     if (unit.players.empty()) continue;
     out.losses[u].Reset(unit.players.size());
     FoldAnswers(unit.players, {}, winners, &out.losses[u]);
     winners.clear();
   }
-  if (!results.ok()) {
-    // Non-transient executor failure: abort the drive.
-    if (results.status().code() != StatusCode::kUnavailable) {
-      return results.status();
-    }
-    out.fault = results.status();
-  }
-  return Status::OK();
+  return TakeFault(results, &out);
 }
 
 void RoundEngine::StoreAnswers(std::span<const ComparisonPair> misses,
@@ -758,18 +985,16 @@ void RoundEngine::ProbeUnit(std::span<const ComparisonPair> pairs,
     misses->insert(misses->end(), pairs.begin(), pairs.end());
     return;
   }
+  CROWDMAX_DCHECK(ledger_.empty());
   const PairTable& memo = *cache_;
   winners->resize(pairs.size());
   for (size_t p = 0; p < pairs.size(); ++p) {
     const ComparisonPair& pair = pairs[p];
-    if (!signatures_on_ ||
-        (SignatureOf(pair.first) & SignatureOf(pair.second)) != 0) {
-      const ConstPairValuePtr slot =
-          memo.Find(PackPairKey(pair.first, pair.second));
-      if (slot != nullptr && *slot != kUnresolvedWinner) {
-        (*winners)[p] = *slot;
-        continue;
-      }
+    const ConstPairValuePtr slot =
+        memo.Find(PackPairKey(pair.first, pair.second));
+    if (slot != nullptr && *slot != kUnresolvedWinner) {
+      (*winners)[p] = *slot;
+      continue;
     }
     (*winners)[p] = -1;
     misses->push_back(pair);
@@ -777,40 +1002,36 @@ void RoundEngine::ProbeUnit(std::span<const ComparisonPair> pairs,
 }
 
 int64_t RoundEngine::ProbePlayers(const RoundUnit& unit, LossMatrix* losses,
-                                  UnitScratch* scratch) const {
+                                  std::vector<uint64_t>* hits,
+                                  std::vector<uint64_t>* seats) const {
   const std::vector<ElementId>& players = unit.players;
   const size_t k = players.size();
   const size_t stride = losses->stride();
-  scratch->hits.assign(k * stride, 0);
-  // Untrusted signatures probe every pair: all-ones ones share every bit.
-  std::vector<uint64_t>& signatures = scratch->signatures;
-  signatures.resize(k);
-  for (size_t i = 0; i < k; ++i) {
-    signatures[i] = signatures_on_ ? SignatureOf(players[i]) : ~uint64_t{0};
-  }
-  const PairTable& memo = *cache_;
-  int64_t hits = 0;
-  for (size_t i = 0; i < k; ++i) {
-    const ElementId a = players[i];
-    const uint64_t signature = signatures[i];
-    uint64_t* hit_row = &scratch->hits[i * stride];
-    for (size_t j = i + 1; j < k; ++j) {
-      if ((signature & signatures[j]) == 0) continue;
-      const ElementId b = players[j];
-      const ConstPairValuePtr slot = memo.Find(PackPairKey(a, b));
-      if (slot == nullptr) continue;
-      const ElementId winner = *slot;
-      if (winner == kUnresolvedWinner) continue;
-      hit_row[j >> 6] |= uint64_t{1} << (j & 63);
-      ++hits;
-      if (winner == b) {
-        losses->SetLost(i, j);
-      } else {
-        losses->SetLost(j, i);
+  hits->assign(k * stride, 0);
+  if (!cache_->empty()) {
+    const PairTable& memo = *cache_;
+    for (size_t i = 0; i < k; ++i) {
+      const ElementId a = players[i];
+      uint64_t* hit_row = &(*hits)[i * stride];
+      for (size_t j = i + 1; j < k; ++j) {
+        const ElementId b = players[j];
+        const ConstPairValuePtr slot = memo.Find(PackPairKey(a, b));
+        if (slot == nullptr) continue;
+        const ElementId winner = *slot;
+        if (winner == kUnresolvedWinner) continue;
+        hit_row[j >> 6] |= uint64_t{1} << (j & 63);
+        if (winner == b) {
+          losses->SetLost(i, j);
+        } else {
+          losses->SetLost(j, i);
+        }
       }
     }
   }
-  return hits;
+  // A pair both hold agrees: the ledger's later units found the table's
+  // answers before they could buy a pair again.
+  if (!ledger_.empty()) ledger_.Probe(players, losses, *hits, seats);
+  return CountBits(*hits);
 }
 
 Result<int64_t> RoundEngine::AnswerUnit(const RoundUnit& unit,
@@ -855,7 +1076,7 @@ Result<int64_t> RoundEngine::AnswerPlayers(const RoundUnit& unit,
   std::span<const uint64_t> skip;
   int64_t bought = unit.NumPairs();
   if (MemoReadable()) {
-    bought -= ProbePlayers(unit, losses, scratch);
+    bought -= ProbePlayers(unit, losses, &scratch->hits, &scratch->seats);
     skip = scratch->hits;
   }
   int64_t answered = 0;
@@ -886,15 +1107,15 @@ Result<int64_t> RoundEngine::AnswerPlayers(const RoundUnit& unit,
 }
 
 void RoundEngine::CommitRound(const EngineRound& round,
-                              const RoundOutcome& outcome,
+                              RoundOutcome* outcome,
                               std::span<const ElementId> named) {
-  for (ElementId e : named) SetIdBit(&named_bits_, e);
+  if (prune_) ledger_.Name(named);
 #ifndef NDEBUG
   // Promise (b): an element of this round the source did not name may
   // never be issued again.
   if (prune_) {
     const auto retire = [this](ElementId e) {
-      if (!TestIdBit(named_bits_, e)) SetIdBit(&retired_bits_, e);
+      if (ledger_.NamedIndex(e) < 0) retired_.insert(e);
     };
     for (const RoundUnit& unit : round.units) {
       for (ElementId e : unit.players) retire(e);
@@ -911,98 +1132,94 @@ void RoundEngine::CommitRound(const EngineRound& round,
   // One grow per commit: room for every pair the units below can write.
   int64_t most = 0;
   for (const RoundUnit& unit : round.units) {
-    if (!prune_ || unit.players.empty()) {
-      most += unit.NumPairs();
-      continue;
-    }
-    const int64_t m = std::count_if(
-        unit.players.begin(), unit.players.end(),
-        [this](ElementId e) { return TestIdBit(named_bits_, e); });
-    most += m * (m - 1) / 2;
+    if (!prune_ || unit.players.empty()) most += unit.NumPairs();
   }
   cache_->Reserve(most);
   for (size_t u = 0; u < round.units.size(); ++u) {
     const RoundUnit& unit = round.units[u];
     round_keys_.clear();
     round_key_winners_.clear();
+    const auto keep = [this](ElementId a, ElementId b, ElementId winner) {
+      round_keys_.push_back(PackPairKey(a, b));
+      round_key_winners_.push_back(winner);
+    };
     if (!unit.players.empty()) {
-      // Commit by survivor: a pruning commit writes the answered pairs
-      // among the unit's named players, read from its loss matrix in pair
-      // order, and never visits the others.
       const std::vector<ElementId>& players = unit.players;
-      const LossMatrix& losses = outcome.losses[u];
-      commit_players_.clear();
+      if (!prune_) {
+        ForEachAnsweredPair(
+            outcome->losses[u], players.size(), [](size_t x) { return x; },
+            [&](size_t x, size_t y, bool x_lost) {
+              keep(players[x], players[y], x_lost ? players[y] : players[x]);
+            });
+        InsertAnswers(cache_);
+        continue;
+      }
+      // Commit by survivor: the unit's matrix goes to the ledger with a
+      // seat for each named player, when it has a pair of them; no pair
+      // is written.
+      commit_rows_.clear();
+      commit_elements_.clear();
       for (size_t i = 0; i < players.size(); ++i) {
-        if (!prune_ || TestIdBit(named_bits_, players[i])) {
-          commit_players_.push_back(i);
+        if (const int64_t element = ledger_.NamedIndex(players[i]);
+            element >= 0) {
+          commit_rows_.push_back(i);
+          commit_elements_.push_back(element);
         }
       }
-      for (size_t x = 0; x < commit_players_.size(); ++x) {
-        const size_t i = commit_players_[x];
-        for (size_t y = x + 1; y < commit_players_.size(); ++y) {
-          const size_t j = commit_players_[y];
-          ElementId winner = kUnresolvedWinner;
-          if (losses.Lost(i, j)) {
-            winner = players[j];
-          } else if (losses.Lost(j, i)) {
-            winner = players[i];
-          } else {
-            continue;  // No evidence: bought again when next asked.
-          }
-          round_keys_.push_back(PackPairKey(players[i], players[j]));
-          round_key_winners_.push_back(winner);
-        }
+      if (commit_rows_.size() >= 2) {
+        ledger_.AddUnit(std::move(outcome->losses[u]), commit_rows_,
+                        commit_elements_);
       }
-      if (prune_ && signatures_on_ && !round_keys_.empty()) {
-        // This unit's bit marks every player it committed a pair of.
-        const uint64_t bit = uint64_t{1} << (committed_player_units_++ & 63);
-        for (size_t i : commit_players_) {
-          const size_t id = static_cast<size_t>(players[i]);
-          if (id >= kMaxSignatureIds) {
-            signatures_on_ = false;
-            break;
-          }
-          if (id >= signatures_.size()) signatures_.resize(id + 1, 0);
-          signatures_[id] |= bit;
-        }
-      }
-    } else {
-      const std::vector<ComparisonPair>& pairs = unit.pairs;
-      const std::vector<ElementId>& winners = outcome.winners[u];
-      for (size_t p = 0; p < pairs.size(); ++p) {
-        if (prune_ && (!TestIdBit(named_bits_, pairs[p].first) ||
-                       !TestIdBit(named_bits_, pairs[p].second) ||
-                       winners[p] == kUnresolvedWinner)) {
-          continue;
-        }
-        round_keys_.push_back(PackPairKey(pairs[p].first, pairs[p].second));
-        round_key_winners_.push_back(winners[p]);
-      }
-      // No signature covers a pair written from a pair unit.
-      if (!round_keys_.empty()) signatures_on_ = false;
+      continue;
     }
-    // Absent keys go in as kUnresolvedWinner, so one test finds both them
-    // and the sentinels an earlier faulty phase parked in a shared cache:
-    // either was bought this round and takes its evidence. A pair already
-    // answered (earlier in this commit included) keeps its answer.
-    round_slots_.resize(round_keys_.size());
-    cache_->InsertBatch(round_keys_, kUnresolvedWinner, round_slots_);
-    for (size_t k = 0; k < round_keys_.size(); ++k) {
-      if (*round_slots_[k].value == kUnresolvedWinner) {
-        *round_slots_[k].value = round_key_winners_[k];
+    const std::vector<ComparisonPair>& pairs = unit.pairs;
+    const std::vector<ElementId>& winners = outcome->winners[u];
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      if (prune_ && (ledger_.NamedIndex(pairs[p].first) < 0 ||
+                     ledger_.NamedIndex(pairs[p].second) < 0 ||
+                     winners[p] == kUnresolvedWinner)) {
+        continue;
       }
+      keep(pairs[p].first, pairs[p].second, winners[p]);
+    }
+    InsertAnswers(cache_);
+  }
+}
+
+void RoundEngine::InsertAnswers(PairTable* table) {
+  // Absent keys go in as kUnresolvedWinner, so one test finds both them
+  // and the sentinels an earlier faulty phase parked in a shared cache:
+  // either was bought and takes its evidence. A pair already answered
+  // (earlier in the same batch included) keeps its answer.
+  round_slots_.resize(round_keys_.size());
+  table->InsertBatch(round_keys_, kUnresolvedWinner, round_slots_);
+  for (size_t k = 0; k < round_keys_.size(); ++k) {
+    if (*round_slots_[k].value == kUnresolvedWinner) {
+      *round_slots_[k].value = round_key_winners_[k];
     }
   }
-  for (ElementId e : named) {
-    named_bits_[static_cast<size_t>(e) >> 6] = 0;
-  }
+}
+
+void RoundEngine::WriteLedger(PairTable* table) {
+  round_keys_.clear();
+  round_key_winners_.clear();
+  ledger_.ForEachAnswered([this](ElementId a, ElementId b, ElementId winner) {
+    round_keys_.push_back(PackPairKey(a, b));
+    round_key_winners_.push_back(winner);
+  });
+  InsertAnswers(table);
+}
+
+void RoundEngine::SpillLedger() {
+  WriteLedger(cache_);
+  ledger_.Clear();
 }
 
 void RoundEngine::CheckRound(const EngineRound& round) const {
 #ifndef NDEBUG
   bool has_pairs = false;
   bool has_players = false;
-  std::vector<uint64_t> seen_players;
+  std::unordered_set<ElementId> seen_players;
   PairTable seen_pairs;
   for (const RoundUnit& unit : round.units) {
     CROWDMAX_DCHECK((unit.pairs.empty() || unit.players.empty()) &&
@@ -1013,16 +1230,15 @@ void RoundEngine::CheckRound(const EngineRound& round) const {
     // its pairs, and promise (b) holds for every pair once it holds for
     // every player.
     for (ElementId e : unit.players) {
-      CROWDMAX_DCHECK(!TestIdBit(seen_players, e) &&
-                      "player units of a round share an element");
-      SetIdBit(&seen_players, e);
-      CROWDMAX_DCHECK(!TestIdBit(retired_bits_, e) &&
+      const bool first = seen_players.insert(e).second;
+      CROWDMAX_DCHECK(first && "player units of a round share an element");
+      CROWDMAX_DCHECK(retired_.count(e) == 0 &&
                       "pruning source issued an element it retired");
     }
     if (!prune_) continue;
     for (const ComparisonPair& pair : unit.pairs) {
-      CROWDMAX_DCHECK(!TestIdBit(retired_bits_, pair.first) &&
-                      !TestIdBit(retired_bits_, pair.second) &&
+      CROWDMAX_DCHECK(retired_.count(pair.first) == 0 &&
+                      retired_.count(pair.second) == 0 &&
                       "pruning source issued an element it retired");
       bool fresh = false;
       seen_pairs.Insert(PackPairKey(pair.first, pair.second), pair.first,
@@ -1064,15 +1280,9 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
   // Memo pruning (DESIGN.md §14), decided once per drive. A shared cache
   // keeps every pair: another engine or query may ask any of them. So does
   // a pipelined engine, whose in-flight rounds reserve their pairs in it.
-  // The co-play signatures start empty, and are trusted only over a memo
-  // this drive writes from the start: one empty now, after any restore (an
-  // empty restored memo has nothing a signature could miss).
   prune_ = async_ == nullptr && memoize_ && cache_ == &owned_cache_ &&
            source->NamesRecurringElements();
-  retired_bits_.clear();
-  signatures_on_ = prune_ && cache_->empty();
-  signatures_.clear();
-  committed_player_units_ = 0;
+  retired_.clear();
   // The rounds whose outcomes reach the memo only through CommitRound:
   // every round of a pruning drive, every memoized parallel round (its
   // barrier merge), and every memoized serial round of player units.
@@ -1139,7 +1349,7 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
     // every pair a later round can ask; nothing stays pending between
     // engine rounds.
     if (commits(round)) {
-      CommitRound(round, outcome,
+      CommitRound(round, &pending->out,
                   prune_ ? source->RecurringElements()
                          : std::span<const ElementId>());
     }
@@ -1315,6 +1525,12 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
       open_round_id = trace->BeginRound(round.open_round);
     }
     CheckRound(round);
+    // The ledger answers only a pruning drive's player units; every other
+    // round reads the memo pair by pair, so it gets the ledger's pairs in
+    // the pair table first.
+    if (!ledger_.empty() && (!prune_ || !HasPlayerUnits(round))) {
+      SpillLedger();
+    }
     const bool overlapped = !in_flight.empty();
     auto pending = std::make_unique<PendingRound>();
     pending->source_round_index =

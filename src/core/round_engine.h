@@ -45,14 +45,19 @@
 //    engines share one round: a memoizing resolve reserves each miss with
 //    one batch insert per unit, the read-back stores the answers with one
 //    batch insert over the misses and fills the winners. They differ only
-//    in how the batch is dispatched. An unmemoized round resolves
-//    read-only over an empty memo, so every listed pair is bought, repeats
-//    included, and nothing is stored. A player unit's pairs are written
-//    out in order, resolved with the rest, and their answers folded into
-//    its matrix; a faulted pair sets neither bit.
-// On a pruning drive every backend but the pipelined one probes the memo
-// only for pairs whose two players' co-play signatures share a bit, and
-// commits a player unit by survivor (DESIGN.md §14).
+//    in how the batch is dispatched. A pruning or unmemoized round
+//    resolves read-only (an unmemoized one over an empty memo, so every
+//    listed pair is bought, repeats included, and nothing is stored); a
+//    lone pair unit with nothing to read in the memo goes to the executor
+//    as it is. A player unit's pairs are written out in order, or on a
+//    read-only round only those the memo did not answer, and their
+//    answers folded into its matrix; a faulted pair sets neither bit.
+// On a pruning drive every backend but the pipelined one keeps its player
+// units' memo as a ledger: each committed unit's loss matrix and a seat
+// (unit, row) for each player the source named after it. A later group
+// finds its memo hits by walking its players' seats, so pairs whose
+// players never met cost nothing, and no pair is written anywhere
+// (DESIGN.md §14).
 //
 // One drive loop: every engine runs the in-flight window of DESIGN.md
 // §11.2. The serial, parallel and synchronous executor engines run it at
@@ -73,6 +78,7 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -436,13 +442,87 @@ class RoundEngine {
   // Per-unit buffers of the comparator backends, reused across rounds
   // (see unit_scratch_): a pair unit's misses and their answers, and a
   // player unit's memo hits (a pair mask of its LossMatrix's layout) and
-  // its players' co-play signatures. A player unit's pairs are never
-  // written out here: the tournament call answers them in place.
+  // the ledger seats its players hold (Ledger::Probe). A player unit's
+  // pairs are never written out here: the tournament call answers them in
+  // place.
   struct UnitScratch {
     std::vector<ComparisonPair> misses;
     std::vector<ElementId> answers;
     std::vector<uint64_t> hits;
-    std::vector<uint64_t> signatures;
+    std::vector<uint64_t> seats;
+  };
+
+  // The memo a pruning drive keeps for its player units (DESIGN.md §14).
+  // Algorithm 2 asks a pair again only when its two players survived one
+  // earlier group together, so the memo is those groups' own loss
+  // matrices: per committed unit, its matrix, moved whole out of the
+  // outcome, and per player the source named after it, a seat (unit,
+  // row). A pair is answered iff its players hold seats of one unit whose
+  // matrix has its evidence; every such unit holds the same answer,
+  // because a later one found the earlier one's before it could buy the
+  // pair again. Elements are indexed in the order they are first named,
+  // so the ledger's memory follows the elements named, not their ids.
+  // Written only at the round barrier; pool threads may Probe it during a
+  // round.
+  class Ledger {
+   public:
+    bool empty() const { return units_.empty(); }
+    void Clear();
+
+    /// Starts a commit: the elements named after it are `named`.
+    void Name(std::span<const ElementId> named);
+    /// The index of `id` if the current commit named it, else -1.
+    int64_t NamedIndex(ElementId id) const;
+    /// Keeps a committed unit: its matrix, and a seat at each of `rows`
+    /// for the named element `elements[x]` sitting at rows[x].
+    void AddUnit(LossMatrix losses, std::span<const size_t> rows,
+                 std::span<const int64_t> elements);
+
+    /// Sets the evidence the ledger holds on pairs of `players` in
+    /// `losses` and marks them in the pair mask `hits` (of the matrix's
+    /// layout). `seats` is scratch.
+    void Probe(std::span<const ElementId> players, LossMatrix* losses,
+               std::span<uint64_t> hits, std::vector<uint64_t>* seats) const;
+
+    /// Calls fn(a, b, winner) for every answered pair among the named
+    /// players of each unit, unit by unit in commit order, and in row
+    /// order within a unit: the pairs the pair table's pruning commit
+    /// wrote, in its order.
+    template <typename Fn>
+    void ForEachAnswered(Fn&& fn) const;
+
+   private:
+    struct Unit {
+      LossMatrix losses;
+      size_t first_seat = 0;
+      size_t num_seats = 0;
+    };
+    struct Seat {
+      uint32_t unit = 0;
+      uint32_t row = 0;
+      uint32_t element = 0;
+      int32_t previous = -1;  // The element's seat before this one; -1 none.
+    };
+    struct Element {
+      ElementId id = 0;
+      int32_t last_seat = -1;  // -1 none.
+      uint64_t named_at = 0;   // The commit that last named it.
+    };
+
+    /// The index of `id`, or -1 when it was never named.
+    int64_t Find(ElementId id) const;
+    /// Makes room for `additional` more elements in the slot table.
+    void Reserve(size_t additional);
+    /// Enters `id` at `index` into a slot table with room for it.
+    void Place(ElementId id, size_t index);
+
+    std::vector<Unit> units_;
+    std::vector<Seat> seats_;
+    std::vector<Element> elements_;
+    // Open-addressed id -> element index: (id + 1) << 32 | index; 0 empty.
+    std::vector<uint64_t> slots_;
+    int shift_ = 64;
+    uint64_t commit_ = 0;
   };
 
   RoundEngine(Backend backend, Comparator* comparator,
@@ -462,36 +542,35 @@ class RoundEngine {
                                         ElementId absent_value);
 
   /// True when a read-only resolve has anything to find in the memo.
-  bool MemoReadable() const { return memoize_ && !cache_->empty(); }
+  bool MemoReadable() const {
+    return memoize_ && (!cache_->empty() || !ledger_.empty());
+  }
 
   /// True when an executor round reserves its misses in the cache and
   /// stores their answers at the read-back: a memoizing drive that does
   /// not prune. Every other executor round resolves read-only.
   bool ReservesMisses() const { return memoize_ && !prune_; }
 
-  /// The co-play signature of `id` (zero when it has none).
-  uint64_t SignatureOf(ElementId id) const {
-    return static_cast<size_t>(id) < signatures_.size()
-               ? signatures_[static_cast<size_t>(id)]
-               : 0;
-  }
-
   /// Read-only resolve of a pair list, shared by every backend that does
   /// not write the memo during a round: a cached answer goes to `winners`,
   /// every other pair is -1 there and appended to `misses`, in pair order.
   /// Never writes the memo, so pool threads may run it on one snapshot.
-  /// Without a readable memo every pair is a miss and nothing is probed;
-  /// while co-play signatures are trusted, neither is a pair whose two
-  /// signatures share no bit.
+  /// Without a readable memo every pair is a miss and nothing is probed.
+  /// Reads the pair table alone: a round of pair units spills the ledger
+  /// first (SpillLedger).
   void ProbeUnit(std::span<const ComparisonPair> pairs,
                  std::vector<ElementId>* winners,
                  std::vector<ComparisonPair>* misses) const;
 
-  /// The same resolve for a player unit over a readable memo: a memo hit
-  /// sets its loser's bit in `losses` and its bit in scratch->hits; the
-  /// other pairs are left to the tournament call. Returns the hits.
+  /// The same resolve for a player unit (`losses` Reset to its size) over
+  /// a readable memo: a memo hit sets its loser's bit in `losses` and its
+  /// bit in `hits`, which it sizes; the other pairs are left to the
+  /// tournament call. Probes the pair table when it holds anything (a
+  /// restored memo, or pair units) and the ledger's seats. Returns the
+  /// hits.
   int64_t ProbePlayers(const RoundUnit& unit, LossMatrix* losses,
-                       UnitScratch* scratch) const;
+                       std::vector<uint64_t>* hits,
+                       std::vector<uint64_t>* seats) const;
 
   /// Answers one pair unit on `comparator` (the caller's or a fork) over a
   /// read-only memo: ProbeUnit, then one GenerateVotes call (or one Compare
@@ -516,13 +595,26 @@ class RoundEngine {
 
   /// The memo's one write path for rounds resolved read-only, run after
   /// the source consumed the outcome and before the checkpoint boundary.
-  /// When pruning it keeps the answered pairs whose two ids are in
-  /// `named`, reading a player unit's pairs among its named players
-  /// straight from its loss matrix; otherwise (the parallel barrier merge,
-  /// and player units on a serial memo that keeps every pair) every
-  /// answered pair, with an earlier answer to the same pair winning.
-  void CommitRound(const EngineRound& round, const RoundOutcome& outcome,
+  /// When pruning it keeps what a later round can ask: a player unit with
+  /// two or more players in `named` goes to the ledger, its matrix moved
+  /// out of `outcome`, and a pair unit's answered pairs of two named ids
+  /// to the pair table. Otherwise (the parallel barrier merge, and player
+  /// units on a serial memo that keeps every pair) every answered pair
+  /// goes to the pair table, with an earlier answer to the same pair
+  /// winning.
+  void CommitRound(const EngineRound& round, RoundOutcome* outcome,
                    std::span<const ElementId> named);
+
+  /// Inserts round_keys_ with the answers in round_key_winners_ into
+  /// `table` in one batch insert; a pair already answered there keeps its
+  /// answer.
+  void InsertAnswers(PairTable* table);
+
+  /// Writes the ledger's pairs into `table`, as the pruning commit once
+  /// wrote them. SpillLedger moves them into the memo's pair table and
+  /// clears the ledger, for a reader that resolves pair by pair.
+  void WriteLedger(PairTable* table);
+  void SpillLedger();
 
   /// Debug builds: CHECKs the unit-kind rules of RoundUnit on the round
   /// about to run and, on a pruning drive, the source's promises (a) and
@@ -555,11 +647,14 @@ class RoundEngine {
 
   /// Serializes one checkpoint: drive progress (`paid_start`, rounds), the
   /// engine's counters/cache/seeder, the comparator or executor stack, and
-  /// the source. RestoreCheckpoint is the exact inverse, applied to a
-  /// freshly constructed engine+stack+source of the same shape.
+  /// the source. The memo section holds the pair table and the ledger's
+  /// pairs together, sorted, as the pair table alone held them before
+  /// the ledger. RestoreCheckpoint is the exact inverse, applied to a
+  /// freshly constructed engine+stack+source of the same shape; it loads
+  /// the whole memo into the pair table.
   Result<std::string> SerializeCheckpoint(const RoundSource* source,
                                           int64_t paid_start,
-                                          const DriveResult& drive) const;
+                                          const DriveResult& drive);
   Status RestoreCheckpoint(RoundSource* source, const std::string& bytes,
                            int64_t* paid_start, DriveResult* drive);
 
@@ -573,15 +668,15 @@ class RoundEngine {
   // Pair-winner cache (open-addressed PairTable, core/pair_table.h).
   // Points at owned_cache_ unless a SharedPairCache class table was
   // supplied at creation. When the drive prunes (below), every
-  // non-pipelined backend resolves read-only and CommitRound writes only
-  // the pairs whose two ids the source named: the private memo holds the
-  // pairs a later round can still ask, not every pair bought. Otherwise:
-  // serial buys each pair of a pair unit once and commits player units
-  // after the consume; parallel reads a snapshot during a round and
-  // CommitRound merges every pair after it; executor buys each pair once
-  // and parks faulted pairs as kUnresolvedWinner. Those write paths go
-  // through PinSlots (one grow per round, one batch insert per unit); a
-  // pipelined engine never prunes. An unmemoized engine writes nothing.
+  // non-pipelined backend resolves read-only and CommitRound keeps only
+  // what the source named: player units in ledger_, the pairs of pair
+  // units here. Otherwise: serial buys each pair of a pair unit once and
+  // commits player units after the consume; parallel reads a snapshot
+  // during a round and CommitRound merges every pair after it; executor
+  // buys each pair once and parks faulted pairs as kUnresolvedWinner.
+  // Those write paths go through PinSlots (one grow per round, one batch
+  // insert per unit); a pipelined engine never prunes. An unmemoized
+  // engine writes nothing.
   PairTable* cache_;
   PairTable owned_cache_;
 
@@ -589,24 +684,14 @@ class RoundEngine {
   // (RoundSource::NamesRecurringElements), the memo is on and private, and
   // the engine is not pipelined. Set once at the start of each drive.
   bool prune_ = false;
-  // CommitRound's id-indexed bitmap of the elements the source named;
-  // cleared again after each commit.
-  std::vector<uint64_t> named_bits_;
+  // The player units' half of the private memo on a pruning drive. It
+  // outlives the drive: a later pruning drive reads it as it is, and any
+  // other reader gets it spilled into the pair table first. Cleared by a
+  // restore, which loads the whole memo into the table.
+  Ledger ledger_;
   // Debug builds: the elements a pruning drive has retired (in an earlier
   // round, not named after it). Not checkpointed; empty under NDEBUG.
-  std::vector<uint64_t> retired_bits_;
-
-  // Co-play signatures of a pruning drive (DESIGN.md §14), id-indexed.
-  // CommitRound ORs one bit per committing player unit into each named
-  // player it commits, so a pair can be in the memo only if its two
-  // signatures share a bit. Trusted only while every memo entry was
-  // written that way in this drive: off from the start when the memo is
-  // non-empty (a restored one included), and from the first pair-unit
-  // commit or named id at or above kMaxSignatureIds on. Not checkpointed.
-  static constexpr size_t kMaxSignatureIds = size_t{1} << 20;
-  bool signatures_on_ = false;
-  std::vector<uint64_t> signatures_;
-  uint64_t committed_player_units_ = 0;
+  std::unordered_set<ElementId> retired_;
 
   // Parallel backend: the pool and the persistent fork seeder (one chain
   // across all rounds, so seeded runs replay bit-identically).
@@ -631,8 +716,9 @@ class RoundEngine {
   // round keeps its misses in its PendingRound until the read-back). The
   // parallel backend gets one slot per unit index — each pool task
   // touches only its own slot, so the buffers stay fork-local and
-  // race-free; the serial backend uses slot 0. A player unit's slot holds
-  // only its hit mask and signatures: the per-pair buffers of the default
+  // race-free; the serial backend, and an executor round's probe, use
+  // slot 0. A player unit's slot holds
+  // only its hit mask and seat list: the per-pair buffers of the default
   // tournament call live in the comparator, which on the parallel backend
   // is the unit's fork, so they are bounded by the threads running at
   // once.
@@ -644,13 +730,17 @@ class RoundEngine {
   std::vector<ComparisonPair> unit_pairs_;
   // PinSlots' and CommitRound's packed keys and slots (one batch insert's
   // worth: a unit, or a round's misses at the read-back), CommitRound's
-  // answer per key and a player unit's committing players. No slot is
-  // held past the call that pinned it: a later round's insert may grow
-  // the table while this one is in flight.
+  // answer per key, and a pruning commit's named players of a unit: their
+  // rows and ledger indices. No slot is held past the call that pinned
+  // it: a later round's insert may grow the table while this one is in
+  // flight.
   std::vector<uint64_t> round_keys_;
   std::vector<PairSlotRef> round_slots_;
   std::vector<ElementId> round_key_winners_;
-  std::vector<size_t> commit_players_;
+  std::vector<size_t> commit_rows_;
+  std::vector<int64_t> commit_elements_;
+  // An executor round's answers to one player unit, folded into its matrix.
+  std::vector<ElementId> fold_answers_;
 
   // Round-boundary snapshot/crash/restore coordinator; null = disabled.
   CheckpointController* checkpoint_ = nullptr;
